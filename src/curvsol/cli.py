@@ -291,20 +291,34 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands
 
 
+def _apply_config(argv: list, commands: dict) -> None:
+    """Make the keys of the ``--config`` JSON object the subcommands' flag
+    defaults; a missing value, an unreadable file or a key that names no
+    flag is a ParameterError."""
+    i = argv.index("--config") + 1
+    if i == len(argv):
+        raise ParameterError("argument --config: expected a JSON file")
+    try:
+        defaults = json.loads(Path(argv[i]).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"cannot read config {argv[i]}: {exc}") from None
+    if not isinstance(defaults, dict):
+        raise ParameterError(f"config {argv[i]}: expected a JSON object")
+    defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
+    unknown = sorted(set(defaults) - {a.dest for p in commands.values() for a in p._actions})
+    if unknown:
+        raise ParameterError(f"config {argv[i]}: unknown keys {unknown}")
+    for p in commands.values():
+        p.set_defaults(**defaults)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _build_parser()
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
-        try:
-            defaults = json.loads(Path(cfg_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {cfg_path}: {exc}", file=sys.stderr)
-            return 2
-        for p in commands.values():
-            p.set_defaults(**{k.replace("-", "_"): v for k, v in defaults.items()})
-    args = parser.parse_args(argv)
     try:
+        if "--config" in argv:
+            _apply_config(argv, commands)
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ParameterError, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .speeds import SpeedSpec, _as_lambda, _sigma_all, eval_speed, in_support
+from .speeds import (_CHUNK, SpeedSpec, _as_lambda, _rows, _unit_rows, harmonic_pairs,
+                     sigma_k_root, sigma_partials, speed_values, support_margins, support_mask)
 
 __all__ = [
     "ConeSpec",
@@ -19,6 +20,8 @@ __all__ = [
     "gamma_alpha_delta",
     "uniform_two_convex",
     "contains",
+    "cone_mask",
+    "unit_samples",
     "cyl_ray",
     "cone_separation",
     "EmptyConeError",
@@ -82,6 +85,41 @@ def uniform_two_convex(beta: float, n: int) -> ConeSpec:
     return ConeSpec(kind="uniform_two_convex", n=n, beta=beta)
 
 
+def _conditions(cone: ConeSpec, L: np.ndarray) -> list:
+    """The defining conditions of ``cone`` at the rows of L, in the order
+    they are tested: (holds, witness text, witness values) triples, where
+    ``holds`` is a boolean array over the rows."""
+    if cone.kind == "gamma_k":
+        return [(v > 0.0, text, (v,))
+                for text, v in support_margins(sigma_k_root(cone.k, cone.n), L)]
+    if cone.kind == "two_convex":
+        ((_, ps),) = support_margins(harmonic_pairs(cone.n), L)
+        return [(ps > 0.0, "min pair sum = {:.6g} <= 0", (ps,))]
+    H = np.sum(L, axis=1)
+    if cone.kind == "gamma_alpha_delta":
+        lhs, rhs = (cone.delta + 1.0) * H, cone.alpha * speed_values(cone.speed, L)
+        return [(support_mask(cone.speed, L), "lambda outside the speed's support cone", ()),
+                (lhs <= rhs, "(delta+1)H = {:.6g} > alpha*gamma = {:.6g}", (lhs, rhs))]
+    s = np.sort(L, axis=1)
+    ps, bound = s[:, 0] + s[:, 1], cone.beta * H
+    return [(H > 0.0, "H = {:.6g} <= 0", (H,)),
+            (ps >= bound, "min pair sum = {:.6g} < beta*H = {:.6g}", (ps, bound))]
+
+
+def cone_mask(cone: ConeSpec, lam) -> np.ndarray:
+    """Boolean array over the rows of ``lam`` (shape (m, n)): the row lies in
+    the cone, by the same conditions as ``contains``."""
+    return np.all([holds for holds, _, _ in _conditions(cone, _rows(cone.n, lam))], axis=0)
+
+
+def unit_samples(cone: ConeSpec, samples: int, rng: np.random.Generator):
+    """Yield, chunk by chunk, the unit vectors among ``samples`` standard
+    normal draws that lie in the cone."""
+    for start in range(0, samples, _CHUNK):
+        x = _unit_rows(rng.standard_normal((min(_CHUNK, samples - start), cone.n)))
+        yield x[cone_mask(cone, x)]
+
+
 def contains(cone: ConeSpec, lam) -> tuple[bool, Optional[str]]:
     """Membership test.  Returns (inside, witness); the witness names the
     violated condition when outside.  Open cones use strict inequalities,
@@ -91,34 +129,9 @@ def contains(cone: ConeSpec, lam) -> tuple[bool, Optional[str]]:
     lam = _as_lambda(lam)
     if lam.size != cone.n:
         raise ParameterError(f"dimension mismatch: len(lambda)={lam.size}, cone n={cone.n}")
-    if cone.kind == "gamma_k":
-        e = _sigma_all(np.sort(lam), cone.k)
-        for l in range(1, cone.k + 1):
-            if not e[l] > 0.0:
-                return False, f"S_{l}(lambda) = {e[l]:.6g} <= 0"
-        return True, None
-    if cone.kind == "two_convex":
-        s = np.sort(lam)
-        ps = s[0] + s[1]
-        if not ps > 0.0:
-            return False, f"min pair sum = {ps:.6g} <= 0"
-        return True, None
-    if cone.kind == "gamma_alpha_delta":
-        if not in_support(cone.speed, lam):
-            return False, "lambda outside the speed's support cone"
-        H = float(np.sum(lam))
-        g = eval_speed(cone.speed, lam)
-        if not (cone.delta + 1.0) * H <= cone.alpha * g:
-            return False, f"(delta+1)H = {(cone.delta + 1) * H:.6g} > alpha*gamma = {cone.alpha * g:.6g}"
-        return True, None
-    # uniform_two_convex
-    H = float(np.sum(lam))
-    if not H > 0.0:
-        return False, f"H = {H:.6g} <= 0"
-    s = np.sort(lam)
-    ps = float(s[0] + s[1])
-    if not ps >= cone.beta * H:
-        return False, f"min pair sum = {ps:.6g} < beta*H = {cone.beta * H:.6g}"
+    for holds, text, values in _conditions(cone, lam[None]):
+        if not holds[0]:
+            return False, text.format(*(v[0] for v in values))
     return True, None
 
 
@@ -132,43 +145,33 @@ def cyl_ray(n: int, j: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _distance_to_cyl_rays(lam: np.ndarray) -> float:
-    """Euclidean distance from ``lam`` to the nearest ray spanned by a
+def _distance_to_cyl_rays(L: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of L to the nearest ray spanned by a
     coordinate axis (the permutations of the most degenerate cylindrical
     generator)."""
-    best = float(np.linalg.norm(lam))
-    for i in range(lam.size):
-        t = lam[i]
-        if t > 0.0:
-            d = float(np.sqrt(max(np.dot(lam, lam) - t * t, 0.0)))
-        else:
-            d = float(np.linalg.norm(lam))
-        best = min(best, d)
-    return best
+    sq = np.sum(L * L, axis=1, keepdims=True)
+    norm = np.sqrt(sq)
+    d = np.where(L > 0.0, np.sqrt(np.maximum(sq - L * L, 0.0)), norm)
+    return np.minimum(norm[:, 0], np.min(d, axis=1))
 
 
-def _distance_to_support_boundary(speed: SpeedSpec, lam: np.ndarray) -> float:
-    """Distance from ``lam`` to the boundary of the speed's support cone.
+def _distance_to_support_boundary(speed: SpeedSpec, L: np.ndarray) -> np.ndarray:
+    """Distance from each row of L to the boundary of the speed's support
+    cone.
 
     Exact for pair-sum cones (linear constraints); first-order margin
     min_l S_l/|grad S_l| for Garding cones.
     """
+    if speed.kind == "product":
+        return np.min([_distance_to_support_boundary(f, L) for f in speed.factors], axis=0)
+    margins = [v for _, v in support_margins(speed, L)]
     if speed.kind == "harmonic_pairs":
-        s = np.sort(lam)
-        return float((s[0] + s[1]) / np.sqrt(2.0))
+        return margins[0] / np.sqrt(2.0)
     if speed.kind == "quotient":
-        return float(np.min(lam))
-    if speed.kind == "sigma_k_root":
-        from .speeds import _sigma_partials
-        best = np.inf
-        for l in range(1, speed.k + 1):
-            e = _sigma_all(np.sort(lam), l)[l]
-            grad = _sigma_partials(lam, l)
-            gn = float(np.linalg.norm(grad))
-            if gn > 0:
-                best = min(best, e / gn)
-        return float(best)
-    return min(_distance_to_support_boundary(f, lam) for f in speed.factors)
+        return margins[0]
+    with np.errstate(divide="ignore"):          # a vanishing gradient bounds nothing
+        return np.min([e / np.linalg.norm(sigma_partials(L, l), axis=1)
+                       for l, e in enumerate(margins, start=1)], axis=0)
 
 
 def cone_separation(cone: ConeSpec, samples: int, seed: int = 0) -> float:
@@ -183,18 +186,11 @@ def cone_separation(cone: ConeSpec, samples: int, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     best = np.inf
     found = 0
-    for _ in range(samples):
-        x = rng.standard_normal(cone.n)
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        x /= nx
-        inside, _ = contains(cone, x)
-        if not inside:
-            continue
-        found += 1
-        d = min(_distance_to_cyl_rays(x), _distance_to_support_boundary(cone.speed, x))
-        best = min(best, d)
+    for x in unit_samples(cone, samples, rng):
+        if x.shape[0]:
+            found += x.shape[0]
+            d = np.minimum(_distance_to_cyl_rays(x), _distance_to_support_boundary(cone.speed, x))
+            best = min(best, float(np.min(d)))
     if found == 0:
         raise EmptyConeError(
             f"no unit vector of {samples} samples lies in the cone "

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from pathlib import Path
 from typing import Optional
 
@@ -14,8 +13,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .profiles import ProfileSolution
-from .rotgeom import RadialJet, graph_curvatures, tilt
-from .speeds import SpeedSpec, eval_speed, in_support
+from .speeds import SpeedSpec
+from .verifier import profile_geometry
 
 __all__ = [
     "PROFILE_COLUMNS",
@@ -55,17 +54,9 @@ def speed_from_dict(d: dict) -> SpeedSpec:
 def derived_columns(profile: ProfileSolution) -> np.ndarray:
     """lambda1, lambda2, gamma, tilt, residual at every sample; gamma and the
     residual are NaN where the curvatures leave the speed's cone."""
-    out = np.empty((profile.samples.shape[0], 5))
-    for i, (r, _u, du, ddu) in enumerate(profile.samples):
-        lam = graph_curvatures(RadialJet(r=r, u=_u, du=du, ddu=ddu), profile.n)
-        t = tilt(du)
-        if in_support(profile.speed, lam):
-            g = eval_speed(profile.speed, lam)
-            res = g - t
-        else:
-            g, res = math.nan, math.nan
-        out[i] = (lam.array[0], lam.array[1], g, t, res)
-    return out
+    geo = profile_geometry(profile)
+    return np.column_stack((geo.lam[:, 0], geo.lam[:, 1], geo.gamma, geo.tilt,
+                            geo.gamma - geo.tilt))
 
 
 def profile_metadata(profile: ProfileSolution) -> dict:
@@ -115,6 +106,8 @@ def read_profile_csv(path, metadata: Optional[dict] = None) -> ProfileSolution:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < 4:
+                raise ParameterError(f"{path}: line {lineno}: {len(row)} fields, expected r,u,du,ddu")
             try:
                 rows.append([float(x) for x in row[:4]])
             except ValueError as exc:

@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
+import numpy as np
+
 from .errors import DomainError, ParameterError
 from .speeds import CurvatureVector, SpeedSpec, eval_speed, support_violation
 
@@ -24,7 +26,8 @@ class RadialJet:
     """Second-order jet (u, u', u'') of a radial graph profile at radius r > 0.
 
     Curvature formulas are singular on the axis; callers handle r = 0 via
-    the startup expansion in the profiles module.
+    the startup expansion in the profiles module.  The fields may also be
+    equal-length arrays, one entry per radius.
     """
 
     r: float
@@ -33,8 +36,8 @@ class RadialJet:
     ddu: float
 
     def __post_init__(self):
-        if not self.r > 0.0:
-            raise DomainError(f"radial jet requires r > 0, got r={self.r}")
+        if not np.all(np.asarray(self.r) > 0.0):
+            raise DomainError(f"radial jet requires r > 0, got r={np.min(self.r)}")
 
 
 @dataclass(frozen=True)
@@ -50,16 +53,19 @@ class CylJet:
             raise DomainError(f"cylindrical jet requires r > 0, got r={self.r}")
 
 
-def graph_curvatures(jet: RadialJet, n: int) -> CurvatureVector:
+def graph_curvatures(jet: RadialJet, n: int):
     """Principal curvatures of the rotational graph at the jet: the radial
     curvature u''/(1+u'^2)^{3/2} followed by n-1 copies of the rotational
-    curvature u'/(r sqrt(1+u'^2))."""
+    curvature u'/(r sqrt(1+u'^2)).  A CurvatureVector for a scalar jet; an
+    (m, n) array, one row per radius, for a jet of arrays."""
     if n < 2:
         raise ParameterError("graph curvatures require n >= 2")
     w = 1.0 + jet.du ** 2
     lam1 = jet.ddu / w ** 1.5
-    lam2 = jet.du / (jet.r * sqrt(w))
-    return CurvatureVector((lam1,) + (lam2,) * (n - 1))
+    lam2 = jet.du / (jet.r * np.sqrt(w))
+    if np.ndim(lam1) == 0:
+        return CurvatureVector((lam1,) + (lam2,) * (n - 1))
+    return np.column_stack((lam1,) + (lam2,) * (n - 1))
 
 
 def cylinder_curvatures(jet: CylJet) -> CurvatureVector:
@@ -72,9 +78,10 @@ def cylinder_curvatures(jet: CylJet) -> CurvatureVector:
     return CurvatureVector((lam1, lam2))
 
 
-def tilt(du: float) -> float:
-    """Vertical component of the unit normal of a graph, 1/sqrt(1+u'^2)."""
-    return 1.0 / sqrt(1.0 + du ** 2)
+def tilt(du):
+    """Vertical component of the unit normal of a graph, 1/sqrt(1+u'^2)
+    (elementwise for an array of slopes)."""
+    return 1.0 / np.sqrt(1.0 + du ** 2)
 
 
 def soliton_residual(spec: SpeedSpec, lam, normal_component: float) -> float:

@@ -7,14 +7,14 @@ the inverse of the sum of reciprocal pairwise curvature sums ("harmonic
 pairs"), quotients of elementary symmetric polynomials, and weighted
 geometric means of the above.
 
-All evaluations canonicalize the input by sorting, so permuting the entries
-of ``lam`` returns bit-identical results.
+One array kernel works on (m, n) arrays of curvature rows; the scalar entry
+points are one-row calls of it.  Every row is canonicalized by sorting, so
+permuting its entries returns bit-identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 from typing import Optional
 
 import numpy as np
@@ -30,33 +30,40 @@ __all__ = [
     "quotient",
     "product",
     "eval_sigma_k",
+    "sigma_partials",
     "eval_speed",
     "eval_derivatives",
+    "speed_values",
+    "speed_derivatives",
     "hessian_quadratic_form",
+    "hessian_quadratic_forms",
     "in_support",
     "support_violation",
+    "support_margins",
+    "support_mask",
     "sample_interior",
     "check_properties",
     "PropertyReport",
     "CheckStat",
 ]
 
+_CHUNK = 4096          # rows per array call in the sampled checks: bounds their memory
+
 
 # --------------------------------------------------------------------------
 # elementary symmetric polynomials
 # --------------------------------------------------------------------------
 
-def _sigma_all(lam: np.ndarray, kmax: int) -> np.ndarray:
-    """All e_0..e_kmax of ``lam`` by the stable prefix recurrence
-    e_k(x_1..x_m) = e_k(x_1..x_{m-1}) + x_m e_{k-1}(x_1..x_{m-1})."""
-    e = np.zeros(kmax + 1)
-    e[0] = 1.0
-    top = 0
-    for x in lam:
-        top = min(top + 1, kmax)
-        for j in range(top, 0, -1):
-            e[j] += x * e[j - 1]
-    return e
+def _sigma_all(S: np.ndarray, kmax: int) -> np.ndarray:
+    """e_0..e_kmax (last axis) of the rows of S by the prefix recurrence over
+    the columns e_k(x_1..x_c) = e_k(x_1..x_{c-1}) + x_c e_{k-1}(x_1..x_{c-1});
+    callers sort the rows, which fixes the order of the arithmetic."""
+    e = [np.ones(S.shape[:-1])] + [np.zeros(S.shape[:-1]) for _ in range(kmax)]
+    for c in range(S.shape[-1]):
+        x = S[..., c]
+        for j in range(min(c + 1, kmax), 0, -1):
+            e[j] = e[j] + x * e[j - 1]
+    return np.stack(e, axis=-1)
 
 
 def eval_sigma_k(lam, k: int) -> float:
@@ -69,28 +76,26 @@ def eval_sigma_k(lam, k: int) -> float:
     return float(_sigma_all(np.sort(lam), k)[k])
 
 
-def _sigma_partials(lam: np.ndarray, k: int) -> np.ndarray:
-    """dS_k/dlam_i = S_{k-1} of lam with entry i removed."""
-    n = lam.size
-    out = np.empty(n)
-    for i in range(n):
-        sub = np.delete(lam, i)
-        out[i] = _sigma_all(sub, k - 1)[k - 1] if k >= 1 else 0.0
-    return out
+def _drop_one(n: int) -> np.ndarray:
+    j = np.arange(n - 1)
+    return j + (j >= np.arange(n)[:, None])             # row i: 0..n-1 without i
 
 
-def _sigma_second_partials(lam: np.ndarray, k: int) -> np.ndarray:
-    """d2S_k/dlam_i dlam_j = S_{k-2} of lam without i,j (zero on the diagonal)."""
-    n = lam.size
-    out = np.zeros((n, n))
-    if k < 2:
-        return out
-    for i in range(n):
-        for j in range(i + 1, n):
-            sub = np.delete(lam, (i, j))
-            v = _sigma_all(sub, k - 2)[k - 2]
-            out[i, j] = v
-            out[j, i] = v
+def sigma_partials(lam, k: int) -> np.ndarray:
+    """dS_k/dlam_i at every row of ``lam`` (shape (..., n)): S_{k-1} of the
+    row with entry i removed."""
+    lam = np.asarray(lam, dtype=float)
+    return _sigma_all(lam[..., _drop_one(lam.shape[-1])], k - 1)[..., k - 1]
+
+
+def _sigma_second_partials(S: np.ndarray, k: int) -> np.ndarray:
+    """d2S_k/dlam_i dlam_j = S_{k-2} of the row without i, j (zero on the
+    diagonal), for every row of S (shape (m, n))."""
+    m, n = S.shape
+    out = np.zeros((m, n, n))
+    if k >= 2:
+        drop = _drop_one(n)
+        out[:, np.arange(n)[:, None], drop] = sigma_partials(S[:, drop], k - 1)
     return out
 
 
@@ -186,28 +191,13 @@ class CurvatureVector:
     def H(self) -> float:
         return float(np.sum(self.lam))
 
-    @property
-    def lambda1(self) -> float:
-        return float(np.min(self.lam))
-
-    @property
-    def s11(self) -> float:
-        """Sum of all entries but the smallest (H - lambda_1)."""
-        return self.H - self.lambda1
-
-    def sigma(self, k: int) -> float:
-        return eval_sigma_k(self.array, k)
-
-    def min_pair_sum(self) -> float:
-        s = np.sort(self.array)
-        return float(s[0] + s[1]) if self.n >= 2 else float("inf")
-
 
 @dataclass(frozen=True)
 class SpeedDerivatives:
-    """Value, gradient and Hessian of a speed at a curvature vector."""
+    """Value, gradient and Hessian of a speed at a curvature vector, or the
+    stacked arrays of shapes (m,), (m, n), (m, n, n) over m rows."""
 
-    value: float
+    value: float | np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
 
@@ -221,43 +211,54 @@ def _as_lambda(lam) -> np.ndarray:
     return arr
 
 
+def _rows(n: int, lam) -> np.ndarray:
+    arr = np.asarray(lam, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != n:
+        raise ParameterError(f"expected an (m, {n}) array of curvature rows, got shape {arr.shape}")
+    return arr
+
+
 # --------------------------------------------------------------------------
 # support cones
 # --------------------------------------------------------------------------
 
-def support_violation(spec: SpeedSpec, lam) -> Optional[str]:
-    """None if ``lam`` lies in the open support cone of ``spec``, otherwise a
-    human-readable description of the violated condition.
+def support_margins(spec: SpeedSpec, lam) -> list[tuple[str, np.ndarray]]:
+    """(violation text, margin) pairs at the rows of ``lam`` (shape (m, n)),
+    in the order they are tested: a row lies in the open support cone iff
+    every margin is positive.
 
-    Note: quotient speeds are supported here on the positive cone.  On the
-    full Garding cone their continuous extension vanishes at the boundary
+    Quotient speeds are supported here on the positive cone.  On the full
+    Garding cone their continuous extension vanishes at the boundary
     (Maclaurin chain), so the positive cone is the largest of the standard
     cones on which the boundary-vanishing property genuinely fails for
     k < n while monotonicity and concavity still hold.
     """
+    S = np.sort(_rows(spec.n, lam), axis=1)
+    if spec.kind == "sigma_k_root":
+        e = _sigma_all(S, spec.k)
+        return [(f"S_{l}(lambda) = {{:.6g}} <= 0", e[:, l]) for l in range(1, spec.k + 1)]
+    if spec.kind == "harmonic_pairs":
+        return [("min pair sum lambda_i+lambda_j = {:.6g} <= 0", S[:, 0] + S[:, 1])]
+    if spec.kind == "quotient":
+        return [("min lambda = {:.6g} <= 0 (quotient supported on the positive cone)", S[:, 0])]
+    return [c for f in spec.factors for c in support_margins(f, S)]
+
+
+def support_mask(spec: SpeedSpec, lam) -> np.ndarray:
+    """Boolean array over the rows of ``lam`` (shape (m, n)): the row lies in
+    the open support cone of ``spec``."""
+    return np.all([v > 0.0 for _, v in support_margins(spec, lam)], axis=0)
+
+
+def support_violation(spec: SpeedSpec, lam) -> Optional[str]:
+    """None if ``lam`` lies in the open support cone of ``spec``, otherwise a
+    human-readable description of the violated condition."""
     lam = _as_lambda(lam)
     if lam.size != spec.n:
         return f"dimension mismatch: len(lambda)={lam.size}, n={spec.n}"
-    if spec.kind == "sigma_k_root":
-        e = _sigma_all(np.sort(lam), spec.k)
-        for l in range(1, spec.k + 1):
-            if not e[l] > 0.0:
-                return f"S_{l}(lambda) = {e[l]:.6g} <= 0"
-        return None
-    if spec.kind == "harmonic_pairs":
-        s = np.sort(lam)
-        if not s[0] + s[1] > 0.0:
-            return f"min pair sum lambda_i+lambda_j = {s[0] + s[1]:.6g} <= 0"
-        return None
-    if spec.kind == "quotient":
-        m = float(np.min(lam))
-        if not m > 0.0:
-            return f"min lambda = {m:.6g} <= 0 (quotient supported on the positive cone)"
-        return None
-    for f in spec.factors:
-        v = support_violation(f, lam)
-        if v is not None:
-            return v
+    for text, margin in support_margins(spec, lam[None]):
+        if not margin[0] > 0.0:
+            return text.format(margin[0])
     return None
 
 
@@ -275,29 +276,52 @@ def _require_support(spec: SpeedSpec, lam: np.ndarray) -> None:
 # evaluation
 # --------------------------------------------------------------------------
 
+def speed_values(spec: SpeedSpec, lam) -> np.ndarray:
+    """Speed value at every row of ``lam`` (shape (m, n)); NaN on the rows
+    outside the open support cone."""
+    inside = support_mask(spec, lam)
+    out = np.full(inside.size, np.nan)
+    out[inside] = _value(spec, np.sort(np.asarray(lam)[inside], axis=1))
+    return out
+
+
 def eval_speed(spec: SpeedSpec, lam) -> float:
     """Speed value at ``lam``; raises DomainError outside the open cone."""
     lam = _as_lambda(lam)
     _require_support(spec, lam)
-    return _value(spec, np.sort(lam))
+    return float(_value(spec, np.sort(lam)[None])[0])
 
 
-def _value(spec: SpeedSpec, s: np.ndarray) -> float:
+def _value(spec: SpeedSpec, S: np.ndarray) -> np.ndarray:
     if spec.kind == "sigma_k_root":
-        return float(_sigma_all(s, spec.k)[spec.k] ** (1.0 / spec.k))
+        return _sigma_all(S, spec.k)[:, spec.k] ** (1.0 / spec.k)
     if spec.kind == "harmonic_pairs":
         acc = 0.0
-        for i in range(s.size):
-            for j in range(i + 1, s.size):
-                acc += 1.0 / (s[i] + s[j])
+        for i, j in zip(*np.triu_indices(S.shape[1], 1)):
+            acc = acc + 1.0 / (S[:, i] + S[:, j])
         return 1.0 / acc
     if spec.kind == "quotient":
-        e = _sigma_all(s, spec.k)
-        return float((e[spec.k] / e[spec.l]) ** (1.0 / (spec.k - spec.l)))
+        e = _sigma_all(S, spec.k)
+        return (e[:, spec.k] / e[:, spec.l]) ** (1.0 / (spec.k - spec.l))
     out = 1.0
     for f, w in zip(spec.factors, spec.weights):
-        out *= _value(f, s) ** w
+        out = out * _value(f, S) ** w
     return out
+
+
+def speed_derivatives(spec: SpeedSpec, lam) -> SpeedDerivatives:
+    """Stacked derivatives at the rows of ``lam`` (shape (m, n)); raises
+    DomainError if a row is outside the open cone."""
+    L = _rows(spec.n, lam)
+    inside = support_mask(spec, L)
+    if not np.all(inside):
+        _require_support(spec, L[np.argmin(inside)])
+    order = np.argsort(L, axis=1, kind="stable")
+    v, g, h = _value_grad_hess(spec, np.take_along_axis(L, order, axis=1))
+    back = np.argsort(order, axis=1)
+    rows = np.arange(L.shape[0])[:, None, None]
+    return SpeedDerivatives(value=v, gradient=np.take_along_axis(g, back, axis=1),
+                            hessian=h[rows, back[:, :, None], back[:, None, :]])
 
 
 def eval_derivatives(spec: SpeedSpec, lam) -> SpeedDerivatives:
@@ -308,69 +332,88 @@ def eval_derivatives(spec: SpeedSpec, lam) -> SpeedDerivatives:
     """
     lam = _as_lambda(lam)
     _require_support(spec, lam)
-    order = np.argsort(lam, kind="stable")
-    s = lam[order]
-    v, g_s, h_s = _value_grad_hess(spec, s)
-    g = np.empty_like(g_s)
-    g[order] = g_s
-    h = np.empty_like(h_s)
-    h[np.ix_(order, order)] = h_s
-    return SpeedDerivatives(value=v, gradient=g, hessian=h)
+    d = speed_derivatives(spec, lam[None])
+    return SpeedDerivatives(value=float(d.value[0]), gradient=d.gradient[0], hessian=d.hessian[0])
 
 
-def _value_grad_hess(spec: SpeedSpec, s: np.ndarray):
-    n = s.size
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[:, :, None] * b[:, None, :]
+
+
+def _value_grad_hess(spec: SpeedSpec, S: np.ndarray):
+    m, n = S.shape
     if spec.kind == "sigma_k_root":
         k = spec.k
-        S = _sigma_all(s, k)[k]
-        P = _sigma_partials(s, k)
-        P2 = _sigma_second_partials(s, k)
-        v = S ** (1.0 / k)
-        g = (1.0 / k) * S ** (1.0 / k - 1.0) * P
-        h = ((1.0 / k) * (1.0 / k - 1.0) * S ** (1.0 / k - 2.0) * np.outer(P, P)
-             + (1.0 / k) * S ** (1.0 / k - 1.0) * P2)
-        return v, g, h
+        Sk = _sigma_all(S, k)[:, k, None]
+        P = sigma_partials(S, k)
+        P2 = _sigma_second_partials(S, k)
+        a = (1.0 / k) * Sk ** (1.0 / k - 1.0)
+        b = (1.0 / k) * (1.0 / k - 1.0) * Sk ** (1.0 / k - 2.0)
+        h = b[:, :, None] * _outer(P, P) + a[:, :, None] * P2
+        return Sk[:, 0] ** (1.0 / k), a * P, h
     if spec.kind == "harmonic_pairs":
-        P = 0.0
-        dP = np.zeros(n)
-        d2P = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                sij = s[i] + s[j]
-                P += 1.0 / sij
-                dP[i] -= sij ** -2
-                dP[j] -= sij ** -2
-                c = 2.0 * sij ** -3
-                d2P[i, j] += c
-                d2P[j, i] += c
-                d2P[i, i] += c
-                d2P[j, j] += c
-        v = 1.0 / P
-        g = -dP / P ** 2
-        h = 2.0 * np.outer(dP, dP) / P ** 3 - d2P / P ** 2
-        return v, g, h
+        P = np.zeros(m)
+        dP = np.zeros((m, n))
+        d2P = np.zeros((m, n, n))
+        for i, j in zip(*np.triu_indices(n, 1)):
+            sij = S[:, i] + S[:, j]
+            P += 1.0 / sij
+            dP[:, i] -= sij ** -2
+            dP[:, j] -= sij ** -2
+            c = 2.0 * sij ** -3
+            d2P[:, i, j] += c
+            d2P[:, j, i] += c
+            d2P[:, i, i] += c
+            d2P[:, j, j] += c
+        P = P[:, None]
+        h = 2.0 * _outer(dP, dP) / P[:, :, None] ** 3 - d2P / P[:, :, None] ** 2
+        return 1.0 / P[:, 0], -dP / P ** 2, h
     if spec.kind == "quotient":
         k, l = spec.k, spec.l
-        e = _sigma_all(s, k)
-        Sk, Sl = e[k], e[l]
-        Pk, Pl = _sigma_partials(s, k), _sigma_partials(s, l)
-        P2k, P2l = _sigma_second_partials(s, k), _sigma_second_partials(s, l)
+        e = _sigma_all(S, k)
+        Sk, Sl = e[:, k, None], e[:, l, None]
+        Pk, Pl = sigma_partials(S, k), sigma_partials(S, l)
+        P2k, P2l = _sigma_second_partials(S, k), _sigma_second_partials(S, l)
         p = 1.0 / (k - l)
         v = (Sk / Sl) ** p
         u = p * (Pk / Sk - Pl / Sl)                      # grad of log
-        u2 = p * (P2k / Sk - np.outer(Pk, Pk) / Sk ** 2
-                  - P2l / Sl + np.outer(Pl, Pl) / Sl ** 2)
-        return v, v * u, v * (np.outer(u, u) + u2)
+        Sk, Sl = Sk[:, :, None], Sl[:, :, None]
+        u2 = p * (P2k / Sk - _outer(Pk, Pk) / Sk ** 2 - P2l / Sl + _outer(Pl, Pl) / Sl ** 2)
+        return v[:, 0], v * u, v[:, :, None] * (_outer(u, u) + u2)
     # weighted geometric mean: combine factors through the log
-    v = 1.0
-    u = np.zeros(n)
-    u2 = np.zeros((n, n))
+    v = np.ones((m, 1))
+    u = np.zeros((m, n))
+    u2 = np.zeros((m, n, n))
     for f, w in zip(spec.factors, spec.weights):
-        fv, fg, fh = _value_grad_hess(f, s)
-        v *= fv ** w
-        u += w * fg / fv
-        u2 += w * (fh / fv - np.outer(fg, fg) / fv ** 2)
-    return v, v * u, v * (np.outer(u, u) + u2)
+        fv, fg, fh = _value_grad_hess(f, S)
+        fv = fv[:, None]
+        v = v * fv ** w
+        u = u + w * fg / fv
+        u2 = u2 + w * (fh / fv[:, :, None] - _outer(fg, fg) / fv[:, :, None] ** 2)
+    return v[:, 0], v * u, v[:, :, None] * (_outer(u, u) + u2)
+
+
+def hessian_quadratic_forms(spec: SpeedSpec, lam, T) -> np.ndarray:
+    """``hessian_quadratic_form`` at every row of ``lam`` (shape (m, n)) with
+    the symmetric matrices ``T`` (shape (m, n, n)); NaN on the rows with two
+    entries closer than 1e-10 times their largest |entry|."""
+    L = _rows(spec.n, lam)
+    T = np.asarray(T, dtype=float)
+    if T.shape != L.shape + (spec.n,):
+        raise ParameterError(f"T must be {spec.n}x{spec.n} per row")
+    scale = max(1.0, float(np.max(np.abs(T), initial=0.0)))
+    if not np.allclose(T, T.transpose(0, 2, 1), atol=1e-12 * scale):
+        raise ParameterError("T must be symmetric")
+    gaps = np.diff(np.sort(L, axis=1), axis=1)
+    ok = ~np.any(gaps < 1e-10 * np.max(np.abs(L), axis=1, keepdims=True), axis=1)
+    L, T = L[ok], T[ok]
+    d = speed_derivatives(spec, L)
+    a, b = np.triu_indices(spec.n, 1)
+    diag = np.diagonal(T, axis1=1, axis2=2)
+    off = 2.0 * (d.gradient[:, b] - d.gradient[:, a]) / (L[:, b] - L[:, a]) * T[:, a, b] ** 2
+    q = np.full(ok.size, np.nan)
+    q[ok] = np.einsum("mi,mij,mj->m", diag, d.hessian, diag) + np.sum(off, axis=1)
+    return q
 
 
 def hessian_quadratic_form(spec: SpeedSpec, lam, T) -> float:
@@ -382,26 +425,13 @@ def hessian_quadratic_form(spec: SpeedSpec, lam, T) -> float:
     curvature-variable Hessian contracted with the diagonal of T.
     """
     lam = _as_lambda(lam)
-    T = np.asarray(T, dtype=float)
-    n = lam.size
-    if T.shape != (n, n):
-        raise ParameterError(f"T must be {n}x{n}")
-    if not np.allclose(T, T.T, atol=1e-12 * max(1.0, float(np.abs(T).max()))):
-        raise ParameterError("T must be symmetric")
-    scale = float(np.max(np.abs(lam)))
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(lam[a] - lam[b]) < 1e-10 * scale:
-                raise DegenerateEigenvalueError(
-                    f"lambda_{a}={lam[a]:.12g} and lambda_{b}={lam[b]:.12g} "
-                    f"are degenerate at relative gap 1e-10")
-    d = eval_derivatives(spec, lam)
-    diag = np.diag(T)
-    out = float(diag @ d.hessian @ diag)
-    for a in range(n):
-        for b in range(a + 1, n):
-            out += 2.0 * (d.gradient[b] - d.gradient[a]) / (lam[b] - lam[a]) * T[a, b] ** 2
-    return out
+    if lam.size != spec.n:
+        _require_support(spec, lam)             # a dimension mismatch is a DomainError
+    q = hessian_quadratic_forms(spec, lam[None], np.asarray(T, dtype=float)[None])[0]
+    if np.isnan(q):
+        raise DegenerateEigenvalueError(
+            f"lambda = {lam.tolist()} has entries degenerate at relative gap 1e-10")
+    return float(q)
 
 
 # --------------------------------------------------------------------------
@@ -415,14 +445,17 @@ class CheckStat:
     worst: float = 0.0
     witness: Optional[tuple] = None
 
-    def record(self, ok: bool, measure: float, point) -> None:
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-        if measure > self.worst:
-            self.worst = measure
-            self.witness = tuple(np.asarray(point).tolist())
+    def record(self, ok: np.ndarray, measure: np.ndarray, points: np.ndarray) -> None:
+        """Count the rows; the witness is the first at the largest measure."""
+        self.passed += int(np.count_nonzero(ok))
+        self.failed += int(ok.size - np.count_nonzero(ok))
+        if not measure.size:
+            return
+        measure = np.where(np.isnan(measure), -np.inf, measure)
+        i = int(np.argmax(measure))
+        if measure[i] > self.worst:
+            self.worst = float(measure[i])
+            self.witness = tuple(points[i].tolist())
 
 
 @dataclass
@@ -439,72 +472,113 @@ class PropertyReport:
         return [name for name, c in self.checks.items() if c.failed > 0]
 
 
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(X, axis=1)
+    keep = norms > 0.0
+    return X[keep] / norms[keep, None]
+
+
+def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int,
+                 max_tries: int = 20000, chunk: int = _CHUNK) -> np.ndarray:
+    """``count`` uniformly random unit vectors in the open support cone, by
+    rejection over chunks of at most ``chunk`` draws."""
+    found, accepted, draws, misses = [], 0, 0, 0
+    while accepted < count:
+        need = count - accepted
+        size = min(chunk, need * (draws // max(accepted, 1) + 1))
+        X = _unit_rows(rng.standard_normal((size, spec.n)))
+        draws += size
+        X = X[support_mask(spec, X)][:need]
+        misses = 0 if X.size else misses + size
+        if misses >= max_tries:
+            raise RuntimeError(
+                f"no interior sample found for {spec.label()} after {misses} draws")
+        found.append(X)
+        accepted += X.shape[0]
+    return np.concatenate(found)
+
+
 def sample_interior(spec: SpeedSpec, rng: np.random.Generator, max_tries: int = 20000) -> np.ndarray:
-    """One uniformly-random unit vector in the open support cone, by rejection."""
-    for _ in range(max_tries):
-        x = rng.standard_normal(spec.n)
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        x /= nx
-        if in_support(spec, x):
-            return x
-    raise RuntimeError(f"no interior sample found for {spec.label()} after {max_tries} draws")
+    """One uniformly-random unit vector in the open support cone, by
+    rejection, drawing one candidate at a time."""
+    return _sample_rows(spec, rng, 1, max_tries, chunk=1)[0]
 
 
-def _boundary_path_vanishes(spec: SpeedSpec, lam: np.ndarray, rng: np.random.Generator,
-                            depth: int = 30, rel_threshold: float = 1e-3):
-    """Test decay of the speed along one straight path to the cone boundary.
+def _radial_degeneracy(L: np.ndarray, hess: np.ndarray):
+    """|lam^T D^2f lam| at the unit rows of L, which 1-homogeneity makes
+    vanish, relative to max(1, max|D^2f|), the scale of its round-off."""
+    scale = np.maximum(1.0, np.max(np.abs(hess), axis=(1, 2)))
+    radial = np.abs(np.einsum("mi,mij,mj->m", L, hess, L)) / scale
+    return radial <= 1e-10, radial
 
-    Returns (found, satisfied, limit_ratio).  The boundary point is located
-    by bisection along a random exit direction; the speed is sampled at
-    geometrically shrinking distances, a power-law exponent is fitted, and
-    the inferred boundary limit (0 for a clean positive exponent, else the
-    observed plateau) is compared against ``rel_threshold`` times the
-    interior value.  A raw-value threshold alone would misclassify k-th
-    roots with k >= 4, whose decay cannot reach 1e-3 of the interior value
-    at double-precision distances.
+
+def _pointwise_checks(spec: SpeedSpec, L: np.ndarray, rng: np.random.Generator) -> dict:
+    """(passed, measure) arrays of the six pointwise checks at the rows of L."""
+    g = speed_values(spec, L)
+    diff = np.abs(speed_values(spec, rng.permuted(L, axis=1)) - g)
+    d = speed_derivatives(spec, L)
+    gmin = np.min(d.gradient, axis=1)
+    euler = np.abs(np.einsum("mi,mi->m", L, d.gradient) - g) / np.abs(g)
+    # Hessian restricted to the orthogonal complement of span{lam}
+    proj = np.eye(spec.n) - _outer(L, L)
+    M = proj @ d.hessian @ proj
+    top = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, -1]
+    return {
+        "symmetry": (diff == 0.0, diff),
+        "positivity": (g > 0.0, -g),
+        "gradient_positivity": (gmin > 0.0, -gmin),
+        "euler": (euler <= 1e-9, euler),
+        "off_radial_concavity": (top <= 1e-8, top),
+        "radial_degeneracy": _radial_degeneracy(L, d.hessian),
+    }
+
+
+def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray,
+                    depth: int = 30, rel_threshold: float = 1e-3):
+    """Test decay of the speed along straight paths from the rows of ``lam``
+    in the unit directions ``d`` to the cone boundary, all paths in lockstep.
+
+    Returns (found, satisfied, limit_ratio) arrays over the paths.  Each
+    boundary point is located by bisection along its exit direction; the
+    speed is sampled at geometrically shrinking distances, a power-law
+    exponent is fitted, and the inferred boundary limit (0 for a clean
+    positive exponent, else the observed plateau) is compared against
+    ``rel_threshold`` times the interior value.  A raw-value threshold alone
+    would misclassify k-th roots with k >= 4, whose decay cannot reach 1e-3
+    of the interior value at double-precision distances.
     """
-    d = rng.standard_normal(lam.size)
-    d /= np.linalg.norm(d)
-    t, t_exit = 0.01, None
-    while t < 1e4:
-        if not in_support(spec, lam + t * d):
-            t_exit = t
-            break
-        t *= 2.0
-    if t_exit is None:
-        return False, True, 0.0
-    t_lo, t_hi = 0.0, t_exit
+    p, n = lam.shape
+    t = 0.01 * 2.0 ** np.arange(20)                  # doubling march while t < 1e4
+    march = lam[:, None, :] + t[:, None] * d[:, None, :]
+    outside = ~support_mask(spec, march.reshape(-1, n)).reshape(p, t.size)
+    found = outside.any(axis=1)
+    t_lo = np.zeros(p)
+    t_hi = np.where(found, t[np.argmax(outside, axis=1)], 0.0)
     for _ in range(100):
         tm = 0.5 * (t_lo + t_hi)
-        if in_support(spec, lam + tm * d):
-            t_lo = tm
-        else:
-            t_hi = tm
-    b = lam + t_lo * d            # just inside the boundary
-    g_int = eval_speed(spec, lam)
-    mus, vals = [], []
-    for j in range(depth + 1):
-        mu = 2.0 ** (-j)
-        p = b + mu * (lam - b)
-        if not in_support(spec, p):
+        if not np.any((tm > t_lo) & (tm < t_hi)):    # every bracket is down to one ulp
+            break
+        inside = support_mask(spec, lam + tm[:, None] * d)
+        t_lo = np.where(inside, tm, t_lo)
+        t_hi = np.where(inside, t_hi, tm)
+    b = lam + t_lo[:, None] * d                      # just inside the boundary
+    g_int = speed_values(spec, lam)
+    mus = 2.0 ** -np.arange(depth + 1)
+    points = b[:, None, :] + mus[:, None] * (lam - b)[:, None, :]
+    vals = speed_values(spec, points.reshape(-1, n)).reshape(p, mus.size)
+    ratio = np.zeros(p)
+    for i in np.flatnonzero(found):
+        keep = ~np.isnan(vals[i])
+        if np.count_nonzero(keep) < 12:
+            found[i] = False
             continue
-        mus.append(mu)
-        vals.append(eval_speed(spec, p))
-    if len(vals) < 12:
-        return False, True, 0.0
-    mus = np.asarray(mus)
-    vals = np.asarray(vals)
-    tail = slice(len(vals) - 10, len(vals))
-    monotone = bool(np.all(np.diff(vals[tail]) < 0.0))
-    slope, _ = np.polyfit(np.log(mus[tail]), np.log(vals[tail]), 1)
-    if monotone and slope >= 0.05:
-        limit = 0.0               # clean power-law decay: the limit vanishes
-    else:
-        limit = float(vals[-1])   # plateau: the observed near-boundary value
-    ratio = limit / g_int
-    return True, ratio <= rel_threshold, ratio
+        mu, v = mus[keep][-10:], vals[i][keep][-10:]
+        monotone = bool(np.all(np.diff(v) < 0.0))
+        slope, _ = np.polyfit(np.log(mu), np.log(v), 1)
+        # clean power-law decay: the limit vanishes; else the observed plateau
+        limit = 0.0 if monotone and slope >= 0.05 else v[-1]
+        ratio[i] = limit / g_int[i]
+    return found, ratio <= rel_threshold, ratio
 
 
 def check_properties(spec: SpeedSpec, sample_count: int = 1000, seed: int = 0,
@@ -518,36 +592,19 @@ def check_properties(spec: SpeedSpec, sample_count: int = 1000, seed: int = 0,
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
-    names = ["symmetry", "positivity", "gradient_positivity", "euler",
-             "off_radial_concavity", "radial_degeneracy", "boundary_vanishing"]
-    checks = {name: CheckStat() for name in names}
-    for _ in range(sample_count):
-        lam = sample_interior(spec, rng)
-        g = eval_speed(spec, lam)
-        perm = rng.permutation(spec.n)
-        diff = abs(eval_speed(spec, lam[perm]) - g)
-        checks["symmetry"].record(diff == 0.0, diff, lam)
-        checks["positivity"].record(g > 0.0, -g, lam)
-        der = eval_derivatives(spec, lam)
-        gmin = float(np.min(der.gradient))
-        checks["gradient_positivity"].record(gmin > 0.0, -gmin, lam)
-        euler = abs(float(lam @ der.gradient) - g) / abs(g)
-        checks["euler"].record(euler <= 1e-9, euler, lam)
-        # Hessian restricted to the orthogonal complement of span{lam}
-        proj = np.eye(spec.n) - np.outer(lam, lam)
-        m = proj @ der.hessian @ proj
-        top = float(np.max(np.linalg.eigvalsh(0.5 * (m + m.T))))
-        checks["off_radial_concavity"].record(top <= 1e-8, top, lam)
-        radial = abs(float(lam @ der.hessian @ lam))
-        checks["radial_degeneracy"].record(radial <= 1e-10, radial, lam)
-    done = 0
-    tries = 0
+    checks = {}
+    for start in range(0, sample_count, _CHUNK):
+        lam = _sample_rows(spec, rng, min(_CHUNK, sample_count - start))
+        for name, (ok, measure) in _pointwise_checks(spec, lam, rng).items():
+            checks.setdefault(name, CheckStat()).record(ok, measure, lam)
+    boundary = checks["boundary_vanishing"] = CheckStat()
+    done = tries = 0
     while done < boundary_paths and tries < 20 * boundary_paths:
-        tries += 1
-        lam = sample_interior(spec, rng)
-        found, ok, ratio = _boundary_path_vanishes(spec, lam, rng)
-        if not found:
-            continue
-        done += 1
-        checks["boundary_vanishing"].record(ok, ratio, lam)
+        size = min(boundary_paths - done, 20 * boundary_paths - tries)
+        tries += size
+        lam = _sample_rows(spec, rng, size)
+        d = rng.standard_normal((size, spec.n))
+        found, ok, ratio = _boundary_paths(spec, lam, d / np.linalg.norm(d, axis=1, keepdims=True))
+        boundary.record(ok[found], ratio[found], lam[found])
+        done += int(np.count_nonzero(found))
     return PropertyReport(spec=spec, samples=sample_count, seed=seed, checks=checks)

@@ -1,7 +1,8 @@
 """End-to-end verification reports: soliton residual sweeps, barrier
 orderings, the pointwise convexity estimate lambda_1 >= H - alpha*gamma,
 cylindrical-type sign conditions, and sampled derivative-pinching
-constants."""
+constants.  The profile checks read one curvature table per profile,
+``profile_geometry``, built from arrays."""
 
 from __future__ import annotations
 
@@ -11,16 +12,18 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import ConeSpec, contains
-from .errors import DegenerateEigenvalueError, DomainError, ParameterError
+from .cones import ConeSpec, unit_samples
+from .errors import DomainError, ParameterError
 from .profiles import (ProfileSolution, barrier, closed_form_cyl,
                        solve_cyl_profile)
 from .rotgeom import CylJet, RadialJet, cylinder_curvatures, graph_curvatures, tilt
-from .speeds import (SpeedSpec, eval_derivatives, eval_speed,
-                     hessian_quadratic_form, in_support, support_violation)
+from .speeds import (SpeedSpec, hessian_quadratic_forms, speed_derivatives, speed_values,
+                     support_mask, support_violation)
 
 __all__ = [
     "CheckEntry",
+    "ProfileGeometry",
+    "profile_geometry",
     "VerificationReport",
     "check_soliton",
     "check_convexity_estimate",
@@ -63,9 +66,27 @@ class VerificationReport:
         return {"profile": self.context, "checks": [c.to_dict() for c in self.checks]}
 
 
-def _profile_curvatures(profile: ProfileSolution):
-    for r, u, du, ddu in profile.samples:
-        yield (r, graph_curvatures(RadialJet(r=r, u=u, du=du, ddu=ddu), profile.n), du)
+@dataclass(frozen=True)
+class ProfileGeometry:
+    """The curvature table of a profile, one row per sample."""
+
+    r: np.ndarray
+    lam: np.ndarray               # (m, n) principal curvatures
+    in_cone: np.ndarray           # the row lies in the speed's support cone
+    gamma: np.ndarray             # speed value, NaN outside the cone
+    tilt: np.ndarray              # <nu, e_{n+1}> = 1/sqrt(1+u'^2)
+    H: np.ndarray
+    min_pair_sum: np.ndarray
+
+
+def profile_geometry(profile: ProfileSolution) -> ProfileGeometry:
+    """Curvatures, speed, tilt and cone membership at every sample."""
+    r, u, du, ddu = profile.samples.T
+    lam = graph_curvatures(RadialJet(r=r, u=u, du=du, ddu=ddu), profile.n)
+    s = np.sort(lam, axis=1)
+    return ProfileGeometry(r=r, lam=lam, in_cone=support_mask(profile.speed, lam),
+                           gamma=speed_values(profile.speed, lam), tilt=tilt(du),
+                           H=np.sum(lam, axis=1), min_pair_sum=s[:, 0] + s[:, 1])
 
 
 def check_soliton(profile: ProfileSolution, tol: float) -> CheckEntry:
@@ -74,19 +95,19 @@ def check_soliton(profile: ProfileSolution, tol: float) -> CheckEntry:
     immediately with a witness."""
     if profile.status == "step_failure":
         raise ParameterError("cannot verify a profile that ended in step_failure")
-    worst = 0.0
-    witness = None
-    for r, lam, du in _profile_curvatures(profile):
-        violation = support_violation(profile.speed, lam)
-        if violation is not None:
-            return CheckEntry(name="soliton_residual", status="fail", tolerance=tol,
-                              worst_violation=float("inf"),
-                              witness={"r": r, "lambda": list(lam.lam)},
-                              detail=f"curvatures left the cone: {violation}")
-        res = abs(eval_speed(profile.speed, lam) - tilt(du))
-        if res > worst:
-            worst = res
-            witness = {"r": r, "residual": res}
+    geo = profile_geometry(profile)
+    outside = np.flatnonzero(~geo.in_cone)
+    if outside.size:
+        i = outside[0]
+        return CheckEntry(name="soliton_residual", status="fail", tolerance=tol,
+                          worst_violation=float("inf"),
+                          witness={"r": geo.r[i], "lambda": geo.lam[i].tolist()},
+                          detail="curvatures left the cone: "
+                                 + support_violation(profile.speed, geo.lam[i]))
+    res = np.abs(geo.gamma - geo.tilt)
+    i = int(np.argmax(res))
+    worst = float(res[i])
+    witness = {"r": geo.r[i], "residual": worst} if worst > 0.0 else None
     status = "pass" if worst <= tol else "fail"
     return CheckEntry(name="soliton_residual", status=status, tolerance=tol,
                       worst_violation=worst, witness=witness)
@@ -97,19 +118,13 @@ def fit_convexity_params(profile: ProfileSolution, delta: float = 0.05,
                          beta_safety: float = 0.9) -> tuple[float, float]:
     """Fit (alpha, beta) from the profile with safety factors so that the
     pinching and uniform-2-convexity hypotheses hold at every sample."""
-    alpha = 0.0
-    beta_bound = np.inf
-    for _r, lam, _du in _profile_curvatures(profile):
-        if not in_support(profile.speed, lam):
-            continue
-        g = eval_speed(profile.speed, lam)
-        H = lam.H
-        alpha = max(alpha, (delta + 1.0) * H / g)
-        if H > 0.0:
-            beta_bound = min(beta_bound, lam.min_pair_sum() / H)
+    geo = profile_geometry(profile)
+    H, g, ps = geo.H[geo.in_cone], geo.gamma[geo.in_cone], geo.min_pair_sum[geo.in_cone]
+    alpha = float(np.max((delta + 1.0) * H / g, initial=0.0))
+    beta_bound = float(np.min(ps[H > 0.0] / H[H > 0.0], initial=np.inf))
     if alpha == 0.0 or not np.isfinite(beta_bound):
         raise DomainError("no in-cone samples with positive mean curvature to fit from")
-    return alpha_safety * alpha, beta_safety * float(beta_bound)
+    return alpha_safety * alpha, beta_safety * beta_bound
 
 
 def check_convexity_estimate(profile: ProfileSolution, alpha: float, delta: float,
@@ -118,35 +133,24 @@ def check_convexity_estimate(profile: ProfileSolution, alpha: float, delta: floa
     where (delta+1)H <= alpha*gamma and every pair sum >= beta*H, assert
     lambda_1 >= H - alpha*gamma - slack_tol.  Samples failing a hypothesis
     are skipped, never failed."""
-    admissible = 0
-    skipped = 0
-    min_slack = np.inf
-    witness = None
-    for r, lam, _du in _profile_curvatures(profile):
-        if not in_support(profile.speed, lam):
-            skipped += 1
-            continue
-        g = eval_speed(profile.speed, lam)
-        H = lam.H
-        hyp_a = (delta + 1.0) * H <= alpha * g
-        hyp_b = H > 0.0 and lam.min_pair_sum() >= beta * H
-        if not (hyp_a and hyp_b):
-            skipped += 1
-            continue
-        admissible += 1
-        slack = lam.lambda1 - (H - alpha * g)
-        if slack < min_slack:
-            min_slack = slack
-            witness = {"r": r, "slack": slack, "lambda1": lam.lambda1, "H": H, "gamma": g}
-    if admissible == 0:
+    geo = profile_geometry(profile)
+    H, g = geo.H, geo.gamma
+    admissible = np.flatnonzero(geo.in_cone & ((delta + 1.0) * H <= alpha * g)
+                                & (H > 0.0) & (geo.min_pair_sum >= beta * H))
+    if admissible.size == 0:
         return CheckEntry(name="convexity_estimate", status="skipped", tolerance=slack_tol,
                           detail="no sample satisfies both hypotheses")
-    worst = max(0.0, -float(min_slack))
+    lambda1 = np.min(geo.lam, axis=1)
+    slack = lambda1 - (H - alpha * g)
+    i = admissible[np.argmin(slack[admissible])]
+    min_slack = float(slack[i])
+    witness = {"r": geo.r[i], "slack": min_slack, "lambda1": float(lambda1[i]),
+               "H": float(H[i]), "gamma": float(g[i])}
+    worst = max(0.0, -min_slack)
     status = "pass" if worst <= slack_tol else "fail"
-    total = admissible + skipped
     return CheckEntry(name="convexity_estimate", status=status, tolerance=slack_tol,
                       worst_violation=worst, witness=witness,
-                      detail=f"admissible {admissible}/{total}, min slack {min_slack:.3e}")
+                      detail=f"admissible {admissible.size}/{H.size}, min slack {min_slack:.3e}")
 
 
 def _ordering_entry(name: str, rel_viol: float, tol: float, witness, detail="") -> CheckEntry:
@@ -269,32 +273,25 @@ def estimate_pinching_constants(spec: SpeedSpec, cone: ConeSpec, samples: int,
                                 seed: int = 0) -> PinchingEstimate:
     """Sampled extremal derivative ratios on a compact cone: the gradient
     pinching constant and the supremum of the matrix-Hessian quadratic form
-    scaled by H/|T|^2 over random symmetric directions."""
+    scaled by H/|T|^2 over random symmetric directions.  Samples with
+    degenerate entries count for the gradient ratio only."""
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     grad_ratio = 1.0
     hess_sup = -np.inf
     used = 0
-    for _ in range(samples):
-        x = rng.standard_normal(spec.n)
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
+    for x in unit_samples(cone, samples, rng):
+        if not x.shape[0]:
             continue
-        x /= nx
-        inside, _ = contains(cone, x)
-        if not inside:
-            continue
-        used += 1
-        d = eval_derivatives(spec, x)
-        grad_ratio = max(grad_ratio, float(np.max(d.gradient) / np.min(d.gradient)))
-        T = rng.standard_normal((spec.n, spec.n))
-        T = 0.5 * (T + T.T)
-        try:
-            q = hessian_quadratic_form(spec, x, T)
-        except DegenerateEigenvalueError:
-            continue
-        hess_sup = max(hess_sup, q * float(np.sum(x)) / float(np.sum(T * T)))
+        used += x.shape[0]
+        grad = speed_derivatives(spec, x).gradient
+        grad_ratio = max(grad_ratio, float(np.max(np.max(grad, axis=1) / np.min(grad, axis=1))))
+        T = rng.standard_normal((x.shape[0], spec.n, spec.n))
+        T = 0.5 * (T + T.transpose(0, 2, 1))
+        q = hessian_quadratic_forms(spec, x, T)           # NaN on degenerate rows
+        scaled = q * np.sum(x, axis=1) / np.sum(T * T, axis=(1, 2))
+        hess_sup = float(np.fmax.reduce(scaled, initial=hess_sup))     # fmax skips NaN
     if used == 0:
         raise DomainError("no samples inside the cone; widen alpha or delta")
     return PinchingEstimate(gradient_pinching=grad_ratio, hessian_sup=float(hess_sup),

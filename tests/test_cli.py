@@ -59,6 +59,13 @@ class TestVerify:
     def test_missing_file_is_input_error(self, tmp_path):
         assert run(["verify", "soliton", "--profile", tmp_path / "none.csv"]) == 2
 
+    def test_short_csv_row_is_input_error(self, sigma2_csv, tmp_path, capsys):
+        lines = sigma2_csv.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:3])
+        sigma2_csv.write_text("\n".join(lines) + "\n")
+        assert run(["verify", "soliton", "--profile", sigma2_csv]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_convexity_auto(self, tmp_path):
         out = tmp_path / "hm3.csv"
         assert run(["solve", "--speed", "harmonic", "--n", 3, "--rmax", 0.45,
@@ -180,3 +187,15 @@ class TestConfig:
         from curvsol.io import read_profile_csv
         prof = read_profile_csv(out)
         assert prof.r[-1] == pytest.approx(0.4)     # config-supplied rmax
+
+    def test_config_without_value_is_usage_error(self, capsys):
+        assert run(["props", "--speed", "harmonic", "--n", 3, "--config"]) == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rmax": 0.4, "r_maximum": 3}))
+        assert run(["--config", cfg, "solve", "--speed", "harmonic", "--n", 3,
+                    "--out", tmp_path / "a.csv"]) == 2
+        assert "r_maximum" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()

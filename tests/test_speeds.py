@@ -3,9 +3,14 @@ form, and the sampled property suite."""
 
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from curvsol import (
     DegenerateEigenvalueError,
@@ -23,6 +28,9 @@ from curvsol import (
     sample_interior,
     sigma_k_root,
 )
+from curvsol.io import derived_columns, read_profile_csv, write_profile_csv
+from curvsol.profiles import ProfileSolution
+from curvsol.speeds import _radial_degeneracy, speed_derivatives, speed_values, support_mask
 
 RNG = np.random.default_rng(20240817)
 
@@ -277,3 +285,115 @@ class TestPropertySuite:
     def test_sample_count_validated(self):
         with pytest.raises(ParameterError):
             check_properties(sigma_k_root(2, 3), sample_count=0)
+
+
+class TestRadialDegeneracy:
+    # The radial_degeneracy witness of `curvsol props --speed sigma-k --n 6 --k 2
+    # --samples 150 --seed 1778144096` under the former absolute bound 1e-10: near the
+    # cone boundary max|D^2f| is about 6.4e6, and round-off left |lam^T D^2f lam| = 6.5e-10.
+    WITNESS = np.array([[0.5059866468589925, 0.5320479500657418, -0.43123338973469455,
+                         -0.25428697001299155, 0.3417449379402276, 0.3057593659775644]])
+
+    def test_round_off_at_large_hessian_passes(self):
+        hess = speed_derivatives(sigma_k_root(2, 6), self.WITNESS).hessian
+        ok, _ = _radial_degeneracy(self.WITNESS, hess)
+        assert ok[0]
+
+    def test_relative_radial_term_fails(self):
+        hess = speed_derivatives(sigma_k_root(2, 6), self.WITNESS).hessian
+        lam = self.WITNESS[0]
+        bump = 1e-6 * np.max(np.abs(hess)) * np.outer(lam, lam)
+        ok, measure = _radial_degeneracy(self.WITNESS, hess + bump)
+        assert not ok[0]
+        assert measure[0] == pytest.approx(1e-6, rel=1e-3)
+
+
+# Derandomized so that the suite's outcome does not depend on the run.
+KERNEL = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def cone_batches(draw, min_shift=0.0):
+    """A speed and an (m, n) batch of rows in its support cone: entries on
+    a 1/256 grid of [-1, 1] (no underflowing norms) shifted along the umbilic
+    direction, keeping the rows inside (or, when none is, the rows shifted
+    by 2, whose entries are >= 1)."""
+    spec = draw(st.sampled_from(ALL_SPEEDS))
+    x = draw(hnp.arrays(np.float64, (draw(st.integers(1, 16)), spec.n),
+                        elements=st.integers(-256, 256).map(lambda i: i / 256.0)))
+    lam = x + draw(st.floats(min_shift, 2.0))
+    lam = lam[support_mask(spec, lam)]
+    return spec, (lam if lam.shape[0] else x + 2.0)
+
+
+class TestArrayKernel:
+    @KERNEL
+    @given(cone_batches(), st.integers(0, 2 ** 32 - 1))
+    def test_row_permutations_bit_identical(self, batch, seed):
+        spec, lam = batch
+        permuted = np.random.default_rng(seed).permuted(lam, axis=1)
+        assert np.array_equal(speed_values(spec, permuted), speed_values(spec, lam))
+
+    @KERNEL
+    @given(cone_batches())
+    def test_euler_relation(self, batch):
+        spec, lam = batch
+        d = speed_derivatives(spec, lam)
+        np.testing.assert_allclose(np.einsum("mi,mi->m", lam, d.gradient), d.value, rtol=1e-9)
+
+    @KERNEL
+    @given(cone_batches())
+    def test_off_radial_concavity(self, batch):
+        spec, lam = batch
+        lam = lam / np.linalg.norm(lam, axis=1, keepdims=True)
+        hess = speed_derivatives(spec, lam).hessian
+        proj = np.eye(spec.n) - lam[:, :, None] * lam[:, None, :]
+        m = proj @ hess @ proj
+        top = np.linalg.eigvalsh(0.5 * (m + m.transpose(0, 2, 1)))[:, -1]
+        assert np.all(top <= 1e-8 * np.maximum(1.0, np.max(np.abs(hess), axis=(1, 2))))
+
+    @KERNEL
+    @given(cone_batches())
+    def test_row_in_batch_matches_row_alone(self, batch):
+        spec, lam = batch
+        values = speed_values(spec, lam)
+        d = speed_derivatives(spec, lam)
+        for i, row in enumerate(lam):
+            alone = eval_derivatives(spec, row)
+            np.testing.assert_allclose(eval_speed(spec, row), values[i], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(alone.gradient, d.gradient[i], rtol=1e-14, atol=0)
+
+    @KERNEL
+    @given(cone_batches(min_shift=1.5))
+    def test_gradient_matches_central_differences(self, batch):
+        spec, lam = batch
+        d = speed_derivatives(spec, lam)
+        for i, row in enumerate(lam):
+            assert d.gradient[i] == pytest.approx(fd_gradient(spec, row), rel=1e-6, abs=1e-9)
+
+
+@st.composite
+def profiles(draw):
+    spec = draw(st.sampled_from([sigma_k_root(2, 2), sigma_k_root(2, 3), sigma_k_root(3, 4),
+                                 harmonic_pairs(3), harmonic_pairs(5)]))
+    m = draw(st.integers(1, 12))
+    finite = st.floats(-1e3, 1e3, allow_subnormal=False)
+    r = np.cumsum(draw(hnp.arrays(np.float64, m, elements=st.floats(1e-3, 1.0))))
+    rest = draw(hnp.arrays(np.float64, (m, 3), elements=finite))
+    return ProfileSolution(n=spec.n, speed=spec, samples=np.column_stack((r, rest)),
+                           startup_slope=1.0, startup_radius=float(r[0]), blowup_radius=None,
+                           status="completed", tolerances={"rtol": 1e-10})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(profiles())
+def test_derived_columns_round_trip(profile):
+    cols = derived_columns(profile)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        write_profile_csv(path, profile)
+        written = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 4:]
+        back = read_profile_csv(path)
+    assert np.array_equal(back.samples, profile.samples)
+    np.testing.assert_array_equal(written, cols)
+    np.testing.assert_array_equal(derived_columns(back), cols)
