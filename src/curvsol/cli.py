@@ -18,7 +18,7 @@ import numpy as np
 from . import io as pio
 from . import picard as ppicard
 from .errors import ContractionFailureError, DomainError, ParameterError
-from .profiles import BARRIER_NAMES, barrier, integrate_profile
+from .profiles import barrier, integrate_profile
 from .speeds import (SpeedSpec, check_properties, harmonic_pairs, product,
                      quotient, sigma_k_root)
 from .svgfig import Series, render_chart
@@ -44,23 +44,20 @@ def _speed_from_flags(name: str, n: int, k=None, l=None, factors=None, weights=N
             raise ParameterError("--speed product requires --factors")
         specs = []
         for tok in factors.split(","):
-            parts = tok.strip().split(":")
-            if parts[0] == "sigma-k":
-                specs.append(sigma_k_root(int(parts[1]), n))
-            elif parts[0] == "harmonic":
-                specs.append(harmonic_pairs(n))
-            else:
+            kind, _, fk = tok.strip().partition(":")
+            if kind not in ("sigma-k", "harmonic"):
                 raise ParameterError(f"unknown product factor {tok!r}")
-        if weights:
-            ws = [float(w) for w in weights.split(",")]
-        else:
-            ws = [1.0 / len(specs)] * len(specs)
+            specs.append(_speed_from_flags(kind, n, k=int(fk) if fk else None))
+        ws = [float(w) for w in weights.split(",")] if weights else [1.0 / len(specs)] * len(specs)
         return product(specs, ws)
     raise ParameterError(f"unknown speed {name!r}")
 
 
 def _write_json(path, payload) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_text(path, text: str) -> None:
     if path:
         Path(path).write_text(text)
     else:
@@ -135,20 +132,13 @@ def _cmd_props(args) -> int:
 
 def _cmd_barriers(args) -> int:
     names = [t.strip() for t in args.names.split(",")]
-    for name in names:
-        if name not in BARRIER_NAMES:
-            raise ParameterError(f"unknown barrier {name!r}")
     bars = [barrier(name, args.n, k=args.k, a=args.a) for name in names]
     r_hi = min([args.rmax] + [b.r_end * (1.0 - 1e-9) for b in bars])
     r = np.linspace(args.rmin, r_hi, args.count)
     rows = [("r", *names)]
     for ri in r:
         rows.append((pio.fmt(ri), *(pio.fmt(b(ri)) for b in bars)))
-    text = "\n".join(",".join(row) for row in rows) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, "\n".join(",".join(row) for row in rows) + "\n")
     return 0
 
 

@@ -10,8 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .speeds import (_CHUNK, SpeedSpec, _as_lambda, _rows, _unit_rows, harmonic_pairs,
-                     sigma_k_root, sigma_partials, speed_values, support_margins, support_mask)
+from .speeds import (SpeedSpec, harmonic_pairs, sigma_k_root, sigma_partials, speed_values,
+                     support_margins, unit_draws)
 
 __all__ = [
     "ConeSpec",
@@ -20,7 +20,6 @@ __all__ = [
     "gamma_alpha_delta",
     "uniform_two_convex",
     "contains",
-    "cone_mask",
     "unit_samples",
     "cyl_ray",
     "cone_separation",
@@ -97,8 +96,9 @@ def _conditions(cone: ConeSpec, L: np.ndarray) -> list:
         return [(ps > 0.0, "min pair sum = {:.6g} <= 0", (ps,))]
     H = np.sum(L, axis=1)
     if cone.kind == "gamma_alpha_delta":
-        lhs, rhs = (cone.delta + 1.0) * H, cone.alpha * speed_values(cone.speed, L)
-        return [(support_mask(cone.speed, L), "lambda outside the speed's support cone", ()),
+        g = speed_values(cone.speed, L)                 # NaN outside the speed's cone
+        lhs, rhs = (cone.delta + 1.0) * H, cone.alpha * g
+        return [(~np.isnan(g), "lambda outside the speed's support cone", ()),
                 (lhs <= rhs, "(delta+1)H = {:.6g} > alpha*gamma = {:.6g}", (lhs, rhs))]
     s = np.sort(L, axis=1)
     ps, bound = s[:, 0] + s[:, 1], cone.beta * H
@@ -106,18 +106,12 @@ def _conditions(cone: ConeSpec, L: np.ndarray) -> list:
             (ps >= bound, "min pair sum = {:.6g} < beta*H = {:.6g}", (ps, bound))]
 
 
-def cone_mask(cone: ConeSpec, lam) -> np.ndarray:
-    """Boolean array over the rows of ``lam`` (shape (m, n)): the row lies in
-    the cone, by the same conditions as ``contains``."""
-    return np.all([holds for holds, _, _ in _conditions(cone, _rows(cone.n, lam))], axis=0)
-
-
 def unit_samples(cone: ConeSpec, samples: int, rng: np.random.Generator):
     """Yield, chunk by chunk, the unit vectors among ``samples`` standard
-    normal draws that lie in the cone."""
-    for start in range(0, samples, _CHUNK):
-        x = _unit_rows(rng.standard_normal((min(_CHUNK, samples - start), cone.n)))
-        yield x[cone_mask(cone, x)]
+    normal draws that lie in the cone, by the same conditions as
+    ``contains``."""
+    for x in unit_draws(cone.n, samples, rng):
+        yield x[np.all([holds for holds, _, _ in _conditions(cone, x)], axis=0)]
 
 
 def contains(cone: ConeSpec, lam) -> tuple[bool, Optional[str]]:
@@ -126,9 +120,9 @@ def contains(cone: ConeSpec, lam) -> tuple[bool, Optional[str]]:
     the pinching and uniform-2-convexity conditions are closed; exact
     boundary values are classified by the stated inequality with no
     tolerance."""
-    lam = _as_lambda(lam)
-    if lam.size != cone.n:
-        raise ParameterError(f"dimension mismatch: len(lambda)={lam.size}, cone n={cone.n}")
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (cone.n,):
+        raise ParameterError(f"dimension mismatch: lambda of shape {lam.shape}, cone n={cone.n}")
     for holds, text, values in _conditions(cone, lam[None]):
         if not holds[0]:
             return False, text.format(*(v[0] for v in values))

@@ -42,6 +42,7 @@ __all__ = [
     "support_margins",
     "support_mask",
     "sample_interior",
+    "unit_draws",
     "check_properties",
     "PropertyReport",
     "CheckStat",
@@ -88,15 +89,15 @@ def sigma_partials(lam, k: int) -> np.ndarray:
     return _sigma_all(lam[..., _drop_one(lam.shape[-1])], k - 1)[..., k - 1]
 
 
-def _sigma_second_partials(S: np.ndarray, k: int) -> np.ndarray:
-    """d2S_k/dlam_i dlam_j = S_{k-2} of the row without i, j (zero on the
-    diagonal), for every row of S (shape (m, n))."""
+def _sigma_derivatives(S: np.ndarray, k: int):
+    """S_k (shape (m, 1)) with its gradient and Hessian at the rows of S
+    (shape (m, n)); d2S_k/dlam_i dlam_j is S_{k-2} of the row without i, j."""
     m, n = S.shape
-    out = np.zeros((m, n, n))
+    P2 = np.zeros((m, n, n))
     if k >= 2:
         drop = _drop_one(n)
-        out[:, np.arange(n)[:, None], drop] = sigma_partials(S[:, drop], k - 1)
-    return out
+        P2[:, np.arange(n)[:, None], drop] = sigma_partials(S[:, drop], k - 1)
+    return _sigma_all(S, k)[:, k, None], sigma_partials(S, k), P2
 
 
 # --------------------------------------------------------------------------
@@ -179,9 +180,8 @@ class CurvatureVector:
     def __post_init__(self):
         object.__setattr__(self, "lam", tuple(float(x) for x in self.lam))
 
-    @property
-    def n(self) -> int:
-        return len(self.lam)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.lam, dtype=dtype)
 
     @property
     def array(self) -> np.ndarray:
@@ -203,8 +203,6 @@ class SpeedDerivatives:
 
 
 def _as_lambda(lam) -> np.ndarray:
-    if isinstance(lam, CurvatureVector):
-        return lam.array
     arr = np.asarray(lam, dtype=float)
     if arr.ndim != 1:
         raise ParameterError("curvature vector must be one-dimensional")
@@ -341,55 +339,37 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _value_grad_hess(spec: SpeedSpec, S: np.ndarray):
-    m, n = S.shape
+    """Value, gradient and Hessian at the sorted rows S (shape (m, n))."""
     if spec.kind == "sigma_k_root":
         k = spec.k
-        Sk = _sigma_all(S, k)[:, k, None]
-        P = sigma_partials(S, k)
-        P2 = _sigma_second_partials(S, k)
+        Sk, P, P2 = _sigma_derivatives(S, k)
         a = (1.0 / k) * Sk ** (1.0 / k - 1.0)
         b = (1.0 / k) * (1.0 / k - 1.0) * Sk ** (1.0 / k - 2.0)
-        h = b[:, :, None] * _outer(P, P) + a[:, :, None] * P2
-        return Sk[:, 0] ** (1.0 / k), a * P, h
+        return Sk[:, 0] ** (1.0 / k), a * P, b[:, :, None] * _outer(P, P) + a[:, :, None] * P2
     if spec.kind == "harmonic_pairs":
-        P = np.zeros(m)
-        dP = np.zeros((m, n))
-        d2P = np.zeros((m, n, n))
+        m, n = S.shape
+        P, dP, d2P = np.zeros((m, 1)), np.zeros((m, n)), np.zeros((m, n, n))
         for i, j in zip(*np.triu_indices(n, 1)):
-            sij = S[:, i] + S[:, j]
+            sij = S[:, i, None] + S[:, j, None]
             P += 1.0 / sij
-            dP[:, i] -= sij ** -2
-            dP[:, j] -= sij ** -2
-            c = 2.0 * sij ** -3
-            d2P[:, i, j] += c
-            d2P[:, j, i] += c
-            d2P[:, i, i] += c
-            d2P[:, j, j] += c
-        P = P[:, None]
+            dP[:, [i, j]] -= sij ** -2
+            d2P[:, [i, i, j, j], [i, j, i, j]] += 2.0 * sij ** -3
         h = 2.0 * _outer(dP, dP) / P[:, :, None] ** 3 - d2P / P[:, :, None] ** 2
         return 1.0 / P[:, 0], -dP / P ** 2, h
-    if spec.kind == "quotient":
-        k, l = spec.k, spec.l
-        e = _sigma_all(S, k)
-        Sk, Sl = e[:, k, None], e[:, l, None]
-        Pk, Pl = sigma_partials(S, k), sigma_partials(S, l)
-        P2k, P2l = _sigma_second_partials(S, k), _sigma_second_partials(S, l)
-        p = 1.0 / (k - l)
+    if spec.kind == "quotient":                      # through the log, as the product
+        p = 1.0 / (spec.k - spec.l)
+        (Sk, Pk, P2k), (Sl, Pl, P2l) = _sigma_derivatives(S, spec.k), _sigma_derivatives(S, spec.l)
         v = (Sk / Sl) ** p
-        u = p * (Pk / Sk - Pl / Sl)                      # grad of log
+        u = p * (Pk / Sk - Pl / Sl)                  # gradient of log f
         Sk, Sl = Sk[:, :, None], Sl[:, :, None]
         u2 = p * (P2k / Sk - _outer(Pk, Pk) / Sk ** 2 - P2l / Sl + _outer(Pl, Pl) / Sl ** 2)
-        return v[:, 0], v * u, v[:, :, None] * (_outer(u, u) + u2)
-    # weighted geometric mean: combine factors through the log
-    v = np.ones((m, 1))
-    u = np.zeros((m, n))
-    u2 = np.zeros((m, n, n))
-    for f, w in zip(spec.factors, spec.weights):
-        fv, fg, fh = _value_grad_hess(f, S)
-        fv = fv[:, None]
-        v = v * fv ** w
-        u = u + w * fg / fv
-        u2 = u2 + w * (fh / fv[:, :, None] - _outer(fg, fg) / fv[:, :, None] ** 2)
+    else:                                            # weighted geometric mean
+        v, u, u2 = 1.0, 0.0, 0.0
+        for f, w in zip(spec.factors, spec.weights):
+            fv, fg, fh = _value_grad_hess(f, S)
+            fv = fv[:, None]
+            v, u = v * fv ** w, u + w * fg / fv
+            u2 = u2 + w * (fh / fv[:, :, None] - _outer(fg, fg) / fv[:, :, None] ** 2)
     return v[:, 0], v * u, v[:, :, None] * (_outer(u, u) + u2)
 
 
@@ -425,9 +405,12 @@ def hessian_quadratic_form(spec: SpeedSpec, lam, T) -> float:
     curvature-variable Hessian contracted with the diagonal of T.
     """
     lam = _as_lambda(lam)
+    T = np.asarray(T, dtype=float)
+    if T.shape != (lam.size, lam.size):
+        raise ParameterError(f"T must be {lam.size}x{lam.size}")
     if lam.size != spec.n:
         _require_support(spec, lam)             # a dimension mismatch is a DomainError
-    q = hessian_quadratic_forms(spec, lam[None], np.asarray(T, dtype=float)[None])[0]
+    q = hessian_quadratic_forms(spec, lam[None], T[None])[0]
     if np.isnan(q):
         raise DegenerateEigenvalueError(
             f"lambda = {lam.tolist()} has entries degenerate at relative gap 1e-10")
@@ -472,10 +455,13 @@ class PropertyReport:
         return [name for name, c in self.checks.items() if c.failed > 0]
 
 
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1)
-    keep = norms > 0.0
-    return X[keep] / norms[keep, None]
+def unit_draws(n: int, samples: int, rng: np.random.Generator):
+    """Yield the unit vectors among ``samples`` standard normal draws in
+    R^n, chunk by chunk."""
+    for start in range(0, samples, _CHUNK):
+        X = rng.standard_normal((min(_CHUNK, samples - start), n))
+        norms = np.linalg.norm(X, axis=1)
+        yield X[norms > 0.0] / norms[norms > 0.0, None]
 
 
 def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int,
@@ -486,7 +472,7 @@ def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int,
     while accepted < count:
         need = count - accepted
         size = min(chunk, need * (draws // max(accepted, 1) + 1))
-        X = _unit_rows(rng.standard_normal((size, spec.n)))
+        X = next(unit_draws(spec.n, size, rng))          # size <= chunk <= _CHUNK: one chunk
         draws += size
         X = X[support_mask(spec, X)][:need]
         misses = 0 if X.size else misses + size

@@ -6,7 +6,7 @@ constants.  The profile checks read one curvature table per profile,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import sqrt
 from typing import Optional
 
@@ -18,7 +18,7 @@ from .profiles import (ProfileSolution, barrier, closed_form_cyl,
                        solve_cyl_profile)
 from .rotgeom import CylJet, RadialJet, cylinder_curvatures, graph_curvatures, tilt
 from .speeds import (SpeedSpec, hessian_quadratic_forms, speed_derivatives, speed_values,
-                     support_mask, support_violation)
+                     support_violation)
 
 __all__ = [
     "CheckEntry",
@@ -45,9 +45,7 @@ class CheckEntry:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "tolerance": self.tolerance,
-                "worst_violation": self.worst_violation, "witness": self.witness,
-                "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -70,22 +68,19 @@ class VerificationReport:
 class ProfileGeometry:
     """The curvature table of a profile, one row per sample."""
 
-    r: np.ndarray
     lam: np.ndarray               # (m, n) principal curvatures
-    in_cone: np.ndarray           # the row lies in the speed's support cone
-    gamma: np.ndarray             # speed value, NaN outside the cone
+    gamma: np.ndarray             # speed value, NaN outside the speed's cone
     tilt: np.ndarray              # <nu, e_{n+1}> = 1/sqrt(1+u'^2)
     H: np.ndarray
     min_pair_sum: np.ndarray
 
 
 def profile_geometry(profile: ProfileSolution) -> ProfileGeometry:
-    """Curvatures, speed, tilt and cone membership at every sample."""
+    """Curvatures, speed and tilt at every sample."""
     r, u, du, ddu = profile.samples.T
     lam = graph_curvatures(RadialJet(r=r, u=u, du=du, ddu=ddu), profile.n)
     s = np.sort(lam, axis=1)
-    return ProfileGeometry(r=r, lam=lam, in_cone=support_mask(profile.speed, lam),
-                           gamma=speed_values(profile.speed, lam), tilt=tilt(du),
+    return ProfileGeometry(lam=lam, gamma=speed_values(profile.speed, lam), tilt=tilt(du),
                            H=np.sum(lam, axis=1), min_pair_sum=s[:, 0] + s[:, 1])
 
 
@@ -96,18 +91,18 @@ def check_soliton(profile: ProfileSolution, tol: float) -> CheckEntry:
     if profile.status == "step_failure":
         raise ParameterError("cannot verify a profile that ended in step_failure")
     geo = profile_geometry(profile)
-    outside = np.flatnonzero(~geo.in_cone)
+    outside = np.flatnonzero(np.isnan(geo.gamma))
     if outside.size:
         i = outside[0]
         return CheckEntry(name="soliton_residual", status="fail", tolerance=tol,
                           worst_violation=float("inf"),
-                          witness={"r": geo.r[i], "lambda": geo.lam[i].tolist()},
+                          witness={"r": profile.r[i], "lambda": geo.lam[i].tolist()},
                           detail="curvatures left the cone: "
                                  + support_violation(profile.speed, geo.lam[i]))
     res = np.abs(geo.gamma - geo.tilt)
     i = int(np.argmax(res))
     worst = float(res[i])
-    witness = {"r": geo.r[i], "residual": worst} if worst > 0.0 else None
+    witness = {"r": profile.r[i], "residual": worst} if worst > 0.0 else None
     status = "pass" if worst <= tol else "fail"
     return CheckEntry(name="soliton_residual", status=status, tolerance=tol,
                       worst_violation=worst, witness=witness)
@@ -119,7 +114,8 @@ def fit_convexity_params(profile: ProfileSolution, delta: float = 0.05,
     """Fit (alpha, beta) from the profile with safety factors so that the
     pinching and uniform-2-convexity hypotheses hold at every sample."""
     geo = profile_geometry(profile)
-    H, g, ps = geo.H[geo.in_cone], geo.gamma[geo.in_cone], geo.min_pair_sum[geo.in_cone]
+    inside = ~np.isnan(geo.gamma)
+    H, g, ps = geo.H[inside], geo.gamma[inside], geo.min_pair_sum[inside]
     alpha = float(np.max((delta + 1.0) * H / g, initial=0.0))
     beta_bound = float(np.min(ps[H > 0.0] / H[H > 0.0], initial=np.inf))
     if alpha == 0.0 or not np.isfinite(beta_bound):
@@ -135,7 +131,7 @@ def check_convexity_estimate(profile: ProfileSolution, alpha: float, delta: floa
     are skipped, never failed."""
     geo = profile_geometry(profile)
     H, g = geo.H, geo.gamma
-    admissible = np.flatnonzero(geo.in_cone & ((delta + 1.0) * H <= alpha * g)
+    admissible = np.flatnonzero(((delta + 1.0) * H <= alpha * g)    # False where g is NaN
                                 & (H > 0.0) & (geo.min_pair_sum >= beta * H))
     if admissible.size == 0:
         return CheckEntry(name="convexity_estimate", status="skipped", tolerance=slack_tol,
@@ -144,19 +140,13 @@ def check_convexity_estimate(profile: ProfileSolution, alpha: float, delta: floa
     slack = lambda1 - (H - alpha * g)
     i = admissible[np.argmin(slack[admissible])]
     min_slack = float(slack[i])
-    witness = {"r": geo.r[i], "slack": min_slack, "lambda1": float(lambda1[i]),
+    witness = {"r": profile.r[i], "slack": min_slack, "lambda1": float(lambda1[i]),
                "H": float(H[i]), "gamma": float(g[i])}
     worst = max(0.0, -min_slack)
     status = "pass" if worst <= slack_tol else "fail"
     return CheckEntry(name="convexity_estimate", status=status, tolerance=slack_tol,
                       worst_violation=worst, witness=witness,
                       detail=f"admissible {admissible.size}/{H.size}, min slack {min_slack:.3e}")
-
-
-def _ordering_entry(name: str, rel_viol: float, tol: float, witness, detail="") -> CheckEntry:
-    status = "pass" if rel_viol <= tol else "fail"
-    return CheckEntry(name=name, status=status, tolerance=tol,
-                      worst_violation=rel_viol, witness=witness, detail=detail)
 
 
 def _relative_excess(bound: np.ndarray, value: np.ndarray) -> tuple[float, int]:
@@ -171,60 +161,43 @@ def _relative_excess(bound: np.ndarray, value: np.ndarray) -> tuple[float, int]:
 def check_barriers(profile: ProfileSolution, tol: float = 1e-9) -> list[CheckEntry]:
     """Pointwise sub/super-solution orderings for the profile's barrier
     family, each reported as its own entry."""
-    entries: list[CheckEntry] = []
-    r = profile.r
-    du = profile.du
-    n = profile.n
+    r, du, n = profile.r, profile.du, profile.n
+
+    def ordering(name: str, b, mask=slice(None)) -> CheckEntry:
+        """du below (``du_below_*``) or above barrier ``b`` on ``mask``."""
+        bd, bv = du[mask], b(r[mask])
+        viol, i = _relative_excess(bd, bv) if name.startswith("du_") else _relative_excess(bv, bd)
+        return CheckEntry(name=name, status="pass" if viol <= tol else "fail", tolerance=tol,
+                          worst_violation=viol, witness={"r": r[mask][i]})
+
+    def skipped(name: str, detail: str) -> CheckEntry:
+        return CheckEntry(name=name, status="skipped", tolerance=tol, detail=detail)
+
     if profile.speed.kind == "sigma_k_root":
         k = profile.speed.k
-        v1 = barrier("v1", n, k=k)
-        viol, i = _relative_excess(v1(r), du)
-        entries.append(_ordering_entry("v1_below_du", viol, tol, {"r": r[i]}))
-        if 2 <= k <= n - 1:
-            v2 = barrier("v2", n, k=k)
-            viol, i = _relative_excess(du, v2(r))
-            entries.append(_ordering_entry("du_below_v2", viol, tol, {"r": r[i]}))
-        else:
-            entries.append(CheckEntry(name="du_below_v2", status="skipped", tolerance=tol,
-                                      detail=f"v2 not applicable for k={k}, n={n}"))
         v3 = barrier("v3", n, k=k)
-        mask = r < v3.r_end
-        if np.any(mask):
-            viol, i = _relative_excess(du[mask], v3(r[mask]))
-            entries.append(_ordering_entry("du_below_v3", viol, tol,
-                                           {"r": r[mask][i]}))
+        entries = [ordering("v1_below_du", barrier("v1", n, k=k)),
+                   ordering("du_below_v2", barrier("v2", n, k=k)) if 2 <= k <= n - 1
+                   else skipped("du_below_v2", f"v2 not applicable for k={k}, n={n}")]
+        if np.any(r < v3.r_end):
+            entries.append(ordering("du_below_v3", v3, r < v3.r_end))
         return entries
     if profile.speed.kind != "harmonic_pairs":
         raise ParameterError(f"no barrier family for speed kind {profile.speed.kind!r}")
-    w1 = barrier("w1", n)
-    viol, i = _relative_excess(w1(r), du)
-    entries.append(_ordering_entry("w1_below_du", viol, tol, {"r": r[i]}))
-    w2 = barrier("w2", n)
-    mask = r <= w2.r_end
-    if np.any(mask):
-        viol, i = _relative_excess(du[mask], w2(r[mask]))
-        entries.append(_ordering_entry("du_below_w2", viol, tol, {"r": r[mask][i]}))
-    w3 = barrier("w3", n)
-    mask = r < w3.r_end
-    if np.any(mask):
-        viol, i = _relative_excess(du[mask], w3(r[mask]))
-        entries.append(_ordering_entry("du_below_w3", viol, tol, {"r": r[mask][i]}))
+    w2, w3, w5 = barrier("w2", n), barrier("w3", n), barrier("w5", n)
+    entries = [ordering("w1_below_du", barrier("w1", n))]
+    for name, b, mask in (("du_below_w2", w2, r <= w2.r_end), ("du_below_w3", w3, r < w3.r_end)):
+        if np.any(mask):
+            entries.append(ordering(name, b, mask))
     if profile.blowup_radius is None:
-        entries.append(CheckEntry(
-            name="w5_below_du_near_blowup", status="skipped", tolerance=tol,
-            detail="no blow-up detected: the profile equation's solutions stay below n*r "
-                   "(upper numerator zero), so the square-root comparison window never opens"))
-        return entries
-    w5 = barrier("w5", n)
-    lo = 0.9 * profile.blowup_radius
-    mask = (r >= lo) & (r < w5.r_end)
-    if not np.any(mask):
-        entries.append(CheckEntry(name="w5_below_du_near_blowup", status="skipped",
-                                  tolerance=tol, detail="no samples in the final window"))
-        return entries
-    viol, i = _relative_excess(w5(r[mask]), du[mask])
-    entries.append(_ordering_entry("w5_below_du_near_blowup", viol, tol, {"r": r[mask][i]}))
-    return entries
+        return entries + [skipped(
+            "w5_below_du_near_blowup",
+            "no blow-up detected: the profile equation's solutions stay below n*r "
+            "(upper numerator zero), so the square-root comparison window never opens")]
+    near = (r >= 0.9 * profile.blowup_radius) & (r < w5.r_end)
+    if not np.any(near):
+        return entries + [skipped("w5_below_du_near_blowup", "no samples in the final window")]
+    return entries + [ordering("w5_below_du_near_blowup", w5, near)]
 
 
 def check_sigma2_cylinder(z_samples, tol: float = 1e-9, a: float = 0.0) -> CheckEntry:

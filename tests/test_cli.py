@@ -119,6 +119,11 @@ class TestProps:
                     "--samples", 150, "--seed", 1, "--out", tmp_path / "p.json"])
         assert code == 0
 
+    @pytest.mark.parametrize("factors", ["sigma-k", "sigma-k:2,mean"])
+    def test_bad_product_factor_is_usage_error(self, factors, tmp_path):
+        assert run(["props", "--speed", "product", "--n", 3, "--factors", factors,
+                    "--out", tmp_path / "p.json"]) == 2
+
 
 class TestBarriersCmd:
     def test_table(self, tmp_path):
@@ -129,6 +134,10 @@ class TestBarriersCmd:
         lines = out.read_text().splitlines()
         assert lines[0] == "r,w3,w5"
         assert len(lines) == 51
+
+    def test_unknown_name_is_usage_error(self, tmp_path, capsys):
+        assert run(["barriers", "--names", "w3,w9", "--n", 3, "--out", tmp_path / "w.csv"]) == 2
+        assert "w9" in capsys.readouterr().err
 
 
 class TestPicardCmd:

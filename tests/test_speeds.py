@@ -246,6 +246,14 @@ class TestHessianQuadraticForm:
         with pytest.raises(ParameterError):
             hessian_quadratic_form(sigma_k_root(2, 2), [1.0, 2.0], [[0.0, 1.0], [0.0, 0.0]])
 
+    def test_T_is_checked_against_lambda_first(self):
+        with pytest.raises(ParameterError):
+            hessian_quadratic_form(sigma_k_root(2, 3), [1.0, 2.0], np.eye(3))
+
+    def test_lambda_of_another_dimension_is_domain_error(self):
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            hessian_quadratic_form(sigma_k_root(2, 3), [1.0, 2.0], np.eye(2))
+
 
 class TestSpecValidation:
     def test_k_range(self):
