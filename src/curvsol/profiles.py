@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, exp, sqrt
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
+from scipy.integrate import RK45, quad
 from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError
@@ -53,13 +54,6 @@ def sigma_rhs(k: int, n: int, r: float, v: float) -> float:
         raise DomainError(f"v must be positive, got {v}")
     bracket = (r / v) ** k / comb(n - 1, k - 1) - (n - k) / k
     return (v / r) * (1.0 + v * v) * bracket
-
-
-def _sigma_rhs_expanded(k: int, n: int, r: float, v: float) -> float:
-    """Algebraically equivalent expanded form of ``sigma_rhs`` (kept for the
-    cross-check test that both printed forms agree)."""
-    return (1.0 + v * v) / k * (k / comb(n - 1, k - 1) * (r / v) ** (k - 1)
-                                - (n - k) * (v / r))
 
 
 def harmonic_rhs(n: int, r: float, w: float) -> float:
@@ -109,30 +103,6 @@ def closed_form_cyl(a: float, r: float) -> float:
     return 1.0 / sqrt(exp(r * r - 2.0 * a) - 1.0)
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature; the integrands used here are smooth."""
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, xm, f0, fl, f1, left, tol / 2.0, depth - 1)
-                + recurse(xm, x2, f1, fr, f2, right, tol / 2.0, depth - 1))
-
-    if a == b:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
-
-
 def cyl_height(a: float, r: float, tol: float = 1e-12) -> float:
     """Signed height z(r) of the cylindrical-type profile, anchored so that
     z = 0 at r = 1: the quadrature of sqrt(e^{s^2-2a} - 1) from 1 to r."""
@@ -141,7 +111,8 @@ def cyl_height(a: float, r: float, tol: float = 1e-12) -> float:
         raise ParameterError(f"anchor r=1 lies below the waist sqrt(2a)={waist}")
     if r < waist:
         raise DomainError(f"r={r} below the waist {waist}")
-    return _adaptive_simpson(lambda s: sqrt(max(exp(s * s - 2.0 * a) - 1.0, 0.0)), 1.0, r, tol)
+    return quad(lambda s: sqrt(max(exp(s * s - 2.0 * a) - 1.0, 0.0)), 1.0, r,
+                epsabs=tol, epsrel=1e-13)[0]
 
 
 def solve_cyl_profile(a: float, z: float) -> float:
@@ -293,22 +264,6 @@ class ProfileSolution:
         return self.samples[:, 3]
 
 
-# Dormand-Prince 5(4) tableau; the fifth-order solution is propagated and
-# the embedded fourth-order difference drives the step controller.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-
-
 def integrate_profile(spec: SpeedSpec,
                       startup_radius: float = 1e-4,
                       r_max: float = 3.0,
@@ -320,12 +275,15 @@ def integrate_profile(spec: SpeedSpec,
     """Integrate the profile slope equation from the axis startup.
 
     Launches at r = startup_radius with u'(r) = c*r (c the startup slope)
-    and u = c*r^2/2, then advances an adaptive embedded 5(4) pair.  Stops at
+    and u = c*r^2/2, then advances scipy's RK45 (the Dormand-Prince 5(4)
+    pair) one accepted step at a time, one sample row per step.  Stops at
     r_max (status ``completed``), when u' exceeds ``blowup_threshold`` or
     the step size underflows while the slope is already huge (``blew_up``,
     with ``blowup_radius`` the last accepted node), or on step-size
     underflow at a moderate slope (``step_failure``).  u'' is stored as the
-    right-hand side at each node, exact by the equation.
+    right-hand side at each node, exact by the equation.  RK45 raises an
+    rtol below 100 machine epsilons to that floor (with a warning), and
+    ``tolerances`` records the rtol it used.
     """
     if not startup_radius > 0.0:
         raise ParameterError("startup_radius must be positive")
@@ -341,69 +299,36 @@ def integrate_profile(spec: SpeedSpec,
         raise ParameterError(f"no profile equation for speed kind {spec.kind!r}")
 
     c = startup_slope(spec)
-    r = startup_radius
-    y = np.array([0.5 * c * startup_radius ** 2, c * startup_radius])
     if max_step is None:
         max_step = max((r_max - startup_radius) / 50.0, 1e-3)
 
-    def f(rr: float, yy: np.ndarray) -> np.ndarray:
-        return np.array([yy[1], rhs(rr, yy[1])])
-
-    rows = [(r, y[0], y[1], rhs(r, y[1]))]
-    status = "completed"
-    blowup_radius = None
-    h = min(startup_radius / 8.0, max_step)
-    k_first = f(r, y)
-    for _ in range(max_steps):
-        if r >= r_max:
-            break
-        h = min(h, r_max - r)
-        h_floor = 16.0 * np.finfo(float).eps * max(r, startup_radius)
-        if r_max - r <= h_floor:
-            break                # within round-off of the target radius
-        if h < h_floor:
-            if y[1] >= 1e-2 * blowup_threshold:
-                status = "blew_up"
-                blowup_radius = r
-            else:
-                status = "step_failure"
-            break
+    def f(rr: float, yy: np.ndarray) -> list:
         try:
-            ks = [k_first]
-            y5 = None
-            for i in range(1, 7):
-                acc = _DP_A[i][0] * ks[0]
-                for j in range(1, i):
-                    acc = acc + _DP_A[i][j] * ks[j]
-                yi = y + h * acc
-                ks.append(f(r + _DP_C[i] * h, yi))
-                if i == 6:
-                    y5 = yi      # FSAL: the last stage input is the 5th-order update
-            karr = np.array(ks)
-            y4 = y + h * (_DP_B4 @ karr)
-        except (DomainError, OverflowError, FloatingPointError):
-            h *= 0.5
-            continue
-        if not np.all(np.isfinite(y5)):
-            h *= 0.5
-            continue
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-        if err <= 1.0:
-            r += h
-            y = y5
-            k_first = karr[6]        # FSAL: already evaluated at (r, y5)
-            rows.append((r, y[0], y[1], k_first[1]))
-            if y[1] > blowup_threshold:
+            return [yy[1], rhs(rr, yy[1])]
+        except (DomainError, OverflowError):
+            return [yy[1], np.nan]   # the controller rejects the step and shrinks it
+
+    solver = RK45(f, startup_radius, [0.5 * c * startup_radius ** 2, c * startup_radius],
+                  r_max, max_step=max_step, rtol=rtol, atol=atol,
+                  first_step=min(startup_radius / 8.0, max_step))
+    rows = [(solver.t, *solver.y, solver.f[1])]
+    status = "step_failure"
+    blowup_radius = None
+    for _ in range(max_steps):
+        solver.step()
+        if solver.status == "failed":    # step size underflow
+            if solver.y[1] >= 1e-2 * blowup_threshold:
                 status = "blew_up"
-                blowup_radius = r
-                break
-            grow = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-            h = min(h * min(5.0, max(0.2, grow)), max_step)
-        else:
-            h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
-    else:
-        status = "step_failure"
+                blowup_radius = solver.t
+            break
+        rows.append((solver.t, *solver.y, solver.f[1]))
+        if solver.y[1] > blowup_threshold:
+            status = "blew_up"
+            blowup_radius = solver.t
+            break
+        if solver.status == "finished":
+            status = "completed"
+            break
 
     return ProfileSolution(
         n=spec.n,
@@ -413,6 +338,6 @@ def integrate_profile(spec: SpeedSpec,
         startup_radius=startup_radius,
         blowup_radius=blowup_radius,
         status=status,
-        tolerances={"rtol": rtol, "atol": atol, "blowup_threshold": blowup_threshold,
-                    "max_step": max_step},
+        tolerances={"rtol": float(solver.rtol), "atol": atol,
+                    "blowup_threshold": blowup_threshold, "max_step": max_step},
     )

@@ -1,28 +1,39 @@
 """Tests for profile right-hand sides, closed forms, barriers, and the
-adaptive integrator."""
+RK45 profile integrator."""
 
 import math
 from math import comb, exp, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvsol import (
     DomainError,
     ParameterError,
     barrier,
+    check_soliton,
     closed_form_cyl,
     closed_form_v,
     cyl_height,
     harmonic_pairs,
     harmonic_rhs,
     integrate_profile,
+    profiles,
     sigma_k_root,
     sigma_rhs,
     solve_cyl_profile,
     startup_slope,
 )
-from curvsol.profiles import _sigma_rhs_expanded
+from curvsol.profiles import BARRIER_NAMES
+
+
+def _sigma_rhs_expanded(k: int, n: int, r: float, v: float) -> float:
+    """Algebraically equivalent expanded form of ``sigma_rhs``, the reference
+    for the cross-check that both printed forms agree."""
+    return (1.0 + v * v) / k * (k / comb(n - 1, k - 1) * (r / v) ** (k - 1)
+                                - (n - k) * (v / r))
 
 RNG = np.random.default_rng(5150)
 
@@ -214,6 +225,36 @@ class TestBarriers:
             barrier("v9", 3)
 
 
+@st.composite
+def admitted_barriers(draw):
+    """Every barrier name with an (n, k) its factory admits."""
+    name = draw(st.sampled_from(BARRIER_NAMES))
+    if name.startswith("w"):
+        return barrier(name, draw(st.integers(3, 6)))
+    n = draw(st.integers(3 if name == "v2" else 2, 6))
+    k = draw(st.integers(2, n - 1) if name == "v2" else st.integers(1, n))
+    return barrier(name, n, k=k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(admitted_barriers(), st.floats(0.0, 1.0), st.floats(1e-300, 1e6))
+def test_barrier_domain_edges(b, t, d):
+    with pytest.raises(DomainError):
+        b(-d)
+    if np.isfinite(b.r_end):
+        with pytest.raises(DomainError):
+            b(np.nextafter(b.r_end * (1.0 + t), np.inf))
+    if b.closed_end:
+        assert np.isfinite(b(b.r_end)) and b(b.r_end) >= 0.0
+    else:
+        with pytest.raises(DomainError):
+            b(b.r_end)
+    top = b.r_end if np.isfinite(b.r_end) else 1e6
+    r = min(t * top, float(np.nextafter(b.r_end, 0.0)))
+    value = b(r)
+    assert np.isfinite(value) and value >= 0.0
+
+
 class TestIntegrateProfile:
     def test_closed_form_oracle(self):
         p = integrate_profile(sigma_k_root(2, 2), startup_radius=1e-4, r_max=3.0,
@@ -307,3 +348,34 @@ class TestIntegrateProfile:
     def test_harmonic_n_range(self):
         with pytest.raises(ParameterError):
             integrate_profile(harmonic_pairs(7), r_max=1.0)
+
+    def test_recorded_rtol_is_the_one_used(self):
+        with pytest.warns(UserWarning, match="rtol"):
+            p = integrate_profile(sigma_k_root(2, 2), r_max=1.0, rtol=1e-15)
+        assert p.tolerances["rtol"] == 100 * np.finfo(float).eps
+        assert integrate_profile(sigma_k_root(2, 2), r_max=1.0).tolerances["rtol"] == 1e-10
+
+    def test_step_budget_exhausted(self):
+        p = integrate_profile(sigma_k_root(2, 3), r_max=1.0, max_steps=3)
+        assert p.status == "step_failure"
+        assert p.blowup_radius is None
+        assert p.samples.shape[0] == 4 and p.r[-1] < 1.0
+        with pytest.raises(ParameterError):
+            check_soliton(p, 1e-8)
+
+    def test_rhs_domain_error_shrinks_the_step(self, monkeypatch):
+        reference = integrate_profile(sigma_k_root(2, 3), r_max=1.0)
+        original = profiles.sigma_rhs
+        raised = []
+
+        def flaky(k, n, r, v):
+            if 0.5 < r < 0.53 and len(raised) < 5:
+                raised.append(r)
+                raise DomainError("injected")
+            return original(k, n, r, v)
+
+        monkeypatch.setattr(profiles, "sigma_rhs", flaky)
+        p = integrate_profile(sigma_k_root(2, 3), r_max=1.0)
+        assert len(raised) == 5
+        assert p.status == "completed" and p.r[-1] == 1.0
+        assert p.du[-1] == pytest.approx(reference.du[-1], rel=1e-10, abs=0.0)
