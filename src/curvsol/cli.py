@@ -19,38 +19,38 @@ from . import io as pio
 from . import picard as ppicard
 from .errors import ContractionFailureError, DomainError, ParameterError
 from .profiles import barrier, integrate_profile
-from .speeds import (SpeedSpec, check_properties, harmonic_pairs, product,
-                     quotient, sigma_k_root)
+from .speeds import SpeedSpec, check_properties
 from .svgfig import Series, render_chart
 from .verifier import (VerificationReport, check_barriers, check_convexity_estimate,
                        check_sigma2_cylinder, check_soliton, fit_convexity_params)
 
-_SPEED_CHOICES = ("sigma-k", "harmonic", "quotient", "product")
+_SPEED_KINDS = {"sigma-k": "sigma_k_root", "harmonic": "harmonic_pairs",
+                "quotient": "quotient", "product": "product"}
+
+
+def _parse(convert, text: str, flag: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ParameterError(f"{flag}: expected {convert.__name__}, got {text!r}") from None
 
 
 def _speed_from_flags(name: str, n: int, k=None, l=None, factors=None, weights=None) -> SpeedSpec:
-    if name == "sigma-k":
-        if k is None:
-            raise ParameterError("--speed sigma-k requires --k")
-        return sigma_k_root(k, n)
-    if name == "harmonic":
-        return harmonic_pairs(n)
-    if name == "quotient":
-        if k is None or l is None:
-            raise ParameterError("--speed quotient requires --k and --l")
-        return quotient(k, l, n)
+    """The speed the flags name; ``SpeedSpec`` checks the parameters its kind
+    needs and drops those it ignores.  Only a product reads --factors, a
+    comma-separated list of ``kind[:k]``, and --weights (default equal)."""
+    d = {"kind": _SPEED_KINDS[name], "n": n, "k": k, "l": l}
     if name == "product":
-        if not factors:
-            raise ParameterError("--speed product requires --factors")
-        specs = []
-        for tok in factors.split(","):
+        d["factors"] = []
+        for tok in (factors.split(",") if factors else []):
             kind, _, fk = tok.strip().partition(":")
-            if kind not in ("sigma-k", "harmonic"):
+            if kind not in _SPEED_KINDS:
                 raise ParameterError(f"unknown product factor {tok!r}")
-            specs.append(_speed_from_flags(kind, n, k=int(fk) if fk else None))
-        ws = [float(w) for w in weights.split(",")] if weights else [1.0 / len(specs)] * len(specs)
-        return product(specs, ws)
-    raise ParameterError(f"unknown speed {name!r}")
+            d["factors"].append({"kind": _SPEED_KINDS[kind], "n": n,
+                                 "k": _parse(int, fk, "--factors") if fk else None})
+        d["weights"] = ([_parse(float, w, "--weights") for w in weights.split(",")] if weights
+                        else [1.0 / len(d["factors"]) for _ in d["factors"]])
+    return pio.speed_from_dict(d)
 
 
 def _write_json(path, payload) -> None:
@@ -67,9 +67,8 @@ def _write_text(path, text: str) -> None:
 def _cmd_solve(args) -> int:
     ns = [args.n]
     if args.sweep:
-        spec_txt = args.sweep.split("=", 1)[1] if "=" in args.sweep else args.sweep
-        lo, hi = spec_txt.split("..")
-        ns = list(range(int(lo), int(hi) + 1))
+        lo, _, hi = args.sweep.split("=", 1)[-1].partition("..")
+        ns = list(range(_parse(int, lo, "--sweep"), _parse(int, hi, "--sweep") + 1))
     out = Path(args.out)
     for n in ns:
         speed = _speed_from_flags(args.speed, n, k=args.k)
@@ -238,7 +237,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=_cmd_verify)
 
     p = commands["props"] = sub.add_parser("props", help="sampled speed property suite")
-    p.add_argument("--speed", choices=_SPEED_CHOICES, required=True)
+    p.add_argument("--speed", choices=_SPEED_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)

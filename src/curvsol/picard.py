@@ -15,7 +15,6 @@ from .profiles import Barrier, barrier, harmonic_rhs_dw
 
 __all__ = [
     "GridFunction",
-    "grid_nodes",
     "initial_iterate",
     "operator_T",
     "picard_solve",
@@ -72,13 +71,9 @@ class GridFunction:
         return np.linspace(0.0, self.R, self.values.size)
 
 
-def grid_nodes(R: float, m: int) -> np.ndarray:
-    return np.linspace(0.0, R, m)
-
-
 def initial_iterate(n: int, R: float, m: int) -> GridFunction:
     """Midpoint of the admissible band [w4, min(w3, w2)] nodewise."""
-    r = grid_nodes(R, m)
+    r = np.linspace(0.0, R, m)
     w4, w3 = _band(n)
     w2 = barrier("w2", n)
     vals = np.zeros(m)
@@ -209,21 +204,16 @@ def lipschitz_radius(n: int, samples: int = 4000, seed: int = 0) -> tuple[float,
         raise ParameterError("lipschitz_radius requires n in 3..6")
     if samples < 1:
         raise ParameterError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
     w4, w3 = _band(n)
-    R1 = domain_radius(n)
-    worst = 0.0
-    for _ in range(samples):
-        r = R1 * rng.uniform(1e-6, 1.0)
-        lo, hi = w4(r), w3(r)
-        w = rng.uniform(lo, hi)
-        try:
-            val = abs(harmonic_rhs_dw(n, r, w)) * r
-        except DomainError:
-            continue
-        if not np.isfinite(val):
-            raise DomainError(f"unbounded slope sensitivity at r={r}, w={w}")
-        worst = max(worst, val)
-    if worst == 0.0:
-        raise DomainError("no admissible samples in the band")
+    U = np.random.default_rng(seed).random((samples, 2))
+    # per sample: r uniform on domain_radius(n)*[1e-6, 1), then w uniform on [w4(r), w3(r))
+    r = domain_radius(n) * (1e-6 + (1.0 - 1e-6) * U[:, 0])
+    lo, hi = w4(r), w3(r)
+    w = lo + (hi - lo) * U[:, 1]
+    # w >= w4(r) = m4 r with m4 > q for n in 3..6, so every draw lies in the cone
+    val = np.abs(harmonic_rhs_dw(n, r, w)) * r
+    if not np.all(np.isfinite(val)):
+        i = int(np.argmin(np.isfinite(val)))
+        raise DomainError(f"unbounded slope sensitivity at r={r[i]}, w={w[i]}")
+    worst = float(np.max(val))
     return worst, float(np.sqrt(2.0 * 0.99 / worst))

@@ -15,8 +15,6 @@ from math import comb, exp, sqrt
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import RK45, quad
-from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError
 from .speeds import SpeedSpec
@@ -68,17 +66,20 @@ def harmonic_rhs(n: int, r: float, w: float) -> float:
     return m * (1.0 + w * w) * (n - m) / (m - q)
 
 
-def harmonic_rhs_dw(n: int, r: float, w: float) -> float:
-    """Analytic partial derivative of ``harmonic_rhs`` in the slope variable."""
-    if not r > 0.0:
-        raise DomainError(f"r must be positive, got {r}")
+def harmonic_rhs_dw(n: int, r, w):
+    """Analytic partial derivative of ``harmonic_rhs`` in the slope variable,
+    elementwise over floats or equal-shape arrays."""
+    if not np.all(r > 0.0):
+        raise DomainError(f"r must be positive, got {np.min(r)}")
     q = (n * n - 3 * n + 2) / 4.0
     d = w - q * r
-    if not d > 0.0:
-        raise DomainError(f"harmonic profile left the admissible cone: w - q*r = {d:.6g} <= 0")
-    # G = u/(r*d) with u = n r w - w^2 + n r w^3 - w^4
-    u = n * r * w - w * w + n * r * w ** 3 - w ** 4
-    du = n * r - 2.0 * w + 3.0 * n * r * w * w - 4.0 * w ** 3
+    if not np.all(d > 0.0):
+        raise DomainError(
+            f"harmonic profile left the admissible cone: w - q*r = {np.min(d):.6g} <= 0")
+    # G = u/(r*d), u = n r w - w^2 + n r w^3 - w^4; products round alike on floats and arrays
+    ww = w * w
+    u = n * r * w - ww + n * r * ww * w - ww * ww
+    du = n * r - 2.0 * w + 3.0 * n * r * ww - 4.0 * ww * w
     return (du * d - u) / (r * d * d)
 
 
@@ -103,21 +104,23 @@ def closed_form_cyl(a: float, r: float) -> float:
     return 1.0 / sqrt(exp(r * r - 2.0 * a) - 1.0)
 
 
-def cyl_height(a: float, r: float, tol: float = 1e-12) -> float:
+def cyl_height(a: float, r: float) -> float:
     """Signed height z(r) of the cylindrical-type profile, anchored so that
     z = 0 at r = 1: the quadrature of sqrt(e^{s^2-2a} - 1) from 1 to r."""
+    from scipy.integrate import quad
     waist = sqrt(2.0 * a) if a > 0.0 else 0.0
     if waist >= 1.0:
         raise ParameterError(f"anchor r=1 lies below the waist sqrt(2a)={waist}")
     if r < waist:
         raise DomainError(f"r={r} below the waist {waist}")
     return quad(lambda s: sqrt(max(exp(s * s - 2.0 * a) - 1.0, 0.0)), 1.0, r,
-                epsabs=tol, epsrel=1e-13)[0]
+                epsabs=1e-12, epsrel=1e-13)[0]
 
 
 def solve_cyl_profile(a: float, z: float) -> float:
     """Radius r(z) of the cylindrical-type profile, inverting the implicit
     quadrature relation by bracketed root finding to 1e-12.  r(0) = 1."""
+    from scipy.optimize import brentq
     waist = sqrt(2.0 * a) if a > 0.0 else 0.0
     z_min = cyl_height(a, waist)
     if z < z_min:
@@ -149,9 +152,6 @@ class Barrier:
     slope: float = 0.0            # coefficient of the leading term at r = 0
     r_end: float = float("inf")   # right end of the domain
     closed_end: bool = False      # whether r_end itself is admissible
-
-    def domain(self) -> tuple[float, float]:
-        return (0.0, self.r_end)
 
     def __call__(self, r):
         rr = np.asarray(r, dtype=float)
@@ -285,6 +285,7 @@ def integrate_profile(spec: SpeedSpec,
     rtol below 100 machine epsilons to that floor (with a warning), and
     ``tolerances`` records the rtol it used.
     """
+    from scipy.integrate import RK45
     if not startup_radius > 0.0:
         raise ParameterError("startup_radius must be positive")
     if not r_max > startup_radius:

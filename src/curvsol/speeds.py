@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 _CHUNK = 4096          # rows per array call in the sampled checks: bounds their memory
+_MAX_TRIES = 20000     # consecutive rejected draws before sampling gives up
+_BOUNDARY_PATHS = 20   # decay paths to the cone boundary per property check
+_BOUNDARY_DEPTH = 30   # halvings of the distance to the boundary along a path
+_BOUNDARY_REL = 1e-3   # boundary limit / interior value that counts as vanishing
 
 
 # --------------------------------------------------------------------------
@@ -136,12 +140,20 @@ class SpeedSpec:
                 raise ParameterError("product requires at least one factor")
             if any(f.n != self.n for f in self.factors):
                 raise ParameterError("product factors must share n")
-            if len(self.weights) != len(self.factors) or any(w <= 0 for w in self.weights):
+            if len(self.weights) != len(self.factors) or not all(w > 0 for w in self.weights):
                 raise ParameterError("product requires one positive weight per factor")
-            if abs(sum(self.weights) - 1.0) > 1e-12:
+            if not abs(sum(self.weights) - 1.0) <= 1e-12:
                 raise ParameterError("product weights must sum to 1 (1-homogeneity)")
         else:
             raise ParameterError(f"unknown speed kind {self.kind!r}")
+        # drop what the kind does not read, so equal speeds compare and serialize equal
+        if self.kind != "product":
+            object.__setattr__(self, "factors", ())
+            object.__setattr__(self, "weights", ())
+        if self.kind != "quotient":
+            object.__setattr__(self, "l", None)
+        if self.kind in ("harmonic_pairs", "product"):
+            object.__setattr__(self, "k", None)
 
     def label(self) -> str:
         if self.kind == "sigma_k_root":
@@ -465,7 +477,7 @@ def unit_draws(n: int, samples: int, rng: np.random.Generator):
 
 
 def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int,
-                 max_tries: int = 20000, chunk: int = _CHUNK) -> np.ndarray:
+                 chunk: int = _CHUNK) -> np.ndarray:
     """``count`` uniformly random unit vectors in the open support cone, by
     rejection over chunks of at most ``chunk`` draws."""
     found, accepted, draws, misses = [], 0, 0, 0
@@ -476,7 +488,7 @@ def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int,
         draws += size
         X = X[support_mask(spec, X)][:need]
         misses = 0 if X.size else misses + size
-        if misses >= max_tries:
+        if misses >= _MAX_TRIES:
             raise RuntimeError(
                 f"no interior sample found for {spec.label()} after {misses} draws")
         found.append(X)
@@ -484,10 +496,10 @@ def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int,
     return np.concatenate(found)
 
 
-def sample_interior(spec: SpeedSpec, rng: np.random.Generator, max_tries: int = 20000) -> np.ndarray:
+def sample_interior(spec: SpeedSpec, rng: np.random.Generator) -> np.ndarray:
     """One uniformly-random unit vector in the open support cone, by
     rejection, drawing one candidate at a time."""
-    return _sample_rows(spec, rng, 1, max_tries, chunk=1)[0]
+    return _sample_rows(spec, rng, 1, chunk=1)[0]
 
 
 def _radial_degeneracy(L: np.ndarray, hess: np.ndarray):
@@ -519,8 +531,7 @@ def _pointwise_checks(spec: SpeedSpec, L: np.ndarray, rng: np.random.Generator) 
     }
 
 
-def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray,
-                    depth: int = 30, rel_threshold: float = 1e-3):
+def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
     """Test decay of the speed along straight paths from the rows of ``lam``
     in the unit directions ``d`` to the cone boundary, all paths in lockstep.
 
@@ -529,7 +540,7 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray,
     speed is sampled at geometrically shrinking distances, a power-law
     exponent is fitted, and the inferred boundary limit (0 for a clean
     positive exponent, else the observed plateau) is compared against
-    ``rel_threshold`` times the interior value.  A raw-value threshold alone
+    ``_BOUNDARY_REL`` times the interior value.  A raw-value threshold alone
     would misclassify k-th roots with k >= 4, whose decay cannot reach 1e-3
     of the interior value at double-precision distances.
     """
@@ -549,7 +560,7 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray,
         t_hi = np.where(inside, t_hi, tm)
     b = lam + t_lo[:, None] * d                      # just inside the boundary
     g_int = speed_values(spec, lam)
-    mus = 2.0 ** -np.arange(depth + 1)
+    mus = 2.0 ** -np.arange(_BOUNDARY_DEPTH + 1)
     points = b[:, None, :] + mus[:, None] * (lam - b)[:, None, :]
     vals = speed_values(spec, points.reshape(-1, n)).reshape(p, mus.size)
     ratio = np.zeros(p)
@@ -564,11 +575,10 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray,
         # clean power-law decay: the limit vanishes; else the observed plateau
         limit = 0.0 if monotone and slope >= 0.05 else v[-1]
         ratio[i] = limit / g_int[i]
-    return found, ratio <= rel_threshold, ratio
+    return found, ratio <= _BOUNDARY_REL, ratio
 
 
-def check_properties(spec: SpeedSpec, sample_count: int = 1000, seed: int = 0,
-                     boundary_paths: int = 20) -> PropertyReport:
+def check_properties(spec: SpeedSpec, sample_count: int = 1000, seed: int = 0) -> PropertyReport:
     """Sampled verification of the defining properties of a speed:
     permutation symmetry, positivity, gradient positivity, the Euler
     relation of 1-homogeneity, off-radial concavity of the Hessian, radial
@@ -585,8 +595,8 @@ def check_properties(spec: SpeedSpec, sample_count: int = 1000, seed: int = 0,
             checks.setdefault(name, CheckStat()).record(ok, measure, lam)
     boundary = checks["boundary_vanishing"] = CheckStat()
     done = tries = 0
-    while done < boundary_paths and tries < 20 * boundary_paths:
-        size = min(boundary_paths - done, 20 * boundary_paths - tries)
+    while done < _BOUNDARY_PATHS and tries < 20 * _BOUNDARY_PATHS:
+        size = min(_BOUNDARY_PATHS - done, 20 * _BOUNDARY_PATHS - tries)
         tries += size
         lam = _sample_rows(spec, rng, size)
         d = rng.standard_normal((size, spec.n))

@@ -12,6 +12,7 @@ from .errors import ParameterError
 
 __all__ = ["Series", "render_chart"]
 
+_WIDTH, _HEIGHT = 720, 480   # SVG canvas in pixels
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 
@@ -26,8 +27,8 @@ def _f(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def render_chart(series: list[Series], title: str = "", width: int = 720,
-                 height: int = 480, x_label: str = "", y_label: str = "") -> str:
+def render_chart(series: list[Series], title: str = "", x_label: str = "",
+                 y_label: str = "") -> str:
     """Standalone SVG document with axes, tick labels, one polyline per
     series and a legend."""
     if not series or all(len(s.x) == 0 for s in series):
@@ -44,7 +45,7 @@ def render_chart(series: list[Series], title: str = "", width: int = 720,
     x0, x1 = x0 - pad_x, x1 + pad_x
     y0, y1 = y0 - pad_y, y1 + pad_y
     ml, mr, mt, mb = 64, 16, 28, 44
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def px(x: float) -> float:
         return ml + (x - x0) / (x1 - x0) * pw
@@ -53,14 +54,14 @@ def render_chart(series: list[Series], title: str = "", width: int = 720,
         return mt + (y1 - y) / (y1 - y0) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="black" stroke-width="1"/>',
     ]
     if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="18" font-family="monospace" '
+        parts.append(f'<text x="{_WIDTH / 2:.1f}" y="18" font-family="monospace" '
                      f'font-size="13" text-anchor="middle">{title}</text>')
     for t in np.linspace(x0, x1, 6):
         x = px(t)
@@ -75,7 +76,7 @@ def render_chart(series: list[Series], title: str = "", width: int = 720,
         parts.append(f'<text x="{ml - 6}" y="{y + 3:.2f}" font-family="monospace" '
                      f'font-size="10" text-anchor="end">{_f(t)}</text>')
     if x_label:
-        parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" font-family="monospace" '
+        parts.append(f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 8}" font-family="monospace" '
                      f'font-size="11" text-anchor="middle">{x_label}</text>')
     if y_label:
         parts.append(f'<text x="14" y="{mt + ph / 2:.1f}" font-family="monospace" '

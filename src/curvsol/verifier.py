@@ -108,9 +108,7 @@ def check_soliton(profile: ProfileSolution, tol: float) -> CheckEntry:
                       worst_violation=worst, witness=witness)
 
 
-def fit_convexity_params(profile: ProfileSolution, delta: float = 0.05,
-                         alpha_safety: float = 1.05,
-                         beta_safety: float = 0.9) -> tuple[float, float]:
+def fit_convexity_params(profile: ProfileSolution, delta: float = 0.05) -> tuple[float, float]:
     """Fit (alpha, beta) from the profile with safety factors so that the
     pinching and uniform-2-convexity hypotheses hold at every sample."""
     geo = profile_geometry(profile)
@@ -120,7 +118,7 @@ def fit_convexity_params(profile: ProfileSolution, delta: float = 0.05,
     beta_bound = float(np.min(ps[H > 0.0] / H[H > 0.0], initial=np.inf))
     if alpha == 0.0 or not np.isfinite(beta_bound):
         raise DomainError("no in-cone samples with positive mean curvature to fit from")
-    return alpha_safety * alpha, beta_safety * beta_bound
+    return 1.05 * alpha, 0.9 * beta_bound
 
 
 def check_convexity_estimate(profile: ProfileSolution, alpha: float, delta: float,
@@ -200,18 +198,18 @@ def check_barriers(profile: ProfileSolution, tol: float = 1e-9) -> list[CheckEnt
     return entries + [ordering("w5_below_du_near_blowup", w5, near)]
 
 
-def check_sigma2_cylinder(z_samples, tol: float = 1e-9, a: float = 0.0) -> CheckEntry:
+def check_sigma2_cylinder(z_samples, tol: float = 1e-9) -> CheckEntry:
     """Sign conditions H < 0, K > 0 and the soliton identity
-    |sqrt(K) - |<nu, e_3>|| <= tol along the cylindrical-type closed form;
-    heights outside the solvable range are skipped."""
+    |sqrt(K) - |<nu, e_3>|| <= tol along the cylindrical-type closed form
+    with a = 0; heights outside the solvable range are skipped."""
     worst = 0.0
     witness = None
     checked = 0
     skipped = 0
     for z in z_samples:
         try:
-            r = solve_cyl_profile(a, float(z))
-            f = closed_form_cyl(a, r)
+            r = solve_cyl_profile(0.0, float(z))
+            f = closed_form_cyl(0.0, r)
         except DomainError:
             skipped += 1
             continue

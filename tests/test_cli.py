@@ -2,10 +2,16 @@
 contract (0 pass, 1 verification failure, 2 usage/input error)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from curvsol.cli import main
+import curvsol
+from curvsol import harmonic_pairs, product, quotient, sigma_k_root
+from curvsol.cli import _speed_from_flags, main
 
 
 def run(args):
@@ -40,6 +46,13 @@ class TestSolve:
         assert code == 0
         assert (tmp_path / "hm_n3.csv").exists()
         assert (tmp_path / "hm_n4.csv").exists()
+
+    @pytest.mark.parametrize("sweep, bad", [("n=3", ""), ("n=a..b", "a")])
+    def test_bad_sweep_is_usage_error(self, sweep, bad, tmp_path, capsys):
+        assert run(["solve", "--speed", "harmonic", "--n", 3, "--sweep", sweep,
+                    "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err == f"error: --sweep: expected int, got {bad!r}\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestVerify:
@@ -119,10 +132,53 @@ class TestProps:
                     "--samples", 150, "--seed", 1, "--out", tmp_path / "p.json"])
         assert code == 0
 
-    @pytest.mark.parametrize("factors", ["sigma-k", "sigma-k:2,mean"])
-    def test_bad_product_factor_is_usage_error(self, factors, tmp_path):
-        assert run(["props", "--speed", "product", "--n", 3, "--factors", factors,
+    @pytest.mark.parametrize("factors, weights", [
+        pytest.param("sigma-k", None, id="sigma-k"),
+        pytest.param("sigma-k:2,mean", None, id="sigma-k:2,mean"),
+        pytest.param("sigma-k:x", None, id="sigma-k:x"),
+        pytest.param("sigma-k:2,sigma-k:1", "a,b", id="sigma-k:2,sigma-k:1-weights-a,b"),
+        pytest.param("sigma-k:2", "nan", id="sigma-k:2-weights-nan"),
+    ])
+    def test_bad_product_factor_is_usage_error(self, factors, weights, tmp_path, capsys):
+        extra = ["--weights", weights] if weights else []
+        assert run(["props", "--speed", "product", "--n", 3, "--factors", factors, *extra,
                     "--out", tmp_path / "p.json"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# the 25 speeds of the speed suite: 18 k-th roots, 4 harmonic, 2 quotients, 1 product
+_SUITE_FLAGS = (
+    [(dict(name="sigma-k", n=n, k=k), sigma_k_root(k, n))
+     for n in range(3, 7) for k in range(1, n + 1)]
+    + [(dict(name="harmonic", n=n), harmonic_pairs(n)) for n in range(3, 7)]
+    + [(dict(name="quotient", n=3, k=2, l=1), quotient(2, 1, 3)),
+       (dict(name="quotient", n=4, k=3, l=1), quotient(3, 1, 4)),
+       (dict(name="product", n=3, factors="sigma-k:2,sigma-k:1"),
+        product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.5]))])
+# flags the named kind does not read are ignored
+_STRAY_FLAGS = [
+    (dict(name="harmonic", n=4, k=3), harmonic_pairs(4)),
+    (dict(name="sigma-k", n=4, k=2, l=1), sigma_k_root(2, 4)),
+    (dict(name="quotient", n=4, k=3, l=1, factors="sigma-k:x", weights="a"), quotient(3, 1, 4)),
+    (dict(name="harmonic", n=3, factors="sigma-k:2", weights="1"), harmonic_pairs(3)),
+    (dict(name="product", n=4, k=2, l=1, factors="harmonic:3, sigma-k:2", weights="0.25,0.75"),
+     product([harmonic_pairs(4), sigma_k_root(2, 4)], [0.25, 0.75])),
+]
+
+
+@pytest.mark.parametrize("flags, expected", _SUITE_FLAGS + _STRAY_FLAGS)
+def test_flags_build_the_factory_speed(flags, expected):
+    assert _speed_from_flags(**flags) == expected
+
+
+def test_import_leaves_scipy_unloaded():
+    # in a fresh interpreter: pytest's filterwarnings setting imports scipy.integrate here
+    code = ("import sys, curvsol.cli; "
+            "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(curvsol.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 class TestBarriersCmd:

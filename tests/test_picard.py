@@ -6,6 +6,7 @@ import pytest
 
 from curvsol import (
     ContractionFailureError,
+    DomainError,
     GridFunction,
     ParameterError,
     barrier,
@@ -153,7 +154,37 @@ class TestPicardSolve:
             pic.picard_solve(3, 0.3, 64, tol=1e-15, max_iter=50)
 
 
+def _lipschitz_radius_loop(n: int, samples: int, seed: int) -> tuple[float, float]:
+    """Reference: ``lipschitz_radius`` one sample at a time on Python floats."""
+    rng = np.random.default_rng(seed)
+    w4, w3 = barrier("w4", n), barrier("w3", n)
+    worst = 0.0
+    for _ in range(samples):
+        r = domain_radius(n) * rng.uniform(1e-6, 1.0)
+        w = rng.uniform(w4(r), w3(r))
+        worst = max(worst, abs(harmonic_rhs_dw(n, r, w)) * r)
+    return worst, float(np.sqrt(2.0 * 0.99 / worst))
+
+
 class TestLipschitzRadius:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_per_sample_loop(self, n):
+        for seed in range(4):
+            assert lipschitz_radius(n, samples=1500, seed=seed) == \
+                _lipschitz_radius_loop(n, 1500, seed)
+
+    def test_derivative_elementwise_on_arrays(self):
+        rng = np.random.default_rng(8)
+        for n in (3, 4, 5, 6):
+            w4, w3 = barrier("w4", n), barrier("w3", n)
+            r = rng.uniform(1e-6, domain_radius(n), 500)
+            w = w4(r) + (w3(r) - w4(r)) * rng.random(500)
+            scalar = [harmonic_rhs_dw(n, float(ri), float(wi)) for ri, wi in zip(r, w)]
+            np.testing.assert_array_equal(harmonic_rhs_dw(n, r, w), scalar)
+            w[17] = 0.0          # w - q*r < 0: one entry outside the cone
+            with pytest.raises(DomainError, match="admissible cone"):
+                harmonic_rhs_dw(n, r, w)
+
     def test_finite_positive(self):
         for n in (3, 6):
             c_n, r2 = lipschitz_radius(n, samples=1500, seed=1)
@@ -176,6 +207,9 @@ class TestLipschitzRadius:
         rng = np.random.default_rng(6)
         for n in (3, 4, 5, 6):
             w4, w3 = barrier("w4", n), barrier("w3", n)
+            # the band's lower edge m4 r stays above the cone edge q r, so
+            # every band point has w - q r > 0
+            assert w4.slope > (n * n - 3 * n + 2) / 4.0
             for _ in range(50):
                 r = float(rng.uniform(1e-3, domain_radius(n)))
                 w = float(rng.uniform(w4(r), w3(r)))
