@@ -10,9 +10,9 @@ from .errors import (ContractionFailureError, DegenerateEigenvalueError, DomainE
                      ParameterError)
 from .picard import (GridFunction, PicardResult, domain_radius, initial_iterate,
                      lipschitz_radius, operator_T, picard_solve)
-from .profiles import (Barrier, ProfileSolution, barrier, closed_form_cyl,
-                       closed_form_v, cyl_height, harmonic_rhs, integrate_profile,
-                       sigma_rhs, solve_cyl_profile, startup_slope)
+from .profiles import (Barrier, ProfileSolution, SlopeEquation, barrier, closed_form_cyl,
+                       closed_form_v, cyl_height, integrate_profile, slope_equation,
+                       solve_cyl_profile)
 from .rotgeom import (CylJet, RadialJet, cylinder_curvatures, graph_curvatures,
                       soliton_residual, tilt)
 from .speeds import (CurvatureVector, PropertyReport, SpeedDerivatives, SpeedSpec,

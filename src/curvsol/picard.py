@@ -11,7 +11,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractionFailureError, DomainError, ParameterError
-from .profiles import Barrier, barrier, harmonic_rhs_dw
+from .profiles import Barrier, barrier, slope_equation
+from .speeds import harmonic_pairs
 
 __all__ = [
     "GridFunction",
@@ -27,9 +28,9 @@ _X_SLACK = 1e-9  # relative slack for membership at the barrier edges
 
 
 def domain_radius(n: int) -> float:
-    """Right end of the interval on which the super-solution band is valid,
-    12/(n^2+5n+2)."""
-    return 12.0 / (n * n + 5 * n + 2)
+    """Right end of the interval on which the super-solution band is valid:
+    the end 12/(n^2+5n+2) of the super-solution w2's domain."""
+    return barrier("w2", n).r_end
 
 
 def _band(n: int) -> tuple[Barrier, Barrier]:
@@ -81,29 +82,19 @@ def initial_iterate(n: int, R: float, m: int) -> GridFunction:
     return GridFunction(n=n, R=R, values=vals)
 
 
-def _axis_limit(n: int, slope: float) -> float:
-    """Finite r -> 0 limit of the integrand for a candidate with the given
-    startup slope, clamped into the band's slope range."""
-    w4, w3 = _band(n)
-    m = min(max(slope, w4.slope), w3.slope)
-    q = (n * n - 3 * n + 2) / 4.0
-    return m * (n - m) / (m - q)
-
-
 def _quadrature(n: int, w: GridFunction) -> np.ndarray:
     """Unclamped cumulative trapezoidal quadrature of the slope equation's
-    right-hand side along the grid; the axis node uses its finite limit."""
+    right-hand side along the grid.  The axis node uses its finite limit
+    m psi(1/m), with the startup slope m = w/r at the first node clamped
+    into the band's slope range."""
+    eq = slope_equation(harmonic_pairs(n))
     r = w.nodes
     h = r[1] - r[0]
-    q = (n * n - 3 * n + 2) / 4.0
-    slope = w.values[1:] / r[1:]
-    if np.any(slope - q <= 0.0):
-        i = int(np.argmax(slope - q <= 0.0)) + 1
-        raise DomainError(
-            f"integrand denominator <= 0 at node r={r[i]:.12g} (w/r = {slope[i - 1]:.6g})")
+    w4, w3 = _band(n)
+    m = min(max(w.values[1] / r[1], w4.slope), w3.slope)
     g = np.empty(w.m)
-    g[0] = _axis_limit(n, w.values[1] / r[1])
-    g[1:] = slope * (1.0 + w.values[1:] ** 2) * (n - slope) / (slope - q)
+    g[0] = m * eq.psi(1.0 / m)
+    g[1:] = eq.rhs(r[1:], w.values[1:])
     return np.concatenate(([0.0], np.cumsum(0.5 * h * (g[:-1] + g[1:]))))
 
 
@@ -151,7 +142,7 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     if m < 64:
         raise ParameterError("picard_solve requires m >= 64")
     if not 0.0 < R <= domain_radius(n):
-        raise ParameterError(f"R must lie in (0, {domain_radius(n):.12g}] for n={n}")
+        raise ParameterError(f"R must lie in (0, {domain_radius(n)!r}] for n={n}")
     w = initial_iterate(n, R, m)
     result = PicardResult(grid=w)
     prev_change: Optional[float] = None
@@ -211,7 +202,7 @@ def lipschitz_radius(n: int, samples: int = 4000, seed: int = 0) -> tuple[float,
     lo, hi = w4(r), w3(r)
     w = lo + (hi - lo) * U[:, 1]
     # w >= w4(r) = m4 r with m4 > q for n in 3..6, so every draw lies in the cone
-    val = np.abs(harmonic_rhs_dw(n, r, w)) * r
+    val = np.abs(slope_equation(harmonic_pairs(n)).rhs_dw(r, w)) * r
     if not np.all(np.isfinite(val)):
         i = int(np.argmin(np.isfinite(val)))
         raise DomainError(f"unbounded slope sensitivity at r={r[i]}, w={w[i]}")

@@ -2,17 +2,15 @@
 solutions and barrier functions, and adaptive integration with a singular
 startup at the axis and blow-up detection.
 
-The slope v = u' of a rotational graph translating under the k-th-root
-speed satisfies v' = (v/r)(1+v^2)((1/C(n-1,k-1))(r/v)^k - (n-k)/k); for the
-harmonic-pairs speed the slope equation used throughout this package is
-w' = (w/r)(1+w^2)(n - w/r)/((w/r) - (n^2-3n+2)/4).
+Every speed gives one slope equation w' = (w/r)(1+w^2) psi(r/w) for the
+slope w = u', with psi derived from the speed (``slope_equation``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, exp, sqrt
-from typing import Optional
+from math import comb, exp, inf, sqrt
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,9 +18,8 @@ from .errors import DomainError, ParameterError
 from .speeds import SpeedSpec
 
 __all__ = [
-    "sigma_rhs",
-    "harmonic_rhs",
-    "harmonic_rhs_dw",
+    "SlopeEquation",
+    "slope_equation",
     "closed_form_v",
     "closed_form_cyl",
     "cyl_height",
@@ -30,7 +27,6 @@ __all__ = [
     "Barrier",
     "barrier",
     "BARRIER_NAMES",
-    "startup_slope",
     "ProfileSolution",
     "integrate_profile",
 ]
@@ -39,48 +35,65 @@ BARRIER_NAMES = ("v1", "v2", "v3", "w1", "w2", "w3", "w4", "w5")
 
 
 # --------------------------------------------------------------------------
-# right-hand sides
+# the slope equation
 # --------------------------------------------------------------------------
 
-def sigma_rhs(k: int, n: int, r: float, v: float) -> float:
-    """Slope equation right-hand side for the k-th-root profile."""
-    if not (2 <= k <= n):
-        raise ParameterError(f"sigma profile requires 2 <= k <= n, got k={k}, n={n}")
-    if not r > 0.0:
-        raise DomainError(f"r must be positive, got {r}")
-    if not v > 0.0:
-        raise DomainError(f"v must be positive, got {v}")
-    bracket = (r / v) ** k / comb(n - 1, k - 1) - (n - k) / k
-    return (v / r) * (1.0 + v * v) * bracket
+@dataclass(frozen=True)
+class SlopeEquation:
+    """w' = (w/r)(1+w^2) psi(r/w) for the slope w = u', with axis slope c
+    (psi(1/c) = 1), on the cone r > 0, w > 0, r/w < y_max.  ``rhs`` and
+    ``rhs_dw`` act elementwise on floats or equal-shape arrays, make no numpy
+    call on floats, and raise DomainError outside the cone."""
+
+    psi: Callable
+    dpsi: Callable
+    c: float
+    y_max: float
+
+    def _cone_ratio(self, r, w):
+        ok = (r > 0.0) & (w > r / self.y_max)
+        if ok is not True and not np.all(ok):
+            i = np.argmin(ok)
+            raise DomainError(
+                f"slope equation left the admissible cone 0 < r/w < {self.y_max:.6g} at "
+                f"r={np.ravel(r)[i]:.12g}, w={np.ravel(w)[i]:.12g}")
+        return r / w
+
+    def rhs(self, r, w):
+        y = self._cone_ratio(r, w)
+        return (w / r) * (1.0 + w * w) * self.psi(y)
+
+    def rhs_dw(self, r, w):
+        """Partial derivative of ``rhs`` in the slope w."""
+        y = self._cone_ratio(r, w)
+        ww = w * w
+        return (1.0 + 3.0 * ww) / r * self.psi(y) - (1.0 + ww) / w * self.dpsi(y)
 
 
-def harmonic_rhs(n: int, r: float, w: float) -> float:
-    """Slope equation right-hand side for the harmonic-pairs profile."""
-    if not r > 0.0:
-        raise DomainError(f"r must be positive, got {r}")
-    q = (n * n - 3 * n + 2) / 4.0
-    m = w / r
-    if not m - q > 0.0:
-        raise DomainError(
-            f"harmonic profile left the admissible cone: w/r = {m:.6g} <= {q:.6g}")
-    return m * (1.0 + w * w) * (n - m) / (m - q)
-
-
-def harmonic_rhs_dw(n: int, r, w):
-    """Analytic partial derivative of ``harmonic_rhs`` in the slope variable,
-    elementwise over floats or equal-shape arrays."""
-    if not np.all(r > 0.0):
-        raise DomainError(f"r must be positive, got {np.min(r)}")
-    q = (n * n - 3 * n + 2) / 4.0
-    d = w - q * r
-    if not np.all(d > 0.0):
-        raise DomainError(
-            f"harmonic profile left the admissible cone: w - q*r = {np.min(d):.6g} <= 0")
-    # G = u/(r*d), u = n r w - w^2 + n r w^3 - w^4; products round alike on floats and arrays
-    ww = w * w
-    u = n * r * w - ww + n * r * ww * w - ww * ww
-    du = n * r - 2.0 * w + 3.0 * n * r * ww - 4.0 * ww * w
-    return (du * d - u) / (r * d * d)
+def slope_equation(spec: SpeedSpec) -> SlopeEquation:
+    """The profile slope equation of ``spec``.  A 1-homogeneous speed has
+    gamma(x, 1, ..., 1) = phi(x) and gamma(lambda_1, lambda_2, ..., lambda_2)
+    = lambda_2 phi(lambda_1/lambda_2), so psi = phi^{-1} and c = 1/phi(1).
+    For the k-th root phi(x) = (C(n-1,k-1) x + C(n-1,k))^{1/k}.  For the
+    harmonic-pairs speed this package keeps the paper's model
+    psi(y) = (n y - 1)/(1 - q y), q = (n^2-3n+2)/4, which is not the inverse
+    of that speed's phi."""
+    n, k = spec.n, spec.k
+    if spec.kind == "sigma_k_root":
+        if k < 2:
+            raise ParameterError("profiles require k >= 2 (mean curvature excluded)")
+        ck, b = comb(n - 1, k - 1), (n - k) / k
+        return SlopeEquation(psi=lambda y: y ** k / ck - b,
+                             dpsi=lambda y: k * y ** (k - 1) / ck,
+                             c=(k / (n * ck)) ** (1.0 / k), y_max=inf)
+    if spec.kind == "harmonic_pairs":
+        if not 3 <= n <= 6:
+            raise ParameterError("harmonic profiles require n in 3..6")
+        q = (n * n - 3 * n + 2) / 4.0
+        return SlopeEquation(psi=lambda y: (n * y - 1.0) / (1.0 - q * y),
+                             dpsi=lambda y: (n - q) / ((1.0 - q * y) * (1.0 - q * y)),
+                             c=(n + q) / 2.0, y_max=1.0 / q)
+    raise ParameterError(f"no profile equation for speed kind {spec.kind!r}")
 
 
 # --------------------------------------------------------------------------
@@ -221,18 +234,6 @@ def barrier(name: str, n: int, k: Optional[int] = None, a: Optional[float] = Non
 # profile integration
 # --------------------------------------------------------------------------
 
-def startup_slope(spec: SpeedSpec) -> float:
-    """Unique slope c with u' = c*r + O(r^3) compatible with a smooth
-    umbilic axis point; the leading-order balance of the slope equation."""
-    if spec.kind == "sigma_k_root":
-        if spec.k < 2:
-            raise ParameterError("profiles require k >= 2 (mean curvature excluded)")
-        return (spec.k / (spec.n * comb(spec.n - 1, spec.k - 1))) ** (1.0 / spec.k)
-    if spec.kind == "harmonic_pairs":
-        return (spec.n ** 2 + spec.n + 2) / 8.0
-    raise ParameterError(f"no profile equation for speed kind {spec.kind!r}")
-
-
 @dataclass(frozen=True)
 class ProfileSolution:
     """A sampled radial profile: rows of (r, u, u', u'') at the accepted
@@ -290,24 +291,17 @@ def integrate_profile(spec: SpeedSpec,
         raise ParameterError("startup_radius must be positive")
     if not r_max > startup_radius:
         raise ParameterError("r_max must exceed startup_radius")
-    if spec.kind == "sigma_k_root":
-        rhs = lambda r, v: sigma_rhs(spec.k, spec.n, r, v)
-    elif spec.kind == "harmonic_pairs":
-        if not 3 <= spec.n <= 6:
-            raise ParameterError("harmonic profiles require n in 3..6")
-        rhs = lambda r, v: harmonic_rhs(spec.n, r, v)
-    else:
-        raise ParameterError(f"no profile equation for speed kind {spec.kind!r}")
-
-    c = startup_slope(spec)
+    eq = slope_equation(spec)
+    c, rhs = eq.c, eq.rhs
     if max_step is None:
         max_step = max((r_max - startup_radius) / 50.0, 1e-3)
 
     def f(rr: float, yy: np.ndarray) -> list:
+        r, w = float(rr), float(yy[1])   # on floats the domain check makes no numpy call
         try:
-            return [yy[1], rhs(rr, yy[1])]
+            return [w, rhs(r, w)]
         except (DomainError, OverflowError):
-            return [yy[1], np.nan]   # the controller rejects the step and shrinks it
+            return [w, np.nan]   # the controller rejects the step and shrinks it
 
     solver = RK45(f, startup_radius, [0.5 * c * startup_radius ** 2, c * startup_radius],
                   r_max, max_step=max_step, rtol=rtol, atol=atol,

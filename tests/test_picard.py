@@ -17,9 +17,17 @@ from curvsol import (
     lipschitz_radius,
     operator_T,
     picard_solve,
+    slope_equation,
 )
 from curvsol.picard import _quadrature
-from curvsol.profiles import harmonic_rhs, harmonic_rhs_dw
+
+
+def harmonic_rhs(n: int, r, w):
+    return slope_equation(harmonic_pairs(n)).rhs(r, w)
+
+
+def harmonic_rhs_dw(n: int, r, w):
+    return slope_equation(harmonic_pairs(n)).rhs_dw(r, w)
 
 
 def barrier_grid(name: str, n: int, R: float, m: int) -> GridFunction:
@@ -76,12 +84,21 @@ class TestOperatorT:
         _out, events = operator_T(n, w4_grid)
         assert events > 0
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_domain_radius_grid_is_admissible(self, n):
+        # the band's radius is the end of w2's domain, so a grid that reaches
+        # it evaluates every barrier inside its domain
+        R = domain_radius(n)
+        assert R == barrier("w2", n).r_end
+        out, _events = operator_T(n, initial_iterate(n, R, 64))
+        assert out.nodes[-1] == R
+
     def test_x_violation_error(self):
         r = np.linspace(0.0, 0.3, 65)
         vals = np.concatenate(([0.0], barrier("w4", 3)(r[1:])))
         grid = GridFunction(n=3, R=0.3, values=vals)
         object.__setattr__(grid, "values", np.concatenate(([0.0], 0.4 * r[1:])))
-        with pytest.raises(Exception, match="denominator"):
+        with pytest.raises(DomainError, match="admissible cone"):
             _quadrature(3, grid)
 
 

@@ -1,5 +1,5 @@
-"""Tests for profile right-hand sides, closed forms, barriers, and the
-RK45 profile integrator."""
+"""Tests for the slope equation, closed forms, barriers, and the RK45
+profile integrator."""
 
 import math
 from math import comb, exp, sqrt
@@ -18,19 +18,26 @@ from curvsol import (
     closed_form_v,
     cyl_height,
     harmonic_pairs,
-    harmonic_rhs,
     integrate_profile,
     profiles,
     sigma_k_root,
-    sigma_rhs,
+    slope_equation,
+    speeds,
     solve_cyl_profile,
-    startup_slope,
 )
 from curvsol.profiles import BARRIER_NAMES
 
 
+def sigma_rhs(k: int, n: int, r: float, v: float) -> float:
+    return slope_equation(sigma_k_root(k, n)).rhs(r, v)
+
+
+def harmonic_rhs(n: int, r: float, w: float) -> float:
+    return slope_equation(harmonic_pairs(n)).rhs(r, w)
+
+
 def _sigma_rhs_expanded(k: int, n: int, r: float, v: float) -> float:
-    """Algebraically equivalent expanded form of ``sigma_rhs``, the reference
+    """Algebraically equivalent expanded form of the k-th-root ``rhs``, the reference
     for the cross-check that both printed forms agree."""
     return (1.0 + v * v) / k * (k / comb(n - 1, k - 1) * (r / v) ** (k - 1)
                                 - (n - k) * (v / r))
@@ -51,7 +58,7 @@ class TestSigmaRhs:
     def test_startup_tangency(self):
         # along v = c r the right-hand side approaches c as r -> 0
         for k, n in [(2, 3), (3, 4), (2, 2), (4, 5)]:
-            c = startup_slope(sigma_k_root(k, n))
+            c = slope_equation(sigma_k_root(k, n)).c
             for r in (1e-5, 1e-6):
                 assert sigma_rhs(k, n, r, c * r) / c == pytest.approx(1.0, abs=1e-9)
 
@@ -98,10 +105,44 @@ class TestHarmonicRhs:
         # along w = c r the band ratio is exactly 1 and the right-hand side
         # is c (1 + c^2 r^2), tangent to slope c at the axis
         for n in (3, 4, 5, 6):
-            c = startup_slope(harmonic_pairs(n))
+            c = slope_equation(harmonic_pairs(n)).c
             for r in (1e-3, 1e-5):
                 w = c * r
                 assert harmonic_rhs(n, r, w) == pytest.approx(c * (1.0 + w * w), rel=1e-12)
+
+
+class TestSlopeEquation:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_psi_inverts_the_speed_kernel(self, n):
+        # gamma(psi(y), 1, ..., 1) = y, so the kernel stays the one definition
+        # of each speed.  Below y = 1/2 the kernel's sigma_k, C(n-1,k-1) x +
+        # C(n-1,k) with x near -(n-k)/k, loses digits to cancellation.
+        for k in range(2, n + 1):
+            spec = sigma_k_root(k, n)
+            eq = slope_equation(spec)
+            y = np.append(np.linspace(0.5, 4.0, 36), 1.0 / eq.c)
+            rows = np.ones((y.size, n))
+            rows[:, 0] = eq.psi(y)
+            assert np.all(np.abs(speeds.speed_values(spec, rows) - y) <= 1e-14 * y)
+            assert eq.psi(1.0 / eq.c) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_harmonic_model_is_not_the_speed(self, n):
+        # the paper's harmonic psi is not the inverse of the harmonic-pairs
+        # speed: the axis slope misses 1/gamma(1, ..., 1) by 0.167, 0.083,
+        # 0.200 and 0.267 for n = 3..6, the O(0.1) soliton residual
+        spec = harmonic_pairs(n)
+        eq = slope_equation(spec)
+        assert eq.psi(1.0 / eq.c) == pytest.approx(1.0, rel=1e-14)
+        assert abs(eq.c * speeds.speed_values(spec, [np.ones(n)])[0] - 1.0) >= 0.05
+
+    @pytest.mark.parametrize("spec", [sigma_k_root(3, 5), harmonic_pairs(4)])
+    def test_rhs_dw_matches_finite_differences(self, spec):
+        eq = slope_equation(spec)
+        for r, w in [(0.05, 0.2), (0.2, 0.7), (1.0, 4.0)]:
+            h = 1e-6 * w
+            fd = (eq.rhs(r, w + h) - eq.rhs(r, w - h)) / (2.0 * h)
+            assert eq.rhs_dw(r, w) == pytest.approx(fd, rel=1e-7)
 
 
 class TestClosedForms:
@@ -365,16 +406,16 @@ class TestIntegrateProfile:
 
     def test_rhs_domain_error_shrinks_the_step(self, monkeypatch):
         reference = integrate_profile(sigma_k_root(2, 3), r_max=1.0)
-        original = profiles.sigma_rhs
+        original = profiles.SlopeEquation.rhs
         raised = []
 
-        def flaky(k, n, r, v):
+        def flaky(eq, r, v):
             if 0.5 < r < 0.53 and len(raised) < 5:
                 raised.append(r)
                 raise DomainError("injected")
-            return original(k, n, r, v)
+            return original(eq, r, v)
 
-        monkeypatch.setattr(profiles, "sigma_rhs", flaky)
+        monkeypatch.setattr(profiles.SlopeEquation, "rhs", flaky)
         p = integrate_profile(sigma_k_root(2, 3), r_max=1.0)
         assert len(raised) == 5
         assert p.status == "completed" and p.r[-1] == 1.0

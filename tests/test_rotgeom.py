@@ -15,7 +15,7 @@ from curvsol import (
     graph_curvatures,
     harmonic_pairs,
     sigma_k_root,
-    sigma_rhs,
+    slope_equation,
     soliton_residual,
     tilt,
 )
@@ -82,7 +82,7 @@ class TestSolitonResidual:
         # exact k = n = 2 profile: residual vanishes at machine precision
         r = 1.0
         v = closed_form_v(0.0, r)
-        ddu = sigma_rhs(2, 2, r, v)
+        ddu = slope_equation(sigma_k_root(2, 2)).rhs(r, v)
         lam = graph_curvatures(RadialJet(r=r, u=0.0, du=v, ddu=ddu), 2)
         res = soliton_residual(sigma_k_root(2, 2), lam, tilt(v))
         assert abs(res) <= 1e-10
@@ -108,7 +108,7 @@ class TestSolitonResidual:
         # no longer solves the soliton equation
         r = 1.0
         v = closed_form_v(0.0, r)
-        ddu = sigma_rhs(2, 2, r, v)
+        ddu = slope_equation(sigma_k_root(2, 2)).rhs(r, v)
         lam = graph_curvatures(RadialJet(r=r, u=0.0, du=1.01 * v, ddu=ddu), 2)
         res = soliton_residual(sigma_k_root(2, 2), lam, tilt(1.01 * v))
         assert 1e-4 < abs(res) < 1e-1

@@ -7,6 +7,7 @@ import pytest
 
 from curvsol import (
     DomainError,
+    ProfileSolution,
     check_barriers,
     check_convexity_estimate,
     check_sigma2_cylinder,
@@ -99,6 +100,23 @@ class TestConvexityEstimate:
         alpha, beta = fit_convexity_params(sigma23_profile, delta=0.05)
         entry = check_convexity_estimate(sigma23_profile, alpha, 0.05, beta)
         assert entry.status == "pass"
+
+    @pytest.mark.parametrize("alpha, status", [(6.3, "fail"), (6.8, "pass"), (5.9, "skipped")])
+    def test_non_convex_profile_can_fail(self, alpha, status):
+        # u' = r and u'' chosen so that lambda_1 = -0.3 lambda_2 at every sample:
+        # the curvatures lie on one ray with gamma = (14/47) lambda_2, so the
+        # pinching hypothesis 1.05 H <= alpha gamma needs alpha >= 5.99 and the
+        # estimate lambda_1 >= H - alpha gamma needs alpha >= 6.71
+        r = np.linspace(0.01, 1.0, 40)
+        samples = np.column_stack((r, 0.5 * r * r, r, -0.3 * (1.0 + r * r)))
+        profile = ProfileSolution(n=3, speed=harmonic_pairs(3), samples=samples,
+                                  startup_slope=1.0, startup_radius=0.01,
+                                  blowup_radius=None, status="completed")
+        entry = check_convexity_estimate(profile, alpha, 0.05, 0.3)
+        assert entry.status == status
+        if status == "fail":
+            assert entry.detail.startswith("admissible 40/40")
+            assert entry.witness["slack"] == pytest.approx(-0.123, abs=1e-3)
 
 
 class TestBarrierChecks:
