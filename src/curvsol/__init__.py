@@ -4,7 +4,7 @@ cones, profile ODEs with sub/super-solution barriers, a Picard fixed-point
 construction, and numerical verification of the convexity estimate
 lambda_1 >= H - alpha*gamma."""
 
-from .cones import (ConeSpec, EmptyConeError, cone_separation, contains, cyl_ray,
+from .cones import (ConeSpec, EmptyConeError, cone_mask, cone_separation, contains, cyl_ray,
                     gamma_alpha_delta, gamma_k, two_convex, uniform_two_convex)
 from .errors import (ContractionFailureError, DegenerateEigenvalueError, DomainError,
                      ParameterError)
@@ -15,10 +15,10 @@ from .profiles import (Barrier, ProfileSolution, SlopeEquation, barrier, closed_
                        solve_cyl_profile)
 from .rotgeom import (CylJet, RadialJet, cylinder_curvatures, graph_curvatures,
                       soliton_residual, tilt)
-from .speeds import (CurvatureVector, PropertyReport, SpeedDerivatives, SpeedSpec,
-                     check_properties, eval_derivatives, eval_sigma_k, eval_speed,
-                     harmonic_pairs, hessian_quadratic_form, in_support, product,
-                     quotient, sample_interior, sigma_k_root)
+from .speeds import (PropertyReport, SpeedDerivatives, SpeedSpec, check_properties,
+                     eval_derivatives, eval_sigma_k, eval_speed, harmonic_pairs,
+                     hessian_quadratic_form, in_support, product, quotient, sample_interior,
+                     sigma_k_root)
 from .verifier import (CheckEntry, PinchingEstimate, VerificationReport,
                        check_barriers, check_convexity_estimate,
                        check_sigma2_cylinder, check_soliton,

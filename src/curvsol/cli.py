@@ -91,6 +91,8 @@ def _cmd_verify(args) -> int:
         report.context = {"surface": "cylindrical-type", "a": 0.0}
         report.add(check_sigma2_cylinder(z, tol=args.tol))
     else:
+        if not args.profile:
+            raise ParameterError(f"verify {args.which} requires --profile")
         profile = pio.read_profile_csv(args.profile)
         report.context = pio.profile_metadata(profile)
         if args.which == "soliton":
@@ -98,8 +100,8 @@ def _cmd_verify(args) -> int:
         elif args.which == "convexity":
             if args.alpha == "auto" or args.beta == "auto":
                 alpha_fit, beta_fit = fit_convexity_params(profile, delta=args.delta)
-            alpha = alpha_fit if args.alpha == "auto" else float(args.alpha)
-            beta = beta_fit if args.beta == "auto" else float(args.beta)
+            alpha = alpha_fit if args.alpha == "auto" else _parse(float, args.alpha, "--alpha")
+            beta = beta_fit if args.beta == "auto" else _parse(float, args.beta, "--beta")
             report.add(check_convexity_estimate(profile, alpha, args.delta, beta))
         else:
             for entry in check_barriers(profile):

@@ -1,6 +1,6 @@
-"""Membership tests for the curvature cones: Garding cones, 2-convexity,
-the pinching cone (delta+1)H <= alpha*gamma, uniform 2-convexity, and the
-cylindrical rays."""
+"""Membership tests for the curvature cones: the support cones of the speeds
+(among them the Garding cones and 2-convexity), the pinching cone
+(delta+1)H <= alpha*gamma, uniform 2-convexity, and the cylindrical rays."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .speeds import (SpeedSpec, harmonic_pairs, sigma_k_root, sigma_partials, speed_values,
-                     support_margins, unit_draws)
+from .speeds import (SpeedSpec, _rows, harmonic_pairs, sigma_k_root, sigma_partials,
+                     speed_values, support_margins, unit_draws)
 
 __all__ = [
     "ConeSpec",
@@ -20,6 +20,7 @@ __all__ = [
     "gamma_alpha_delta",
     "uniform_two_convex",
     "contains",
+    "cone_mask",
     "unit_samples",
     "cyl_ray",
     "cone_separation",
@@ -33,47 +34,41 @@ class EmptyConeError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """One of the cones used for curvature pinching.
-
-    kind: ``gamma_k`` (S_l > 0 for l <= k, open), ``two_convex`` (all pair
-    sums positive, open), ``gamma_alpha_delta`` ((delta+1)H <= alpha*gamma
-    inside the speed's cone, closed), ``uniform_two_convex`` (pair sums
-    >= beta*H with H > 0, closed).
-    """
+    """One of the cones used for curvature pinching: ``support`` (the open
+    support cone of ``speed``, where every ``support_margins`` margin is
+    positive), ``gamma_alpha_delta`` ((delta+1)H <= alpha*gamma inside the
+    speed's cone, closed) or ``uniform_two_convex`` (pair sums >= beta*H with
+    H > 0, closed)."""
 
     kind: str
     n: int
-    k: Optional[int] = None
     alpha: Optional[float] = None
     delta: Optional[float] = None
     beta: Optional[float] = None
     speed: Optional[SpeedSpec] = None
 
     def __post_init__(self):
-        if self.kind == "gamma_k":
-            if self.k is None or not 1 <= self.k <= self.n:
-                raise ParameterError("gamma_k requires 1 <= k <= n")
-        elif self.kind == "two_convex":
-            if self.n < 2:
-                raise ParameterError("two_convex requires n >= 2")
-        elif self.kind == "gamma_alpha_delta":
-            if self.alpha is None or self.alpha <= 0 or self.delta is None or self.delta <= 0:
-                raise ParameterError("gamma_alpha_delta requires alpha > 0 and delta > 0")
-            if self.speed is None or self.speed.n != self.n:
-                raise ParameterError("gamma_alpha_delta requires a speed with matching n")
-        elif self.kind == "uniform_two_convex":
-            if self.beta is None or not 0 < self.beta < 1:
-                raise ParameterError("uniform_two_convex requires beta in (0,1)")
-        else:
+        if self.kind not in ("support", "gamma_alpha_delta", "uniform_two_convex"):
             raise ParameterError(f"unknown cone kind {self.kind!r}")
+        if self.kind != "uniform_two_convex" and (self.speed is None or self.speed.n != self.n):
+            raise ParameterError(f"{self.kind} cone requires a speed with matching n")
+        # an unset or NaN parameter fails every comparison below
+        alpha, delta, beta = (np.nan if x is None else x
+                              for x in (self.alpha, self.delta, self.beta))
+        if self.kind == "gamma_alpha_delta" and not (alpha > 0.0 and delta > 0.0):
+            raise ParameterError("gamma_alpha_delta requires alpha > 0 and delta > 0")
+        if self.kind == "uniform_two_convex" and not 0.0 < beta < 1.0:
+            raise ParameterError("uniform_two_convex requires beta in (0,1)")
 
 
 def gamma_k(k: int, n: int) -> ConeSpec:
-    return ConeSpec(kind="gamma_k", n=n, k=k)
+    """The Garding cone S_l > 0 for l <= k: the support cone of S_k^(1/k)."""
+    return ConeSpec(kind="support", n=n, speed=sigma_k_root(k, n))
 
 
 def two_convex(n: int) -> ConeSpec:
-    return ConeSpec(kind="two_convex", n=n)
+    """All pair sums positive: the support cone of the harmonic-pairs speed."""
+    return ConeSpec(kind="support", n=n, speed=harmonic_pairs(n))
 
 
 def gamma_alpha_delta(alpha: float, delta: float, speed: SpeedSpec) -> ConeSpec:
@@ -88,35 +83,36 @@ def _conditions(cone: ConeSpec, L: np.ndarray) -> list:
     """The defining conditions of ``cone`` at the rows of L, in the order
     they are tested: (holds, witness text, witness values) triples, where
     ``holds`` is a boolean array over the rows."""
-    if cone.kind == "gamma_k":
-        return [(v > 0.0, text, (v,))
-                for text, v in support_margins(sigma_k_root(cone.k, cone.n), L)]
-    if cone.kind == "two_convex":
-        ((_, ps),) = support_margins(harmonic_pairs(cone.n), L)
-        return [(ps > 0.0, "min pair sum = {:.6g} <= 0", (ps,))]
+    if cone.kind == "support":
+        return [(v > 0.0, text, (v,)) for text, v in support_margins(cone.speed, L)]
     H = np.sum(L, axis=1)
     if cone.kind == "gamma_alpha_delta":
         g = speed_values(cone.speed, L)                 # NaN outside the speed's cone
         lhs, rhs = (cone.delta + 1.0) * H, cone.alpha * g
         return [(~np.isnan(g), "lambda outside the speed's support cone", ()),
                 (lhs <= rhs, "(delta+1)H = {:.6g} > alpha*gamma = {:.6g}", (lhs, rhs))]
-    s = np.sort(L, axis=1)
-    ps, bound = s[:, 0] + s[:, 1], cone.beta * H
+    ((_, ps),) = support_margins(harmonic_pairs(cone.n), L)
+    bound = cone.beta * H
     return [(H > 0.0, "H = {:.6g} <= 0", (H,)),
             (ps >= bound, "min pair sum = {:.6g} < beta*H = {:.6g}", (ps, bound))]
 
 
+def cone_mask(cone: ConeSpec, lam) -> np.ndarray:
+    """Boolean array over the rows of ``lam`` (shape (m, n)): the row lies in
+    the cone, by the same conditions as ``contains``."""
+    return np.all([holds for holds, _, _ in _conditions(cone, _rows(cone.n, lam))], axis=0)
+
+
 def unit_samples(cone: ConeSpec, samples: int, rng: np.random.Generator):
     """Yield, chunk by chunk, the unit vectors among ``samples`` standard
-    normal draws that lie in the cone, by the same conditions as
-    ``contains``."""
+    normal draws that lie in the cone."""
     for x in unit_draws(cone.n, samples, rng):
-        yield x[np.all([holds for holds, _, _ in _conditions(cone, x)], axis=0)]
+        yield x[cone_mask(cone, x)]
 
 
 def contains(cone: ConeSpec, lam) -> tuple[bool, Optional[str]]:
     """Membership test.  Returns (inside, witness); the witness names the
-    violated condition when outside.  Open cones use strict inequalities,
+    violated condition when outside.  Support cones use strict inequalities,
     the pinching and uniform-2-convexity conditions are closed; exact
     boundary values are classified by the stated inequality with no
     tolerance."""

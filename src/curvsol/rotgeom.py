@@ -4,12 +4,11 @@ graphs and for cylindrical-type surfaces of revolution."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .speeds import CurvatureVector, SpeedSpec, eval_speed, support_violation
+from .speeds import SpeedSpec, eval_speed
 
 __all__ = [
     "RadialJet",
@@ -42,40 +41,37 @@ class RadialJet:
 
 @dataclass(frozen=True)
 class CylJet:
-    """Second-order jet (r, r', r'') of a cylindrical profile r(z) > 0."""
+    """Second-order jet (r, r', r'') of a cylindrical profile r(z) > 0.  The
+    fields may also be equal-length arrays, one entry per height."""
 
     r: float
     dr: float
     ddr: float
 
     def __post_init__(self):
-        if not self.r > 0.0:
-            raise DomainError(f"cylindrical jet requires r > 0, got r={self.r}")
+        if not np.all(np.asarray(self.r) > 0.0):
+            raise DomainError(f"cylindrical jet requires r > 0, got r={np.min(self.r)}")
 
 
-def graph_curvatures(jet: RadialJet, n: int):
+def graph_curvatures(jet: RadialJet, n: int) -> np.ndarray:
     """Principal curvatures of the rotational graph at the jet: the radial
     curvature u''/(1+u'^2)^{3/2} followed by n-1 copies of the rotational
-    curvature u'/(r sqrt(1+u'^2)).  A CurvatureVector for a scalar jet; an
-    (m, n) array, one row per radius, for a jet of arrays."""
+    curvature u'/(r sqrt(1+u'^2)).  Shape (n,) for a scalar jet; (m, n), one
+    row per radius, for a jet of arrays."""
     if n < 2:
         raise ParameterError("graph curvatures require n >= 2")
     w = 1.0 + jet.du ** 2
-    lam1 = jet.ddu / w ** 1.5
     lam2 = jet.du / (jet.r * np.sqrt(w))
-    if np.ndim(lam1) == 0:
-        return CurvatureVector((lam1,) + (lam2,) * (n - 1))
-    return np.column_stack((lam1,) + (lam2,) * (n - 1))
+    return np.stack((jet.ddu / w ** 1.5,) + (lam2,) * (n - 1), axis=-1)
 
 
-def cylinder_curvatures(jet: CylJet) -> CurvatureVector:
+def cylinder_curvatures(jet: CylJet) -> np.ndarray:
     """Principal curvatures (profile, rotational) of a surface of revolution
     parametrized over its axis; the rotational curvature -1/(r sqrt(1+r'^2))
-    is always negative."""
+    is always negative.  Shape (2,) for a scalar jet; (m, 2) for a jet of
+    arrays."""
     w = 1.0 + jet.dr ** 2
-    lam1 = jet.ddr / w ** 1.5
-    lam2 = -1.0 / (jet.r * sqrt(w))
-    return CurvatureVector((lam1, lam2))
+    return np.stack((jet.ddr / w ** 1.5, -1.0 / (jet.r * np.sqrt(w))), axis=-1)
 
 
 def tilt(du):
@@ -86,8 +82,6 @@ def tilt(du):
 
 def soliton_residual(spec: SpeedSpec, lam, normal_component: float) -> float:
     """gamma(lambda) minus the normal component of the translation direction;
-    vanishes exactly on translating solitons."""
-    violation = support_violation(spec, lam)
-    if violation is not None:
-        raise DomainError(f"curvatures outside the cone of {spec.label()}: {violation}")
+    vanishes exactly on translating solitons.  Raises DomainError outside the
+    speed's cone."""
     return eval_speed(spec, lam) - normal_component

@@ -23,7 +23,6 @@ from .errors import DegenerateEigenvalueError, DomainError, ParameterError
 
 __all__ = [
     "SpeedSpec",
-    "CurvatureVector",
     "SpeedDerivatives",
     "sigma_k_root",
     "harmonic_pairs",
@@ -181,27 +180,6 @@ def product(factors, weights) -> SpeedSpec:
     factors = tuple(factors)
     return SpeedSpec(kind="product", n=factors[0].n if factors else 0,
                      factors=factors, weights=tuple(float(w) for w in weights))
-
-
-@dataclass(frozen=True)
-class CurvatureVector:
-    """Principal curvature vector with its derived scalar views."""
-
-    lam: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(float(x) for x in self.lam))
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self.lam, dtype=dtype)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.lam)
-
-    @property
-    def H(self) -> float:
-        return float(np.sum(self.lam))
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,17 @@ constants.  The profile checks read one curvature table per profile,
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from math import sqrt
 from typing import Optional
 
 import numpy as np
 
-from .cones import ConeSpec, unit_samples
+from .cones import ConeSpec, cone_mask, gamma_alpha_delta, uniform_two_convex, unit_samples
 from .errors import DomainError, ParameterError
 from .profiles import (ProfileSolution, barrier, closed_form_cyl,
                        solve_cyl_profile)
 from .rotgeom import CylJet, RadialJet, cylinder_curvatures, graph_curvatures, tilt
-from .speeds import (SpeedSpec, hessian_quadratic_forms, speed_derivatives, speed_values,
-                     support_violation)
+from .speeds import (SpeedSpec, harmonic_pairs, hessian_quadratic_forms, speed_derivatives,
+                     speed_values, support_margins, support_violation)
 
 __all__ = [
     "CheckEntry",
@@ -72,16 +71,14 @@ class ProfileGeometry:
     gamma: np.ndarray             # speed value, NaN outside the speed's cone
     tilt: np.ndarray              # <nu, e_{n+1}> = 1/sqrt(1+u'^2)
     H: np.ndarray
-    min_pair_sum: np.ndarray
 
 
 def profile_geometry(profile: ProfileSolution) -> ProfileGeometry:
     """Curvatures, speed and tilt at every sample."""
     r, u, du, ddu = profile.samples.T
     lam = graph_curvatures(RadialJet(r=r, u=u, du=du, ddu=ddu), profile.n)
-    s = np.sort(lam, axis=1)
     return ProfileGeometry(lam=lam, gamma=speed_values(profile.speed, lam), tilt=tilt(du),
-                           H=np.sum(lam, axis=1), min_pair_sum=s[:, 0] + s[:, 1])
+                           H=np.sum(lam, axis=1))
 
 
 def check_soliton(profile: ProfileSolution, tol: float) -> CheckEntry:
@@ -110,27 +107,33 @@ def check_soliton(profile: ProfileSolution, tol: float) -> CheckEntry:
 
 def fit_convexity_params(profile: ProfileSolution, delta: float = 0.05) -> tuple[float, float]:
     """Fit (alpha, beta) from the profile with safety factors so that the
-    pinching and uniform-2-convexity hypotheses hold at every sample."""
+    pinching and uniform-2-convexity hypotheses hold at every sample; a
+    profile with a pair sum <= 0 where H > 0 is not uniformly 2-convex."""
     geo = profile_geometry(profile)
+    ((_, ps),) = support_margins(harmonic_pairs(profile.n), geo.lam)
     inside = ~np.isnan(geo.gamma)
-    H, g, ps = geo.H[inside], geo.gamma[inside], geo.min_pair_sum[inside]
+    H, g, ps = geo.H[inside], geo.gamma[inside], ps[inside]
     alpha = float(np.max((delta + 1.0) * H / g, initial=0.0))
     beta_bound = float(np.min(ps[H > 0.0] / H[H > 0.0], initial=np.inf))
     if alpha == 0.0 or not np.isfinite(beta_bound):
         raise DomainError("no in-cone samples with positive mean curvature to fit from")
+    if beta_bound <= 0.0:
+        raise DomainError(f"profile not uniformly 2-convex: min pair sum/H = {beta_bound:.6g}")
     return 1.05 * alpha, 0.9 * beta_bound
 
 
 def check_convexity_estimate(profile: ProfileSolution, alpha: float, delta: float,
                              beta: float, slack_tol: float = 1e-10) -> CheckEntry:
     """Pointwise convexity estimate on the hypothesis-satisfying samples:
-    where (delta+1)H <= alpha*gamma and every pair sum >= beta*H, assert
-    lambda_1 >= H - alpha*gamma - slack_tol.  Samples failing a hypothesis
-    are skipped, never failed."""
+    inside the cones ``gamma_alpha_delta(alpha, delta)`` and
+    ``uniform_two_convex(beta)``, assert lambda_1 >= H - alpha*gamma -
+    slack_tol.  Samples failing a hypothesis are skipped, never failed;
+    parameters outside alpha > 0, delta > 0, 0 < beta < 1 are a
+    ParameterError."""
     geo = profile_geometry(profile)
     H, g = geo.H, geo.gamma
-    admissible = np.flatnonzero(((delta + 1.0) * H <= alpha * g)    # False where g is NaN
-                                & (H > 0.0) & (geo.min_pair_sum >= beta * H))
+    admissible = np.flatnonzero(cone_mask(gamma_alpha_delta(alpha, delta, profile.speed), geo.lam)
+                                & cone_mask(uniform_two_convex(beta, profile.n), geo.lam))
     if admissible.size == 0:
         return CheckEntry(name="convexity_estimate", status="skipped", tolerance=slack_tol,
                           detail="no sample satisfies both hypotheses")
@@ -202,35 +205,29 @@ def check_sigma2_cylinder(z_samples, tol: float = 1e-9) -> CheckEntry:
     """Sign conditions H < 0, K > 0 and the soliton identity
     |sqrt(K) - |<nu, e_3>|| <= tol along the cylindrical-type closed form
     with a = 0; heights outside the solvable range are skipped."""
-    worst = 0.0
-    witness = None
-    checked = 0
-    skipped = 0
+    solved, skipped = [], 0       # (z, r, r') at the solvable heights
     for z in z_samples:
         try:
             r = solve_cyl_profile(0.0, float(z))
-            f = closed_form_cyl(0.0, r)
+            solved.append((float(z), r, closed_form_cyl(0.0, r)))
         except DomainError:
             skipped += 1
-            continue
-        ddr = -(1.0 + f * f) * r * f * f
-        lam = cylinder_curvatures(CylJet(r=r, dr=f, ddr=ddr))
-        H = lam.H
-        K = float(lam.array[0] * lam.array[1])
-        normal = f / sqrt(1.0 + f * f)
-        res = abs(sqrt(K) - normal) if K > 0.0 else float("inf")
-        bad = max(res, 0.0 if H < 0.0 else float("inf"), 0.0 if K > 0.0 else float("inf"))
-        checked += 1
-        if bad > worst:
-            worst = bad
-            witness = {"z": float(z), "r": r, "H": H, "K": K, "residual": res}
-    if checked == 0:
+    if not solved:
         return CheckEntry(name="sigma2_cylinder", status="skipped", tolerance=tol,
                           detail="no solvable heights")
+    z, r, f = np.array(solved).T
+    lam = cylinder_curvatures(CylJet(r=r, dr=f, ddr=-(1.0 + f * f) * r * f * f))
+    H, K = np.sum(lam, axis=1), lam[:, 0] * lam[:, 1]
+    res = np.where(K > 0.0, np.abs(np.sqrt(np.abs(K)) - f / np.sqrt(1.0 + f * f)), np.inf)
+    bad = np.where(H < 0.0, res, np.inf)
+    i = int(np.argmax(bad))
+    worst = float(bad[i])
+    witness = ({"z": z[i], "r": r[i], "H": H[i], "K": K[i], "residual": res[i]}
+               if worst > 0.0 else None)
     status = "pass" if worst <= tol else "fail"
     return CheckEntry(name="sigma2_cylinder", status=status, tolerance=tol,
                       worst_violation=worst, witness=witness,
-                      detail=f"checked {checked}, skipped {skipped}")
+                      detail=f"checked {len(solved)}, skipped {skipped}")
 
 
 @dataclass

@@ -87,6 +87,27 @@ class TestVerify:
                     "--delta", 0.05, "--beta", "auto", "--out", tmp_path / "c.json"])
         assert code == 0
 
+    @pytest.mark.parametrize("which", ["soliton", "convexity", "barriers"])
+    def test_missing_profile_is_usage_error(self, which, capsys):
+        assert run(["verify", which]) == 2
+        assert capsys.readouterr().err == f"error: verify {which} requires --profile\n"
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_unparsable_hypothesis_is_usage_error(self, flag, sigma2_csv, capsys):
+        assert run(["verify", "convexity", "--profile", sigma2_csv, flag, "foo"]) == 2
+        assert capsys.readouterr().err == f"error: {flag}: expected float, got 'foo'\n"
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "-1"), ("--beta", "1.5"),
+                                             ("--delta", "0"), ("--beta", "-0.2")])
+    def test_hypothesis_outside_the_papers_range_is_usage_error(self, flag, value,
+                                                                sigma2_csv, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run(["verify", "convexity", "--profile", sigma2_csv, flag, value,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and flag[2:] in err[0]
+        assert not out.exists()
+
     def test_harmonic_soliton_residual_is_reported_as_failure(self, tmp_path):
         # the harmonic slope equation is not the geometric soliton equation
         # for the harmonic speed; verify reports that honestly with exit 1

@@ -5,14 +5,20 @@ import numpy as np
 import pytest
 
 from curvsol import (
+    ConeSpec,
     EmptyConeError,
     ParameterError,
+    cone_mask,
     cone_separation,
     contains,
     cyl_ray,
+    eval_speed,
     gamma_alpha_delta,
     gamma_k,
     harmonic_pairs,
+    product,
+    quotient,
+    sigma_k_root,
     two_convex,
     uniform_two_convex,
 )
@@ -80,6 +86,64 @@ class TestContains:
             lam *= bound / (np.sum(lam) * 1.1)   # scale so H < bound
             found += 1
             assert np.all(np.abs(lam) <= bound + 1e-12)
+
+
+def _pinching(speed, delta):
+    """The pinching cone with alpha 1.5 times its smallest admissible value,
+    (delta+1) H/gamma at the umbilic point."""
+    alpha = 1.5 * (1.0 + delta) * speed.n / eval_speed(speed, np.ones(speed.n))
+    return gamma_alpha_delta(alpha, delta, speed)
+
+
+def _cones(n: int) -> list:
+    """Every kind of cone at dimension n: each Garding cone, 2-convexity, the
+    support cones of a quotient and of a product, two pinching cones, and
+    uniform 2-convexity."""
+    return [gamma_k(k, n) for k in range(1, n + 1)] + [
+        two_convex(n),
+        ConeSpec(kind="support", n=n, speed=quotient(2, 1, n)),
+        ConeSpec(kind="support", n=n, speed=product([sigma_k_root(2, n), harmonic_pairs(n)],
+                                                     [0.5, 0.5])),
+        _pinching(harmonic_pairs(n), 0.1),
+        _pinching(sigma_k_root(2, n), 0.2),
+        uniform_two_convex(0.2, n),
+    ]
+
+
+class TestConeMask:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rows_agree_with_contains(self, n):
+        # small integer rows land exactly on the boundaries, where the open
+        # and closed conditions differ; positive rows reach the pinching cones
+        rng = np.random.default_rng(n)
+        L = np.vstack([rng.normal(size=(150, n)), rng.integers(-2, 3, size=(100, n)),
+                       rng.uniform(0.5, 1.5, size=(100, n))])
+        for cone in _cones(n):
+            mask = cone_mask(cone, L)
+            assert mask.shape == (L.shape[0],) and mask.dtype == bool
+            assert 0 < np.count_nonzero(mask) < L.shape[0], cone
+            for i in range(L.shape[0]):
+                assert mask[i] == contains(cone, L[i])[0], (cone, L[i])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ParameterError):
+            cone_mask(two_convex(3), np.ones((5, 4)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: gamma_k(0, 3),
+        lambda: gamma_k(4, 3),
+        lambda: two_convex(1),
+        lambda: gamma_alpha_delta(-1.0, 0.1, harmonic_pairs(3)),
+        lambda: gamma_alpha_delta(1.0, 0.0, harmonic_pairs(3)),
+        lambda: gamma_alpha_delta(float("nan"), 0.1, harmonic_pairs(3)),
+        lambda: uniform_two_convex(1.5, 3),
+        lambda: uniform_two_convex(-0.2, 3),
+        lambda: ConeSpec(kind="support", n=4, speed=harmonic_pairs(3)),
+        lambda: ConeSpec(kind="gamma_k", n=3),
+    ])
+    def test_invalid_cone_parameters_rejected(self, make):
+        with pytest.raises(ParameterError):
+            make()
 
 
 class TestCylRay:

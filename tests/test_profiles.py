@@ -265,6 +265,18 @@ class TestBarriers:
         with pytest.raises(ParameterError):
             barrier("v9", 3)
 
+    @pytest.mark.parametrize("name", ["v1", "v3"])
+    def test_sigma_axis_slope_is_the_slope_equations(self, name):
+        for n in range(2, 7):
+            for k in range(2, n + 1):
+                c = slope_equation(sigma_k_root(k, n)).c
+                assert barrier(name, n, k=k).slope == c, (n, k)
+
+    @pytest.mark.parametrize("name", ["w1", "w3"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_harmonic_axis_slope_is_the_slope_equations(self, name, n):
+        assert barrier(name, n).slope == slope_equation(harmonic_pairs(n)).c
+
 
 @st.composite
 def admitted_barriers(draw):

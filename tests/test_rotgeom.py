@@ -24,15 +24,15 @@ from curvsol import (
 class TestGraphCurvatures:
     def test_generic_jet(self):
         lam = graph_curvatures(RadialJet(r=1.0, u=0.0, du=1.0, ddu=1.0), 3)
-        assert lam.array == pytest.approx([2 ** -1.5, 2 ** -0.5, 2 ** -0.5], rel=1e-14)
+        assert lam == pytest.approx([2 ** -1.5, 2 ** -0.5, 2 ** -0.5], rel=1e-14)
 
     def test_flat_disk(self):
         lam = graph_curvatures(RadialJet(r=0.5, u=0.0, du=0.0, ddu=0.0), 4)
-        assert np.all(lam.array == 0.0)
+        assert np.all(lam == 0.0)
 
     def test_pure_profile_curvature(self):
         lam = graph_curvatures(RadialJet(r=2.0, u=0.0, du=0.0, ddu=3.0), 2)
-        assert lam.array == pytest.approx([3.0, 0.0], abs=1e-15)
+        assert lam == pytest.approx([3.0, 0.0], abs=1e-15)
 
     def test_axis_rejected(self):
         with pytest.raises(DomainError):
@@ -43,13 +43,13 @@ class TestGraphCurvatures:
         # quadratic cap u = c r^2/2 approaches the umbilic vector (c,...,c)
         c = 0.8
         lam = graph_curvatures(RadialJet(r=r, u=0.5 * c * r * r, du=c * r, ddu=c), 3)
-        assert np.max(np.abs(lam.array - c)) <= 2.0 * c * r * r
+        assert np.max(np.abs(lam - c)) <= 2.0 * c * r * r
 
 
 class TestCylinderCurvatures:
     def test_round_cylinder(self):
         lam = cylinder_curvatures(CylJet(r=1.0, dr=0.0, ddr=0.0))
-        assert lam.array == pytest.approx([0.0, -1.0], abs=1e-15)
+        assert lam == pytest.approx([0.0, -1.0], abs=1e-15)
 
     def test_closed_form_jet(self):
         # direct substitution at r = 1: f = 1/sqrt(e-1), r'' = -(1+f^2) r f^2
@@ -58,12 +58,26 @@ class TestCylinderCurvatures:
         ddr = -(1.0 + f * f) * 1.0 * f * f
         assert ddr == pytest.approx(-0.9206735942077924, rel=1e-14)
         lam = cylinder_curvatures(CylJet(r=1.0, dr=f, ddr=ddr))
-        assert lam.array == pytest.approx([-0.4627064573764711, -0.7950600976206501], rel=1e-13)
-        assert lam.array[1] < 0.0
+        assert lam == pytest.approx([-0.4627064573764711, -0.7950600976206501], rel=1e-13)
+        assert lam[1] < 0.0
 
     def test_generic_jet(self):
         lam = cylinder_curvatures(CylJet(r=2.0, dr=0.0, ddr=1.0))
-        assert lam.array == pytest.approx([1.0, -0.5], rel=1e-15)
+        assert lam == pytest.approx([1.0, -0.5], rel=1e-15)
+
+    def test_array_jet_stacks_the_scalar_jets(self):
+        r, dr, ddr = np.array([[0.5, 1.0, 2.0], [0.0, 0.3, -1.0], [1.0, -0.2, 0.4]])
+        lam = cylinder_curvatures(CylJet(r=r, dr=dr, ddr=ddr))
+        assert lam.shape == (3, 2)
+        for i in range(3):
+            row = cylinder_curvatures(CylJet(r=float(r[i]), dr=float(dr[i]), ddr=float(ddr[i])))
+            assert row.shape == (2,)
+            assert lam[i] == pytest.approx(row, rel=1e-15)
+
+    @pytest.mark.parametrize("r", [0.0, np.array([1.0, 0.0, 2.0])])
+    def test_axis_rejected(self, r):
+        with pytest.raises(DomainError):
+            CylJet(r=r, dr=np.zeros_like(r), ddr=np.zeros_like(r))
 
 
 class TestTilt:
@@ -99,7 +113,7 @@ class TestSolitonResidual:
         f = closed_form_cyl(0.0, 1.0)
         ddr = -(1.0 + f * f) * f * f
         lam = cylinder_curvatures(CylJet(r=1.0, dr=f, ddr=ddr))
-        K = lam.array[0] * lam.array[1]
+        K = lam[0] * lam[1]
         assert math.sqrt(K) == pytest.approx(f / math.sqrt(1 + f * f), abs=1e-12)
         assert math.sqrt(K) == pytest.approx(0.60653, abs=1e-5)
 

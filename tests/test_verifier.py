@@ -101,6 +101,18 @@ class TestConvexityEstimate:
         entry = check_convexity_estimate(sigma23_profile, alpha, 0.05, beta)
         assert entry.status == "pass"
 
+    def test_fit_rejects_a_profile_that_is_not_two_convex(self):
+        # lambda = (-1.2, 1, 1, 1, 1) lambda_2 lies in the Garding cone Gamma_2
+        # of n = 5 (S_2 = 4 lambda_2^2 (1.5 - 1.2) > 0) with H > 0, but its
+        # pair sum -0.2 lambda_2 is negative: no beta in (0,1) fits
+        r = np.linspace(0.01, 1.0, 40)
+        samples = np.column_stack((r, 0.5 * r * r, r, -1.2 * (1.0 + r * r)))
+        profile = ProfileSolution(n=5, speed=sigma_k_root(2, 5), samples=samples,
+                                  startup_slope=1.0, startup_radius=0.01,
+                                  blowup_radius=None, status="completed")
+        with pytest.raises(DomainError, match="not uniformly 2-convex"):
+            fit_convexity_params(profile, delta=0.05)
+
     @pytest.mark.parametrize("alpha, status", [(6.3, "fail"), (6.8, "pass"), (5.9, "skipped")])
     def test_non_convex_profile_can_fail(self, alpha, status):
         # u' = r and u'' chosen so that lambda_1 = -0.3 lambda_2 at every sample:
@@ -157,8 +169,8 @@ class TestSigma2Cylinder:
         r = solve_cyl_profile(0.0, 40.0)
         f = closed_form_cyl(0.0, r)
         lam = cylinder_curvatures(CylJet(r=r, dr=f, ddr=-(1 + f * f) * r * f * f))
-        K = lam.array[0] * lam.array[1]
-        assert lam.H < 0.0
+        K = lam[0] * lam[1]
+        assert lam.sum() < 0.0
         assert 0.0 < K < 1e-3
 
 
