@@ -53,17 +53,6 @@ def _speed_from_flags(name: str, n: int, k=None, l=None, factors=None, weights=N
     return pio.speed_from_dict(d)
 
 
-def _write_json(path, payload) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _write_text(path, text: str) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_solve(args) -> int:
     ns = [args.n]
     if args.sweep:
@@ -106,7 +95,7 @@ def _cmd_verify(args) -> int:
         else:
             for entry in check_barriers(profile):
                 report.add(entry)
-    _write_json(args.out, report.to_dict())
+    pio.write_json(args.out, report.to_dict())
     return 0 if report.passed() else 1
 
 
@@ -122,7 +111,7 @@ def _cmd_props(args) -> int:
                           "witness": c.witness}
                    for name, c in rep.checks.items()},
     }
-    _write_json(args.out, payload)
+    pio.write_json(args.out, payload)
     failing = rep.failing_checks()
     if speed.kind == "quotient" and failing and set(failing) <= {"boundary_vanishing"}:
         print("warning: boundary-vanishing not satisfied (expected for quotient speeds)",
@@ -136,10 +125,7 @@ def _cmd_barriers(args) -> int:
     bars = [barrier(name, args.n, k=args.k, a=args.a) for name in names]
     r_hi = min([args.rmax] + [b.r_end * (1.0 - 1e-9) for b in bars])
     r = np.linspace(args.rmin, r_hi, args.count)
-    rows = [("r", *names)]
-    for ri in r:
-        rows.append((pio.fmt(ri), *(pio.fmt(b(ri)) for b in bars)))
-    _write_text(args.out, "\n".join(",".join(row) for row in rows) + "\n")
+    pio.write_table(args.out, ("r", *names), [r] + [b(r) for b in bars])
     return 0
 
 
@@ -159,9 +145,7 @@ def _cmd_picard(args) -> int:
     fp_ref = None
     if fp_csv:
         fp_csv = Path(fp_csv)
-        lines = ["r,w"] + [f"{pio.fmt(r)},{pio.fmt(w)}"
-                           for r, w in zip(result.grid.nodes, result.grid.values)]
-        fp_csv.write_text("\n".join(lines) + "\n")
+        pio.write_table(fp_csv, ("r", "w"), (result.grid.nodes, result.grid.values))
         # referenced by name so the log does not depend on where it was written
         fp_ref = fp_csv.name if args.out and fp_csv.parent == Path(args.out).parent else str(fp_csv)
     payload = {
@@ -171,7 +155,7 @@ def _cmd_picard(args) -> int:
         "converged": result.converged,
         "fixed_point_csv_path": fp_ref,
     }
-    _write_json(args.out, payload)
+    pio.write_json(args.out, payload)
     return 0 if result.converged else 1
 
 
@@ -203,16 +187,38 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvsol",
         description="Rotationally symmetric translating solitons of concave "
                     "curvature flows: profiles, barriers, fixed point, verification.")
-    parser.add_argument("--config", help="JSON file of flag defaults (flags override)")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
-    p = commands["solve"] = sub.add_parser("solve", help="integrate a profile and export CSV + metadata")
+    class ApplyConfig(argparse.Action):
+        """``--config FILE``: the keys of the JSON object in FILE become the
+        subcommands' flag defaults.  Top-level options are parsed before the
+        subcommand, so its flags see them; an unreadable file or a key that
+        names no flag is a ParameterError."""
+
+        def __call__(self, parser, namespace, path, option_string):
+            try:
+                defaults = json.loads(Path(path).read_text())
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ParameterError(f"cannot read config {path}: {exc}") from None
+            if not isinstance(defaults, dict):
+                raise ParameterError(f"config {path}: expected a JSON object")
+            defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
+            commands = sub.choices.values()
+            unknown = sorted(set(defaults) - {a.dest for p in commands for a in p._actions})
+            if unknown:
+                raise ParameterError(f"config {path}: unknown keys {unknown}")
+            for p in commands:
+                p.set_defaults(**defaults)
+
+    parser.add_argument("--config", action=ApplyConfig,
+                        help="JSON file of flag defaults (flags override)")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("solve", help="integrate a profile and export CSV + metadata")
     p.add_argument("--speed", choices=("sigma-k", "harmonic"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
@@ -225,7 +231,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
 
-    p = commands["verify"] = sub.add_parser("verify", help="run verification checks, emit a JSON report")
+    p = sub.add_parser("verify", help="run verification checks, emit a JSON report")
     p.add_argument("which", choices=("soliton", "convexity", "barriers", "cylinder"))
     p.add_argument("--profile", help="profile CSV (not needed for cylinder)")
     p.add_argument("--tol", type=float, default=1e-8)
@@ -238,7 +244,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
-    p = commands["props"] = sub.add_parser("props", help="sampled speed property suite")
+    p = sub.add_parser("props", help="sampled speed property suite")
     p.add_argument("--speed", choices=_SPEED_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
@@ -250,7 +256,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_props)
 
-    p = commands["barriers"] = sub.add_parser("barriers", help="tabulate barrier functions")
+    p = sub.add_parser("barriers", help="tabulate barrier functions")
     p.add_argument("--names", required=True, help="comma-separated, e.g. w3,w5")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
@@ -261,7 +267,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_barriers)
 
-    p = commands["picard"] = sub.add_parser("picard", help="fixed point of the integral operator")
+    p = sub.add_parser("picard", help="fixed point of the integral operator")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--R", type=float, help="default: min(band radius, contraction radius)")
     p.add_argument("--grid", type=int, default=2049)
@@ -272,45 +278,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_picard)
 
-    p = commands["plot"] = sub.add_parser("plot", help="render an SVG chart from a profile CSV")
+    p = sub.add_parser("plot", help="render an SVG chart from a profile CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--barriers", help="overlay barriers, e.g. w3,w5")
     p.add_argument("--revolve", action="store_true",
                    help="silhouette of the surface of revolution")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plot)
-    return parser, commands
-
-
-def _apply_config(argv: list, commands: dict) -> None:
-    """Make the keys of the ``--config`` JSON object the subcommands' flag
-    defaults; a missing value, an unreadable file or a key that names no
-    flag is a ParameterError."""
-    i = argv.index("--config") + 1
-    if i == len(argv):
-        raise ParameterError("argument --config: expected a JSON file")
-    try:
-        defaults = json.loads(Path(argv[i]).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"cannot read config {argv[i]}: {exc}") from None
-    if not isinstance(defaults, dict):
-        raise ParameterError(f"config {argv[i]}: expected a JSON object")
-    defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
-    unknown = sorted(set(defaults) - {a.dest for p in commands.values() for a in p._actions})
-    if unknown:
-        raise ParameterError(f"config {argv[i]}: unknown keys {unknown}")
-    for p in commands.values():
-        p.set_defaults(**defaults)
+    return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = _build_parser()
     try:
-        if "--config" in argv:
-            _apply_config(argv, commands)
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:         # argparse has printed its usage error or the help
+        return exc.code
     except (ParameterError, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

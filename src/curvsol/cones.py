@@ -38,20 +38,17 @@ class ConeSpec:
     support cone of ``speed``, where every ``support_margins`` margin is
     positive), ``gamma_alpha_delta`` ((delta+1)H <= alpha*gamma inside the
     speed's cone, closed) or ``uniform_two_convex`` (pair sums >= beta*H with
-    H > 0, closed)."""
+    H > 0, closed, with ``speed`` the harmonic-pairs speed).  n is speed.n."""
 
     kind: str
-    n: int
+    speed: SpeedSpec
     alpha: Optional[float] = None
     delta: Optional[float] = None
     beta: Optional[float] = None
-    speed: Optional[SpeedSpec] = None
 
     def __post_init__(self):
         if self.kind not in ("support", "gamma_alpha_delta", "uniform_two_convex"):
             raise ParameterError(f"unknown cone kind {self.kind!r}")
-        if self.kind != "uniform_two_convex" and (self.speed is None or self.speed.n != self.n):
-            raise ParameterError(f"{self.kind} cone requires a speed with matching n")
         # an unset or NaN parameter fails every comparison below
         alpha, delta, beta = (np.nan if x is None else x
                               for x in (self.alpha, self.delta, self.beta))
@@ -60,23 +57,27 @@ class ConeSpec:
         if self.kind == "uniform_two_convex" and not 0.0 < beta < 1.0:
             raise ParameterError("uniform_two_convex requires beta in (0,1)")
 
+    @property
+    def n(self) -> int:
+        return self.speed.n
+
 
 def gamma_k(k: int, n: int) -> ConeSpec:
     """The Garding cone S_l > 0 for l <= k: the support cone of S_k^(1/k)."""
-    return ConeSpec(kind="support", n=n, speed=sigma_k_root(k, n))
+    return ConeSpec(kind="support", speed=sigma_k_root(k, n))
 
 
 def two_convex(n: int) -> ConeSpec:
     """All pair sums positive: the support cone of the harmonic-pairs speed."""
-    return ConeSpec(kind="support", n=n, speed=harmonic_pairs(n))
+    return ConeSpec(kind="support", speed=harmonic_pairs(n))
 
 
 def gamma_alpha_delta(alpha: float, delta: float, speed: SpeedSpec) -> ConeSpec:
-    return ConeSpec(kind="gamma_alpha_delta", n=speed.n, alpha=alpha, delta=delta, speed=speed)
+    return ConeSpec(kind="gamma_alpha_delta", speed=speed, alpha=alpha, delta=delta)
 
 
 def uniform_two_convex(beta: float, n: int) -> ConeSpec:
-    return ConeSpec(kind="uniform_two_convex", n=n, beta=beta)
+    return ConeSpec(kind="uniform_two_convex", speed=harmonic_pairs(n), beta=beta)
 
 
 def _conditions(cone: ConeSpec, L: np.ndarray) -> list:
@@ -91,7 +92,7 @@ def _conditions(cone: ConeSpec, L: np.ndarray) -> list:
         lhs, rhs = (cone.delta + 1.0) * H, cone.alpha * g
         return [(~np.isnan(g), "lambda outside the speed's support cone", ()),
                 (lhs <= rhs, "(delta+1)H = {:.6g} > alpha*gamma = {:.6g}", (lhs, rhs))]
-    ((_, ps),) = support_margins(harmonic_pairs(cone.n), L)
+    ((_, ps),) = support_margins(cone.speed, L)
     bound = cone.beta * H
     return [(H > 0.0, "H = {:.6g} <= 0", (H,)),
             (ps >= bound, "min pair sum = {:.6g} < beta*H = {:.6g}", (ps, bound))]

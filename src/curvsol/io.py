@@ -1,36 +1,55 @@
-"""Profile serialization: CSV sample tables with derived curvature columns
-and JSON metadata sidecars.  All numeric output is written with 17
-significant digits so files round-trip losslessly and byte-identically."""
+"""Serialization: the two artifact writers (``write_json`` and
+``write_table``), profile CSVs with derived curvature columns and their JSON
+metadata sidecars.  Table values are written with 17 significant digits so
+files round-trip losslessly and byte-identically."""
 
 from __future__ import annotations
 
 import csv
 import json
+import sys
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError
 from .profiles import ProfileSolution
+from .rotgeom import profile_geometry
 from .speeds import SpeedSpec
-from .verifier import profile_geometry
 
 __all__ = [
     "PROFILE_COLUMNS",
+    "write_json",
+    "write_table",
     "speed_to_dict",
     "speed_from_dict",
     "profile_metadata",
     "write_profile_csv",
     "read_profile_csv",
-    "fmt",
 ]
 
 PROFILE_COLUMNS = ("r", "u", "du", "ddu", "lambda1", "lambda2", "gamma", "tilt", "residual")
 
 
-def fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write(path, text: str) -> None:
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as JSON with sorted keys, indent 2 and a final newline,
+    to ``path`` or, when it is None, to stdout."""
+    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def write_table(path, header, columns) -> None:
+    """Equal-length ``columns`` as comma-separated rows of ``%.17g`` values
+    under a ``header`` row, to ``path`` or, when it is None, to stdout."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    _write(path, ",".join(header) + "\n"
+           + "".join(row % tuple(r) for r in np.column_stack(columns).tolist()))
 
 
 def speed_to_dict(spec: SpeedSpec) -> dict:
@@ -55,8 +74,7 @@ def derived_columns(profile: ProfileSolution) -> np.ndarray:
     """lambda1, lambda2, gamma, tilt, residual at every sample; gamma and the
     residual are NaN where the curvatures leave the speed's cone."""
     geo = profile_geometry(profile)
-    return np.column_stack((geo.lam[:, 0], geo.lam[:, 1], geo.gamma, geo.tilt,
-                            geo.gamma - geo.tilt))
+    return np.column_stack((geo.lam[:, 0], geo.lam[:, 1], geo.gamma, geo.tilt, geo.residual))
 
 
 def profile_metadata(profile: ProfileSolution) -> dict:
@@ -72,30 +90,20 @@ def profile_metadata(profile: ProfileSolution) -> dict:
     }
 
 
-def _sidecar_path(path: Path) -> Path:
-    return path.with_suffix(".meta.json")
-
-
 def write_profile_csv(path, profile: ProfileSolution) -> Path:
     """Write the sample table and its metadata sidecar; returns the sidecar
     path."""
     path = Path(path)
-    extra = derived_columns(profile)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PROFILE_COLUMNS)
-        for row, drv in zip(profile.samples, extra):
-            writer.writerow([fmt(x) for x in (*row, *drv)])
-    side = _sidecar_path(path)
-    with open(side, "w") as fh:
-        json.dump(profile_metadata(profile), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_table(path, PROFILE_COLUMNS, (*profile.samples.T, *derived_columns(profile).T))
+    side = path.with_suffix(".meta.json")
+    write_json(side, profile_metadata(profile))
     return side
 
 
-def read_profile_csv(path, metadata: Optional[dict] = None) -> ProfileSolution:
-    """Parse a profile CSV (plus sidecar metadata unless supplied inline);
-    raises ParameterError naming the offending line on malformed input."""
+def read_profile_csv(path) -> ProfileSolution:
+    """Parse a profile CSV and its metadata sidecar; raises ParameterError
+    naming the offending line on malformed input, and naming the sidecar when
+    its ``n`` differs from its speed's."""
     path = Path(path)
     rows = []
     with open(path, newline="") as fh:
@@ -114,18 +122,20 @@ def read_profile_csv(path, metadata: Optional[dict] = None) -> ProfileSolution:
                 raise ParameterError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
         raise ParameterError(f"{path}: no samples")
-    if metadata is None:
-        side = _sidecar_path(path)
-        if not side.exists():
-            raise ParameterError(f"metadata sidecar {side} not found")
-        with open(side) as fh:
-            metadata = json.load(fh)
+    side = path.with_suffix(".meta.json")
+    if not side.exists():
+        raise ParameterError(f"metadata sidecar {side} not found")
+    with open(side) as fh:
+        metadata = json.load(fh)
+    speed = speed_from_dict(metadata["speed"])
+    if metadata["n"] != speed.n:
+        raise ParameterError(f"metadata sidecar {side}: n = {metadata['n']!r} differs from "
+                             f"its speed's n = {speed.n}")
     samples = np.asarray(rows)
     if np.any(np.diff(samples[:, 0]) <= 0.0):
         raise ParameterError(f"{path}: radii must be strictly increasing")
     return ProfileSolution(
-        n=int(metadata["n"]),
-        speed=speed_from_dict(metadata["speed"]),
+        speed=speed,
         samples=samples,
         startup_slope=float(metadata["startup_slope"]),
         startup_radius=float(metadata["startup_radius"]),

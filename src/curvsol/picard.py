@@ -82,15 +82,15 @@ def initial_iterate(n: int, R: float, m: int) -> GridFunction:
     return GridFunction(n=n, R=R, values=vals)
 
 
-def _quadrature(n: int, w: GridFunction) -> np.ndarray:
+def _quadrature(w: GridFunction) -> np.ndarray:
     """Unclamped cumulative trapezoidal quadrature of the slope equation's
     right-hand side along the grid.  The axis node uses its finite limit
     m psi(1/m), with the startup slope m = w/r at the first node clamped
     into the band's slope range."""
-    eq = slope_equation(harmonic_pairs(n))
+    eq = slope_equation(harmonic_pairs(w.n))
     r = w.nodes
     h = r[1] - r[0]
-    w4, w3 = _band(n)
+    w4, w3 = _band(w.n)
     m = min(max(w.values[1] / r[1], w4.slope), w3.slope)
     g = np.empty(w.m)
     g[0] = m * eq.psi(1.0 / m)
@@ -98,18 +98,18 @@ def _quadrature(n: int, w: GridFunction) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(0.5 * h * (g[:-1] + g[1:]))))
 
 
-def operator_T(n: int, w: GridFunction) -> tuple[GridFunction, int]:
+def operator_T(w: GridFunction) -> tuple[GridFunction, int]:
     """One application of the integral operator: cumulative quadrature via
     ``_quadrature``, then clamped nodewise into the band.  Returns the new
     grid and the number of clamped nodes."""
     r = w.nodes
-    out = _quadrature(n, w)
-    w4, w3 = _band(n)
+    out = _quadrature(w)
+    w4, w3 = _band(w.n)
     lo = np.concatenate(([0.0], w4(r[1:])))
     hi = np.concatenate(([0.0], w3(r[1:])))
     clamped = np.clip(out, lo, hi)
     events = int(np.count_nonzero(clamped != out))
-    return GridFunction(n=n, R=w.R, values=clamped), events
+    return GridFunction(n=w.n, R=w.R, values=clamped), events
 
 
 @dataclass
@@ -117,7 +117,6 @@ class PicardResult:
     grid: GridFunction
     iterations: list[dict] = field(default_factory=list)
     converged: bool = False
-    stopped_at_floor: bool = False   # stagnated at the quadrature round-off floor
 
     @property
     def contraction_ratios(self) -> list[float]:
@@ -135,7 +134,7 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     by ``lipschitz_radius``).  Raises ContractionFailureError after three
     consecutive difference ratios >= 1 at amplitudes above the round-off
     floor of the cumulative quadrature; stagnation below that floor counts
-    as convergence to the floor (flagged on the result).
+    as convergence.
     """
     if not 3 <= n <= 6:
         raise ParameterError("picard_solve requires n in 3..6")
@@ -149,7 +148,7 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     bad_streak = 0
     recent: list[float] = []
     for _ in range(max_iter):
-        w_next, events = operator_T(n, w)
+        w_next, events = operator_T(w)
         change = float(np.max(np.abs(w_next.values - w.values)))
         ratio = None if prev_change is None or prev_change == 0.0 else change / prev_change
         result.iterations.append(
@@ -165,7 +164,6 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
             recent.pop(0)
             if change <= floor and min(recent[12:]) >= 0.999 * min(recent[:12]):
                 result.converged = True
-                result.stopped_at_floor = True
                 return result
         if ratio is not None and ratio >= 1.0 and prev_change > floor:
             bad_streak += 1

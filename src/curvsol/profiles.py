@@ -158,11 +158,7 @@ class Barrier:
     """A named closed-form comparison function with its validity domain."""
 
     name: str
-    n: int
-    k: Optional[int] = None
-    a: Optional[float] = None
-    role: str = ""
-    slope: float = 0.0            # coefficient of the leading term at r = 0
+    slope: float                  # coefficient of the leading term at r = 0
     r_end: float = float("inf")   # right end of the domain
     closed_end: bool = False      # whether r_end itself is admissible
 
@@ -182,8 +178,8 @@ class Barrier:
         if self.name in ("v3", "w3"):
             c = self.slope
             return c * rr / np.sqrt(1.0 - (c * rr) ** 2)
-        # w5
-        return self.a * np.sqrt(rr) / np.sqrt(1.0 - self.a ** 2 * rr)
+        # w5, whose parameter a is its slope
+        return self.slope * np.sqrt(rr) / np.sqrt(1.0 - self.slope ** 2 * rr)
 
 
 def barrier(name: str, n: int, k: Optional[int] = None, a: Optional[float] = None) -> Barrier:
@@ -206,28 +202,27 @@ def barrier(name: str, n: int, k: Optional[int] = None, a: Optional[float] = Non
             raise ParameterError(f"barrier {name} requires 1 <= k <= n")
         c1 = (k / (n * comb(n - 1, k - 1))) ** (1.0 / k)
         if name == "v1":
-            return Barrier(name, n, k=k, role="sub", slope=c1)
+            return Barrier(name, slope=c1)
         if name == "v2":
             if not 2 <= k <= n - 1:
                 raise ParameterError(f"barrier v2 requires 2 <= k <= n-1, got k={k}, n={n}")
-            return Barrier(name, n, k=k, role="super", slope=comb(n - 1, k) ** (-1.0 / k))
-        return Barrier(name, n, k=k, role="super", slope=c1, r_end=1.0 / c1)
+            return Barrier(name, slope=comb(n - 1, k) ** (-1.0 / k))
+        return Barrier(name, slope=c1, r_end=1.0 / c1)
     c1 = (n * n + n + 2) / 8.0
     if name == "w1":
-        return Barrier(name, n, role="sub", slope=c1)
+        return Barrier(name, slope=c1)
     if name == "w2":
         c2 = (n * n + 5 * n + 2) / 12.0
-        return Barrier(name, n, role="super", slope=c2, r_end=1.0 / c2, closed_end=True)
+        return Barrier(name, slope=c2, r_end=1.0 / c2, closed_end=True)
     if name == "w3":
-        return Barrier(name, n, role="super", slope=c1, r_end=1.0 / c1)
+        return Barrier(name, slope=c1, r_end=1.0 / c1)
     if name == "w4":
         m4 = sqrt(n ** 4 - 4 * n ** 3 + 7 * n * n - 8 * n + 4) / (2.0 * sqrt(6.0))
-        return Barrier(name, n, role="sub", slope=m4)
+        return Barrier(name, slope=m4)
     aa = sqrt(c1) if a is None else float(a)
     if not aa > 0.0:
         raise ParameterError("barrier w5 requires a > 0")
-    role = "super" if 2.0 * aa * aa >= n else "comparison"
-    return Barrier(name, n, a=aa, role=role, slope=aa, r_end=1.0 / aa ** 2)
+    return Barrier(name, slope=aa, r_end=1.0 / aa ** 2)
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +234,6 @@ class ProfileSolution:
     """A sampled radial profile: rows of (r, u, u', u'') at the accepted
     integration nodes, plus startup and termination metadata."""
 
-    n: int
     speed: SpeedSpec
     samples: np.ndarray
     startup_slope: float
@@ -247,6 +241,10 @@ class ProfileSolution:
     blowup_radius: Optional[float]
     status: str
     tolerances: dict = field(default_factory=dict)
+
+    @property
+    def n(self) -> int:
+        return self.speed.n
 
     @property
     def r(self) -> np.ndarray:
@@ -326,7 +324,6 @@ def integrate_profile(spec: SpeedSpec,
             break
 
     return ProfileSolution(
-        n=spec.n,
         speed=spec,
         samples=np.array(rows),
         startup_slope=c,

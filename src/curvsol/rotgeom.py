@@ -1,5 +1,6 @@
 """Principal curvatures and soliton residual for rotationally symmetric
-graphs and for cylindrical-type surfaces of revolution."""
+graphs and for cylindrical-type surfaces of revolution, and the curvature
+table of a sampled profile (``profile_geometry``)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .speeds import SpeedSpec, eval_speed
+from .profiles import ProfileSolution
+from .speeds import SpeedSpec, eval_speed, speed_values
 
 __all__ = [
     "RadialJet",
@@ -17,6 +19,8 @@ __all__ = [
     "cylinder_curvatures",
     "tilt",
     "soliton_residual",
+    "ProfileGeometry",
+    "profile_geometry",
 ]
 
 
@@ -85,3 +89,23 @@ def soliton_residual(spec: SpeedSpec, lam, normal_component: float) -> float:
     vanishes exactly on translating solitons.  Raises DomainError outside the
     speed's cone."""
     return eval_speed(spec, lam) - normal_component
+
+
+@dataclass(frozen=True)
+class ProfileGeometry:
+    """The curvature table of a profile, one row per sample."""
+
+    lam: np.ndarray               # (m, n) principal curvatures
+    gamma: np.ndarray             # speed value, NaN outside the speed's cone
+    tilt: np.ndarray              # <nu, e_{n+1}> = 1/sqrt(1+u'^2)
+    H: np.ndarray
+    residual: np.ndarray          # soliton residual gamma - tilt
+
+
+def profile_geometry(profile: ProfileSolution) -> ProfileGeometry:
+    """Curvatures, speed, tilt and soliton residual at every sample."""
+    r, u, du, ddu = profile.samples.T
+    lam = graph_curvatures(RadialJet(r=r, u=u, du=du, ddu=ddu), profile.n)
+    gamma, nu = speed_values(profile.speed, lam), tilt(du)
+    return ProfileGeometry(lam=lam, gamma=gamma, tilt=nu, H=np.sum(lam, axis=1),
+                           residual=gamma - nu)

@@ -27,8 +27,7 @@ def _f(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def render_chart(series: list[Series], title: str = "", x_label: str = "",
-                 y_label: str = "") -> str:
+def render_chart(series: list[Series], title: str, x_label: str, y_label: str) -> str:
     """Standalone SVG document with axes, tick labels, one polyline per
     series and a legend."""
     if not series or all(len(s.x) == 0 for s in series):
@@ -59,10 +58,9 @@ def render_chart(series: list[Series], title: str = "", x_label: str = "",
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="black" stroke-width="1"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="18" font-family="monospace" '
+        f'font-size="13" text-anchor="middle">{title}</text>',
     ]
-    if title:
-        parts.append(f'<text x="{_WIDTH / 2:.1f}" y="18" font-family="monospace" '
-                     f'font-size="13" text-anchor="middle">{title}</text>')
     for t in np.linspace(x0, x1, 6):
         x = px(t)
         parts.append(f'<line x1="{x:.2f}" y1="{mt + ph}" x2="{x:.2f}" y2="{mt + ph + 4}" '
@@ -75,13 +73,11 @@ def render_chart(series: list[Series], title: str = "", x_label: str = "",
                      f'stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{ml - 6}" y="{y + 3:.2f}" font-family="monospace" '
                      f'font-size="10" text-anchor="end">{_f(t)}</text>')
-    if x_label:
-        parts.append(f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 8}" font-family="monospace" '
-                     f'font-size="11" text-anchor="middle">{x_label}</text>')
-    if y_label:
-        parts.append(f'<text x="14" y="{mt + ph / 2:.1f}" font-family="monospace" '
-                     f'font-size="11" text-anchor="middle" '
-                     f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{y_label}</text>')
+    parts.append(f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 8}" font-family="monospace" '
+                 f'font-size="11" text-anchor="middle">{x_label}</text>')
+    parts.append(f'<text x="14" y="{mt + ph / 2:.1f}" font-family="monospace" '
+                 f'font-size="11" text-anchor="middle" '
+                 f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{y_label}</text>')
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(s.x, s.y))

@@ -2,7 +2,7 @@
 orderings, the pointwise convexity estimate lambda_1 >= H - alpha*gamma,
 cylindrical-type sign conditions, and sampled derivative-pinching
 constants.  The profile checks read one curvature table per profile,
-``profile_geometry``, built from arrays."""
+``rotgeom.profile_geometry``, built from arrays."""
 
 from __future__ import annotations
 
@@ -15,14 +15,12 @@ from .cones import ConeSpec, cone_mask, gamma_alpha_delta, uniform_two_convex, u
 from .errors import DomainError, ParameterError
 from .profiles import (ProfileSolution, barrier, closed_form_cyl,
                        solve_cyl_profile)
-from .rotgeom import CylJet, RadialJet, cylinder_curvatures, graph_curvatures, tilt
+from .rotgeom import CylJet, cylinder_curvatures, profile_geometry
 from .speeds import (SpeedSpec, harmonic_pairs, hessian_quadratic_forms, speed_derivatives,
-                     speed_values, support_margins, support_violation)
+                     support_margins, support_violation)
 
 __all__ = [
     "CheckEntry",
-    "ProfileGeometry",
-    "profile_geometry",
     "VerificationReport",
     "check_soliton",
     "check_convexity_estimate",
@@ -63,24 +61,6 @@ class VerificationReport:
         return {"profile": self.context, "checks": [c.to_dict() for c in self.checks]}
 
 
-@dataclass(frozen=True)
-class ProfileGeometry:
-    """The curvature table of a profile, one row per sample."""
-
-    lam: np.ndarray               # (m, n) principal curvatures
-    gamma: np.ndarray             # speed value, NaN outside the speed's cone
-    tilt: np.ndarray              # <nu, e_{n+1}> = 1/sqrt(1+u'^2)
-    H: np.ndarray
-
-
-def profile_geometry(profile: ProfileSolution) -> ProfileGeometry:
-    """Curvatures, speed and tilt at every sample."""
-    r, u, du, ddu = profile.samples.T
-    lam = graph_curvatures(RadialJet(r=r, u=u, du=du, ddu=ddu), profile.n)
-    return ProfileGeometry(lam=lam, gamma=speed_values(profile.speed, lam), tilt=tilt(du),
-                           H=np.sum(lam, axis=1))
-
-
 def check_soliton(profile: ProfileSolution, tol: float) -> CheckEntry:
     """Maximum absolute soliton residual gamma(lambda) - <nu, e_{n+1}> over
     the samples; a sample with curvatures outside the speed's cone fails
@@ -96,7 +76,7 @@ def check_soliton(profile: ProfileSolution, tol: float) -> CheckEntry:
                           witness={"r": profile.r[i], "lambda": geo.lam[i].tolist()},
                           detail="curvatures left the cone: "
                                  + support_violation(profile.speed, geo.lam[i]))
-    res = np.abs(geo.gamma - geo.tilt)
+    res = np.abs(geo.residual)
     i = int(np.argmax(res))
     worst = float(res[i])
     witness = {"r": profile.r[i], "residual": worst} if worst > 0.0 else None
@@ -109,6 +89,7 @@ def fit_convexity_params(profile: ProfileSolution, delta: float = 0.05) -> tuple
     """Fit (alpha, beta) from the profile with safety factors so that the
     pinching and uniform-2-convexity hypotheses hold at every sample; a
     profile with a pair sum <= 0 where H > 0 is not uniformly 2-convex."""
+    gamma_alpha_delta(1.0, delta, profile.speed)     # rejects delta <= 0 before the fit
     geo = profile_geometry(profile)
     ((_, ps),) = support_margins(harmonic_pairs(profile.n), geo.lam)
     inside = ~np.isnan(geo.gamma)
@@ -159,10 +140,11 @@ def _relative_excess(bound: np.ndarray, value: np.ndarray) -> tuple[float, int]:
     return max(0.0, float(excess[i])), i
 
 
-def check_barriers(profile: ProfileSolution, tol: float = 1e-9) -> list[CheckEntry]:
+def check_barriers(profile: ProfileSolution) -> list[CheckEntry]:
     """Pointwise sub/super-solution orderings for the profile's barrier
     family, each reported as its own entry."""
     r, du, n = profile.r, profile.du, profile.n
+    tol = 1e-9                    # on the relative excess
 
     def ordering(name: str, b, mask=slice(None)) -> CheckEntry:
         """du below (``du_below_*``) or above barrier ``b`` on ``mask``."""

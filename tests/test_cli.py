@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import curvsol
-from curvsol import harmonic_pairs, product, quotient, sigma_k_root
+from curvsol import barrier, harmonic_pairs, product, quotient, sigma_k_root
 from curvsol.cli import _speed_from_flags, main
 
 
@@ -97,8 +98,10 @@ class TestVerify:
         assert run(["verify", "convexity", "--profile", sigma2_csv, flag, "foo"]) == 2
         assert capsys.readouterr().err == f"error: {flag}: expected float, got 'foo'\n"
 
+    # --alpha defaults to auto, so the --delta cases fit alpha from the profile
     @pytest.mark.parametrize("flag, value", [("--alpha", "-1"), ("--beta", "1.5"),
-                                             ("--delta", "0"), ("--beta", "-0.2")])
+                                             ("--delta", "0"), ("--delta", "-1"),
+                                             ("--delta", "-2"), ("--beta", "-0.2")])
     def test_hypothesis_outside_the_papers_range_is_usage_error(self, flag, value,
                                                                 sigma2_csv, tmp_path, capsys):
         out = tmp_path / "c.json"
@@ -202,6 +205,22 @@ def test_import_leaves_scipy_unloaded():
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
+@pytest.mark.parametrize("which", ["soliton", "barriers", "convexity", "plot"])
+def test_sidecar_n_disagreeing_with_its_speed_is_input_error(which, tmp_path, capsys):
+    csv, fig = tmp_path / "hm3.csv", tmp_path / "fig.svg"
+    assert run(["solve", "--speed", "harmonic", "--n", 3, "--rmax", 0.45, "--out", csv]) == 0
+    side = tmp_path / "hm3.meta.json"
+    side.write_text(json.dumps({**json.loads(side.read_text()), "n": 5}))
+    capsys.readouterr()
+    argv = (["plot", "--in", csv, "--barriers", "w1,w3", "--out", fig] if which == "plot"
+            else ["verify", which, "--profile", csv])
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not fig.exists()
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(side) in err[0]
+
+
 class TestBarriersCmd:
     def test_table(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -211,6 +230,26 @@ class TestBarriersCmd:
         lines = out.read_text().splitlines()
         assert lines[0] == "r,w3,w5"
         assert len(lines) == 51
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_table_equals_pointwise_evaluation(self, n, tmp_path, capsys):
+        # the table evaluates each barrier on the whole radius array; every
+        # entry must equal the barrier evaluated at that radius alone
+        cases = [(name, k) for name in ("v1", "v2", "v3") for k in range(1, n + 1)
+                 if name != "v2" or 2 <= k <= n - 1]
+        cases += [(name, None) for name in ("w1", "w2", "w3", "w4", "w5") if n >= 3]
+        for name, k in cases:
+            b = barrier(name, n, k=k)
+            r = np.linspace(0.0, min(1.0, b.r_end * (1.0 - 1e-9)), 200)
+            expected = f"r,{name}\n" + "".join(
+                f'{format(ri, ".17g")},{format(b(float(ri)), ".17g")}\n' for ri in r)
+            flags = ["barriers", "--names", name, "--n", n] + (["--k", k] if k else [])
+            out = tmp_path / f"{name}_{k}.csv"
+            assert run([*flags, "--out", out]) == 0
+            assert out.read_text() == expected, (name, k)
+            capsys.readouterr()
+            assert run(flags) == 0
+            assert capsys.readouterr().out == expected, (name, k)
 
     def test_unknown_name_is_usage_error(self, tmp_path, capsys):
         assert run(["barriers", "--names", "w3,w9", "--n", 3, "--out", tmp_path / "w.csv"]) == 2
@@ -273,6 +312,14 @@ class TestConfig:
         from curvsol.io import read_profile_csv
         prof = read_profile_csv(out)
         assert prof.r[-1] == pytest.approx(0.4)     # config-supplied rmax
+
+    def test_config_equals_form(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rmax": 0.4}))
+        out = tmp_path / "c.csv"
+        assert run([f"--config={cfg}", "solve", "--speed", "harmonic", "--n", 3,
+                    "--out", out]) == 0
+        assert out.read_text().splitlines()[-1].split(",")[0] == "0.40000000000000002"
 
     def test_config_without_value_is_usage_error(self, capsys):
         assert run(["props", "--speed", "harmonic", "--n", 3, "--config"]) == 2

@@ -101,8 +101,8 @@ def _cones(n: int) -> list:
     uniform 2-convexity."""
     return [gamma_k(k, n) for k in range(1, n + 1)] + [
         two_convex(n),
-        ConeSpec(kind="support", n=n, speed=quotient(2, 1, n)),
-        ConeSpec(kind="support", n=n, speed=product([sigma_k_root(2, n), harmonic_pairs(n)],
+        ConeSpec(kind="support", speed=quotient(2, 1, n)),
+        ConeSpec(kind="support", speed=product([sigma_k_root(2, n), harmonic_pairs(n)],
                                                      [0.5, 0.5])),
         _pinching(harmonic_pairs(n), 0.1),
         _pinching(sigma_k_root(2, n), 0.2),
@@ -138,8 +138,7 @@ class TestConeMask:
         lambda: gamma_alpha_delta(float("nan"), 0.1, harmonic_pairs(3)),
         lambda: uniform_two_convex(1.5, 3),
         lambda: uniform_two_convex(-0.2, 3),
-        lambda: ConeSpec(kind="support", n=4, speed=harmonic_pairs(3)),
-        lambda: ConeSpec(kind="gamma_k", n=3),
+        lambda: ConeSpec(kind="gamma_k", speed=harmonic_pairs(3)),
     ])
     def test_invalid_cone_parameters_rejected(self, make):
         with pytest.raises(ParameterError):

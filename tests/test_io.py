@@ -5,7 +5,7 @@ import pytest
 
 from curvsol import ParameterError, harmonic_pairs, integrate_profile, sigma_k_root
 from curvsol.io import (derived_columns, read_profile_csv, speed_from_dict,
-                        speed_to_dict, write_profile_csv)
+                        speed_to_dict, write_profile_csv, write_table)
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +66,13 @@ def test_write_is_deterministic(tmp_path, profile):
     write_profile_csv(b, profile)
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.meta.json").read_bytes() == (tmp_path / "b.meta.json").read_bytes()
+
+
+def test_write_table_bytes(tmp_path, capsys):
+    values = [float("nan"), float("inf"), -0.0, 1.0 / 3.0]
+    expected = "x,y\n" + "".join(f'{format(v, ".17g")},{format(-v, ".17g")}\n' for v in values)
+    path = tmp_path / "t.csv"
+    write_table(path, ("x", "y"), (np.array(values), -np.array(values)))
+    assert path.read_bytes() == expected.encode()
+    write_table(None, ("x", "y"), (np.array(values), -np.array(values)))
+    assert capsys.readouterr().out == expected

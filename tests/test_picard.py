@@ -60,7 +60,7 @@ class TestOperatorT:
         # the operator returns c r + c^3 r^3 / 3 exactly up to trapezoid error
         n, R, m = 3, 0.1, 4097
         w = barrier_grid("w1", n, R, m)
-        out, _events = operator_T(n, w)
+        out, _events = operator_T(w)
         c = 7.0 / 4.0
         r = w.nodes
         exact = c * r + c ** 3 * r ** 3 / 3.0
@@ -70,7 +70,7 @@ class TestOperatorT:
     def test_degenerate_two_node_grid(self):
         R = 1e-8
         w = barrier_grid("w1", 4, R, 2)
-        out, _ = operator_T(4, w)
+        out, _ = operator_T(w)
         assert out.values[1] == pytest.approx(w.values[1], rel=1e-6)
 
     def test_maps_lower_barrier_up(self):
@@ -78,10 +78,10 @@ class TestOperatorT:
         # (it overshoots the band's top near the axis, which the clamp absorbs)
         n, R, m = 3, 0.3, 513
         w4_grid = barrier_grid("w4", n, R, m)
-        raw = _quadrature(n, w4_grid)
+        raw = _quadrature(w4_grid)
         w4 = barrier("w4", n)
         assert np.all(raw[1:] >= w4(w4_grid.nodes[1:]))
-        _out, events = operator_T(n, w4_grid)
+        _out, events = operator_T(w4_grid)
         assert events > 0
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -90,7 +90,7 @@ class TestOperatorT:
         # it evaluates every barrier inside its domain
         R = domain_radius(n)
         assert R == barrier("w2", n).r_end
-        out, _events = operator_T(n, initial_iterate(n, R, 64))
+        out, _events = operator_T(initial_iterate(n, R, 64))
         assert out.nodes[-1] == R
 
     def test_x_violation_error(self):
@@ -99,7 +99,7 @@ class TestOperatorT:
         grid = GridFunction(n=3, R=0.3, values=vals)
         object.__setattr__(grid, "values", np.concatenate(([0.0], 0.4 * r[1:])))
         with pytest.raises(DomainError, match="admissible cone"):
-            _quadrature(3, grid)
+            _quadrature(grid)
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +162,7 @@ class TestPicardSolve:
         b = GridFunction(n=3, R=0.3, values=a.values + bump)
         state = {"flip": False}
 
-        def fake_T(n, w):
+        def fake_T(w):
             state["flip"] = not state["flip"]
             return (b if state["flip"] else a), 0
 

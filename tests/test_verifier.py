@@ -107,7 +107,7 @@ class TestConvexityEstimate:
         # pair sum -0.2 lambda_2 is negative: no beta in (0,1) fits
         r = np.linspace(0.01, 1.0, 40)
         samples = np.column_stack((r, 0.5 * r * r, r, -1.2 * (1.0 + r * r)))
-        profile = ProfileSolution(n=5, speed=sigma_k_root(2, 5), samples=samples,
+        profile = ProfileSolution(speed=sigma_k_root(2, 5), samples=samples,
                                   startup_slope=1.0, startup_radius=0.01,
                                   blowup_radius=None, status="completed")
         with pytest.raises(DomainError, match="not uniformly 2-convex"):
@@ -121,7 +121,7 @@ class TestConvexityEstimate:
         # estimate lambda_1 >= H - alpha gamma needs alpha >= 6.71
         r = np.linspace(0.01, 1.0, 40)
         samples = np.column_stack((r, 0.5 * r * r, r, -0.3 * (1.0 + r * r)))
-        profile = ProfileSolution(n=3, speed=harmonic_pairs(3), samples=samples,
+        profile = ProfileSolution(speed=harmonic_pairs(3), samples=samples,
                                   startup_slope=1.0, startup_radius=0.01,
                                   blowup_radius=None, status="completed")
         entry = check_convexity_estimate(profile, alpha, 0.05, 0.3)
