@@ -121,6 +121,8 @@ def _cmd_props(args) -> int:
 
 
 def _cmd_barriers(args) -> int:
+    if args.count < 1:
+        raise ParameterError(f"--count must be >= 1, got {args.count}")
     names = [t.strip() for t in args.names.split(",")]
     bars = [barrier(name, args.n, k=args.k, a=args.a) for name in names]
     r_hi = min([args.rmax] + [b.r_end * (1.0 - 1e-9) for b in bars])

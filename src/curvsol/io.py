@@ -103,7 +103,7 @@ def write_profile_csv(path, profile: ProfileSolution) -> Path:
 def read_profile_csv(path) -> ProfileSolution:
     """Parse a profile CSV and its metadata sidecar; raises ParameterError
     naming the offending line on malformed input, and naming the sidecar when
-    its ``n`` differs from its speed's."""
+    it is not JSON, lacks a key or its ``n`` differs from its speed's."""
     path = Path(path)
     rows = []
     with open(path, newline="") as fh:
@@ -126,21 +126,27 @@ def read_profile_csv(path) -> ProfileSolution:
     if not side.exists():
         raise ParameterError(f"metadata sidecar {side} not found")
     with open(side) as fh:
-        metadata = json.load(fh)
-    speed = speed_from_dict(metadata["speed"])
-    if metadata["n"] != speed.n:
-        raise ParameterError(f"metadata sidecar {side}: n = {metadata['n']!r} differs from "
-                             f"its speed's n = {speed.n}")
+        try:
+            metadata = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"metadata sidecar {side}: {exc}") from None
     samples = np.asarray(rows)
     if np.any(np.diff(samples[:, 0]) <= 0.0):
         raise ParameterError(f"{path}: radii must be strictly increasing")
-    return ProfileSolution(
-        speed=speed,
-        samples=samples,
-        startup_slope=float(metadata["startup_slope"]),
-        startup_radius=float(metadata["startup_radius"]),
-        blowup_radius=(None if metadata.get("blowup_radius") is None
-                       else float(metadata["blowup_radius"])),
-        status=str(metadata["status"]),
-        tolerances=dict(metadata.get("tolerances", {})),
-    )
+    try:
+        speed = speed_from_dict(metadata["speed"])
+        if metadata["n"] != speed.n:
+            raise ParameterError(f"metadata sidecar {side}: n = {metadata['n']!r} differs from "
+                                 f"its speed's n = {speed.n}")
+        return ProfileSolution(
+            speed=speed,
+            samples=samples,
+            startup_slope=float(metadata["startup_slope"]),
+            startup_radius=float(metadata["startup_radius"]),
+            blowup_radius=(None if metadata.get("blowup_radius") is None
+                           else float(metadata["blowup_radius"])),
+            status=str(metadata["status"]),
+            tolerances=dict(metadata.get("tolerances", {})),
+        )
+    except KeyError as exc:
+        raise ParameterError(f"metadata sidecar {side}: missing key {exc.args[0]!r}") from None

@@ -5,13 +5,14 @@ estimate."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContractionFailureError, DomainError, ParameterError
-from .profiles import Barrier, barrier, slope_equation
+from .profiles import Barrier, SlopeEquation, barrier, slope_equation
 from .speeds import harmonic_pairs
 
 __all__ = [
@@ -38,6 +39,32 @@ def _band(n: int) -> tuple[Barrier, Barrier]:
 
 
 @dataclass(frozen=True)
+class _Grid:
+    """What depends only on (n, R, m): the nodes, the band edges pinned to 0
+    at the axis, the band check's slack, the band's slope range and the
+    harmonic slope equation.  Built once with each grid function made from
+    scratch and shared by every iterate the operator derives from it."""
+
+    r: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    slack: np.ndarray
+    slopes: tuple[float, float]
+    eq: SlopeEquation
+
+
+def _grid(n: int, R: float, m: int) -> _Grid:
+    r = np.linspace(0.0, R, m)
+    w4, w3 = _band(n)
+    lo = np.concatenate(([0.0], w4(r[1:])))
+    hi = np.concatenate(([0.0], w3(r[1:])))
+    for a in (r, lo, hi):
+        a.flags.writeable = False
+    return _Grid(r=r, lo=lo, hi=hi, slack=_X_SLACK * np.maximum(1.0, np.abs(hi[1:])),
+                 slopes=(w4.slope, w3.slope), eq=slope_equation(harmonic_pairs(n)))
+
+
+@dataclass(frozen=True)
 class GridFunction:
     """A continuous candidate slope on [0, R], sampled at m uniform nodes,
     pinned to 0 at the axis and confined to the barrier band [w4, w3]."""
@@ -45,6 +72,7 @@ class GridFunction:
     n: int
     R: float
     values: np.ndarray
+    _grid: _Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -53,15 +81,25 @@ class GridFunction:
             raise ParameterError("GridFunction needs at least two nodes")
         if vals[0] != 0.0:
             raise ParameterError("GridFunction must vanish at r = 0")
-        lo, hi = _band(self.n)
-        r = self.nodes[1:]
-        wlo, whi = lo(r), hi(r)
-        slack = _X_SLACK * np.maximum(1.0, np.abs(whi))
-        if np.any(vals[1:] < wlo - slack) or np.any(vals[1:] > whi + slack):
-            bad = int(np.argmax((vals[1:] < wlo - slack) | (vals[1:] > whi + slack))) + 1
+        object.__setattr__(self, "_grid", _grid(self.n, self.R, vals.size))
+        self._check_band()
+
+    def _check_band(self) -> None:
+        vals, grid = self.values, self._grid
+        outside = (vals[1:] < grid.lo[1:] - grid.slack) | (vals[1:] > grid.hi[1:] + grid.slack)
+        if np.any(outside):
+            bad = int(np.argmax(outside)) + 1
             raise ParameterError(
-                f"grid value {vals[bad]:.12g} at r={self.nodes[bad]:.12g} outside "
-                f"the band [{lo(self.nodes[bad]):.12g}, {hi(self.nodes[bad]):.12g}]")
+                f"grid value {vals[bad]:.12g} at r={grid.r[bad]:.12g} outside "
+                f"the band [{grid.lo[bad]:.12g}, {grid.hi[bad]:.12g}]")
+
+    def _with_values(self, values: np.ndarray) -> GridFunction:
+        """The grid function with ``values`` (0 at the axis) on this grid,
+        band-checked against the constants this one already holds."""
+        out = copy.copy(self)
+        object.__setattr__(out, "values", values)
+        out._check_band()
+        return out
 
     @property
     def m(self) -> int:
@@ -69,7 +107,7 @@ class GridFunction:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.R, self.values.size)
+        return self._grid.r
 
 
 def initial_iterate(n: int, R: float, m: int) -> GridFunction:
@@ -87,11 +125,10 @@ def _quadrature(w: GridFunction) -> np.ndarray:
     right-hand side along the grid.  The axis node uses its finite limit
     m psi(1/m), with the startup slope m = w/r at the first node clamped
     into the band's slope range."""
-    eq = slope_equation(harmonic_pairs(w.n))
-    r = w.nodes
+    grid = w._grid
+    r, eq = grid.r, grid.eq
     h = r[1] - r[0]
-    w4, w3 = _band(w.n)
-    m = min(max(w.values[1] / r[1], w4.slope), w3.slope)
+    m = min(max(w.values[1] / r[1], grid.slopes[0]), grid.slopes[1])
     g = np.empty(w.m)
     g[0] = m * eq.psi(1.0 / m)
     g[1:] = eq.rhs(r[1:], w.values[1:])
@@ -101,15 +138,12 @@ def _quadrature(w: GridFunction) -> np.ndarray:
 def operator_T(w: GridFunction) -> tuple[GridFunction, int]:
     """One application of the integral operator: cumulative quadrature via
     ``_quadrature``, then clamped nodewise into the band.  Returns the new
-    grid and the number of clamped nodes."""
-    r = w.nodes
+    grid, which shares ``w``'s grid constants, and the number of clamped
+    nodes."""
     out = _quadrature(w)
-    w4, w3 = _band(w.n)
-    lo = np.concatenate(([0.0], w4(r[1:])))
-    hi = np.concatenate(([0.0], w3(r[1:])))
-    clamped = np.clip(out, lo, hi)
+    clamped = np.clip(out, w._grid.lo, w._grid.hi)
     events = int(np.count_nonzero(clamped != out))
-    return GridFunction(n=w.n, R=w.R, values=clamped), events
+    return w._with_values(clamped), events
 
 
 @dataclass
@@ -135,6 +169,10 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     consecutive difference ratios >= 1 at amplitudes above the round-off
     floor of the cumulative quadrature; stagnation below that floor counts
     as convergence.
+
+    The grid's constants (nodes, band edges, slack, slope range and slope
+    equation) are built once per solve, with the initial iterate, and every
+    iterate shares them.
     """
     if not 3 <= n <= 6:
         raise ParameterError("picard_solve requires n in 3..6")
@@ -170,7 +208,8 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
             if bad_streak >= 3:
                 raise ContractionFailureError(
                     f"difference ratio >= 1 for 3 consecutive iterations at R={R}; "
-                    f"retry with a smaller R")
+                    f"the iteration cycles near the axis, where a smaller R only "
+                    f"shrinks the cycle")
         else:
             bad_streak = 0
         prev_change = change

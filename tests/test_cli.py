@@ -221,6 +221,32 @@ def test_sidecar_n_disagreeing_with_its_speed_is_input_error(which, tmp_path, ca
     assert len(err) == 1 and err[0].startswith("error: ") and str(side) in err[0]
 
 
+@pytest.mark.parametrize("key", ["startup_slope", "status", "speed", "n"])
+def test_sidecar_missing_a_key_is_input_error(key, tmp_path, capsys):
+    csv = tmp_path / "hm3.csv"
+    assert run(["solve", "--speed", "harmonic", "--n", 3, "--rmax", 0.45, "--out", csv]) == 0
+    side = tmp_path / "hm3.meta.json"
+    metadata = json.loads(side.read_text())
+    del metadata[key]
+    side.write_text(json.dumps(metadata))
+    capsys.readouterr()
+    assert run(["verify", "soliton", "--profile", csv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: metadata sidecar {side}: missing key {key!r}\n"
+
+
+def test_sidecar_that_is_not_json_is_input_error(tmp_path, capsys):
+    csv = tmp_path / "hm3.csv"
+    assert run(["solve", "--speed", "harmonic", "--n", 3, "--rmax", 0.45, "--out", csv]) == 0
+    side = tmp_path / "hm3.meta.json"
+    side.write_text('{"n": 3,\n')
+    capsys.readouterr()
+    assert run(["verify", "soliton", "--profile", csv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: metadata sidecar {side}: ")
+
+
 class TestBarriersCmd:
     def test_table(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -255,6 +281,19 @@ class TestBarriersCmd:
         assert run(["barriers", "--names", "w3,w9", "--n", 3, "--out", tmp_path / "w.csv"]) == 2
         assert "w9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_is_usage_error(self, count, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert run(["barriers", "--names", "w3", "--n", 3, "--count", count, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: --count must be >= 1, got {count}\n"
+        assert not out.exists()
+
+    def test_count_one_is_the_left_end(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert run(["barriers", "--names", "w3", "--n", 3, "--rmin", 0.25, "--count", 1,
+                    "--out", out]) == 0
+        assert out.read_text() == "r,w3\n0.25,%.17g\n" % barrier("w3", 3)(0.25)
+
 
 class TestPicardCmd:
     def test_converged_log(self, tmp_path):
@@ -266,6 +305,16 @@ class TestPicardCmd:
         assert payload["fixed_point_csv_path"].endswith(".csv")
         assert all(it["contraction_ratio"] is None or it["contraction_ratio"] < 1.0
                    for it in payload["iterations"])
+
+    def test_contraction_failure_names_the_axis_cycle(self, tmp_path, capsys):
+        # n = 4 cycles near the axis at every radius; the message must not
+        # advise a smaller R
+        out = tmp_path / "picard.json"
+        assert run(["picard", "--n", 4, "--grid", 256, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: difference ratio >= 1 for 3 consecutive iterations")
+        assert "cycles near the axis" in err and "retry" not in err
+        assert not out.exists()
 
 
 class TestPlot:

@@ -171,6 +171,93 @@ class TestPicardSolve:
             pic.picard_solve(3, 0.3, 64, tol=1e-15, max_iter=50)
 
 
+def _operator_T_fresh(w: GridFunction) -> tuple[np.ndarray, int]:
+    """Reference: one operator step whose nodes, band edges, slope range and
+    slope equation come from fresh ``np.linspace``, ``barrier`` and
+    ``slope_equation`` calls."""
+    eq = slope_equation(harmonic_pairs(w.n))
+    r = np.linspace(0.0, w.R, w.m)
+    h = r[1] - r[0]
+    w4, w3 = barrier("w4", w.n), barrier("w3", w.n)
+    m = min(max(w.values[1] / r[1], w4.slope), w3.slope)
+    g = np.empty(w.m)
+    g[0] = m * eq.psi(1.0 / m)
+    g[1:] = eq.rhs(r[1:], w.values[1:])
+    out = np.concatenate(([0.0], np.cumsum(0.5 * h * (g[:-1] + g[1:]))))
+    lo = np.concatenate(([0.0], w4(r[1:])))
+    hi = np.concatenate(([0.0], w3(r[1:])))
+    clamped = np.clip(out, lo, hi)
+    return clamped, int(np.count_nonzero(clamped != out))
+
+
+class TestGridConstantsOncePerSolve:
+    @staticmethod
+    def _count_barrier_calls(monkeypatch):
+        import curvsol.picard as pic
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return barrier(*args, **kwargs)
+
+        monkeypatch.setattr(pic, "barrier", counting)
+        return calls
+
+    def test_barrier_calls_do_not_grow_with_iterations(self, monkeypatch):
+        calls = self._count_barrier_calls(monkeypatch)
+        counts = {}
+        for max_iter in (1, 3, 400):
+            calls.clear()
+            result = picard_solve(3, 0.3, 256, max_iter=max_iter)
+            counts[len(result.iterations)] = len(calls)
+        assert min(counts) == 1 and max(counts) > 20
+        assert len(set(counts.values())) == 1, counts
+
+    def test_identical_solves_make_identical_calls(self, monkeypatch):
+        calls = self._count_barrier_calls(monkeypatch)
+        first = picard_solve(3, 0.3, 256)
+        made = list(calls)
+        calls.clear()
+        second = picard_solve(3, 0.3, 256)
+        assert calls == made
+        assert first.iterations == second.iterations
+        np.testing.assert_array_equal(first.grid.values, second.grid.values)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_operator_equals_fresh_constants_bitwise(self, n):
+        R = min(domain_radius(n), lipschitz_radius(n)[1])
+        w = initial_iterate(n, R, 257)
+        for _ in range(3):
+            ref, ref_events = _operator_T_fresh(w)
+            out, events = operator_T(w)
+            assert events == ref_events
+            np.testing.assert_array_equal(out.values, ref)
+            np.testing.assert_array_equal(out.nodes, np.linspace(0.0, R, 257))
+            w = out
+
+    def test_iterates_share_read_only_constants(self):
+        w = initial_iterate(3, 0.3, 64)
+        out, _ = operator_T(w)
+        assert out.nodes is w.nodes
+        with pytest.raises(ValueError):
+            out.nodes[1] = 0.5
+
+    def test_band_check_text_from_the_shared_constants(self):
+        # the message reports the first offending node and the band's edges
+        # there, for a grid made from scratch and for one derived from it
+        r = np.linspace(0.0, 0.3, 8)
+        vals = 3.0 * r
+        w4, w3 = barrier("w4", 3), barrier("w3", 3)
+        text = (f"grid value {vals[1]:.12g} at r={r[1]:.12g} outside "
+                f"the band [{w4(r[1]):.12g}, {w3(r[1]):.12g}]")
+        with pytest.raises(ParameterError) as exc:
+            GridFunction(n=3, R=0.3, values=vals)
+        assert str(exc.value) == text
+        with pytest.raises(ParameterError) as exc:
+            initial_iterate(3, 0.3, 8)._with_values(vals)
+        assert str(exc.value) == text
+
+
 def _lipschitz_radius_loop(n: int, samples: int, seed: int) -> tuple[float, float]:
     """Reference: ``lipschitz_radius`` one sample at a time on Python floats."""
     rng = np.random.default_rng(seed)
