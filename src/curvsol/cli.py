@@ -76,6 +76,8 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     report = VerificationReport()
     if args.which == "cylinder":
+        if args.samples < 1:
+            raise ParameterError(f"--samples must be >= 1, got {args.samples}")
         z = np.linspace(args.zmin, args.zmax, args.samples)
         report.context = {"surface": "cylindrical-type", "a": 0.0}
         report.add(check_sigma2_cylinder(z, tol=args.tol))
@@ -269,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_barriers)
 
-    p = sub.add_parser("picard", help="fixed point of the integral operator")
+    p = sub.add_parser("picard", help="fixed point of the integral operator by Newton's method")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--R", type=float, help="default: min(band radius, contraction radius)")
     p.add_argument("--grid", type=int, default=2049)

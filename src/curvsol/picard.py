@@ -1,7 +1,13 @@
 """Integral-operator reformulation of the harmonic profile equation:
 cumulative quadrature of the slope equation's right-hand side on a uniform
-grid, barrier-clamped Picard iteration, and an empirical contraction-radius
-estimate."""
+grid, the band clamp that makes it the paper's operator T, Newton on the
+paper's operator T for its fixed point, and an empirical contraction-radius
+estimate.
+
+Each solver iteration logs ``sup_change`` = max|T(w) - w| at the iterate w,
+``contraction_ratio`` = sup_change over the previous iteration's (None on
+the first) and ``clamp_events``, the number of nodes the band clamp moves
+in T(w)."""
 
 from __future__ import annotations
 
@@ -135,15 +141,46 @@ def _quadrature(w: GridFunction) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(0.5 * h * (g[:-1] + g[1:]))))
 
 
+def _clamp(w: GridFunction, values: np.ndarray) -> tuple[GridFunction, int]:
+    """``values`` clamped nodewise into the band, as a grid function on
+    ``w``'s grid, and the number of clamped nodes."""
+    clamped = np.clip(values, w._grid.lo, w._grid.hi)
+    return w._with_values(clamped), int(np.count_nonzero(clamped != values))
+
+
 def operator_T(w: GridFunction) -> tuple[GridFunction, int]:
     """One application of the integral operator: cumulative quadrature via
     ``_quadrature``, then clamped nodewise into the band.  Returns the new
     grid, which shares ``w``'s grid constants, and the number of clamped
     nodes."""
-    out = _quadrature(w)
-    clamped = np.clip(out, w._grid.lo, w._grid.hi)
-    events = int(np.count_nonzero(clamped != out))
-    return w._with_values(clamped), events
+    return _clamp(w, _quadrature(w))
+
+
+def _newton_correction(w: GridFunction, q: np.ndarray) -> np.ndarray:
+    """The Newton correction u, with u = 0 at the axis, that solves
+    (I - J) u = q - w for q = ``_quadrature(w)`` and J its Jacobian in w.
+
+    With d_i = rhs_dw(r_i, w_i), node i >= 1 of the trapezoidal sum has
+    dq_i/dw_j = h d_j for j < i and (h/2) d_i for j = i; the axis term
+    g_0 = s psi(1/s), s = w_1/r_1, adds (h/2) a to dq_i/dw_1 with
+    a = (psi(1/s) - psi'(1/s)/s)/r_1, or a = 0 where s is clamped.  The
+    difference of consecutive rows makes I - J lower bidiagonal:
+    u_i = alpha_i u_{i-1} + beta_i, solved by one cumulative product and one
+    cumulative sum.  d < 0 on the band, so no pivot vanishes."""
+    grid = w._grid
+    r, eq = grid.r, grid.eq
+    h = r[1] - r[0]
+    d = 0.5 * h * eq.rhs_dw(r[1:], w.values[1:])
+    s = w.values[1] / r[1]
+    a = 0.0
+    if grid.slopes[0] <= s <= grid.slopes[1]:
+        a = 0.5 * h * (eq.psi(1.0 / s) - eq.dpsi(1.0 / s) / s) / r[1]
+    pivot = 1.0 - d
+    pivot[0] -= a
+    beta = np.diff(q - w.values) / pivot
+    # u_i = P_i sum_{j <= i} beta_j / P_j with P_i = alpha_2 ... alpha_i
+    P = np.concatenate(([1.0], np.cumprod((1.0 + d[:-1]) / pivot[1:])))
+    return np.concatenate(([0.0], P * np.cumsum(beta / P)))
 
 
 @dataclass
@@ -160,15 +197,22 @@ class PicardResult:
 
 def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
                  max_iter: int = 400) -> PicardResult:
-    """Iterate the clamped integral operator from the band midpoint until
-    the sup-norm change drops below ``tol``.
+    """Newton on the paper's operator T: its fixed point, from the band
+    midpoint, until the sup-norm residual max|T(w) - w| drops below ``tol``.
 
-    Requires n in 3..6, m >= 64 and R within the super-solution band's
-    interval (callers wanting the contraction-certified radius should cap R
-    by ``lipschitz_radius``).  Raises ContractionFailureError after three
-    consecutive difference ratios >= 1 at amplitudes above the round-off
-    floor of the cumulative quadrature; stagnation below that floor counts
-    as convergence.
+    Each iteration computes q = ``_quadrature(w)``, logs one entry and, unless
+    it stops, sets w <- clip(w + u) with u from ``_newton_correction``.  The
+    entry holds ``sup_change`` = max|T(w) - w|, T(w) = clip(q) into the band;
+    ``contraction_ratio``, its quotient by the previous entry's sup_change
+    (None on the first entry); and ``clamp_events``, the number of nodes
+    that clip changes in T(w).  On convergence ``grid`` is T(w).
+
+    Requires n in 3..6, m >= 64, R within the super-solution band's
+    interval, max_iter >= 1 and a finite tol > 0.  Raises
+    ContractionFailureError when sup_change sets no new minimum for 3
+    consecutive iterations above the round-off floor of the cumulative
+    quadrature; a change at or below that floor that sets no new minimum
+    counts as convergence.
 
     The grid's constants (nodes, band edges, slack, slope range and slope
     equation) are built once per solve, with the initial iterate, and every
@@ -180,39 +224,37 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
         raise ParameterError("picard_solve requires m >= 64")
     if not 0.0 < R <= domain_radius(n):
         raise ParameterError(f"R must lie in (0, {domain_radius(n)!r}] for n={n}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
     w = initial_iterate(n, R, m)
     result = PicardResult(grid=w)
     prev_change: Optional[float] = None
-    bad_streak = 0
-    recent: list[float] = []
+    best, stalls = np.inf, 0
     for _ in range(max_iter):
-        w_next, events = operator_T(w)
-        change = float(np.max(np.abs(w_next.values - w.values)))
-        ratio = None if prev_change is None or prev_change == 0.0 else change / prev_change
+        q = _quadrature(w)
+        result.grid, events = _clamp(w, q)
+        change = float(np.max(np.abs(result.grid.values - w.values)))
+        ratio = None if not prev_change else change / prev_change
         result.iterations.append(
             {"sup_change": change, "contraction_ratio": ratio, "clamp_events": events})
-        w = w_next
-        result.grid = w
         if change < tol:
             result.converged = True
             return result
-        floor = 8.0 * m * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w.values))))
-        recent.append(change)
-        if len(recent) > 24:
-            recent.pop(0)
-            if change <= floor and min(recent[12:]) >= 0.999 * min(recent[:12]):
+        if change < best:
+            best, stalls = change, 0
+        else:
+            stalls += 1
+            if change <= 8.0 * m * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w.values)))):
                 result.converged = True
                 return result
-        if ratio is not None and ratio >= 1.0 and prev_change > floor:
-            bad_streak += 1
-            if bad_streak >= 3:
+            if stalls >= 3:
                 raise ContractionFailureError(
-                    f"difference ratio >= 1 for 3 consecutive iterations at R={R}; "
-                    f"the iteration cycles near the axis, where a smaller R only "
-                    f"shrinks the cycle")
-        else:
-            bad_streak = 0
+                    f"difference ratio >= 1 against the smallest change so far for 3 "
+                    f"consecutive iterations at R={R}")
         prev_change = change
+        w, _ = _clamp(w, w.values + _newton_correction(w, q))
     return result
 
 

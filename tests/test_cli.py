@@ -126,6 +126,14 @@ class TestVerify:
                     "--tol", 1e-9, "--out", tmp_path / "cyl.json"])
         assert code == 0
 
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_cylinder_samples_below_one_is_usage_error(self, tmp_path, capsys, samples):
+        out = tmp_path / "cyl.json"
+        assert run(["verify", "cylinder", "--samples", samples, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --samples")
+        assert not out.exists()
+
     def test_barriers(self, sigma2_csv, tmp_path):
         code = run(["verify", "barriers", "--profile", sigma2_csv,
                     "--out", tmp_path / "b.json"])
@@ -306,14 +314,26 @@ class TestPicardCmd:
         assert all(it["contraction_ratio"] is None or it["contraction_ratio"] < 1.0
                    for it in payload["iterations"])
 
-    def test_contraction_failure_names_the_axis_cycle(self, tmp_path, capsys):
-        # n = 4 cycles near the axis at every radius; the message must not
-        # advise a smaller R
+    def test_converges_for_n_4_to_6(self, tmp_path):
+        # Newton's method converges where the undamped iteration cycled
+        # near the axis
+        for n in (4, 5, 6):
+            out = tmp_path / f"picard{n}.json"
+            assert run(["picard", "--n", n, "--grid", 256, "--out", out]) == 0
+            payload = json.loads(out.read_text())
+            assert payload["converged"]
+            ratios = [it["contraction_ratio"] for it in payload["iterations"][1:]]
+            assert ratios and max(ratios) < 1.0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-iter", 0), ("--max-iter", -3), ("--tol", -1), ("--tol", 0),
+        ("--tol", "nan"), ("--tol", "inf")])
+    def test_bad_limits_are_usage_errors(self, tmp_path, capsys, flag, value):
         out = tmp_path / "picard.json"
-        assert run(["picard", "--n", 4, "--grid", 256, "--out", out]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: difference ratio >= 1 for 3 consecutive iterations")
-        assert "cycles near the axis" in err and "retry" not in err
+        assert run(["picard", "--n", 3, "--grid", 256, flag, value, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert flag[2:].replace("-", "_") in err[0]
         assert not out.exists()
 
 

@@ -19,7 +19,7 @@ from curvsol import (
     picard_solve,
     slope_equation,
 )
-from curvsol.picard import _quadrature
+from curvsol.picard import _clamp, _newton_correction, _quadrature
 
 
 def harmonic_rhs(n: int, r, w):
@@ -153,22 +153,115 @@ class TestPicardSolve:
             picard_solve(3, 0.1, 32)
         with pytest.raises(ParameterError):
             picard_solve(3, 0.5, 256)   # beyond the band interval
+        for kwargs in ({"max_iter": 0}, {"max_iter": -3}, {"tol": -1.0}, {"tol": 0.0},
+                       {"tol": float("nan")}, {"tol": float("inf")}):
+            with pytest.raises(ParameterError, match=next(iter(kwargs))):
+                picard_solve(3, 0.3, 256, **kwargs)
 
     def test_contraction_failure_reported(self, monkeypatch):
-        # force a non-contracting map: alternate between two fixed grids
+        # force a non-contracting map: the quadrature alternates between two
+        # fixed grids, whatever the iterate
         import curvsol.picard as pic
         a = initial_iterate(3, 0.3, 64)
         bump = np.concatenate(([0.0], np.full(63, 1e-3)))
         b = GridFunction(n=3, R=0.3, values=a.values + bump)
         state = {"flip": False}
 
-        def fake_T(w):
+        def fake_quadrature(w):
             state["flip"] = not state["flip"]
-            return (b if state["flip"] else a), 0
+            return (b if state["flip"] else a).values
 
-        monkeypatch.setattr(pic, "operator_T", fake_T)
-        with pytest.raises(ContractionFailureError):
+        monkeypatch.setattr(pic, "_quadrature", fake_quadrature)
+        with pytest.raises(ContractionFailureError, match="^difference ratio >= 1"):
             pic.picard_solve(3, 0.3, 64, tol=1e-15, max_iter=50)
+
+
+def _forward_substitution(w: GridFunction, q: np.ndarray) -> np.ndarray:
+    """Reference: (I - J) u = q - w solved row by row on the lower-triangular
+    Jacobian of the trapezoidal sum, one node at a time."""
+    eq = slope_equation(harmonic_pairs(w.n))
+    r, v = w.nodes, w.values
+    h = r[1] - r[0]
+    s = v[1] / r[1]
+    a = 0.0
+    if barrier("w4", w.n).slope <= s <= barrier("w3", w.n).slope:
+        a = (eq.psi(1.0 / s) - eq.dpsi(1.0 / s) / s) / r[1]
+    F = q - v
+    u = np.zeros(w.m)
+    u[1] = F[1] / (1.0 - 0.5 * h * (a + eq.rhs_dw(r[1], v[1])))
+    below = 0.5 * h * a * u[1]     # the axis column's share of every row below
+    for i in range(2, w.m):
+        below += h * eq.rhs_dw(r[i - 1], v[i - 1]) * u[i - 1]
+        u[i] = (F[i] + below) / (1.0 - 0.5 * h * eq.rhs_dw(r[i], v[i]))
+    return u
+
+
+def _newton_iterates(n: int, R: float, m: int) -> list[GridFunction]:
+    """The initial iterate, the second one and the converged grid."""
+    w0 = initial_iterate(n, R, m)
+    w1, _ = _clamp(w0, w0.values + _newton_correction(w0, _quadrature(w0)))
+    return [w0, w1, picard_solve(n, R, m).grid]
+
+
+def _default_radius(n: int) -> float:
+    return min(domain_radius(n), lipschitz_radius(n)[1])
+
+
+class TestNewton:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_recurrence_matches_forward_substitution(self, n):
+        for m in (64, 2049, 8189):
+            for w in _newton_iterates(n, _default_radius(n), m):
+                q = _quadrature(w)
+                u, ref = _newton_correction(w, q), _forward_substitution(w, q)
+                assert u[0] == 0.0
+                # relative to the larger of u and the residual it solves for:
+                # at the fixed point the residual is round-off whose
+                # signs cancel in u, so u alone is too small a scale
+                scale = max(np.max(np.abs(ref)), np.max(np.abs(q - w.values)))
+                assert np.max(np.abs(u - ref)) <= 1e-13 * scale, (m, w.values[1])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_jacobian_matches_finite_differences(self, n):
+        # (I - J) u = q - w with J the central-difference Jacobian of the
+        # unclamped quadrature
+        for w in _newton_iterates(n, _default_radius(n), 64)[::2]:
+            q = _quadrature(w)
+            u = _newton_correction(w, q)
+            J = np.zeros((w.m, w.m))
+            for j in range(1, w.m):
+                e = np.zeros(w.m)
+                e[j] = 1e-6 * w.values[j]
+                J[:, j] = (_quadrature(w._with_values(w.values + e))
+                           - _quadrature(w._with_values(w.values - e))) / (2.0 * e[j])
+            F = q - w.values
+            assert np.max(np.abs(u - J @ u - F)) <= 1e-6 * np.max(np.abs(u))
+
+    def test_fixed_point_matches_the_picard_iteration(self):
+        n, R, m = 3, 0.3, 513
+        # the undamped iteration contracts at n = 3 and settles at round-off
+        # (a 2-cycle of amplitude 1.6e-13 here) after about 200 steps
+        w = initial_iterate(n, R, m)
+        for _ in range(400):
+            w_next, _events = operator_T(w)
+            change = np.max(np.abs(w_next.values - w.values))
+            w = w_next
+        assert change < 1e-12
+        newton = picard_solve(n, R, m, tol=1e-13).grid
+        assert np.max(np.abs(newton.values - w.values)) <= 1e-11
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("radius", [_default_radius, domain_radius])
+    def test_converges_in_few_iterations_near_rk(self, n, radius):
+        R = radius(n)
+        res = picard_solve(n, R, 2049)
+        assert res.converged
+        assert len(res.iterations) <= 8
+        assert max(res.contraction_ratios) < 1.0
+        p = integrate_profile(harmonic_pairs(n), startup_radius=1e-6, r_max=R,
+                              rtol=1e-12, atol=1e-15, max_step=1e-3)
+        g = res.grid
+        assert np.max(np.abs(g.values[1:] - np.interp(g.nodes[1:], p.r, p.du))) <= 1e-6
 
 
 def _operator_T_fresh(w: GridFunction) -> tuple[np.ndarray, int]:
@@ -206,11 +299,11 @@ class TestGridConstantsOncePerSolve:
     def test_barrier_calls_do_not_grow_with_iterations(self, monkeypatch):
         calls = self._count_barrier_calls(monkeypatch)
         counts = {}
-        for max_iter in (1, 3, 400):
+        for max_iter in (1, 2, 400):
             calls.clear()
             result = picard_solve(3, 0.3, 256, max_iter=max_iter)
             counts[len(result.iterations)] = len(calls)
-        assert min(counts) == 1 and max(counts) > 20
+        assert sorted(counts)[:2] == [1, 2] and max(counts) > 2
         assert len(set(counts.values())) == 1, counts
 
     def test_identical_solves_make_identical_calls(self, monkeypatch):
