@@ -56,8 +56,11 @@ def _speed_from_flags(name: str, n: int, k=None, l=None, factors=None, weights=N
 def _cmd_solve(args) -> int:
     ns = [args.n]
     if args.sweep:
-        lo, _, hi = args.sweep.split("=", 1)[-1].partition("..")
+        span = args.sweep.split("=", 1)[-1]
+        lo, _, hi = span.partition("..")
         ns = list(range(_parse(int, lo, "--sweep"), _parse(int, hi, "--sweep") + 1))
+        if not ns:
+            raise ParameterError(f"--sweep: expected a nonempty range, got {span!r}")
     out = Path(args.out)
     for n in ns:
         speed = _speed_from_flags(args.speed, n, k=args.k)
@@ -78,6 +81,8 @@ def _cmd_verify(args) -> int:
     if args.which == "cylinder":
         if args.samples < 1:
             raise ParameterError(f"--samples must be >= 1, got {args.samples}")
+        if not np.isfinite([args.zmin, args.zmax]).all():
+            raise ParameterError(f"--zmin and --zmax must be finite, got {args.zmin}, {args.zmax}")
         z = np.linspace(args.zmin, args.zmax, args.samples)
         report.context = {"surface": "cylindrical-type", "a": 0.0}
         report.add(check_sigma2_cylinder(z, tol=args.tol))

@@ -11,14 +11,13 @@ in T(w)."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContractionFailureError, DomainError, ParameterError
-from .profiles import Barrier, SlopeEquation, barrier, slope_equation
+from .profiles import SlopeEquation, barrier, slope_equation
 from .speeds import harmonic_pairs
 
 __all__ = [
@@ -40,34 +39,24 @@ def domain_radius(n: int) -> float:
     return barrier("w2", n).r_end
 
 
-def _band(n: int) -> tuple[Barrier, Barrier]:
-    return barrier("w4", n), barrier("w3", n)
-
-
 @dataclass(frozen=True)
 class _Grid:
-    """What depends only on (n, R, m): the nodes, the band edges pinned to 0
-    at the axis, the band check's slack, the band's slope range and the
-    harmonic slope equation.  Built once with each grid function made from
-    scratch and shared by every iterate the operator derives from it."""
+    """What depends only on (n, R, m): the nodes, the band edges [w4, w3]
+    (both 0 at the axis), the band's slope range and the harmonic slope
+    equation.  A solve builds it once."""
 
     r: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    slack: np.ndarray
     slopes: tuple[float, float]
     eq: SlopeEquation
 
 
 def _grid(n: int, R: float, m: int) -> _Grid:
     r = np.linspace(0.0, R, m)
-    w4, w3 = _band(n)
-    lo = np.concatenate(([0.0], w4(r[1:])))
-    hi = np.concatenate(([0.0], w3(r[1:])))
-    for a in (r, lo, hi):
-        a.flags.writeable = False
-    return _Grid(r=r, lo=lo, hi=hi, slack=_X_SLACK * np.maximum(1.0, np.abs(hi[1:])),
-                 slopes=(w4.slope, w3.slope), eq=slope_equation(harmonic_pairs(n)))
+    w4, w3 = barrier("w4", n), barrier("w3", n)
+    return _Grid(r=r, lo=w4(r), hi=w3(r), slopes=(w4.slope, w3.slope),
+                 eq=slope_equation(harmonic_pairs(n)))
 
 
 @dataclass(frozen=True)
@@ -78,7 +67,6 @@ class GridFunction:
     n: int
     R: float
     values: np.ndarray
-    _grid: _Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -87,25 +75,14 @@ class GridFunction:
             raise ParameterError("GridFunction needs at least two nodes")
         if vals[0] != 0.0:
             raise ParameterError("GridFunction must vanish at r = 0")
-        object.__setattr__(self, "_grid", _grid(self.n, self.R, vals.size))
-        self._check_band()
-
-    def _check_band(self) -> None:
-        vals, grid = self.values, self._grid
-        outside = (vals[1:] < grid.lo[1:] - grid.slack) | (vals[1:] > grid.hi[1:] + grid.slack)
-        if np.any(outside):
-            bad = int(np.argmax(outside)) + 1
+        grid = _grid(self.n, self.R, vals.size)
+        slack = _X_SLACK * np.maximum(1.0, np.abs(grid.hi))
+        inside = (vals >= grid.lo - slack) & (vals <= grid.hi + slack)   # False for NaN
+        if not np.all(inside):
+            bad = int(np.argmin(inside))
             raise ParameterError(
                 f"grid value {vals[bad]:.12g} at r={grid.r[bad]:.12g} outside "
                 f"the band [{grid.lo[bad]:.12g}, {grid.hi[bad]:.12g}]")
-
-    def _with_values(self, values: np.ndarray) -> GridFunction:
-        """The grid function with ``values`` (0 at the axis) on this grid,
-        band-checked against the constants this one already holds."""
-        out = copy.copy(self)
-        object.__setattr__(out, "values", values)
-        out._check_band()
-        return out
 
     @property
     def m(self) -> int:
@@ -113,52 +90,48 @@ class GridFunction:
 
     @property
     def nodes(self) -> np.ndarray:
-        return self._grid.r
+        return np.linspace(0.0, self.R, self.m)
+
+
+def _midpoint(grid: _Grid, n: int) -> np.ndarray:
+    """The values of ``initial_iterate`` on ``grid``."""
+    return 0.5 * (grid.lo + np.minimum(grid.hi, barrier("w2", n)(grid.r)))
 
 
 def initial_iterate(n: int, R: float, m: int) -> GridFunction:
     """Midpoint of the admissible band [w4, min(w3, w2)] nodewise."""
-    r = np.linspace(0.0, R, m)
-    w4, w3 = _band(n)
-    w2 = barrier("w2", n)
-    vals = np.zeros(m)
-    vals[1:] = 0.5 * (w4(r[1:]) + np.minimum(w3(r[1:]), w2(r[1:])))
-    return GridFunction(n=n, R=R, values=vals)
+    return GridFunction(n=n, R=R, values=_midpoint(_grid(n, R, m), n))
 
 
-def _quadrature(w: GridFunction) -> np.ndarray:
+def _quadrature(grid: _Grid, w: np.ndarray) -> np.ndarray:
     """Unclamped cumulative trapezoidal quadrature of the slope equation's
-    right-hand side along the grid.  The axis node uses its finite limit
-    m psi(1/m), with the startup slope m = w/r at the first node clamped
-    into the band's slope range."""
-    grid = w._grid
+    right-hand side along the grid, at the slopes ``w``.  The axis node uses
+    its finite limit m psi(1/m), with the startup slope m = w/r at the first
+    node clamped into the band's slope range."""
     r, eq = grid.r, grid.eq
     h = r[1] - r[0]
-    m = min(max(w.values[1] / r[1], grid.slopes[0]), grid.slopes[1])
-    g = np.empty(w.m)
+    m = min(max(w[1] / r[1], grid.slopes[0]), grid.slopes[1])
+    g = np.empty(w.size)
     g[0] = m * eq.psi(1.0 / m)
-    g[1:] = eq.rhs(r[1:], w.values[1:])
+    g[1:] = eq.rhs(r[1:], w[1:])
     return np.concatenate(([0.0], np.cumsum(0.5 * h * (g[:-1] + g[1:]))))
-
-
-def _clamp(w: GridFunction, values: np.ndarray) -> tuple[GridFunction, int]:
-    """``values`` clamped nodewise into the band, as a grid function on
-    ``w``'s grid, and the number of clamped nodes."""
-    clamped = np.clip(values, w._grid.lo, w._grid.hi)
-    return w._with_values(clamped), int(np.count_nonzero(clamped != values))
 
 
 def operator_T(w: GridFunction) -> tuple[GridFunction, int]:
     """One application of the integral operator: cumulative quadrature via
     ``_quadrature``, then clamped nodewise into the band.  Returns the new
-    grid, which shares ``w``'s grid constants, and the number of clamped
-    nodes."""
-    return _clamp(w, _quadrature(w))
+    grid function and the number of clamped nodes.  The tests' reference
+    definition of T; ``picard_solve`` applies the same two steps to arrays."""
+    grid = _grid(w.n, w.R, w.m)
+    q = _quadrature(grid, w.values)
+    t = np.clip(q, grid.lo, grid.hi)
+    return GridFunction(n=w.n, R=w.R, values=t), int(np.count_nonzero(t != q))
 
 
-def _newton_correction(w: GridFunction, q: np.ndarray) -> np.ndarray:
+def _newton_correction(grid: _Grid, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The Newton correction u, with u = 0 at the axis, that solves
-    (I - J) u = q - w for q = ``_quadrature(w)`` and J its Jacobian in w.
+    (I - J) u = q - w for q = ``_quadrature(grid, w)`` and J its Jacobian
+    in w.
 
     With d_i = rhs_dw(r_i, w_i), node i >= 1 of the trapezoidal sum has
     dq_i/dw_j = h d_j for j < i and (h/2) d_i for j = i; the axis term
@@ -167,17 +140,16 @@ def _newton_correction(w: GridFunction, q: np.ndarray) -> np.ndarray:
     difference of consecutive rows makes I - J lower bidiagonal:
     u_i = alpha_i u_{i-1} + beta_i, solved by one cumulative product and one
     cumulative sum.  d < 0 on the band, so no pivot vanishes."""
-    grid = w._grid
     r, eq = grid.r, grid.eq
     h = r[1] - r[0]
-    d = 0.5 * h * eq.rhs_dw(r[1:], w.values[1:])
-    s = w.values[1] / r[1]
+    d = 0.5 * h * eq.rhs_dw(r[1:], w[1:])
+    s = w[1] / r[1]
     a = 0.0
     if grid.slopes[0] <= s <= grid.slopes[1]:
         a = 0.5 * h * (eq.psi(1.0 / s) - eq.dpsi(1.0 / s) / s) / r[1]
     pivot = 1.0 - d
     pivot[0] -= a
-    beta = np.diff(q - w.values) / pivot
+    beta = np.diff(q - w) / pivot
     # u_i = P_i sum_{j <= i} beta_j / P_j with P_i = alpha_2 ... alpha_i
     P = np.concatenate(([1.0], np.cumprod((1.0 + d[:-1]) / pivot[1:])))
     return np.concatenate(([0.0], P * np.cumsum(beta / P)))
@@ -200,12 +172,12 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     """Newton on the paper's operator T: its fixed point, from the band
     midpoint, until the sup-norm residual max|T(w) - w| drops below ``tol``.
 
-    Each iteration computes q = ``_quadrature(w)``, logs one entry and, unless
-    it stops, sets w <- clip(w + u) with u from ``_newton_correction``.  The
-    entry holds ``sup_change`` = max|T(w) - w|, T(w) = clip(q) into the band;
-    ``contraction_ratio``, its quotient by the previous entry's sup_change
-    (None on the first entry); and ``clamp_events``, the number of nodes
-    that clip changes in T(w).  On convergence ``grid`` is T(w).
+    Each iteration computes q = ``_quadrature(grid, w)``, logs one entry and,
+    unless it stops, sets w <- clip(w + u) with u from ``_newton_correction``.
+    The entry holds ``sup_change`` = max|T(w) - w|, T(w) = clip(q) into the
+    band; ``contraction_ratio``, its quotient by the previous entry's
+    sup_change (None on the first entry); and ``clamp_events``, the number
+    of nodes that clip changes in T(w).  ``grid`` is the last T(w).
 
     Requires n in 3..6, m >= 64, R within the super-solution band's
     interval, max_iter >= 1 and a finite tol > 0.  Raises
@@ -214,9 +186,9 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     quadrature; a change at or below that floor that sets no new minimum
     counts as convergence.
 
-    The grid's constants (nodes, band edges, slack, slope range and slope
-    equation) are built once per solve, with the initial iterate, and every
-    iterate shares them.
+    The grid (nodes, band edges, slope range and slope equation) is built
+    once per solve; the iterates are plain arrays on it, and only the last
+    T(w) becomes a band-checked ``GridFunction``.
     """
     if not 3 <= n <= 6:
         raise ParameterError("picard_solve requires n in 3..6")
@@ -228,34 +200,37 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     if not (np.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
-    w = initial_iterate(n, R, m)
-    result = PicardResult(grid=w)
+    grid = _grid(n, R, m)
+    w = _midpoint(grid, n)
+    iterations: list[dict] = []
+    converged = False
     prev_change: Optional[float] = None
     best, stalls = np.inf, 0
     for _ in range(max_iter):
-        q = _quadrature(w)
-        result.grid, events = _clamp(w, q)
-        change = float(np.max(np.abs(result.grid.values - w.values)))
+        q = _quadrature(grid, w)
+        t = np.clip(q, grid.lo, grid.hi)
+        change = float(np.max(np.abs(t - w)))
         ratio = None if not prev_change else change / prev_change
-        result.iterations.append(
-            {"sup_change": change, "contraction_ratio": ratio, "clamp_events": events})
+        iterations.append({"sup_change": change, "contraction_ratio": ratio,
+                           "clamp_events": int(np.count_nonzero(t != q))})
         if change < tol:
-            result.converged = True
-            return result
+            converged = True
+            break
         if change < best:
             best, stalls = change, 0
         else:
             stalls += 1
-            if change <= 8.0 * m * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w.values)))):
-                result.converged = True
-                return result
+            if change <= 8.0 * m * np.finfo(float).eps * max(1.0, float(np.max(np.abs(w)))):
+                converged = True
+                break
             if stalls >= 3:
                 raise ContractionFailureError(
                     f"difference ratio >= 1 against the smallest change so far for 3 "
                     f"consecutive iterations at R={R}")
         prev_change = change
-        w, _ = _clamp(w, w.values + _newton_correction(w, q))
-    return result
+        w = np.clip(w + _newton_correction(grid, w, q), grid.lo, grid.hi)
+    return PicardResult(grid=GridFunction(n=n, R=R, values=t), iterations=iterations,
+                        converged=converged)
 
 
 def lipschitz_radius(n: int, samples: int = 4000, seed: int = 0) -> tuple[float, float]:
@@ -274,7 +249,7 @@ def lipschitz_radius(n: int, samples: int = 4000, seed: int = 0) -> tuple[float,
         raise ParameterError("lipschitz_radius requires n in 3..6")
     if samples < 1:
         raise ParameterError("samples must be >= 1")
-    w4, w3 = _band(n)
+    w4, w3 = barrier("w4", n), barrier("w3", n)
     U = np.random.default_rng(seed).random((samples, 2))
     # per sample: r uniform on domain_radius(n)*[1e-6, 1), then w uniform on [w4(r), w3(r))
     r = domain_radius(n) * (1e-6 + (1.0 - 1e-6) * U[:, 0])

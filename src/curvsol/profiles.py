@@ -136,8 +136,8 @@ def solve_cyl_profile(a: float, z: float) -> float:
     from scipy.optimize import brentq
     waist = sqrt(2.0 * a) if a > 0.0 else 0.0
     z_min = cyl_height(a, waist)
-    if z < z_min:
-        raise DomainError(f"z={z} below the parametrization minimum z_min={z_min:.12g}")
+    if not z >= z_min:
+        raise DomainError(f"z={z} not at or above the parametrization minimum z_min={z_min:.12g}")
     if z == 0.0:
         return 1.0
     hi = max(1.0, waist + 1.0)
@@ -164,7 +164,7 @@ class Barrier:
 
     def __call__(self, r):
         rr = np.asarray(r, dtype=float)
-        bad = (rr < 0.0) | (rr > self.r_end) | ((rr == self.r_end) & (not self.closed_end))
+        bad = ~((rr >= 0.0) & (rr <= self.r_end)) | ((rr == self.r_end) & (not self.closed_end))
         if np.any(bad):
             raise DomainError(
                 f"barrier {self.name} undefined at r={np.atleast_1d(rr)[np.atleast_1d(bad)][0]:.12g} "
@@ -287,8 +287,8 @@ def integrate_profile(spec: SpeedSpec,
     from scipy.integrate import RK45
     if not startup_radius > 0.0:
         raise ParameterError("startup_radius must be positive")
-    if not r_max > startup_radius:
-        raise ParameterError("r_max must exceed startup_radius")
+    if not startup_radius < r_max < np.inf:
+        raise ParameterError(f"r_max must be finite and exceed startup_radius, got {r_max}")
     eq = slope_equation(spec)
     c, rhs = eq.c, eq.rhs
     if max_step is None:

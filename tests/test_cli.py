@@ -48,11 +48,18 @@ class TestSolve:
         assert (tmp_path / "hm_n3.csv").exists()
         assert (tmp_path / "hm_n4.csv").exists()
 
-    @pytest.mark.parametrize("sweep, bad", [("n=3", ""), ("n=a..b", "a")])
+    @pytest.mark.parametrize("sweep, bad", [("n=3", ""), ("n=a..b", "a"), ("n=3..2", "3..2")])
     def test_bad_sweep_is_usage_error(self, sweep, bad, tmp_path, capsys):
         assert run(["solve", "--speed", "harmonic", "--n", 3, "--sweep", sweep,
                     "--out", tmp_path / "x.csv"]) == 2
-        assert capsys.readouterr().err == f"error: --sweep: expected int, got {bad!r}\n"
+        expected = "a nonempty range" if ".." in bad else "int"
+        assert capsys.readouterr().err == f"error: --sweep: expected {expected}, got {bad!r}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_infinite_rmax_is_usage_error(self, tmp_path, capsys):
+        assert run(["solve", "--speed", "sigma-k", "--k", 2, "--n", 3, "--rmax", "inf",
+                    "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err.startswith("error: r_max must be finite")
         assert not list(tmp_path.iterdir())
 
 
@@ -125,6 +132,14 @@ class TestVerify:
         code = run(["verify", "cylinder", "--zmin", -0.5, "--zmax", 3, "--samples", 50,
                     "--tol", 1e-9, "--out", tmp_path / "cyl.json"])
         assert code == 0
+
+    @pytest.mark.parametrize("flag, value", [("--zmin", "nan"), ("--zmax", "inf")])
+    def test_cylinder_non_finite_height_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "cyl.json"
+        assert run(["verify", "cylinder", flag, value, "--samples", 3, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --zmin and --zmax must be finite")
+        assert not out.exists()
 
     @pytest.mark.parametrize("samples", [0, -2])
     def test_cylinder_samples_below_one_is_usage_error(self, tmp_path, capsys, samples):
@@ -264,6 +279,13 @@ class TestBarriersCmd:
         lines = out.read_text().splitlines()
         assert lines[0] == "r,w3,w5"
         assert len(lines) == 51
+
+    def test_nan_radius_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert run(["barriers", "--names", "w3", "--n", 3, "--rmin", "nan", "--count", 3,
+                    "--out", out]) == 2
+        assert "r=nan" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_table_equals_pointwise_evaluation(self, n, tmp_path, capsys):

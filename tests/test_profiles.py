@@ -196,6 +196,10 @@ class TestCylProfileInversion:
         with pytest.raises(DomainError):
             solve_cyl_profile(0.0, -1.0)
 
+    def test_nan_height_is_domain_error(self):
+        with pytest.raises(DomainError, match="z=nan"):
+            solve_cyl_profile(0.0, float("nan"))
+
     def test_monotone(self):
         rs = [solve_cyl_profile(0.0, z) for z in (-0.5, -0.2, 0.0, 0.5, 2.0)]
         assert all(a < b for a, b in zip(rs, rs[1:]))
@@ -306,6 +310,14 @@ def test_barrier_domain_edges(b, t, d):
     assert np.isfinite(value) and value >= 0.0
 
 
+@pytest.mark.parametrize("name", BARRIER_NAMES)
+def test_barrier_rejects_nan(name):
+    b = barrier(name, 3, k=2) if name.startswith("v") else barrier(name, 3)
+    for r in (float("nan"), np.array([0.0, np.nan])):
+        with pytest.raises(DomainError, match="r=nan"):
+            b(r)
+
+
 class TestIntegrateProfile:
     def test_closed_form_oracle(self):
         p = integrate_profile(sigma_k_root(2, 2), startup_radius=1e-4, r_max=3.0,
@@ -399,6 +411,11 @@ class TestIntegrateProfile:
     def test_harmonic_n_range(self):
         with pytest.raises(ParameterError):
             integrate_profile(harmonic_pairs(7), r_max=1.0)
+
+    def test_infinite_r_max_is_parameter_error(self):
+        # an unbounded interval would only end when the step budget runs out
+        with pytest.raises(ParameterError, match="r_max must be finite"):
+            integrate_profile(sigma_k_root(2, 3), r_max=np.inf)
 
     def test_recorded_rtol_is_the_one_used(self):
         with pytest.warns(UserWarning, match="rtol"):
