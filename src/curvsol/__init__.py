@@ -13,15 +13,13 @@ from .picard import (GridFunction, PicardResult, domain_radius, initial_iterate,
 from .profiles import (Barrier, ProfileSolution, SlopeEquation, barrier, closed_form_cyl,
                        closed_form_v, cyl_height, integrate_profile, slope_equation,
                        solve_cyl_profile)
-from .rotgeom import (CylJet, RadialJet, cylinder_curvatures, graph_curvatures,
-                      soliton_residual, tilt)
+from .rotgeom import cylinder_curvatures, graph_curvatures, soliton_residual, tilt
 from .speeds import (PropertyReport, SpeedDerivatives, SpeedSpec, check_properties,
                      eval_derivatives, eval_sigma_k, eval_speed, harmonic_pairs,
                      hessian_quadratic_form, in_support, product, quotient, sample_interior,
                      sigma_k_root)
-from .verifier import (CheckEntry, PinchingEstimate, VerificationReport,
-                       check_barriers, check_convexity_estimate,
-                       check_sigma2_cylinder, check_soliton,
-                       estimate_pinching_constants, fit_convexity_params)
+from .verifier import (CheckEntry, PinchingEstimate, check_barriers, check_convexity_estimate,
+                       check_sigma2_cylinder, check_soliton, estimate_pinching_constants,
+                       fit_convexity_params)
 
 __version__ = "0.1.0"

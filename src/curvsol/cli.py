@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,8 @@ from .errors import ContractionFailureError, DomainError, ParameterError
 from .profiles import barrier, integrate_profile
 from .speeds import SpeedSpec, check_properties
 from .svgfig import Series, render_chart
-from .verifier import (VerificationReport, check_barriers, check_convexity_estimate,
-                       check_sigma2_cylinder, check_soliton, fit_convexity_params)
+from .verifier import (check_barriers, check_convexity_estimate, check_sigma2_cylinder,
+                       check_soliton, fit_convexity_params)
 
 _SPEED_KINDS = {"sigma-k": "sigma_k_root", "harmonic": "harmonic_pairs",
                 "quotient": "quotient", "product": "product"}
@@ -77,33 +78,31 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = VerificationReport()
     if args.which == "cylinder":
         if args.samples < 1:
             raise ParameterError(f"--samples must be >= 1, got {args.samples}")
         if not np.isfinite([args.zmin, args.zmax]).all():
             raise ParameterError(f"--zmin and --zmax must be finite, got {args.zmin}, {args.zmax}")
         z = np.linspace(args.zmin, args.zmax, args.samples)
-        report.context = {"surface": "cylindrical-type", "a": 0.0}
-        report.add(check_sigma2_cylinder(z, tol=args.tol))
+        context = {"surface": "cylindrical-type", "a": 0.0}
+        entries = [check_sigma2_cylinder(z, tol=args.tol)]
     else:
         if not args.profile:
             raise ParameterError(f"verify {args.which} requires --profile")
         profile = pio.read_profile_csv(args.profile)
-        report.context = pio.profile_metadata(profile)
+        context = pio.profile_metadata(profile)
         if args.which == "soliton":
-            report.add(check_soliton(profile, tol=args.tol))
+            entries = [check_soliton(profile, tol=args.tol)]
         elif args.which == "convexity":
             if args.alpha == "auto" or args.beta == "auto":
                 alpha_fit, beta_fit = fit_convexity_params(profile, delta=args.delta)
             alpha = alpha_fit if args.alpha == "auto" else _parse(float, args.alpha, "--alpha")
             beta = beta_fit if args.beta == "auto" else _parse(float, args.beta, "--beta")
-            report.add(check_convexity_estimate(profile, alpha, args.delta, beta))
+            entries = [check_convexity_estimate(profile, alpha, args.delta, beta)]
         else:
-            for entry in check_barriers(profile):
-                report.add(entry)
-    pio.write_json(args.out, report.to_dict())
-    return 0 if report.passed() else 1
+            entries = check_barriers(profile)
+    pio.write_json(args.out, {"profile": context, "checks": [asdict(e) for e in entries]})
+    return 1 if any(e.status == "fail" for e in entries) else 0
 
 
 def _cmd_props(args) -> int:

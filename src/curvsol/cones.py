@@ -52,8 +52,8 @@ class ConeSpec:
         # an unset or NaN parameter fails every comparison below
         alpha, delta, beta = (np.nan if x is None else x
                               for x in (self.alpha, self.delta, self.beta))
-        if self.kind == "gamma_alpha_delta" and not (alpha > 0.0 and delta > 0.0):
-            raise ParameterError("gamma_alpha_delta requires alpha > 0 and delta > 0")
+        if self.kind == "gamma_alpha_delta" and not (0.0 < alpha < np.inf and 0.0 < delta < np.inf):
+            raise ParameterError("gamma_alpha_delta requires finite alpha > 0 and delta > 0")
         if self.kind == "uniform_two_convex" and not 0.0 < beta < 1.0:
             raise ParameterError("uniform_two_convex requires beta in (0,1)")
 

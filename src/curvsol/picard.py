@@ -249,6 +249,8 @@ def lipschitz_radius(n: int, samples: int = 4000, seed: int = 0) -> tuple[float,
         raise ParameterError("lipschitz_radius requires n in 3..6")
     if samples < 1:
         raise ParameterError("samples must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     w4, w3 = barrier("w4", n), barrier("w3", n)
     U = np.random.default_rng(seed).random((samples, 2))
     # per sample: r uniform on domain_radius(n)*[1e-6, 1), then w uniform on [w4(r), w3(r))

@@ -289,6 +289,9 @@ def integrate_profile(spec: SpeedSpec,
         raise ParameterError("startup_radius must be positive")
     if not startup_radius < r_max < np.inf:
         raise ParameterError(f"r_max must be finite and exceed startup_radius, got {r_max}")
+    for name, x in (("rtol", rtol), ("atol", atol), ("blowup_threshold", blowup_threshold)):
+        if not 0.0 < x < np.inf:
+            raise ParameterError(f"{name} must be finite and > 0, got {x}")
     eq = slope_equation(spec)
     c, rhs = eq.c, eq.rhs
     if max_step is None:

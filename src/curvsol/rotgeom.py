@@ -13,8 +13,6 @@ from .profiles import ProfileSolution
 from .speeds import SpeedSpec, eval_speed, speed_values
 
 __all__ = [
-    "RadialJet",
-    "CylJet",
     "graph_curvatures",
     "cylinder_curvatures",
     "tilt",
@@ -24,58 +22,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RadialJet:
-    """Second-order jet (u, u', u'') of a radial graph profile at radius r > 0.
-
-    Curvature formulas are singular on the axis; callers handle r = 0 via
-    the startup expansion in the profiles module.  The fields may also be
-    equal-length arrays, one entry per radius.
-    """
-
-    r: float
-    u: float
-    du: float
-    ddu: float
-
-    def __post_init__(self):
-        if not np.all(np.asarray(self.r) > 0.0):
-            raise DomainError(f"radial jet requires r > 0, got r={np.min(self.r)}")
+def _require_off_axis(r, what: str) -> None:
+    """The formulas are singular on the axis, where profiles use the startup expansion."""
+    if not np.all(np.asarray(r) > 0.0):
+        raise DomainError(f"{what} requires r > 0, got r={np.min(r)}")
 
 
-@dataclass(frozen=True)
-class CylJet:
-    """Second-order jet (r, r', r'') of a cylindrical profile r(z) > 0.  The
-    fields may also be equal-length arrays, one entry per height."""
-
-    r: float
-    dr: float
-    ddr: float
-
-    def __post_init__(self):
-        if not np.all(np.asarray(self.r) > 0.0):
-            raise DomainError(f"cylindrical jet requires r > 0, got r={np.min(self.r)}")
-
-
-def graph_curvatures(jet: RadialJet, n: int) -> np.ndarray:
-    """Principal curvatures of the rotational graph at the jet: the radial
-    curvature u''/(1+u'^2)^{3/2} followed by n-1 copies of the rotational
-    curvature u'/(r sqrt(1+u'^2)).  Shape (n,) for a scalar jet; (m, n), one
-    row per radius, for a jet of arrays."""
+def graph_curvatures(r, du, ddu, n: int) -> np.ndarray:
+    """Principal curvatures of the rotational graph with u' = du, u'' = ddu at
+    radius r > 0: the radial curvature u''/(1+u'^2)^{3/2} followed by n-1
+    copies of the rotational curvature u'/(r sqrt(1+u'^2)).  Shape (n,) for
+    floats; (m, n), one row per radius, for equal-length arrays."""
+    _require_off_axis(r, "radial jet")
     if n < 2:
         raise ParameterError("graph curvatures require n >= 2")
-    w = 1.0 + jet.du ** 2
-    lam2 = jet.du / (jet.r * np.sqrt(w))
-    return np.stack((jet.ddu / w ** 1.5,) + (lam2,) * (n - 1), axis=-1)
+    w = 1.0 + du ** 2
+    lam2 = du / (r * np.sqrt(w))
+    return np.stack((ddu / w ** 1.5,) + (lam2,) * (n - 1), axis=-1)
 
 
-def cylinder_curvatures(jet: CylJet) -> np.ndarray:
+def cylinder_curvatures(r, dr, ddr) -> np.ndarray:
     """Principal curvatures (profile, rotational) of a surface of revolution
-    parametrized over its axis; the rotational curvature -1/(r sqrt(1+r'^2))
-    is always negative.  Shape (2,) for a scalar jet; (m, 2) for a jet of
-    arrays."""
-    w = 1.0 + jet.dr ** 2
-    return np.stack((jet.ddr / w ** 1.5, -1.0 / (jet.r * np.sqrt(w))), axis=-1)
+    r(z) > 0 over its axis, with r' = dr and r'' = ddr; the rotational
+    curvature -1/(r sqrt(1+r'^2)) is always negative.  Shape (2,) for floats;
+    (m, 2) for equal-length arrays."""
+    _require_off_axis(r, "cylindrical jet")
+    w = 1.0 + dr ** 2
+    return np.stack((ddr / w ** 1.5, -1.0 / (r * np.sqrt(w))), axis=-1)
 
 
 def tilt(du):
@@ -104,8 +77,8 @@ class ProfileGeometry:
 
 def profile_geometry(profile: ProfileSolution) -> ProfileGeometry:
     """Curvatures, speed, tilt and soliton residual at every sample."""
-    r, u, du, ddu = profile.samples.T
-    lam = graph_curvatures(RadialJet(r=r, u=u, du=du, ddu=ddu), profile.n)
+    r, _, du, ddu = profile.samples.T
+    lam = graph_curvatures(r, du, ddu, profile.n)
     gamma, nu = speed_values(profile.speed, lam), tilt(du)
     return ProfileGeometry(lam=lam, gamma=gamma, tilt=nu, H=np.sum(lam, axis=1),
                            residual=gamma - nu)

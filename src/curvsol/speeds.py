@@ -565,6 +565,8 @@ def check_properties(spec: SpeedSpec, sample_count: int = 1000, seed: int = 0) -
     """
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     checks = {}
     for start in range(0, sample_count, _CHUNK):

@@ -6,7 +6,7 @@ constants.  The profile checks read one curvature table per profile,
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -15,13 +15,12 @@ from .cones import ConeSpec, cone_mask, gamma_alpha_delta, uniform_two_convex, u
 from .errors import DomainError, ParameterError
 from .profiles import (ProfileSolution, barrier, closed_form_cyl,
                        solve_cyl_profile)
-from .rotgeom import CylJet, cylinder_curvatures, profile_geometry
+from .rotgeom import cylinder_curvatures, profile_geometry
 from .speeds import (SpeedSpec, harmonic_pairs, hessian_quadratic_forms, speed_derivatives,
                      support_margins, support_violation)
 
 __all__ = [
     "CheckEntry",
-    "VerificationReport",
     "check_soliton",
     "check_convexity_estimate",
     "fit_convexity_params",
@@ -41,30 +40,17 @@ class CheckEntry:
     witness: Optional[dict] = None
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-@dataclass
-class VerificationReport:
-    checks: list[CheckEntry] = field(default_factory=list)
-    context: dict = field(default_factory=dict)
-
-    def add(self, entry: CheckEntry) -> CheckEntry:
-        self.checks.append(entry)
-        return entry
-
-    def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {"profile": self.context, "checks": [c.to_dict() for c in self.checks]}
+def _require_tolerance(tol: float) -> None:
+    if not 0.0 <= tol < np.inf:
+        raise ParameterError(f"tol must be finite and >= 0, got {tol}")
 
 
 def check_soliton(profile: ProfileSolution, tol: float) -> CheckEntry:
     """Maximum absolute soliton residual gamma(lambda) - <nu, e_{n+1}> over
     the samples; a sample with curvatures outside the speed's cone fails
     immediately with a witness."""
+    _require_tolerance(tol)
     if profile.status == "step_failure":
         raise ParameterError("cannot verify a profile that ended in step_failure")
     geo = profile_geometry(profile)
@@ -187,6 +173,7 @@ def check_sigma2_cylinder(z_samples, tol: float = 1e-9) -> CheckEntry:
     """Sign conditions H < 0, K > 0 and the soliton identity
     |sqrt(K) - |<nu, e_3>|| <= tol along the cylindrical-type closed form
     with a = 0; heights outside the solvable range are skipped."""
+    _require_tolerance(tol)
     solved, skipped = [], 0       # (z, r, r') at the solvable heights
     for z in z_samples:
         try:
@@ -198,7 +185,7 @@ def check_sigma2_cylinder(z_samples, tol: float = 1e-9) -> CheckEntry:
         return CheckEntry(name="sigma2_cylinder", status="skipped", tolerance=tol,
                           detail="no solvable heights")
     z, r, f = np.array(solved).T
-    lam = cylinder_curvatures(CylJet(r=r, dr=f, ddr=-(1.0 + f * f) * r * f * f))
+    lam = cylinder_curvatures(r, f, -(1.0 + f * f) * r * f * f)
     H, K = np.sum(lam, axis=1), lam[:, 0] * lam[:, 1]
     res = np.where(K > 0.0, np.abs(np.sqrt(np.abs(K)) - f / np.sqrt(1.0 + f * f)), np.inf)
     bad = np.where(H < 0.0, res, np.inf)

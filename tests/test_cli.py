@@ -62,6 +62,16 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error: r_max must be finite")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--rtol", "nan"), ("--rtol", "inf"), ("--atol", "nan"), ("--atol", -1),
+        ("--blowup-threshold", "nan"), ("--blowup-threshold", 0), ("--blowup-threshold", -1)])
+    def test_bad_tolerance_is_usage_error(self, flag, value, tmp_path, capsys):
+        assert run(["solve", "--speed", "sigma-k", "--k", 2, "--n", 3, "--rmax", 1, flag, value,
+                    "--out", tmp_path / "x.csv"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag[2:].replace('-', '_')} must")
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerify:
     def test_soliton_pass(self, sigma2_csv, tmp_path):
@@ -108,7 +118,8 @@ class TestVerify:
     # --alpha defaults to auto, so the --delta cases fit alpha from the profile
     @pytest.mark.parametrize("flag, value", [("--alpha", "-1"), ("--beta", "1.5"),
                                              ("--delta", "0"), ("--delta", "-1"),
-                                             ("--delta", "-2"), ("--beta", "-0.2")])
+                                             ("--delta", "-2"), ("--beta", "-0.2"),
+                                             ("--delta", "inf"), ("--alpha", "inf")])
     def test_hypothesis_outside_the_papers_range_is_usage_error(self, flag, value,
                                                                 sigma2_csv, tmp_path, capsys):
         out = tmp_path / "c.json"
@@ -149,6 +160,16 @@ class TestVerify:
         assert len(err) == 1 and err[0].startswith("error: --samples")
         assert not out.exists()
 
+    @pytest.mark.parametrize("which, tol", [("cylinder", "nan"), ("cylinder", "inf"),
+                                            ("soliton", -1), ("soliton", "nan")])
+    def test_bad_tol_is_usage_error(self, which, tol, sigma2_csv, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        assert run(["verify", which, "--profile", sigma2_csv, "--samples", 3, "--tol", tol,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: tol must be finite and >= 0")
+        assert not out.exists()
+
     def test_barriers(self, sigma2_csv, tmp_path):
         code = run(["verify", "barriers", "--profile", sigma2_csv,
                     "--out", tmp_path / "b.json"])
@@ -178,6 +199,14 @@ class TestProps:
                     "--factors", "sigma-k:2,sigma-k:1", "--weights", "0.5,0.5",
                     "--samples", 150, "--seed", 1, "--out", tmp_path / "p.json"])
         assert code == 0
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        assert run(["props", "--speed", "sigma-k", "--n", 3, "--k", 2, "--seed", -1,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seed must be >= 0, got -1"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("factors, weights", [
         pytest.param("sigma-k", None, id="sigma-k"),
@@ -349,7 +378,7 @@ class TestPicardCmd:
 
     @pytest.mark.parametrize("flag, value", [
         ("--max-iter", 0), ("--max-iter", -3), ("--tol", -1), ("--tol", 0),
-        ("--tol", "nan"), ("--tol", "inf")])
+        ("--tol", "nan"), ("--tol", "inf"), ("--seed", -1)])
     def test_bad_limits_are_usage_errors(self, tmp_path, capsys, flag, value):
         out = tmp_path / "picard.json"
         assert run(["picard", "--n", 3, "--grid", 256, flag, value, "--out", out]) == 2

@@ -139,6 +139,8 @@ class TestConeMask:
         lambda: uniform_two_convex(1.5, 3),
         lambda: uniform_two_convex(-0.2, 3),
         lambda: ConeSpec(kind="gamma_k", speed=harmonic_pairs(3)),
+        lambda: gamma_alpha_delta(float("inf"), 0.1, harmonic_pairs(3)),
+        lambda: gamma_alpha_delta(1.0, float("inf"), harmonic_pairs(3)),
     ])
     def test_invalid_cone_parameters_rejected(self, make):
         with pytest.raises(ParameterError):

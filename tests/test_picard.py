@@ -384,6 +384,10 @@ class TestLipschitzRadius:
             assert 0.0 < c_n < 1e3
             assert 0.0 < r2
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            lipschitz_radius(3, samples=10, seed=-1)
+
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         w4, w3 = barrier("w4", 3), barrier("w3", 3)

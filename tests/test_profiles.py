@@ -417,6 +417,16 @@ class TestIntegrateProfile:
         with pytest.raises(ParameterError, match="r_max must be finite"):
             integrate_profile(sigma_k_root(2, 3), r_max=np.inf)
 
+    @pytest.mark.parametrize("name, value", [
+        ("rtol", np.nan), ("rtol", np.inf), ("rtol", 0.0), ("atol", np.nan), ("atol", -1.0),
+        ("atol", np.inf), ("blowup_threshold", np.nan), ("blowup_threshold", 0.0),
+        ("blowup_threshold", -1.0), ("blowup_threshold", np.inf)])
+    def test_bad_tolerance_is_parameter_error(self, name, value):
+        # scipy would fail every step (nan), stop only at r_max (inf) or raise
+        # its own ValueError; a nan threshold would switch the blow-up stop off
+        with pytest.raises(ParameterError, match=f"{name} must be finite and > 0"):
+            integrate_profile(sigma_k_root(2, 3), r_max=1.0, **{name: value})
+
     def test_recorded_rtol_is_the_one_used(self):
         with pytest.warns(UserWarning, match="rtol"):
             p = integrate_profile(sigma_k_root(2, 2), r_max=1.0, rtol=1e-15)

@@ -294,6 +294,10 @@ class TestPropertySuite:
         with pytest.raises(ParameterError):
             check_properties(sigma_k_root(2, 3), sample_count=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            check_properties(sigma_k_root(2, 3), sample_count=10, seed=-1)
+
 
 class TestRadialDegeneracy:
     # The radial_degeneracy witness of `curvsol props --speed sigma-k --n 6 --k 2

@@ -7,6 +7,7 @@ import pytest
 
 from curvsol import (
     DomainError,
+    ParameterError,
     ProfileSolution,
     check_barriers,
     check_convexity_estimate,
@@ -75,6 +76,11 @@ class TestCheckSoliton:
         entry = check_soliton(harmonic3_profile, tol=1e-7)
         assert entry.status == "fail"
         assert 1e-3 < entry.worst_violation < 1.0
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_bad_tol_rejected(self, sigma2_profile, tol):
+        with pytest.raises(ParameterError, match="tol must be finite and >= 0"):
+            check_soliton(sigma2_profile, tol=tol)
 
 
 class TestConvexityEstimate:
@@ -164,11 +170,16 @@ class TestSigma2Cylinder:
         assert entry.status == "pass"
         assert "skipped 1" in entry.detail
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ParameterError, match="tol must be finite and >= 0"):
+            check_sigma2_cylinder([0.0, 1.0], tol=tol)
+
     def test_large_height_flattens(self):
-        from curvsol import CylJet, closed_form_cyl, cylinder_curvatures, solve_cyl_profile
+        from curvsol import closed_form_cyl, cylinder_curvatures, solve_cyl_profile
         r = solve_cyl_profile(0.0, 40.0)
         f = closed_form_cyl(0.0, r)
-        lam = cylinder_curvatures(CylJet(r=r, dr=f, ddr=-(1 + f * f) * r * f * f))
+        lam = cylinder_curvatures(r, f, -(1 + f * f) * r * f * f)
         K = lam[0] * lam[1]
         assert lam.sum() < 0.0
         assert 0.0 < K < 1e-3
