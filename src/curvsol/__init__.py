@@ -6,18 +6,16 @@ lambda_1 >= H - alpha*gamma."""
 
 from .cones import (ConeSpec, EmptyConeError, cone_mask, cone_separation, contains, cyl_ray,
                     gamma_alpha_delta, gamma_k, two_convex, uniform_two_convex)
-from .errors import (ContractionFailureError, DegenerateEigenvalueError, DomainError,
-                     ParameterError)
+from .errors import ContractionFailureError, DomainError, ParameterError
 from .picard import (GridFunction, PicardResult, domain_radius, initial_iterate,
                      lipschitz_radius, operator_T, picard_solve)
 from .profiles import (Barrier, ProfileSolution, SlopeEquation, barrier, closed_form_cyl,
                        closed_form_v, cyl_height, integrate_profile, slope_equation,
                        solve_cyl_profile)
-from .rotgeom import cylinder_curvatures, graph_curvatures, soliton_residual, tilt
+from .rotgeom import cylinder_curvatures, graph_curvatures, tilt
 from .speeds import (PropertyReport, SpeedDerivatives, SpeedSpec, check_properties,
-                     eval_derivatives, eval_sigma_k, eval_speed, harmonic_pairs,
-                     hessian_quadratic_form, in_support, product, quotient, sample_interior,
-                     sigma_k_root)
+                     eval_derivatives, eval_sigma_k, eval_speed, harmonic_pairs, product,
+                     quotient, sample_interior, sigma_k_root)
 from .verifier import (CheckEntry, PinchingEstimate, check_barriers, check_convexity_estimate,
                        check_sigma2_cylinder, check_soliton, estimate_pinching_constants,
                        fit_convexity_params)

@@ -21,7 +21,7 @@ from . import picard as ppicard
 from .errors import ContractionFailureError, DomainError, ParameterError
 from .profiles import barrier, integrate_profile
 from .speeds import SpeedSpec, check_properties
-from .svgfig import Series, render_chart
+from .svgfig import render_chart
 from .verifier import (check_barriers, check_convexity_estimate, check_sigma2_cylinder,
                        check_soliton, fit_convexity_params)
 
@@ -57,7 +57,9 @@ def _speed_from_flags(name: str, n: int, k=None, l=None, factors=None, weights=N
 def _cmd_solve(args) -> int:
     ns = [args.n]
     if args.sweep:
-        span = args.sweep.split("=", 1)[-1]
+        span = args.sweep.removeprefix("n=")
+        if "=" in span:
+            raise ParameterError(f"--sweep: expected n=LO..HI or LO..HI, got {args.sweep!r}")
         lo, _, hi = span.partition("..")
         ns = list(range(_parse(int, lo, "--sweep"), _parse(int, hi, "--sweep") + 1))
         if not ns:
@@ -109,15 +111,9 @@ def _cmd_props(args) -> int:
     speed = _speed_from_flags(args.speed, args.n, k=args.k, l=args.l,
                               factors=args.factors, weights=args.weights)
     rep = check_properties(speed, sample_count=args.samples, seed=args.seed)
-    payload = {
-        "speed": pio.speed_to_dict(speed),
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "checks": {name: {"passed": c.passed, "failed": c.failed, "worst": c.worst,
-                          "witness": c.witness}
-                   for name, c in rep.checks.items()},
-    }
-    pio.write_json(args.out, payload)
+    pio.write_json(args.out, {"speed": pio.speed_to_dict(speed), "samples": args.samples,
+                              "seed": args.seed,
+                              "checks": {name: asdict(c) for name, c in rep.checks.items()}})
     failing = rep.failing_checks()
     if speed.kind == "quotient" and failing and set(failing) <= {"boundary_vanishing"}:
         print("warning: boundary-vanishing not satisfied (expected for quotient speeds)",
@@ -169,16 +165,13 @@ def _cmd_picard(args) -> int:
 
 def _cmd_plot(args) -> int:
     profile = pio.read_profile_csv(args.infile)
-    series = []
     if args.revolve:
         r, u = profile.r, profile.u
-        series.append(Series(label="profile",
-                             x=np.concatenate([-r[::-1], r]),
-                             y=np.concatenate([u[::-1], u])))
+        series = [("profile", np.concatenate([-r[::-1], r]), np.concatenate([u[::-1], u]))]
         title = "surface of revolution silhouette"
         x_label, y_label = "x", "u"
     else:
-        series.append(Series(label="du", x=profile.r, y=profile.du))
+        series = [("du", profile.r, profile.du)]
         title = "profile slope and barriers"
         x_label, y_label = "r", "slope"
         if args.barriers:
@@ -187,8 +180,7 @@ def _cmd_plot(args) -> int:
                 mask = (profile.r >= 0) & (profile.r < b.r_end)
                 if not np.any(mask):
                     continue
-                series.append(Series(label=name.strip(), x=profile.r[mask],
-                                     y=b(profile.r[mask])))
+                series.append((name.strip(), profile.r[mask], b(profile.r[mask])))
     Path(args.out).write_text(render_chart(series, title=title,
                                            x_label=x_label, y_label=y_label))
     print(f"wrote {args.out}")
@@ -204,8 +196,9 @@ def _build_parser() -> argparse.ArgumentParser:
     class ApplyConfig(argparse.Action):
         """``--config FILE``: the keys of the JSON object in FILE become the
         subcommands' flag defaults.  Top-level options are parsed before the
-        subcommand, so its flags see them; an unreadable file or a key that
-        names no flag is a ParameterError."""
+        subcommand, so its flags see them.  A number or a string becomes the
+        text its flag would carry, and an on/off flag takes a bool; any other
+        value, an unreadable file or a key that names no flag is a ParameterError."""
 
         def __call__(self, parser, namespace, path, option_string):
             try:
@@ -216,11 +209,17 @@ def _build_parser() -> argparse.ArgumentParser:
                 raise ParameterError(f"config {path}: expected a JSON object")
             defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
             commands = sub.choices.values()
-            unknown = sorted(set(defaults) - {a.dest for p in commands for a in p._actions})
+            on_off = {a.dest: a.nargs == 0 for p in commands for a in p._actions}
+            unknown = sorted(set(defaults) - set(on_off))
             if unknown:
                 raise ParameterError(f"config {path}: unknown keys {unknown}")
+            for key, value in defaults.items():
+                kind = "a bool" if on_off[key] else "a number or a string"
+                if on_off[key] != isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                    raise ParameterError(f"config {path}: {key} must be {kind}, "
+                                         f"got {json.dumps(value)}")
             for p in commands:
-                p.set_defaults(**defaults)
+                p.set_defaults(**{k: v if on_off[k] else str(v) for k, v in defaults.items()})
 
     parser.add_argument("--config", action=ApplyConfig,
                         help="JSON file of flag defaults (flags override)")

@@ -9,10 +9,5 @@ class DomainError(ValueError):
     """A point lies outside the mathematical domain of an operation."""
 
 
-class DegenerateEigenvalueError(DomainError):
-    """Matrix second-derivative formula requested at a curvature vector
-    with (numerically) repeated entries."""
-
-
 class ContractionFailureError(RuntimeError):
     """Fixed-point iteration observed sustained non-contraction."""

@@ -65,8 +65,10 @@ def speed_to_dict(spec: SpeedSpec) -> dict:
 
 
 def speed_from_dict(d: dict) -> SpeedSpec:
+    if not isinstance(d, dict):
+        raise ParameterError(f"speed: expected a JSON object, got {d!r}")
     factors = tuple(speed_from_dict(f) for f in d.get("factors", []))
-    return SpeedSpec(kind=d["kind"], n=int(d["n"]), k=d.get("k"), l=d.get("l"),
+    return SpeedSpec(kind=d["kind"], n=d["n"], k=d.get("k"), l=d.get("l"),
                      factors=factors, weights=tuple(d.get("weights", ())))
 
 
@@ -103,7 +105,8 @@ def write_profile_csv(path, profile: ProfileSolution) -> Path:
 def read_profile_csv(path) -> ProfileSolution:
     """Parse a profile CSV and its metadata sidecar; raises ParameterError
     naming the offending line on malformed input, and naming the sidecar when
-    it is not JSON, lacks a key or its ``n`` differs from its speed's."""
+    it is not JSON, lacks a key, holds a value of the wrong type or its ``n``
+    differs from its speed's."""
     path = Path(path)
     rows = []
     with open(path, newline="") as fh:
@@ -134,10 +137,14 @@ def read_profile_csv(path) -> ProfileSolution:
     if np.any(np.diff(samples[:, 0]) <= 0.0):
         raise ParameterError(f"{path}: radii must be strictly increasing")
     try:
+        if not isinstance(metadata, dict):
+            raise ParameterError("expected a JSON object")
+        tolerances = metadata.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise ParameterError(f"tolerances: expected a JSON object, got {tolerances!r}")
         speed = speed_from_dict(metadata["speed"])
         if metadata["n"] != speed.n:
-            raise ParameterError(f"metadata sidecar {side}: n = {metadata['n']!r} differs from "
-                                 f"its speed's n = {speed.n}")
+            raise ParameterError(f"n = {metadata['n']!r} differs from its speed's n = {speed.n}")
         return ProfileSolution(
             speed=speed,
             samples=samples,
@@ -146,7 +153,9 @@ def read_profile_csv(path) -> ProfileSolution:
             blowup_radius=(None if metadata.get("blowup_radius") is None
                            else float(metadata["blowup_radius"])),
             status=str(metadata["status"]),
-            tolerances=dict(metadata.get("tolerances", {})),
+            tolerances=dict(tolerances),
         )
     except KeyError as exc:
         raise ParameterError(f"metadata sidecar {side}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"metadata sidecar {side}: {exc}") from None

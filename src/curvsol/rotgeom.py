@@ -1,6 +1,6 @@
-"""Principal curvatures and soliton residual for rotationally symmetric
-graphs and for cylindrical-type surfaces of revolution, and the curvature
-table of a sampled profile (``profile_geometry``)."""
+"""Principal curvatures of rotationally symmetric graphs and of
+cylindrical-type surfaces of revolution, and the curvature table of a
+sampled profile (``profile_geometry``) with its soliton residual."""
 
 from __future__ import annotations
 
@@ -10,13 +10,12 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .profiles import ProfileSolution
-from .speeds import SpeedSpec, eval_speed, speed_values
+from .speeds import speed_values
 
 __all__ = [
     "graph_curvatures",
     "cylinder_curvatures",
     "tilt",
-    "soliton_residual",
     "ProfileGeometry",
     "profile_geometry",
 ]
@@ -55,13 +54,6 @@ def tilt(du):
     """Vertical component of the unit normal of a graph, 1/sqrt(1+u'^2)
     (elementwise for an array of slopes)."""
     return 1.0 / np.sqrt(1.0 + du ** 2)
-
-
-def soliton_residual(spec: SpeedSpec, lam, normal_component: float) -> float:
-    """gamma(lambda) minus the normal component of the translation direction;
-    vanishes exactly on translating solitons.  Raises DomainError outside the
-    speed's cone."""
-    return eval_speed(spec, lam) - normal_component
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,12 @@ permuting its entries returns bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateEigenvalueError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 
 __all__ = [
     "SpeedSpec",
@@ -34,9 +35,7 @@ __all__ = [
     "eval_derivatives",
     "speed_values",
     "speed_derivatives",
-    "hessian_quadratic_form",
     "hessian_quadratic_forms",
-    "in_support",
     "support_violation",
     "support_margins",
     "support_mask",
@@ -123,6 +122,8 @@ class SpeedSpec:
     weights: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
+        if not all(isinstance(v, Integral) for v in (self.n, self.k, self.l) if v is not None):
+            raise ParameterError(f"n, k, l must be integers, got {self.n!r}, {self.k!r}, {self.l!r}")
         if self.n < 1:
             raise ParameterError("n must be >= 1")
         if self.kind == "sigma_k_root":
@@ -250,10 +251,6 @@ def support_violation(spec: SpeedSpec, lam) -> Optional[str]:
     return None
 
 
-def in_support(spec: SpeedSpec, lam) -> bool:
-    return support_violation(spec, lam) is None
-
-
 def _require_support(spec: SpeedSpec, lam: np.ndarray) -> None:
     v = support_violation(spec, lam)
     if v is not None:
@@ -364,9 +361,15 @@ def _value_grad_hess(spec: SpeedSpec, S: np.ndarray):
 
 
 def hessian_quadratic_forms(spec: SpeedSpec, lam, T) -> np.ndarray:
-    """``hessian_quadratic_form`` at every row of ``lam`` (shape (m, n)) with
-    the symmetric matrices ``T`` (shape (m, n, n)); NaN on the rows with two
-    entries closer than 1e-10 times their largest |entry|."""
+    """Second derivative of the matrix extension of the speed at diag(lam),
+    contracted twice with the symmetric matrix T, at every row of ``lam``
+    (shape (m, n)) with its ``T`` (shape (m, n, n)).
+
+    The off-diagonal part is 2 sum_{a<b} (g_b - g_a)/(lam_b - lam_a) |T_ab|^2
+    on top of the curvature-variable Hessian contracted with the diagonal of
+    T.  It needs pairwise distinct entries: NaN on the rows with two entries
+    closer than 1e-10 times their largest |entry|.
+    """
     L = _rows(spec.n, lam)
     T = np.asarray(T, dtype=float)
     if T.shape != L.shape + (spec.n,):
@@ -384,27 +387,6 @@ def hessian_quadratic_forms(spec: SpeedSpec, lam, T) -> np.ndarray:
     q = np.full(ok.size, np.nan)
     q[ok] = np.einsum("mi,mij,mj->m", diag, d.hessian, diag) + np.sum(off, axis=1)
     return q
-
-
-def hessian_quadratic_form(spec: SpeedSpec, lam, T) -> float:
-    """Second derivative of the matrix extension of the speed at diag(lam),
-    contracted twice with the symmetric matrix T.
-
-    Requires pairwise distinct entries; the off-diagonal part is
-    2 sum_{a<b} (g_b - g_a)/(lam_b - lam_a) |T_ab|^2 on top of the
-    curvature-variable Hessian contracted with the diagonal of T.
-    """
-    lam = _as_lambda(lam)
-    T = np.asarray(T, dtype=float)
-    if T.shape != (lam.size, lam.size):
-        raise ParameterError(f"T must be {lam.size}x{lam.size}")
-    if lam.size != spec.n:
-        _require_support(spec, lam)             # a dimension mismatch is a DomainError
-    q = hessian_quadratic_forms(spec, lam[None], T[None])[0]
-    if np.isnan(q):
-        raise DegenerateEigenvalueError(
-            f"lambda = {lam.tolist()} has entries degenerate at relative gap 1e-10")
-    return float(q)
 
 
 # --------------------------------------------------------------------------
@@ -433,9 +415,6 @@ class CheckStat:
 
 @dataclass
 class PropertyReport:
-    spec: SpeedSpec
-    samples: int
-    seed: int
     checks: dict[str, CheckStat]
 
     def failures(self) -> int:
@@ -583,4 +562,4 @@ def check_properties(spec: SpeedSpec, sample_count: int = 1000, seed: int = 0) -
         found, ok, ratio = _boundary_paths(spec, lam, d / np.linalg.norm(d, axis=1, keepdims=True))
         boundary.record(ok[found], ratio[found], lam[found])
         done += int(np.count_nonzero(found))
-    return PropertyReport(spec=spec, samples=sample_count, seed=seed, checks=checks)
+    return PropertyReport(checks=checks)

@@ -3,37 +3,27 @@ formatting, byte-identical output for identical input."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["Series", "render_chart"]
+__all__ = ["render_chart"]
 
 _WIDTH, _HEIGHT = 720, 480   # SVG canvas in pixels
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
-
-
-@dataclass(frozen=True)
-class Series:
-    label: str
-    x: Sequence[float]
-    y: Sequence[float]
 
 
 def _f(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def render_chart(series: list[Series], title: str, x_label: str, y_label: str) -> str:
+def render_chart(series: list[tuple], title: str, x_label: str, y_label: str) -> str:
     """Standalone SVG document with axes, tick labels, one polyline per
-    series and a legend."""
-    if not series or all(len(s.x) == 0 for s in series):
+    ``(label, x, y)`` series and a legend."""
+    if not series or all(len(x) == 0 for _, x, _ in series):
         raise ParameterError("nothing to plot")
-    xs = np.concatenate([np.asarray(s.x, dtype=float) for s in series])
-    ys = np.concatenate([np.asarray(s.y, dtype=float) for s in series])
+    xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
+    ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
     x0, x1 = float(np.min(xs)), float(np.max(xs))
     y0, y1 = float(np.min(ys)), float(np.max(ys))
     if x1 == x0:
@@ -78,15 +68,15 @@ def render_chart(series: list[Series], title: str, x_label: str, y_label: str) -
     parts.append(f'<text x="14" y="{mt + ph / 2:.1f}" font-family="monospace" '
                  f'font-size="11" text-anchor="middle" '
                  f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{y_label}</text>')
-    for i, s in enumerate(series):
+    for i, (label, sx, sy) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(s.x, s.y))
+        pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(sx, sy))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = mt + 14 + 15 * i
         parts.append(f'<line x1="{ml + pw - 130}" y1="{ly - 4}" x2="{ml + pw - 106}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{ml + pw - 100}" y="{ly}" font-family="monospace" '
-                     f'font-size="11">{s.label}</text>')
+                     f'font-size="11">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

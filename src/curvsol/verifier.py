@@ -128,7 +128,8 @@ def _relative_excess(bound: np.ndarray, value: np.ndarray) -> tuple[float, int]:
 
 def check_barriers(profile: ProfileSolution) -> list[CheckEntry]:
     """Pointwise sub/super-solution orderings for the profile's barrier
-    family, each reported as its own entry."""
+    family, each reported as its own entry; ``w5_below_du_near_blowup`` is
+    always skipped, since w5 bounds no solution from below."""
     r, du, n = profile.r, profile.du, profile.n
     tol = 1e-9                    # on the relative excess
 
@@ -153,20 +154,15 @@ def check_barriers(profile: ProfileSolution) -> list[CheckEntry]:
         return entries
     if profile.speed.kind != "harmonic_pairs":
         raise ParameterError(f"no barrier family for speed kind {profile.speed.kind!r}")
-    w2, w3, w5 = barrier("w2", n), barrier("w3", n), barrier("w5", n)
+    w2, w3 = barrier("w2", n), barrier("w3", n)
     entries = [ordering("w1_below_du", barrier("w1", n))]
     for name, b, mask in (("du_below_w2", w2, r <= w2.r_end), ("du_below_w3", w3, r < w3.r_end)):
         if np.any(mask):
             entries.append(ordering(name, b, mask))
-    if profile.blowup_radius is None:
-        return entries + [skipped(
-            "w5_below_du_near_blowup",
-            "no blow-up detected: the profile equation's solutions stay below n*r "
-            "(upper numerator zero), so the square-root comparison window never opens")]
-    near = (r >= 0.9 * profile.blowup_radius) & (r < w5.r_end)
-    if not np.any(near):
-        return entries + [skipped("w5_below_du_near_blowup", "no samples in the final window")]
-    return entries + [ordering("w5_below_du_near_blowup", w5, near)]
+    return entries + [skipped(
+        "w5_below_du_near_blowup",
+        "refuted: w5^2/w3^2 = (1+x)/x > 1 with x = c1 r, so w5 > w3 >= u' "
+        "on all of w5's domain and w5 bounds no solution from below")]
 
 
 def check_sigma2_cylinder(z_samples, tol: float = 1e-9) -> CheckEntry:

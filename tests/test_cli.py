@@ -48,11 +48,13 @@ class TestSolve:
         assert (tmp_path / "hm_n3.csv").exists()
         assert (tmp_path / "hm_n4.csv").exists()
 
-    @pytest.mark.parametrize("sweep, bad", [("n=3", ""), ("n=a..b", "a"), ("n=3..2", "3..2")])
+    @pytest.mark.parametrize("sweep, bad", [("n=3", ""), ("n=a..b", "a"), ("n=3..2", "3..2"),
+                                            ("k=3..4", "k=3..4")])
     def test_bad_sweep_is_usage_error(self, sweep, bad, tmp_path, capsys):
         assert run(["solve", "--speed", "harmonic", "--n", 3, "--sweep", sweep,
                     "--out", tmp_path / "x.csv"]) == 2
-        expected = "a nonempty range" if ".." in bad else "int"
+        expected = ("n=LO..HI or LO..HI" if "=" in bad else "a nonempty range" if ".." in bad
+                    else "int")
         assert capsys.readouterr().err == f"error: --sweep: expected {expected}, got {bad!r}\n"
         assert not list(tmp_path.iterdir())
 
@@ -175,6 +177,18 @@ class TestVerify:
                     "--out", tmp_path / "b.json"])
         assert code == 0
 
+    def test_w5_entry_is_skipped_as_refuted_after_a_blowup_stop(self, tmp_path):
+        # a low threshold stops the harmonic profile early with a blow-up radius;
+        # w5 lies above w3 >= u' there too, so its lower-bound entry is skipped
+        csv, report = tmp_path / "hm3.csv", tmp_path / "b.json"
+        assert run(["solve", "--speed", "harmonic", "--n", 3, "--rmax", 3,
+                    "--blowup-threshold", 0.8, "--out", csv]) == 0
+        assert json.loads((tmp_path / "hm3.meta.json").read_text())["blowup_radius"] is not None
+        assert run(["verify", "barriers", "--profile", csv, "--out", report]) == 0
+        entries = {e["name"]: e for e in json.loads(report.read_text())["checks"]}
+        w5 = entries["w5_below_du_near_blowup"]
+        assert w5["status"] == "skipped" and w5["detail"].startswith("refuted")
+
 
 class TestProps:
     def test_harmonic_clean(self, tmp_path):
@@ -271,6 +285,7 @@ def test_sidecar_n_disagreeing_with_its_speed_is_input_error(which, tmp_path, ca
     assert out == "" and not fig.exists()
     err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(side) in err[0]
+    assert err[0].count("metadata sidecar") == 1
 
 
 @pytest.mark.parametrize("key", ["startup_slope", "status", "speed", "n"])
@@ -286,6 +301,31 @@ def test_sidecar_missing_a_key_is_input_error(key, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: metadata sidecar {side}: missing key {key!r}\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("startup_slope", "x"), ("blowup_radius", "y"), ("speed.k", "2"), ("speed.k", 2.5),
+    ("speed.n", "abc"), ("speed.n", 3.7), ("speed", "sigma"), ("tolerances", [1, 2]),
+    ("", [1, 2])])
+def test_sidecar_value_of_the_wrong_type_is_input_error(key, value, tmp_path, capsys):
+    csv = tmp_path / "s3.csv"
+    assert run(["solve", "--speed", "sigma-k", "--k", 2, "--n", 3, "--rmax", 0.5,
+                "--out", csv]) == 0
+    side = tmp_path / "s3.meta.json"
+    metadata = json.loads(side.read_text())
+    if not key:
+        metadata = value
+    elif key.startswith("speed."):
+        metadata["speed"][key[6:]] = value
+    else:
+        metadata[key] = value
+    side.write_text(json.dumps(metadata))
+    capsys.readouterr()
+    assert run(["verify", "soliton", "--profile", csv]) == 2
+    out, err = capsys.readouterr()
+    err = err.splitlines()
+    assert out == "" and len(err) == 1
+    assert err[0].startswith(f"error: metadata sidecar {side}: ")
 
 
 def test_sidecar_that_is_not_json_is_input_error(tmp_path, capsys):
@@ -452,3 +492,26 @@ class TestConfig:
                     "--out", tmp_path / "a.csv"]) == 2
         assert "r_maximum" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("key, value, argv", [
+        ("rmax", [1], ["solve", "--speed", "harmonic", "--n", 3]),
+        ("rmax", None, ["solve", "--speed", "harmonic", "--n", 3]),
+        ("rmax", True, ["solve", "--speed", "harmonic", "--n", 3]),
+        ("samples", 2.5, ["props", "--speed", "harmonic", "--n", 3]),
+        ("grid", 100.5, ["picard", "--n", 3, "--R", 0.3])])
+    def test_config_value_of_the_wrong_type_is_usage_error(self, key, value, argv, tmp_path,
+                                                           capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "a.out"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["--config", cfg, *argv, "--out", out]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_bool_sets_an_on_off_flag(self, sigma2_csv, tmp_path):
+        cfg, on, off = tmp_path / "cfg.json", tmp_path / "on.svg", tmp_path / "off.svg"
+        cfg.write_text(json.dumps({"revolve": True}))
+        assert run(["--config", cfg, "plot", "--in", sigma2_csv, "--out", on]) == 0
+        assert run(["plot", "--in", sigma2_csv, "--revolve", "--out", off]) == 0
+        assert on.read_bytes() == off.read_bytes()
+        cfg.write_text(json.dumps({"revolve": "yes"}))
+        assert run(["--config", cfg, "plot", "--in", sigma2_csv, "--out", off]) == 2

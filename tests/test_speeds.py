@@ -13,16 +13,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from curvsol import (
-    DegenerateEigenvalueError,
     DomainError,
     ParameterError,
+    SpeedSpec,
     check_properties,
     eval_derivatives,
     eval_sigma_k,
     eval_speed,
     harmonic_pairs,
-    hessian_quadratic_form,
-    in_support,
     product,
     quotient,
     sample_interior,
@@ -30,7 +28,8 @@ from curvsol import (
 )
 from curvsol.io import derived_columns, read_profile_csv, write_profile_csv
 from curvsol.profiles import ProfileSolution
-from curvsol.speeds import _radial_degeneracy, speed_derivatives, speed_values, support_mask
+from curvsol.speeds import (_radial_degeneracy, hessian_quadratic_forms, speed_derivatives,
+                            speed_values, support_mask, support_violation)
 
 RNG = np.random.default_rng(20240817)
 
@@ -123,8 +122,8 @@ class TestEvalSpeed:
 
     def test_quotient_positive_cone_only(self):
         # 2-convex but not positive: rejected for quotients
-        assert not in_support(quotient(2, 1, 3), [-0.1, 1.0, 1.0])
-        assert in_support(quotient(2, 1, 3), [0.1, 1.0, 1.0])
+        assert "positive cone" in support_violation(quotient(2, 1, 3), [-0.1, 1.0, 1.0])
+        assert support_violation(quotient(2, 1, 3), [0.1, 1.0, 1.0]) is None
 
     @pytest.mark.parametrize("spec", ALL_SPEEDS, ids=lambda s: s.label())
     def test_permutation_invariance_exact(self, spec):
@@ -208,17 +207,19 @@ class TestHessianQuadraticForm:
     def test_linear_speed_vanishes(self):
         T = RNG.normal(size=(3, 3))
         T = 0.5 * (T + T.T)
-        assert hessian_quadratic_form(sigma_k_root(1, 3), [0.5, 1.0, 2.0], T) == pytest.approx(0.0, abs=1e-14)
+        got = hessian_quadratic_forms(sigma_k_root(1, 3), [[0.5, 1.0, 2.0]], [T])[0]
+        assert got == pytest.approx(0.0, abs=1e-14)
 
     def test_off_diagonal_example(self):
-        got = hessian_quadratic_form(sigma_k_root(2, 2), [1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]])
+        T = [[0.0, 1.0], [1.0, 0.0]]
+        got = hessian_quadratic_forms(sigma_k_root(2, 2), [[1.0, 2.0]], [T])[0]
         assert got == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-13)
 
     def test_diagonal_T_reduces_to_hessian(self):
         spec = sigma_k_root(2, 3)
         lam = np.array([0.7, 1.1, 2.3])
         diag = np.array([0.4, -0.8, 1.5])
-        got = hessian_quadratic_form(spec, lam, np.diag(diag))
+        got = hessian_quadratic_forms(spec, [lam], [np.diag(diag)])[0]
         d = eval_derivatives(spec, lam)
         assert got == pytest.approx(float(diag @ d.hessian @ diag), abs=1e-10)
 
@@ -235,24 +236,25 @@ class TestHessianQuadraticForm:
             return eval_speed(spec, ev)
 
         fd = (g(h) - 2.0 * g(0.0) + g(-h)) / (h * h)
-        got = hessian_quadratic_form(spec, lam, T)
+        got = hessian_quadratic_forms(spec, [lam], [T])[0]
         assert got == pytest.approx(fd, rel=5e-5, abs=5e-6)
 
     def test_degenerate_eigenvalues_rejected(self):
-        with pytest.raises(DegenerateEigenvalueError):
-            hessian_quadratic_form(sigma_k_root(2, 3), [1.0, 1.0, 2.0], np.eye(3))
+        # the matrix formula needs distinct entries: a repeated one gives NaN
+        got = hessian_quadratic_forms(sigma_k_root(2, 3), [[1.0, 1.0, 2.0]], [np.eye(3)])[0]
+        assert np.isnan(got)
 
     def test_asymmetric_T_rejected(self):
         with pytest.raises(ParameterError):
-            hessian_quadratic_form(sigma_k_root(2, 2), [1.0, 2.0], [[0.0, 1.0], [0.0, 0.0]])
+            hessian_quadratic_forms(sigma_k_root(2, 2), [[1.0, 2.0]], [[[0.0, 1.0], [0.0, 0.0]]])
 
     def test_T_is_checked_against_lambda_first(self):
         with pytest.raises(ParameterError):
-            hessian_quadratic_form(sigma_k_root(2, 3), [1.0, 2.0], np.eye(3))
+            hessian_quadratic_forms(sigma_k_root(2, 3), [[1.0, 2.0]], [np.eye(3)])
 
-    def test_lambda_of_another_dimension_is_domain_error(self):
-        with pytest.raises(DomainError, match="dimension mismatch"):
-            hessian_quadratic_form(sigma_k_root(2, 3), [1.0, 2.0], np.eye(2))
+    def test_lambda_of_another_dimension_is_parameter_error(self):
+        with pytest.raises(ParameterError, match=r"expected an \(m, 3\) array"):
+            hessian_quadratic_forms(sigma_k_root(2, 3), [[1.0, 2.0]], [np.eye(2)])
 
 
 class TestSpecValidation:
@@ -271,6 +273,12 @@ class TestSpecValidation:
     def test_product_weights_sum(self):
         with pytest.raises(ParameterError):
             product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.6])
+
+    @pytest.mark.parametrize("kind, k, l", [("sigma_k_root", "2", None),
+                                            ("sigma_k_root", 2.5, None), ("quotient", 2, 1.0)])
+    def test_non_integer_k_or_l_rejected(self, kind, k, l):
+        with pytest.raises(ParameterError, match="must be integers"):
+            SpeedSpec(kind=kind, n=3, k=k, l=l)
 
 
 class TestPropertySuite:
