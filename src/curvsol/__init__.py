@@ -4,7 +4,7 @@ cones, profile ODEs with sub/super-solution barriers, a Picard fixed-point
 construction, and numerical verification of the convexity estimate
 lambda_1 >= H - alpha*gamma."""
 
-from .cones import (ConeSpec, EmptyConeError, cone_mask, cone_separation, contains, cyl_ray,
+from .cones import (ConeSpec, cone_mask, cone_separation, contains, cyl_ray,
                     gamma_alpha_delta, gamma_k, two_convex, uniform_two_convex)
 from .errors import ContractionFailureError, DomainError, ParameterError
 from .picard import (GridFunction, PicardResult, domain_radius, initial_iterate,

@@ -125,6 +125,8 @@ def _cmd_props(args) -> int:
 def _cmd_barriers(args) -> int:
     if args.count < 1:
         raise ParameterError(f"--count must be >= 1, got {args.count}")
+    if args.rmin > args.rmax:
+        raise ParameterError(f"--rmin must not exceed --rmax, got {args.rmin} > {args.rmax}")
     names = [t.strip() for t in args.names.split(",")]
     bars = [barrier(name, args.n, k=args.k, a=args.a) for name in names]
     r_hi = min([args.rmax] + [b.r_end * (1.0 - 1e-9) for b in bars])
@@ -177,7 +179,7 @@ def _cmd_plot(args) -> int:
         if args.barriers:
             for name in args.barriers.split(","):
                 b = barrier(name.strip(), profile.n, k=profile.speed.k)
-                mask = (profile.r >= 0) & (profile.r < b.r_end)
+                mask = b.domain(profile.r)
                 if not np.any(mask):
                     continue
                 series.append((name.strip(), profile.r[mask], b(profile.r[mask])))

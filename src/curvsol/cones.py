@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .speeds import (SpeedSpec, _rows, harmonic_pairs, sigma_k_root, sigma_partials,
                      speed_values, support_margins, unit_draws)
 
@@ -24,12 +24,7 @@ __all__ = [
     "unit_samples",
     "cyl_ray",
     "cone_separation",
-    "EmptyConeError",
 ]
-
-
-class EmptyConeError(RuntimeError):
-    """Rejection sampling found no point inside the cone."""
 
 
 @dataclass(frozen=True)
@@ -183,7 +178,7 @@ def cone_separation(cone: ConeSpec, samples: int, seed: int = 0) -> float:
             d = np.minimum(_distance_to_cyl_rays(x), _distance_to_support_boundary(cone.speed, x))
             best = min(best, float(np.min(d)))
     if found == 0:
-        raise EmptyConeError(
+        raise DomainError(
             f"no unit vector of {samples} samples lies in the cone "
             f"(alpha={cone.alpha}, delta={cone.delta} may be incompatible)")
     return float(best)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .speeds import SpeedSpec
+from .speeds import SpeedSpec, harmonic_pairs, sigma_k_root
 
 __all__ = [
     "SlopeEquation",
@@ -41,13 +41,15 @@ BARRIER_NAMES = ("v1", "v2", "v3", "w1", "w2", "w3", "w4", "w5")
 @dataclass(frozen=True)
 class SlopeEquation:
     """w' = (w/r)(1+w^2) psi(r/w) for the slope w = u', with axis slope c
-    (psi(1/c) = 1), on the cone r > 0, w > 0, r/w < y_max.  ``rhs`` and
+    (psi(1/c) = 1) and wedge slope a0 (psi(1/a0) = 0, inf where psi has no
+    positive root), on the cone r > 0, w > 0, r/w < y_max.  ``rhs`` and
     ``rhs_dw`` act elementwise on floats or equal-shape arrays, make no numpy
     call on floats, and raise DomainError outside the cone."""
 
     psi: Callable
     dpsi: Callable
     c: float
+    a0: float
     y_max: float
 
     def _cone_ratio(self, r, w):
@@ -73,26 +75,26 @@ class SlopeEquation:
 def slope_equation(spec: SpeedSpec) -> SlopeEquation:
     """The profile slope equation of ``spec``.  A 1-homogeneous speed has
     gamma(x, 1, ..., 1) = phi(x) and gamma(lambda_1, lambda_2, ..., lambda_2)
-    = lambda_2 phi(lambda_1/lambda_2), so psi = phi^{-1} and c = 1/phi(1).
-    For the k-th root phi(x) = (C(n-1,k-1) x + C(n-1,k))^{1/k}.  For the
-    harmonic-pairs speed this package keeps the paper's model
+    = lambda_2 phi(lambda_1/lambda_2), so psi = phi^{-1}, c = 1/phi(1) and
+    a0 = 1/phi(0).  For the k-th root phi(x) = (C(n-1,k-1) x + C(n-1,k))^{1/k}
+    (k = 1 is mean curvature, psi(y) = y - (n-1)), and phi(0) = 0 at k = n.
+    For the harmonic-pairs speed this package keeps the paper's model
     psi(y) = (n y - 1)/(1 - q y), q = (n^2-3n+2)/4, which is not the inverse
     of that speed's phi."""
     n, k = spec.n, spec.k
     if spec.kind == "sigma_k_root":
-        if k < 2:
-            raise ParameterError("profiles require k >= 2 (mean curvature excluded)")
         ck, b = comb(n - 1, k - 1), (n - k) / k
         return SlopeEquation(psi=lambda y: y ** k / ck - b,
                              dpsi=lambda y: k * y ** (k - 1) / ck,
-                             c=(k / (n * ck)) ** (1.0 / k), y_max=inf)
+                             c=(k / (n * ck)) ** (1.0 / k),
+                             a0=comb(n - 1, k) ** (-1.0 / k) if k < n else inf, y_max=inf)
     if spec.kind == "harmonic_pairs":
         if not 3 <= n <= 6:
             raise ParameterError("harmonic profiles require n in 3..6")
         q = (n * n - 3 * n + 2) / 4.0
         return SlopeEquation(psi=lambda y: (n * y - 1.0) / (1.0 - q * y),
                              dpsi=lambda y: (n - q) / ((1.0 - q * y) * (1.0 - q * y)),
-                             c=(n + q) / 2.0, y_max=1.0 / q)
+                             c=(n + q) / 2.0, a0=float(n), y_max=1.0 / q)
     raise ParameterError(f"no profile equation for speed kind {spec.kind!r}")
 
 
@@ -162,9 +164,14 @@ class Barrier:
     r_end: float = float("inf")   # right end of the domain
     closed_end: bool = False      # whether r_end itself is admissible
 
+    def domain(self, r):
+        """Elementwise r in [0, r_end), or [0, r_end] at a closed end; False for NaN."""
+        rr = np.asarray(r, dtype=float)
+        return (rr >= 0.0) & ((rr <= self.r_end) if self.closed_end else (rr < self.r_end))
+
     def __call__(self, r):
         rr = np.asarray(r, dtype=float)
-        bad = ~((rr >= 0.0) & (rr <= self.r_end)) | ((rr == self.r_end) & (not self.closed_end))
+        bad = ~self.domain(rr)
         if np.any(bad):
             raise DomainError(
                 f"barrier {self.name} undefined at r={np.atleast_1d(rr)[np.atleast_1d(bad)][0]:.12g} "
@@ -183,45 +190,37 @@ class Barrier:
 
 
 def barrier(name: str, n: int, k: Optional[int] = None, a: Optional[float] = None) -> Barrier:
-    """Barrier factory.
+    """Barrier factory: v1..v3 for the k-th root's slope equation, w1..w5 for
+    the harmonic model's (n in 3..6), with c and a0 from ``slope_equation``.
 
-    v1/v2/v3 belong to the k-th-root profile equation (v1 sub-solution for
-    any k, v2 super-solution for 2 <= k <= n-1, v3 super-solution with a
-    vertical asymptote); w1..w5 belong to the harmonic profile equation
-    (w1/w4 linear sub-solutions, w2 super-solution on a finite interval,
-    w3 super-solution up to its asymptote, w5 the square-root comparison
-    function with parameter a).  w5/r has minimum 2a^2, so for n in 3..6
-    (where n > (n^2-3n+2)/4) w5 is a super-solution whenever 2a^2 >= n; with the default a^2 = c1 =
-    (n^2+n+2)/8, w5^2/w3^2 = (1+c1 r)/(c1 r) > 1 and w5 lies above w3 on its
-    whole domain, so it bounds no solution from below.
+    On the line a r the right-hand side is a(1 + a^2 r^2) psi(1/a), so v1/w1
+    = c r is a sub-solution and v2 = a0 r a super-solution (k <= n-1, where
+    psi has a root).  v3/w3 = c r/sqrt(1 - c^2 r^2) is a super-solution up to
+    r = 1/c: the right-hand side on it is its derivative times
+    psi(sqrt(1 - c^2 r^2)/c) <= 1, as psi is increasing.  Only the model's w2
+    = c2 r (psi(1/c2) = 1/2, a super-solution on [0, 1/c2]), the linear
+    sub-solution w4 and w5 are not derived.  w5, with parameter a (default
+    sqrt(c)), has w5/r >= 2a^2, so it is a super-solution whenever 2a^2 >= n;
+    by default w5^2/w3^2 = (1+c r)/(c r) > 1, so it bounds no solution from below.
     """
     if name not in BARRIER_NAMES:
         raise ParameterError(f"unknown barrier {name!r}; expected one of {BARRIER_NAMES}")
-    if name.startswith("v"):
-        if k is None or not 1 <= k <= n:
-            raise ParameterError(f"barrier {name} requires 1 <= k <= n")
-        c1 = (k / (n * comb(n - 1, k - 1))) ** (1.0 / k)
-        if name == "v1":
-            return Barrier(name, slope=c1)
-        if name == "v2":
-            if not 2 <= k <= n - 1:
-                raise ParameterError(f"barrier v2 requires 2 <= k <= n-1, got k={k}, n={n}")
-            return Barrier(name, slope=comb(n - 1, k) ** (-1.0 / k))
-        return Barrier(name, slope=c1, r_end=1.0 / c1)
-    c1 = (n * n + n + 2) / 8.0
-    if name == "w1":
-        return Barrier(name, slope=c1)
+    eq = slope_equation(sigma_k_root(k, n) if name.startswith("v") else harmonic_pairs(n))
+    if name in ("v1", "w1", "v3", "w3"):
+        return Barrier(name, slope=eq.c, r_end=1.0 / eq.c if name.endswith("3") else inf)
+    if name == "v2":
+        if eq.a0 == inf:
+            raise ParameterError(f"barrier v2 requires k <= n-1 (psi has no root at k={k}, n={n})")
+        return Barrier(name, slope=eq.a0)
     if name == "w2":
         c2 = (n * n + 5 * n + 2) / 12.0
         return Barrier(name, slope=c2, r_end=1.0 / c2, closed_end=True)
-    if name == "w3":
-        return Barrier(name, slope=c1, r_end=1.0 / c1)
     if name == "w4":
         m4 = sqrt(n ** 4 - 4 * n ** 3 + 7 * n * n - 8 * n + 4) / (2.0 * sqrt(6.0))
         return Barrier(name, slope=m4)
-    aa = sqrt(c1) if a is None else float(a)
-    if not aa > 0.0:
-        raise ParameterError("barrier w5 requires a > 0")
+    aa = sqrt(eq.c) if a is None else float(a)
+    if not 0.0 < aa < inf:
+        raise ParameterError(f"barrier w5 requires a finite a > 0, got {aa}")
     return Barrier(name, slope=aa, r_end=1.0 / aa ** 2)
 
 
@@ -292,6 +291,8 @@ def integrate_profile(spec: SpeedSpec,
     for name, x in (("rtol", rtol), ("atol", atol), ("blowup_threshold", blowup_threshold)):
         if not 0.0 < x < np.inf:
             raise ParameterError(f"{name} must be finite and > 0, got {x}")
+    if spec.kind == "sigma_k_root" and spec.k < 2:
+        raise ParameterError("profiles require k >= 2 (mean curvature excluded)")
     eq = slope_equation(spec)
     c, rhs = eq.c, eq.rhs
     if max_step is None:

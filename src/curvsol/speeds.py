@@ -446,7 +446,7 @@ def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int,
         X = X[support_mask(spec, X)][:need]
         misses = 0 if X.size else misses + size
         if misses >= _MAX_TRIES:
-            raise RuntimeError(
+            raise DomainError(
                 f"no interior sample found for {spec.label()} after {misses} draws")
         found.append(X)
         accepted += X.shape[0]

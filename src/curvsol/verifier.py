@@ -13,7 +13,7 @@ import numpy as np
 
 from .cones import ConeSpec, cone_mask, gamma_alpha_delta, uniform_two_convex, unit_samples
 from .errors import DomainError, ParameterError
-from .profiles import (ProfileSolution, barrier, closed_form_cyl,
+from .profiles import (ProfileSolution, barrier, closed_form_cyl, slope_equation,
                        solve_cyl_profile)
 from .rotgeom import cylinder_curvatures, profile_geometry
 from .speeds import (SpeedSpec, harmonic_pairs, hessian_quadratic_forms, speed_derivatives,
@@ -117,52 +117,47 @@ def check_convexity_estimate(profile: ProfileSolution, alpha: float, delta: floa
                       detail=f"admissible {admissible.size}/{H.size}, min slack {min_slack:.3e}")
 
 
-def _relative_excess(bound: np.ndarray, value: np.ndarray) -> tuple[float, int]:
-    """Largest relative amount by which ``value`` exceeds ``bound`` (for
-    upper bounds pass bound-value reversed); 0 when the ordering holds."""
-    scale = np.maximum(1.0, np.maximum(np.abs(bound), np.abs(value)))
-    excess = (bound - value) / scale
+def _relative_excess(lower: np.ndarray, upper: np.ndarray) -> tuple[float, int]:
+    """Largest relative amount by which ``lower`` exceeds ``upper``, and its
+    index; 0 when the ordering lower <= upper holds."""
+    scale = np.maximum(1.0, np.maximum(np.abs(lower), np.abs(upper)))
+    excess = (lower - upper) / scale
     i = int(np.argmax(excess))
     return max(0.0, float(excess[i])), i
 
 
 def check_barriers(profile: ProfileSolution) -> list[CheckEntry]:
-    """Pointwise sub/super-solution orderings for the profile's barrier
-    family, each reported as its own entry; ``w5_below_du_near_blowup`` is
-    always skipped, since w5 bounds no solution from below."""
-    r, du, n = profile.r, profile.du, profile.n
+    """Pointwise orderings of the profile's barrier family, each on the
+    barrier's domain and reported as its own entry: the sub-solution v1/w1
+    below u', then u' below the super-solutions v2, v3 or w2, w3.
+    ``du_below_v2`` is skipped where psi has no positive root (k = n), and
+    ``w5_below_du_near_blowup`` always, since w5 bounds no solution from below."""
+    r, du, speed = profile.r, profile.du, profile.speed
     tol = 1e-9                    # on the relative excess
-
-    def ordering(name: str, b, mask=slice(None)) -> CheckEntry:
-        """du below (``du_below_*``) or above barrier ``b`` on ``mask``."""
-        bd, bv = du[mask], b(r[mask])
-        viol, i = _relative_excess(bd, bv) if name.startswith("du_") else _relative_excess(bv, bd)
-        return CheckEntry(name=name, status="pass" if viol <= tol else "fail", tolerance=tol,
-                          worst_violation=viol, witness={"r": r[mask][i]})
-
-    def skipped(name: str, detail: str) -> CheckEntry:
-        return CheckEntry(name=name, status="skipped", tolerance=tol, detail=detail)
-
-    if profile.speed.kind == "sigma_k_root":
-        k = profile.speed.k
-        v3 = barrier("v3", n, k=k)
-        entries = [ordering("v1_below_du", barrier("v1", n, k=k)),
-                   ordering("du_below_v2", barrier("v2", n, k=k)) if 2 <= k <= n - 1
-                   else skipped("du_below_v2", f"v2 not applicable for k={k}, n={n}")]
-        if np.any(r < v3.r_end):
-            entries.append(ordering("du_below_v3", v3, r < v3.r_end))
-        return entries
-    if profile.speed.kind != "harmonic_pairs":
-        raise ParameterError(f"no barrier family for speed kind {profile.speed.kind!r}")
-    w2, w3 = barrier("w2", n), barrier("w3", n)
-    entries = [ordering("w1_below_du", barrier("w1", n))]
-    for name, b, mask in (("du_below_w2", w2, r <= w2.r_end), ("du_below_w3", w3, r < w3.r_end)):
+    family = {"sigma_k_root": "v", "harmonic_pairs": "w"}.get(speed.kind)
+    if family is None:
+        raise ParameterError(f"no barrier family for speed kind {speed.kind!r}")
+    entries = []
+    for i, name in enumerate((family + "1", family + "2", family + "3")):
+        label = f"du_below_{name}" if i else f"{name}_below_du"
+        if name == "v2" and slope_equation(speed).a0 == np.inf:
+            entries.append(CheckEntry(name=label, status="skipped", tolerance=tol,
+                                      detail=f"v2 not applicable for k={speed.k}, n={speed.n}"))
+            continue
+        b = barrier(name, speed.n, k=speed.k)
+        mask = b.domain(r)
         if np.any(mask):
-            entries.append(ordering(name, b, mask))
-    return entries + [skipped(
-        "w5_below_du_near_blowup",
-        "refuted: w5^2/w3^2 = (1+x)/x > 1 with x = c1 r, so w5 > w3 >= u' "
-        "on all of w5's domain and w5 bounds no solution from below")]
+            pair = (du[mask], b(r[mask])) if i else (b(r[mask]), du[mask])
+            viol, j = _relative_excess(*pair)
+            entries.append(CheckEntry(name=label, status="pass" if viol <= tol else "fail",
+                                      tolerance=tol, worst_violation=viol,
+                                      witness={"r": r[mask][j]}))
+    if family == "w":
+        entries.append(CheckEntry(
+            name="w5_below_du_near_blowup", status="skipped", tolerance=tol,
+            detail="refuted: w5^2/w3^2 = (1+x)/x > 1 with x = c1 r, so w5 > w3 >= u' "
+                   "on all of w5's domain and w5 bounds no solution from below"))
+    return entries
 
 
 def check_sigma2_cylinder(z_samples, tol: float = 1e-9) -> CheckEntry:

@@ -222,6 +222,15 @@ class TestProps:
         assert err == ["error: seed must be >= 0, got -1"]
         assert not out.exists()
 
+    def test_cone_too_thin_to_sample_is_usage_error(self, tmp_path, capsys):
+        # Gamma_20 is the positive cone, which holds 2^-20 of the unit sphere
+        out = tmp_path / "p.json"
+        assert run(["props", "--speed", "sigma-k", "--n", 20, "--k", 20, "--samples", 5,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no interior sample found for sigma_20")
+        assert not out.exists()
+
     @pytest.mark.parametrize("factors, weights", [
         pytest.param("sigma-k", None, id="sigma-k"),
         pytest.param("sigma-k:2,mean", None, id="sigma-k:2,mean"),
@@ -356,12 +365,26 @@ class TestBarriersCmd:
         assert "r=nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rmin_above_rmax_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert run(["barriers", "--names", "w3", "--n", 3, "--rmin", 0.5, "--rmax", 0.1,
+                    "--count", 3, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --rmin must not exceed --rmax, got 0.5 > 0.1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_harmonic_barrier_outside_n_3_to_6_is_usage_error(self, n, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert run(["barriers", "--names", "w3", "--n", n, "--out", out]) == 2
+        assert "n in 3..6" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_table_equals_pointwise_evaluation(self, n, tmp_path, capsys):
         # the table evaluates each barrier on the whole radius array; every
         # entry must equal the barrier evaluated at that radius alone
         cases = [(name, k) for name in ("v1", "v2", "v3") for k in range(1, n + 1)
-                 if name != "v2" or 2 <= k <= n - 1]
+                 if name != "v2" or k < n]
         cases += [(name, None) for name in ("w1", "w2", "w3", "w4", "w5") if n >= 3]
         for name, k in cases:
             b = barrier(name, n, k=k)

@@ -6,7 +6,7 @@ import pytest
 
 from curvsol import (
     ConeSpec,
-    EmptyConeError,
+    DomainError,
     ParameterError,
     cone_mask,
     cone_separation,
@@ -173,7 +173,7 @@ class TestConeSeparation:
     def test_empty_cone_reported(self):
         # H/gamma >= n / gamma(umbilic) on the cone, so small alpha is infeasible
         cone = gamma_alpha_delta(1.0, 0.1, harmonic_pairs(3))
-        with pytest.raises(EmptyConeError):
+        with pytest.raises(DomainError, match="no unit vector of 500 samples"):
             cone_separation(cone, samples=500, seed=3)
 
     def test_zero_samples_rejected(self):

@@ -83,8 +83,8 @@ class TestSigmaRhs:
             sigma_rhs(2, 3, -1.0, 1.0)
         with pytest.raises(DomainError):
             sigma_rhs(2, 3, 1.0, 0.0)
-        with pytest.raises(ParameterError):
-            sigma_rhs(1, 3, 1.0, 1.0)
+        # k = 1 is the mean-curvature equation, psi(y) = y - (n-1)
+        assert sigma_rhs(1, 3, 1.0, 1.0) == -2.0
 
 
 class TestHarmonicRhs:
@@ -279,6 +279,82 @@ class TestBarriers:
     def test_harmonic_axis_slope_is_the_slope_equations(self, name, n):
         assert barrier(name, n).slope == slope_equation(harmonic_pairs(n)).c
 
+    @pytest.mark.parametrize("name", ["w1", "w2", "w3", "w4", "w5"])
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_harmonic_family_requires_n_3_to_6(self, name, n):
+        # the model's axis slope leaves its own cone at n = 7:
+        # 1/c = 8/58 > y_max = 1/q = 4/30
+        with pytest.raises(ParameterError, match="n in 3..6"):
+            barrier(name, n)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, np.inf, np.nan])
+    def test_w5_requires_finite_positive_a(self, a):
+        with pytest.raises(ParameterError, match="finite a > 0"):
+            barrier("w5", 3, a=a)
+
+
+def _exact_slope_equation(spec):
+    """psi as an expression in y, with its slopes c (psi(1/c) = 1) and a0
+    (psi(1/a0) = 0, None for k = n) exact, and for the harmonic model w2's
+    slope c2 (psi(1/c2) = 1/2) and q (the cone is y < 1/q)."""
+    import sympy as sp
+    n, k, y = spec.n, spec.k, sp.Symbol("y", positive=True)
+    if spec.kind == "sigma_k_root":
+        psi = y ** k / comb(n - 1, k - 1) - sp.Rational(n - k, k)
+        c = sp.Rational(1, comb(n, k)) ** sp.Rational(1, k)
+        a0 = sp.Rational(1, comb(n - 1, k)) ** sp.Rational(1, k) if k < n else None
+        return y, psi, c, a0, None, None
+    q = sp.Rational(n * n - 3 * n + 2, 4)
+    return (y, (n * y - 1) / (1 - q * y), (n + q) / 2, sp.Integer(n),
+            sp.Rational(n * n + 5 * n + 2, 12), q)
+
+
+EXACT_CASES = ([sigma_k_root(k, n) for n in range(2, 7) for k in range(1, n + 1)]
+               + [harmonic_pairs(n) for n in range(3, 7)])
+
+
+@pytest.mark.parametrize("spec", EXACT_CASES, ids=[f"{s.kind}-n{s.n}-k{s.k}" for s in EXACT_CASES])
+def test_barrier_family_proof(spec):
+    """The barrier inequalities hold exactly, with the slopes the code uses:
+    c r is a sub-solution, a0 r a solution, and the asymptote
+    W = c r/sqrt(1 - c^2 r^2) a super-solution on [0, 1/c), since
+    W' - rhs(r, W) = W'(1 - psi(sqrt(1 - c^2 r^2)/c)) with psi increasing."""
+    import sympy as sp
+    Y, psi, c, a0, c2, q = _exact_slope_equation(spec)
+    R, T = sp.symbols("r t", positive=True)
+    eq = slope_equation(spec)
+    assert eq.c == pytest.approx(float(c), rel=1e-15)
+    assert eq.a0 == (np.inf if a0 is None else pytest.approx(float(a0), rel=1e-15))
+    for y in (0.05, 0.1, 0.13):
+        assert eq.psi(y) == pytest.approx(float(psi.subs(Y, y)), rel=1e-13, abs=1e-14)
+
+    def rhs(r, w):
+        return (w / r) * (1 + w ** 2) * psi.subs(Y, r / w)
+
+    def is_zero(expr):            # exact: the expanded numerator of one fraction
+        return sp.expand(sp.numer(sp.together(expr))) == 0
+
+    assert is_zero(rhs(R, c * R) - c - c ** 3 * R ** 2)
+    assert a0 is None or is_zero(rhs(R, a0 * R))
+    if spec.kind == "sigma_k_root" and a0 is not None:
+        assert barrier("v2", spec.n, k=spec.k).slope == eq.a0
+    # r = 2t/(c(1+t^2)) with 0 < t < 1 covers (0, 1/c) and makes
+    # sqrt(1 - c^2 r^2) = (1-t^2)/(1+t^2) rational in t
+    r = 2 * T / (c * (1 + T * T))
+    root = (1 - T * T) / (1 + T * T)
+    assert is_zero(root ** 2 - (1 - c ** 2 * r ** 2))
+    W = c * r / root
+    dW = sp.diff(W, T) / sp.diff(r, T)
+    assert is_zero(dW - rhs(r, W) - dW * (1 - psi.subs(Y, root / c)))
+    dpsi = sp.diff(psi, Y)
+    if q is None:
+        assert dpsi.is_positive
+    else:                         # on the cone 0 < y < 1/q, where 1/c lies
+        assert sp.cancel(dpsi * (1 - q * Y) ** 2) == spec.n - q > 0
+        assert 1 / c < 1 / q
+        assert sp.cancel(psi.subs(Y, 1 / c2)) == sp.Rational(1, 2)
+        assert barrier("w2", spec.n).slope == pytest.approx(float(c2), rel=1e-15)
+
 
 @st.composite
 def admitted_barriers(draw):
@@ -286,9 +362,17 @@ def admitted_barriers(draw):
     name = draw(st.sampled_from(BARRIER_NAMES))
     if name.startswith("w"):
         return barrier(name, draw(st.integers(3, 6)))
-    n = draw(st.integers(3 if name == "v2" else 2, 6))
-    k = draw(st.integers(2, n - 1) if name == "v2" else st.integers(1, n))
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1) if name == "v2" else st.integers(1, n))
     return barrier(name, n, k=k)
+
+
+def _evaluates(b, r) -> bool:
+    try:
+        b(r)
+    except DomainError:
+        return False
+    return True
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -308,6 +392,10 @@ def test_barrier_domain_edges(b, t, d):
     r = min(t * top, float(np.nextafter(b.r_end, 0.0)))
     value = b(r)
     assert np.isfinite(value) and value >= 0.0
+    # the domain test says exactly where the barrier evaluates
+    xs = np.array([-d, 0.0, r, b.r_end, np.nextafter(b.r_end * (1.0 + t), np.inf), np.nan])
+    assert [bool(b.domain(x)) for x in xs] == [_evaluates(b, x) for x in xs]
+    assert b.domain(xs).tolist() == [_evaluates(b, x) for x in xs]
 
 
 @pytest.mark.parametrize("name", BARRIER_NAMES)
