@@ -80,6 +80,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0.0 <= args.tol < np.inf:    # every kind takes it; soliton and cylinder read it
+        raise ParameterError(f"tol must be finite and >= 0, got {args.tol}")
     if args.which == "cylinder":
         if args.samples < 1:
             raise ParameterError(f"--samples must be >= 1, got {args.samples}")

@@ -169,6 +169,8 @@ def cone_separation(cone: ConeSpec, samples: int, seed: int = 0) -> float:
         raise ParameterError("samples must be >= 1")
     if cone.kind != "gamma_alpha_delta":
         raise ParameterError("cone_separation applies to gamma_alpha_delta cones")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     best = np.inf
     found = 0

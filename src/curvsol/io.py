@@ -103,12 +103,12 @@ def write_profile_csv(path, profile: ProfileSolution) -> Path:
 
 
 def read_profile_csv(path) -> ProfileSolution:
-    """Parse a profile CSV and its metadata sidecar; raises ParameterError
-    naming the offending line on malformed input, and naming the sidecar when
-    it is not JSON, lacks a key, holds a value of the wrong type or its ``n``
-    differs from its speed's."""
+    """Parse a profile CSV and its metadata sidecar, building the profile from
+    the sidecar's speed, status and tolerances.  Raises ParameterError naming
+    the line of a malformed or non-finite value, and naming the sidecar when it
+    is not JSON or lacks or differs in a key of ``profile_metadata``."""
     path = Path(path)
-    rows = []
+    rows, linenos = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -123,8 +123,13 @@ def read_profile_csv(path) -> ProfileSolution:
                 rows.append([float(x) for x in row[:4]])
             except ValueError as exc:
                 raise ParameterError(f"{path}: line {lineno}: {exc}") from None
+            linenos.append(lineno)
     if not rows:
         raise ParameterError(f"{path}: no samples")
+    samples = np.asarray(rows)
+    if not np.isfinite(samples).all():
+        i, j = np.argwhere(~np.isfinite(samples))[0]
+        raise ParameterError(f"{path}: line {linenos[i]}: {PROFILE_COLUMNS[j]} is not finite")
     side = path.with_suffix(".meta.json")
     if not side.exists():
         raise ParameterError(f"metadata sidecar {side} not found")
@@ -133,28 +138,19 @@ def read_profile_csv(path) -> ProfileSolution:
             metadata = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"metadata sidecar {side}: {exc}") from None
-    samples = np.asarray(rows)
     if np.any(np.diff(samples[:, 0]) <= 0.0):
         raise ParameterError(f"{path}: radii must be strictly increasing")
     try:
         if not isinstance(metadata, dict):
             raise ParameterError("expected a JSON object")
-        tolerances = metadata.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise ParameterError(f"tolerances: expected a JSON object, got {tolerances!r}")
-        speed = speed_from_dict(metadata["speed"])
-        if metadata["n"] != speed.n:
-            raise ParameterError(f"n = {metadata['n']!r} differs from its speed's n = {speed.n}")
-        return ProfileSolution(
-            speed=speed,
-            samples=samples,
-            startup_slope=float(metadata["startup_slope"]),
-            startup_radius=float(metadata["startup_radius"]),
-            blowup_radius=(None if metadata.get("blowup_radius") is None
-                           else float(metadata["blowup_radius"])),
-            status=str(metadata["status"]),
-            tolerances=dict(tolerances),
-        )
+        profile = ProfileSolution(speed=speed_from_dict(metadata["speed"]), samples=samples,
+                                  status=str(metadata["status"]),
+                                  tolerances=dict(metadata["tolerances"]))
+        for key, value in profile_metadata(profile).items():
+            if metadata[key] != value:
+                raise ParameterError(f"{key} = {json.dumps(metadata[key])} differs from "
+                                     f"the profile's {json.dumps(value)}")
+        return profile
     except KeyError as exc:
         raise ParameterError(f"metadata sidecar {side}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

@@ -231,19 +231,29 @@ def barrier(name: str, n: int, k: Optional[int] = None, a: Optional[float] = Non
 @dataclass(frozen=True)
 class ProfileSolution:
     """A sampled radial profile: rows of (r, u, u', u'') at the accepted
-    integration nodes, plus startup and termination metadata."""
+    integration nodes (the first at the startup radius, the last at the
+    blow-up radius when it blew up), its termination status and tolerances."""
 
     speed: SpeedSpec
     samples: np.ndarray
-    startup_slope: float
-    startup_radius: float
-    blowup_radius: Optional[float]
     status: str
     tolerances: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.speed.n
+
+    @property
+    def startup_slope(self) -> float:
+        return slope_equation(self.speed).c
+
+    @property
+    def startup_radius(self) -> float:
+        return float(self.samples[0, 0])
+
+    @property
+    def blowup_radius(self) -> Optional[float]:
+        return float(self.samples[-1, 0]) if self.status == "blew_up" else None
 
     @property
     def r(self) -> np.ndarray:
@@ -277,8 +287,8 @@ def integrate_profile(spec: SpeedSpec,
     pair) one accepted step at a time, one sample row per step.  Stops at
     r_max (status ``completed``), when u' exceeds ``blowup_threshold`` or
     the step size underflows while the slope is already huge (``blew_up``,
-    with ``blowup_radius`` the last accepted node), or on step-size
-    underflow at a moderate slope (``step_failure``).  u'' is stored as the
+    ending at the last accepted node), or on step-size underflow
+    at a moderate slope (``step_failure``).  u'' is stored as the
     right-hand side at each node, exact by the equation.  RK45 raises an
     rtol below 100 machine epsilons to that floor (with a warning), and
     ``tolerances`` records the rtol it used.
@@ -310,30 +320,20 @@ def integrate_profile(spec: SpeedSpec,
                   first_step=min(startup_radius / 8.0, max_step))
     rows = [(solver.t, *solver.y, solver.f[1])]
     status = "step_failure"
-    blowup_radius = None
     for _ in range(max_steps):
         solver.step()
         if solver.status == "failed":    # step size underflow
             if solver.y[1] >= 1e-2 * blowup_threshold:
                 status = "blew_up"
-                blowup_radius = solver.t
             break
         rows.append((solver.t, *solver.y, solver.f[1]))
         if solver.y[1] > blowup_threshold:
             status = "blew_up"
-            blowup_radius = solver.t
             break
         if solver.status == "finished":
             status = "completed"
             break
 
-    return ProfileSolution(
-        speed=spec,
-        samples=np.array(rows),
-        startup_slope=c,
-        startup_radius=startup_radius,
-        blowup_radius=blowup_radius,
-        status=status,
-        tolerances={"rtol": float(solver.rtol), "atol": atol,
-                    "blowup_threshold": blowup_threshold, "max_step": max_step},
-    )
+    return ProfileSolution(speed=spec, samples=np.array(rows), status=status,
+                           tolerances={"rtol": float(solver.rtol), "atol": atol,
+                                       "blowup_threshold": blowup_threshold, "max_step": max_step})

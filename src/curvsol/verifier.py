@@ -205,6 +205,8 @@ def estimate_pinching_constants(spec: SpeedSpec, cone: ConeSpec, samples: int,
     degenerate entries count for the gradient ratio only."""
     if samples < 1:
         raise ParameterError("samples must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     grad_ratio = 1.0
     hess_sup = -np.inf

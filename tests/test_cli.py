@@ -163,7 +163,8 @@ class TestVerify:
         assert not out.exists()
 
     @pytest.mark.parametrize("which, tol", [("cylinder", "nan"), ("cylinder", "inf"),
-                                            ("soliton", -1), ("soliton", "nan")])
+                                            ("soliton", -1), ("soliton", "nan"),
+                                            ("convexity", "nan"), ("barriers", -5)])
     def test_bad_tol_is_usage_error(self, which, tol, sigma2_csv, tmp_path, capsys):
         out = tmp_path / "v.json"
         assert run(["verify", which, "--profile", sigma2_csv, "--samples", 3, "--tol", tol,
@@ -297,7 +298,8 @@ def test_sidecar_n_disagreeing_with_its_speed_is_input_error(which, tmp_path, ca
     assert err[0].count("metadata sidecar") == 1
 
 
-@pytest.mark.parametrize("key", ["startup_slope", "status", "speed", "n"])
+@pytest.mark.parametrize("key", ["n", "speed", "k", "startup_slope", "startup_radius",
+                                 "blowup_radius", "status", "tolerances"])
 def test_sidecar_missing_a_key_is_input_error(key, tmp_path, capsys):
     csv = tmp_path / "hm3.csv"
     assert run(["solve", "--speed", "harmonic", "--n", 3, "--rmax", 0.45, "--out", csv]) == 0
@@ -310,6 +312,46 @@ def test_sidecar_missing_a_key_is_input_error(key, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: metadata sidecar {side}: missing key {key!r}\n"
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"k": 7}, "k"), ({"startup_slope": 9.0}, "startup_slope"),
+    ({"startup_radius": 0.5}, "startup_radius"), ({"blowup_radius": 0.5}, "blowup_radius"),
+    ({"status": "blew_up"}, "blowup_radius")],
+    ids=["k", "startup_slope", "startup_radius", "blowup_radius", "status"])
+def test_sidecar_value_differing_from_the_profile_is_input_error(changes, key, tmp_path, capsys):
+    # a blown-up profile ends at its blow-up radius, so status blew_up needs one
+    csv = tmp_path / "s3.csv"
+    assert run(["solve", "--speed", "sigma-k", "--k", 2, "--n", 3, "--rmax", 0.5,
+                "--out", csv]) == 0
+    side = tmp_path / "s3.meta.json"
+    side.write_text(json.dumps({**json.loads(side.read_text()), **changes}))
+    capsys.readouterr()
+    assert run(["verify", "soliton", "--profile", csv]) == 2
+    out, err = capsys.readouterr()
+    err = err.splitlines()
+    assert out == "" and len(err) == 1
+    assert err[0].startswith(f"error: metadata sidecar {side}: {key} = ")
+
+
+@pytest.mark.parametrize("which", ["soliton", "plot"])
+@pytest.mark.parametrize("column, value", [("du", "nan"), ("r", "inf")])
+def test_non_finite_profile_value_is_input_error(which, column, value, tmp_path, capsys):
+    csv, fig = tmp_path / "s3.csv", tmp_path / "fig.svg"
+    assert run(["solve", "--speed", "sigma-k", "--k", 2, "--n", 3, "--rmax", 0.5,
+                "--out", csv]) == 0
+    lines = csv.read_text().splitlines(keepends=True)
+    fields = lines[3].split(",")
+    fields[lines[0].split(",").index(column)] = value
+    lines[3] = ",".join(fields)
+    csv.write_text("".join(lines))
+    capsys.readouterr()
+    argv = (["plot", "--in", csv, "--barriers", "v1,v3", "--out", fig] if which == "plot"
+            else ["verify", which, "--profile", csv])
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not fig.exists()
+    assert err == f"error: {csv}: line 4: {column} is not finite\n"
 
 
 @pytest.mark.parametrize("key, value", [

@@ -401,7 +401,6 @@ def profiles(draw):
     r = np.cumsum(draw(hnp.arrays(np.float64, m, elements=st.floats(1e-3, 1.0))))
     rest = draw(hnp.arrays(np.float64, (m, 3), elements=finite))
     return ProfileSolution(speed=spec, samples=np.column_stack((r, rest)),
-                           startup_slope=1.0, startup_radius=float(r[0]), blowup_radius=None,
                            status="completed", tolerances={"rtol": 1e-10})
 
 

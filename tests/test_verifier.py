@@ -13,6 +13,7 @@ from curvsol import (
     check_convexity_estimate,
     check_sigma2_cylinder,
     check_soliton,
+    cone_separation,
     estimate_pinching_constants,
     fit_convexity_params,
     gamma_alpha_delta,
@@ -113,9 +114,7 @@ class TestConvexityEstimate:
         # pair sum -0.2 lambda_2 is negative: no beta in (0,1) fits
         r = np.linspace(0.01, 1.0, 40)
         samples = np.column_stack((r, 0.5 * r * r, r, -1.2 * (1.0 + r * r)))
-        profile = ProfileSolution(speed=sigma_k_root(2, 5), samples=samples,
-                                  startup_slope=1.0, startup_radius=0.01,
-                                  blowup_radius=None, status="completed")
+        profile = ProfileSolution(speed=sigma_k_root(2, 5), samples=samples, status="completed")
         with pytest.raises(DomainError, match="not uniformly 2-convex"):
             fit_convexity_params(profile, delta=0.05)
 
@@ -127,9 +126,7 @@ class TestConvexityEstimate:
         # estimate lambda_1 >= H - alpha gamma needs alpha >= 6.71
         r = np.linspace(0.01, 1.0, 40)
         samples = np.column_stack((r, 0.5 * r * r, r, -0.3 * (1.0 + r * r)))
-        profile = ProfileSolution(speed=harmonic_pairs(3), samples=samples,
-                                  startup_slope=1.0, startup_radius=0.01,
-                                  blowup_radius=None, status="completed")
+        profile = ProfileSolution(speed=harmonic_pairs(3), samples=samples, status="completed")
         entry = check_convexity_estimate(profile, alpha, 0.05, 0.3)
         assert entry.status == status
         if status == "fail":
@@ -211,3 +208,11 @@ class TestPinching:
         a = estimate_pinching_constants(spec, cone, samples=400, seed=5)
         b = estimate_pinching_constants(spec, cone, samples=400, seed=5)
         assert (a.gradient_pinching, a.hessian_sup) == (b.gradient_pinching, b.hessian_sup)
+
+    def test_negative_seed_is_parameter_error(self):
+        spec = harmonic_pairs(3)
+        cone = gamma_alpha_delta(100.0, 0.1, spec)
+        for sample in (lambda: cone_separation(cone, samples=10, seed=-1),
+                       lambda: estimate_pinching_constants(spec, cone, samples=10, seed=-1)):
+            with pytest.raises(ParameterError, match="^seed must be >= 0, got -1$"):
+                sample()
