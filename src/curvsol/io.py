@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,18 +103,27 @@ def write_profile_csv(path, profile: ProfileSolution) -> Path:
     return side
 
 
-def read_profile_csv(path) -> ProfileSolution:
-    """Parse a profile CSV and its metadata sidecar, building the profile from
-    the sidecar's speed, status and tolerances.  Raises ParameterError naming
-    the line of a malformed or non-finite value, and naming the sidecar when it
-    is not JSON or lacks or differs in a key of ``profile_metadata``."""
-    path = Path(path)
+def _read_samples(path: Path) -> np.ndarray:
+    """The r, u, du, ddu columns of a profile CSV.  ``np.loadtxt`` parses a
+    well-formed table; on any fault the line-numbered loop re-reads the file
+    to name the first bad line."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None or tuple(header[:4]) != PROFILE_COLUMNS[:4]:
+            raise ParameterError(f"{path}: line 1: expected header starting with r,u,du,ddu")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # loadtxt warns, not raises, on no rows
+                samples = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2, 3), ndmin=2,
+                                     comments=None)
+            if np.isfinite(samples).all() and np.all(np.diff(samples[:, 0]) > 0.0):
+                return samples
+        except (ValueError, UserWarning):
+            pass
     rows, linenos = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header[:4]) != PROFILE_COLUMNS[:4]:
-            raise ParameterError(f"{path}: line 1: expected header starting with r,u,du,ddu")
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -130,6 +140,20 @@ def read_profile_csv(path) -> ProfileSolution:
     if not np.isfinite(samples).all():
         i, j = np.argwhere(~np.isfinite(samples))[0]
         raise ParameterError(f"{path}: line {linenos[i]}: {PROFILE_COLUMNS[j]} is not finite")
+    down = np.flatnonzero(np.diff(samples[:, 0]) <= 0.0)
+    if down.size:
+        raise ParameterError(f"{path}: line {linenos[down[0] + 1]}: radii must be strictly increasing")
+    return samples
+
+
+def read_profile_csv(path) -> ProfileSolution:
+    """Parse a profile CSV and its metadata sidecar, building the profile from
+    the sidecar's speed, status and tolerances.  Raises ParameterError naming
+    the line of a malformed or non-finite value or of a radius that does not
+    increase, and naming the sidecar when it is not JSON or lacks or differs in
+    a key of ``profile_metadata``."""
+    path = Path(path)
+    samples = _read_samples(path)
     side = path.with_suffix(".meta.json")
     if not side.exists():
         raise ParameterError(f"metadata sidecar {side} not found")
@@ -138,8 +162,6 @@ def read_profile_csv(path) -> ProfileSolution:
             metadata = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"metadata sidecar {side}: {exc}") from None
-    if np.any(np.diff(samples[:, 0]) <= 0.0):
-        raise ParameterError(f"{path}: radii must be strictly increasing")
     try:
         if not isinstance(metadata, dict):
             raise ParameterError("expected a JSON object")

@@ -9,7 +9,7 @@ slope w = u', with psi derived from the speed (``slope_equation``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, exp, inf, sqrt
+from math import comb, exp, inf, isfinite, sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -283,17 +283,21 @@ def integrate_profile(spec: SpeedSpec,
     """Integrate the profile slope equation from the axis startup.
 
     Launches at r = startup_radius with u'(r) = c*r (c the startup slope)
-    and u = c*r^2/2, then advances scipy's RK45 (the Dormand-Prince 5(4)
-    pair) one accepted step at a time, one sample row per step.  Stops at
-    r_max (status ``completed``), when u' exceeds ``blowup_threshold`` or
-    the step size underflows while the slope is already huge (``blew_up``,
-    ending at the last accepted node), or on step-size underflow
-    at a moderate slope (``step_failure``).  u'' is stored as the
-    right-hand side at each node, exact by the equation.  RK45 raises an
-    rtol below 100 machine epsilons to that floor (with a warning), and
-    ``tolerances`` records the rtol it used.
+    and u = c*r^2/2, then advances scipy's LSODA (ODEPACK's Adams/BDF
+    switcher, stiff near the wedge u' ~ a0 r) with the exact Jacobian
+    ``rhs_dw`` one accepted step at a time, one sample row per step.  LSODA
+    keeps a step whose right-hand side or Jacobian was NaN (outside the cone),
+    so a step that ends on a non-finite row is dropped and LSODA restarted at
+    the last row with half that step; each restart counts against
+    ``max_steps``.  Stops at r_max (status ``completed``), when u' exceeds
+    ``blowup_threshold`` or the step size underflows while the slope is
+    already huge (``blew_up``, ending at the last accepted node), or on
+    step-size underflow at a moderate slope (``step_failure``).  u'' is
+    stored as the right-hand side at each node, exact by the equation.
+    scipy raises an rtol below 100 machine epsilons to that floor (with a
+    warning), and ``tolerances`` records the rtol it used.
     """
-    from scipy.integrate import RK45
+    from scipy.integrate import LSODA
     if not startup_radius > 0.0:
         raise ParameterError("startup_radius must be positive")
     if not startup_radius < r_max < np.inf:
@@ -304,36 +308,51 @@ def integrate_profile(spec: SpeedSpec,
     if spec.kind == "sigma_k_root" and spec.k < 2:
         raise ParameterError("profiles require k >= 2 (mean curvature excluded)")
     eq = slope_equation(spec)
-    c, rhs = eq.c, eq.rhs
+    c, rhs, rhs_dw = eq.c, eq.rhs, eq.rhs_dw
     if max_step is None:
         max_step = max((r_max - startup_radius) / 50.0, 1e-3)
 
-    def f(rr: float, yy: np.ndarray) -> list:
-        r, w = float(rr), float(yy[1])   # on floats the domain check makes no numpy call
-        try:
-            return [w, rhs(r, w)]
+    def at(g, rr, yy) -> float:
+        try:   # on floats the domain check makes no numpy call
+            return g(float(rr), float(yy[1]))
         except (DomainError, OverflowError):
-            return [w, np.nan]   # the controller rejects the step and shrinks it
+            return np.nan   # LSODA keeps the step: the loop below retries it
 
-    solver = RK45(f, startup_radius, [0.5 * c * startup_radius ** 2, c * startup_radius],
-                  r_max, max_step=max_step, rtol=rtol, atol=atol,
-                  first_step=min(startup_radius / 8.0, max_step))
-    rows = [(solver.t, *solver.y, solver.f[1])]
+    def f(rr, yy) -> list:
+        return [float(yy[1]), at(rhs, rr, yy)]
+
+    def jac(rr, yy) -> list:
+        return [[0.0, 1.0], [0.0, at(rhs_dw, rr, yy)]]
+
+    def launch(r0, y0, first_step):
+        return LSODA(f, r0, y0, r_max, first_step=first_step, max_step=max_step,
+                     rtol=rtol, atol=atol, jac=jac)
+
+    y0 = [0.5 * c * startup_radius ** 2, c * startup_radius]
+    solver = launch(startup_radius, y0, min(startup_radius / 8.0, max_step))
+    rows = [(startup_radius, *y0, at(rhs, startup_radius, y0))]
     status = "step_failure"
     for _ in range(max_steps):
         solver.step()
-        if solver.status == "failed":    # step size underflow
-            if solver.y[1] >= 1e-2 * blowup_threshold:
+        row = (solver.t, *solver.y, at(rhs, solver.t, solver.y))
+        if solver.status == "failed" or not all(map(isfinite, row)):
+            r, u, w, _ = rows[-1]
+            h = 0.5 * (solver.t - r)
+            if solver.status != "failed" and r + h > r:
+                solver = launch(r, [u, w], h)   # drop the non-finite step, retry half of it
+                continue
+            if w >= 1e-2 * blowup_threshold:   # step size underflow
                 status = "blew_up"
             break
-        rows.append((solver.t, *solver.y, solver.f[1]))
-        if solver.y[1] > blowup_threshold:
+        rows.append(row)
+        if row[2] > blowup_threshold:
             status = "blew_up"
             break
         if solver.status == "finished":
             status = "completed"
             break
 
+    used_rtol = float(max(rtol, 100 * np.finfo(float).eps))   # scipy's floor, see above
     return ProfileSolution(speed=spec, samples=np.array(rows), status=status,
-                           tolerances={"rtol": float(solver.rtol), "atol": atol,
+                           tolerances={"rtol": used_rtol, "atol": atol,
                                        "blowup_threshold": blowup_threshold, "max_step": max_step})

@@ -76,3 +76,44 @@ def test_write_table_bytes(tmp_path, capsys):
     assert path.read_bytes() == expected.encode()
     write_table(None, ("x", "y"), (np.array(values), -np.array(values)))
     assert capsys.readouterr().out == expected
+
+
+HEADER = "r,u,du,ddu,lambda1,lambda2,gamma,tilt,residual\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("", "line 1: expected header starting with r,u,du,ddu"),
+    ("r,du,u,ddu\n1.0,0.1,0.2,0.3\n", "line 1: expected header starting with r,u,du,ddu"),
+    (HEADER + "0.5,0,0,0\n1.0,0.1,0.2\n", "line 3: 3 fields, expected r,u,du,ddu"),
+    (HEADER + "1.0,0.1,oops,0.2\n", "line 2: could not convert string to float: 'oops'"),
+    (HEADER + "0.5,0,0,0\n\n1.0,0.1,nan,0.2\n", "line 4: du is not finite"),
+    (HEADER, "no samples"),
+    (HEADER + "\n", "no samples"),
+])
+def test_table_error_messages(tmp_path, body, message):
+    path = tmp_path / "t.csv"
+    path.write_text(body)
+    with pytest.raises(ParameterError) as info:
+        read_profile_csv(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_decreasing_radius_names_its_line(tmp_path, profile):
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, profile)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5], lines[6] = lines[6], lines[5]
+    path.write_text("".join(lines))
+    with pytest.raises(ParameterError) as info:
+        read_profile_csv(path)
+    assert str(info.value) == f"{path}: line 7: radii must be strictly increasing"
+
+
+def test_quoted_fields_read_by_the_line_loop(tmp_path, profile):
+    # np.loadtxt rejects quoted fields; the csv loop behind it reads them
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, profile)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + "".join(
+        ",".join(f'"{x}"' for x in line.rstrip("\n").split(",")) + "\n" for line in lines[1:]))
+    assert np.array_equal(read_profile_csv(path).samples, profile.samples)

@@ -1,5 +1,6 @@
-"""Tests for the slope equation, closed forms, barriers, and the RK45
-profile integrator."""
+"""Tests for the slope equation, closed forms, barriers, and the profile
+integrator: LSODA with the exact Jacobian, restarted from the last node with
+half the step whenever a step reaches a NaN."""
 
 import math
 from math import comb, exp, sqrt
@@ -529,19 +530,45 @@ class TestIntegrateProfile:
         with pytest.raises(ParameterError):
             check_soliton(p, 1e-8)
 
-    def test_rhs_domain_error_shrinks_the_step(self, monkeypatch):
-        reference = integrate_profile(sigma_k_root(2, 3), r_max=1.0)
-        original = profiles.SlopeEquation.rhs
+    @staticmethod
+    def _solve_through_faults(monkeypatch, name, spec, r_max, lo, hi):
+        """The first 5 calls of ``SlopeEquation.<name>`` at lo < r < hi raise
+        DomainError; the solve must still complete, finite, within 1e-10."""
+        reference = integrate_profile(spec, r_max=r_max)
+        original = getattr(profiles.SlopeEquation, name)
         raised = []
 
         def flaky(eq, r, v):
-            if 0.5 < r < 0.53 and len(raised) < 5:
+            if lo < r < hi and len(raised) < 5:
                 raised.append(r)
                 raise DomainError("injected")
             return original(eq, r, v)
 
-        monkeypatch.setattr(profiles.SlopeEquation, "rhs", flaky)
-        p = integrate_profile(sigma_k_root(2, 3), r_max=1.0)
+        monkeypatch.setattr(profiles.SlopeEquation, name, flaky)
+        p = integrate_profile(spec, r_max=r_max)
         assert len(raised) == 5
-        assert p.status == "completed" and p.r[-1] == 1.0
+        assert p.status == "completed" and p.r[-1] == r_max
         assert p.du[-1] == pytest.approx(reference.du[-1], rel=1e-10, abs=0.0)
+        assert np.isfinite(p.samples).all()
+
+    def test_rhs_domain_error_shrinks_the_step(self, monkeypatch):
+        self._solve_through_faults(monkeypatch, "rhs", sigma_k_root(2, 3), 1.0, 0.5, 0.53)
+
+    def test_jacobian_domain_error_restarts_the_step(self, monkeypatch):
+        # the stiff n = 6 wedge is where LSODA switches to BDF and calls the Jacobian
+        self._solve_through_faults(monkeypatch, "rhs_dw", harmonic_pairs(6), 3.0, 0.5, np.inf)
+
+    @pytest.mark.parametrize("spec, r_max", [
+        *((sigma_k_root(k, n), 2.0) for n in range(3, 7) for k in range(2, n + 1)),
+        *((harmonic_pairs(n), r_max) for n in range(3, 7) for r_max in (3.0, 0.45))])
+    def test_slope_matches_a_tight_solve(self, spec, r_max):
+        p = integrate_profile(spec, r_max=r_max)
+        tight = integrate_profile(spec, r_max=r_max, rtol=1e-13, atol=1e-16)
+        assert p.status == tight.status == "completed"
+        assert p.du[-1] == pytest.approx(tight.du[-1], rel=1e-10, abs=0.0)
+
+    def test_stiff_far_field_takes_few_steps(self):
+        # u' ~ 6 r makes rhs_dw ~ -216 r: an explicit method needs ~30,000 steps to r = 30
+        p = integrate_profile(harmonic_pairs(6), r_max=30.0)
+        assert p.status == "completed" and p.r[-1] == 30.0
+        assert p.samples.shape[0] < 2000
