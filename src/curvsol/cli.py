@@ -305,7 +305,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:         # argparse has printed its usage error or the help
         return exc.code
-    except (ParameterError, DomainError, FileNotFoundError) as exc:
+    except (ParameterError, DomainError, OSError) as exc:   # OSError: a path we cannot read or write
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -233,6 +233,47 @@ def support_margins(spec: SpeedSpec, lam) -> list[tuple[str, np.ndarray]]:
     return [c for f in spec.factors for c in support_margins(f, S)]
 
 
+def _sigma_line(lam: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
+    """Coefficients c_0..c_k (last axis, c_p of t^p) of S_k(lam + t d) at the
+    rows of lam and d (shape (m, n)): the prefix recurrence of `_sigma_all`
+    run on the linear polynomials lam_c + t d_c."""
+    m, n = lam.shape
+    e = [np.zeros((m, k + 1)) for _ in range(k + 1)]
+    e[0][:, 0] = 1.0
+    for c in range(n):
+        a, b = lam[:, c, None], d[:, c, None]
+        for j in range(min(c + 1, k), 0, -1):
+            e[j] = e[j] + a * e[j - 1]
+            e[j][:, 1:] += b * e[j - 1][:, :-1]
+    return e[k]
+
+
+def _support_exit(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Time t > 0 at which the path lam + t d leaves the open support cone,
+    per row of lam (inside the cone) and d (shape (m, n)); inf where it never
+    does.  A floating-point value: callers confirm it with `support_mask`."""
+    if spec.kind == "product":
+        return np.min([_support_exit(f, lam, d) for f in spec.factors], axis=0)
+    if spec.kind == "sigma_k_root":
+        # Garding: S_k is hyperbolic in the direction of lam, so the reversed
+        # polynomial S_k(d + s lam) = s^k S_k(lam + d/s) has real roots only, and
+        # the path leaves Gamma_k at t = 1/s for the largest, when it is positive
+        m, k = lam.shape[0], spec.k
+        c = _sigma_line(lam, d, k)
+        companion = np.zeros((m, k, k))
+        companion[:, 0, :] = -c[:, 1:] / c[:, :1]        # leading coefficient S_k(lam) > 0
+        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        s = np.max(np.linalg.eigvals(companion).real, axis=1)
+        return np.divide(1.0, s, out=np.full(m, np.inf), where=s > 0.0)
+    if spec.kind == "harmonic_pairs":
+        i, j = np.triu_indices(spec.n, 1)
+        margin, rate = lam[:, i] + lam[:, j], d[:, i] + d[:, j]
+    else:                                                # quotient: the positive cone
+        margin, rate = lam, d
+    return np.min(np.divide(margin, -rate, out=np.full(margin.shape, np.inf), where=rate < 0.0),
+                  axis=1)
+
+
 def support_mask(spec: SpeedSpec, lam) -> np.ndarray:
     """Boolean array over the rows of ``lam`` (shape (m, n)): the row lies in
     the open support cone of ``spec``."""
@@ -492,46 +533,62 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
     """Test decay of the speed along straight paths from the rows of ``lam``
     in the unit directions ``d`` to the cone boundary, all paths in lockstep.
 
-    Returns (found, satisfied, limit_ratio) arrays over the paths.  Each
-    boundary point is located by bisection along its exit direction; the
-    speed is sampled at geometrically shrinking distances, a power-law
-    exponent is fitted, and the inferred boundary limit (0 for a clean
-    positive exponent, else the observed plateau) is compared against
-    ``_BOUNDARY_REL`` times the interior value.  A raw-value threshold alone
-    would misclassify k-th roots with k >= 4, whose decay cannot reach 1e-3
-    of the interior value at double-precision distances.
+    Returns (found, satisfied, limit_ratio) arrays over the paths.  A doubling
+    march finds the paths that leave the cone and brackets their exits; a
+    bracket of 1e-9 relative about the exact exit time replaces it where
+    ``support_mask`` confirms both ends, and each call then tests 63 evenly
+    spaced points per bracket until every bracket is one ulp wide.  The speed
+    is sampled at geometrically shrinking distances from the last point
+    inside, a power-law exponent is fitted, and the inferred boundary limit
+    (0 for a clean positive exponent, else the observed plateau) is compared
+    against ``_BOUNDARY_REL`` times the interior value.  A raw-value
+    threshold alone would misclassify k-th roots with k >= 4, whose decay
+    cannot reach 1e-3 of the interior value at double-precision distances.
     """
     p, n = lam.shape
+
+    def inside_at(rows, times):                      # at lam + t d, one path per row of times
+        points = lam[rows, None, :] + times[:, :, None] * d[rows, None, :]
+        return support_mask(spec, points.reshape(-1, n)).reshape(times.shape)
+
     t = 0.01 * 2.0 ** np.arange(20)                  # doubling march while t < 1e4
-    march = lam[:, None, :] + t[:, None] * d[:, None, :]
-    outside = ~support_mask(spec, march.reshape(-1, n)).reshape(p, t.size)
+    outside = ~inside_at(slice(None), np.broadcast_to(t, (p, t.size)))
     found = outside.any(axis=1)
     t_lo = np.zeros(p)
     t_hi = np.where(found, t[np.argmax(outside, axis=1)], 0.0)
-    for _ in range(100):
-        tm = 0.5 * (t_lo + t_hi)
-        if not np.any((tm > t_lo) & (tm < t_hi)):    # every bracket is down to one ulp
-            break
-        inside = support_mask(spec, lam + tm[:, None] * d)
-        t_lo = np.where(inside, tm, t_lo)
-        t_hi = np.where(inside, t_hi, tm)
+    exit_t = np.full(p, np.inf)
+    exit_t[found] = _support_exit(spec, lam[found], d[found])
+    hinted = np.flatnonzero(np.isfinite(exit_t))
+    ends = exit_t[hinted, None] * np.array([1.0 - 1e-9, 1.0 + 1e-9])
+    inside = inside_at(hinted, ends)
+    confirmed = inside[:, 0] & ~inside[:, 1]         # a wrong hint keeps the march bracket
+    t_lo[hinted[confirmed]], t_hi[hinted[confirmed]] = ends[confirmed].T
+    frac = np.arange(1, 64) / 64.0
+    while (wide := np.flatnonzero(np.nextafter(t_lo, np.inf) < t_hi)).size:
+        lo, hi = t_lo[wide, None], t_hi[wide, None]
+        grid = np.hstack([lo, np.clip(lo + (hi - lo) * frac, lo, hi), hi])
+        outside = np.c_[~inside_at(wide, grid[:, 1:-1]), np.ones(wide.size, dtype=bool)]
+        first = 1 + np.argmax(outside, axis=1)       # the first point outside; lo is inside
+        rows = np.arange(wide.size)
+        t_lo[wide], t_hi[wide] = grid[rows, first - 1], grid[rows, first]
     b = lam + t_lo[:, None] * d                      # just inside the boundary
     g_int = speed_values(spec, lam)
     mus = 2.0 ** -np.arange(_BOUNDARY_DEPTH + 1)
     points = b[:, None, :] + mus[:, None] * (lam - b)[:, None, :]
     vals = speed_values(spec, points.reshape(-1, n)).reshape(p, mus.size)
+    keep = ~np.isnan(vals)
+    found &= np.count_nonzero(keep, axis=1) >= 12
+    # the last ten values kept on each found path, and their least-squares slope
+    last = keep & (np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] <= 10) & found[:, None]
+    v = vals[last].reshape(-1, 10)
+    x = np.log(np.broadcast_to(mus, vals.shape)[last].reshape(-1, 10))
+    x = x - x.mean(axis=1, keepdims=True)
+    y = np.log(v)
+    slope = np.sum(x * (y - y.mean(axis=1, keepdims=True)), axis=1) / np.sum(x * x, axis=1)
+    # clean power-law decay: the limit vanishes; else the observed plateau
+    clean = np.all(np.diff(v, axis=1) < 0.0, axis=1) & (slope >= 0.05)
     ratio = np.zeros(p)
-    for i in np.flatnonzero(found):
-        keep = ~np.isnan(vals[i])
-        if np.count_nonzero(keep) < 12:
-            found[i] = False
-            continue
-        mu, v = mus[keep][-10:], vals[i][keep][-10:]
-        monotone = bool(np.all(np.diff(v) < 0.0))
-        slope, _ = np.polyfit(np.log(mu), np.log(v), 1)
-        # clean power-law decay: the limit vanishes; else the observed plateau
-        limit = 0.0 if monotone and slope >= 0.05 else v[-1]
-        ratio[i] = limit / g_int[i]
+    ratio[found] = np.where(clean, 0.0, v[:, -1]) / g_int[found]
     return found, ratio <= _BOUNDARY_REL, ratio
 
 

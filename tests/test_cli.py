@@ -272,6 +272,16 @@ def test_flags_build_the_factory_speed(flags, expected):
     assert _speed_from_flags(**flags) == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["props", "--speed", "sigma-k", "--n", 3, "--k", 2, "--samples", 10, "--out"],
+    ["solve", "--speed", "sigma-k", "--k", 2, "--n", 3, "--rmax", 0.3, "--out"],
+    ["verify", "soliton", "--profile"],
+], ids=["props-out", "solve-out", "verify-profile"])
+def test_directory_path_is_input_error(argv, tmp_path, capsys):
+    assert run(argv + [tmp_path]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
 def test_import_leaves_scipy_unloaded():
     # in a fresh interpreter: pytest's filterwarnings setting imports scipy.integrate here
     code = ("import sys, curvsol.cli; "

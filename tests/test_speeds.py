@@ -28,8 +28,11 @@ from curvsol import (
 )
 from curvsol.io import derived_columns, read_profile_csv, write_profile_csv
 from curvsol.profiles import ProfileSolution
-from curvsol.speeds import (_radial_degeneracy, hessian_quadratic_forms, speed_derivatives,
-                            speed_values, support_mask, support_violation)
+from curvsol import speeds
+from curvsol.speeds import (_BOUNDARY_DEPTH, _BOUNDARY_REL, _boundary_paths, _radial_degeneracy,
+                            _sample_rows, _sigma_all, _sigma_line, _support_exit,
+                            hessian_quadratic_forms, speed_derivatives, speed_values,
+                            support_mask, support_violation)
 
 RNG = np.random.default_rng(20240817)
 
@@ -390,6 +393,119 @@ class TestArrayKernel:
         d = speed_derivatives(spec, lam)
         for i, row in enumerate(lam):
             assert d.gradient[i] == pytest.approx(fd_gradient(spec, row), rel=1e-6, abs=1e-9)
+
+
+# The 25 speeds of the benchmark's speed suite.
+SUITE_SPEEDS = ([sigma_k_root(k, n) for n in range(3, 7) for k in range(1, n + 1)]
+                + [harmonic_pairs(n) for n in range(3, 7)]
+                + [quotient(2, 1, 3), quotient(3, 1, 4),
+                   product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.5])])
+
+
+def bisection_boundary_paths(spec, lam, d):
+    """Reference for `_boundary_paths`: each bracket from the doubling march
+    halved at its midpoint, one `support_mask` call per halving, until no
+    float lies strictly inside it; then one `np.polyfit` per path."""
+    p, n = lam.shape
+    t = 0.01 * 2.0 ** np.arange(20)
+    march = lam[:, None, :] + t[:, None] * d[:, None, :]
+    outside = ~support_mask(spec, march.reshape(-1, n)).reshape(p, t.size)
+    found = outside.any(axis=1)
+    t_lo = np.zeros(p)
+    t_hi = np.where(found, t[np.argmax(outside, axis=1)], 0.0)
+    for _ in range(100):
+        tm = 0.5 * (t_lo + t_hi)
+        if not np.any((tm > t_lo) & (tm < t_hi)):
+            break
+        inside = support_mask(spec, lam + tm[:, None] * d)
+        t_lo = np.where(inside, tm, t_lo)
+        t_hi = np.where(inside, t_hi, tm)
+    b = lam + t_lo[:, None] * d
+    g_int = speed_values(spec, lam)
+    mus = 2.0 ** -np.arange(_BOUNDARY_DEPTH + 1)
+    points = b[:, None, :] + mus[:, None] * (lam - b)[:, None, :]
+    vals = speed_values(spec, points.reshape(-1, n)).reshape(p, mus.size)
+    ratio = np.zeros(p)
+    for i in np.flatnonzero(found):
+        keep = ~np.isnan(vals[i])
+        if np.count_nonzero(keep) < 12:
+            found[i] = False
+            continue
+        mu, v = mus[keep][-10:], vals[i][keep][-10:]
+        slope, _ = np.polyfit(np.log(mu), np.log(v), 1)
+        limit = 0.0 if np.all(np.diff(v) < 0.0) and slope >= 0.05 else v[-1]
+        ratio[i] = limit / g_int[i]
+    return found, ratio <= _BOUNDARY_REL, ratio
+
+
+def suite_paths(spec, seed, count=40):
+    """Interior rows and unit directions drawn as `check_properties` draws them."""
+    rng = np.random.default_rng(seed)
+    lam = _sample_rows(spec, rng, count)
+    d = rng.standard_normal((count, spec.n))
+    return lam, d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+class TestBoundaryPaths:
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    @pytest.mark.parametrize("spec", SUITE_SPEEDS, ids=lambda s: s.label())
+    def test_bit_identical_to_bisection(self, spec, seed):
+        lam, d = suite_paths(spec, seed)
+        for got, want in zip(_boundary_paths(spec, lam, d), bisection_boundary_paths(spec, lam, d)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("hint", [lambda t: 1.5 * t, lambda t: 0.5 * t,
+                                      lambda t: np.full_like(t, np.inf),
+                                      lambda t: np.full_like(t, np.nan)],
+                             ids=["late", "early", "inf", "nan"])
+    @pytest.mark.parametrize("spec", [sigma_k_root(3, 5), harmonic_pairs(4), quotient(2, 1, 3)],
+                             ids=lambda s: s.label())
+    def test_wrong_exit_hint_changes_nothing(self, spec, hint, monkeypatch):
+        lam, d = suite_paths(spec, 5)
+        want = bisection_boundary_paths(spec, lam, d)
+        exact = speeds._support_exit
+        monkeypatch.setattr(speeds, "_support_exit", lambda *a: hint(exact(*a)))
+        for got, ref in zip(_boundary_paths(spec, lam, d), want):
+            assert np.array_equal(got, ref)
+
+
+EXIT_SPEEDS = [s for n in range(2, 7) for s in (
+    [sigma_k_root(k, n) for k in range(1, n + 1)]
+    + [harmonic_pairs(n), quotient(2, 1, n)] + ([quotient(3, 1, n)] if n >= 3 else [])
+    + [product([sigma_k_root(2, n), harmonic_pairs(n)], [0.5, 0.5])])]
+EXIT = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestSupportExit:
+    @EXIT
+    @given(st.sampled_from(EXIT_SPEEDS), st.integers(0, 2 ** 32 - 1))
+    def test_exit_brackets_the_mask(self, spec, seed):
+        lam, d = suite_paths(spec, seed, count=8)
+        t = _support_exit(spec, lam, d)
+        assert np.all(t > 0.0)
+        end = np.isfinite(t)
+        for scale, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+            rows = lam[end] + (scale * t[end])[:, None] * d[end]
+            assert np.all(support_mask(spec, rows) == inside)
+        assert np.all(support_mask(spec, lam[~end] + 1e4 * d[~end]))
+
+    @EXIT
+    @given(st.sampled_from([s for s in EXIT_SPEEDS if s.kind == "sigma_k_root"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_line_polynomial_matches_sigma_and_has_real_roots(self, spec, seed):
+        lam, d = suite_paths(spec, seed, count=8)
+        c = _sigma_line(lam, d, spec.k)
+        for t in (-2.0, -0.3, 0.1, 0.7, 3.0):
+            powers = t ** np.arange(spec.k + 1)
+            direct = _sigma_all(np.sort(lam + t * d, axis=1), spec.k)[:, spec.k]
+            scale = np.abs(c) @ np.abs(powers)
+            assert np.all(np.abs(c @ powers - direct) <= 1e-12 * scale)
+        # Garding: the reversed polynomial S_k(d + s lam), whose largest root
+        # gives the exit, has k real roots for lam in Gamma_k
+        for row in c:
+            roots = np.roots(row)
+            assert roots.size == spec.k
+            assert np.all(np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots)))
 
 
 @st.composite
