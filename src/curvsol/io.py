@@ -1,7 +1,15 @@
 """Serialization: the two artifact writers (``write_json`` and
 ``write_table``), profile CSVs with derived curvature columns and their JSON
-metadata sidecars.  Table values are written with 17 significant digits so
-files round-trip losslessly and byte-identically."""
+metadata sidecars.  Table values are written as ``"%.17g" % v`` writes them, 17
+significant digits, so files round-trip losslessly and byte-identically.
+
+``write_table`` formats a table in batches of about 2,048 cells.  A finite
+cell with ``1e-4 <= |v| < 1e16`` takes the batched path: there ``%.17g``
+prints fixed notation and ``10**(16 - e)`` is an exact double, so the
+significand ``round_half_even(|v| * 10**(16 - e))`` comes out exact from
+Dekker's two-product, and its digits, sign, point and separator are placed by
+table gathers.  Every other cell (0, -0, NaN, +-inf, ``|v| < 1e-4``,
+``|v| >= 1e16``) is written by ``"%.17g" % v`` itself."""
 
 from __future__ import annotations
 
@@ -45,12 +53,137 @@ def write_json(path, payload) -> None:
     _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+# -- the batched %.17g kernel -------------------------------------------------
+
+_CHUNK = 2048   # cells per batch; bounds the kernel's temporaries
+_CELL = 25      # bytes per formatted cell: the longest %.17g string (24) and its separator
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**0 .. 10**22, all exact doubles
+# _DIGITS4[g]: the four ASCII digits of 0 <= g < 10000, as one uint32
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+                                indexing="ij"), axis=-1).reshape(-1, 4).view(np.uint32).ravel()
+# the last four bytes of a cell's source row: sign, point, separator, padding
+_TAILS = np.frombuffer(b"-.,\0-.\n\0", np.uint32)
+
+
+def _layout() -> np.ndarray:
+    """Row ``((e + 4) * 2 + negative) * 17 + kept - 1`` gives, for each of the
+    ``_CELL`` output bytes of a cell with decimal exponent ``-4 <= e <= 15``,
+    its source byte: 0..19 the significand's digits behind three zeros, 20
+    the sign, 21 the point, 22 the separator, 23 padding.  ``kept`` counts the
+    significand's digits up to its last nonzero one."""
+    e = np.arange(-4, 16)[:, None, None, None]
+    negative = np.arange(2)[:, None, None]
+    kept = np.arange(1, 18)[:, None]
+    j = np.arange(_CELL) - negative               # position behind the sign
+    whole = np.maximum(e, 0) + 1                  # characters before the point
+    frac = np.maximum(kept - 1 - e, 0)            # characters behind it
+    end = whole + (frac > 0) + frac               # position of the separator
+    source = np.select([j < 0, j < whole, j == end, j > end, j == whole],
+                       [20, np.where(e >= 0, 3 + j, 0), 22, 23, 21],
+                       3 + e + j - whole)           # fraction: leading zeros, then digits
+    return source.reshape(-1, _CELL)
+
+
+_LAYOUT = _layout()
+
+
+def _split(a):
+    """Veltkamp's split: ``hi + lo == a`` with ``hi`` of 26 significant bits."""
+    c = 134217729.0 * a                           # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _times_pow10(a, k):
+    """``hi + lo == a * 10**k`` exactly (Dekker's two-product)."""
+    hi = a * _POW10[k]
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+
+
+def _significand(a):
+    """The decimal exponent ``e`` of ``a`` (each ``1e-4 <= a < 1e16``) after
+    rounding to 17 digits, and its 17-digit significand
+    ``d = round_half_even(a * 10**(16 - e))``, ``1e16 <= d < 1e17``."""
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _times_pow10(a, 16 - e)
+    # Strictly inside (1e16, 1e17) hi is an even integer (>= 2**53) and
+    # hi + lo rounds into the decade, so rounding lo rounds it half to even.
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    edge = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    if edge.size:   # log10 one off next to a power of ten, or a carry into the next decade
+        hi, lo, x = hi[edge], lo[edge], e[edge]
+        x += ((hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))).astype(np.intp)
+        x -= (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+        hi, lo = _times_pow10(a[edge], 16 - x)
+        de = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        carry = de == 10 ** 17
+        d[edge] = np.where(carry, 10 ** 16, de)
+        e[edge] = x + carry
+    return e, d
+
+
+def _fixed_cells(v, last, rows):
+    """Cells ``v`` with ``1e-4 <= |v| < 1e16`` as rows of ``_CELL`` bytes: the
+    ``%.17g`` string, its separator (a newline where ``last`` is 1, else a
+    comma), zero padding.  Every entry of ``rows[i]`` is ``24 * i``, where
+    cell ``i``'s source row starts."""
+    e, d = _significand(np.abs(v))
+    groups = np.empty((5, v.size), np.intp)       # four-digit groups, high to low
+    for k in range(4, 0, -1):
+        q = d // 10000
+        groups[k] = d - q * 10000
+        d = q
+    groups[0] = d
+    source = np.empty((v.size, 6), np.uint32)
+    source[:, :5] = _DIGITS4[groups].T
+    source[:, 5] = _TAILS[last]
+    source = source.view(np.uint8)
+    kept = 17 - np.argmax(source[:, 19:2:-1] != ord("0"), axis=1)
+    index = _LAYOUT[((e + 4) * 2 + (v < 0.0)) * 17 + kept - 1]
+    index += rows
+    return source.ravel()[index]
+
+
+def _other_cells(v, last):
+    """Any cells ``v`` as rows of ``_CELL`` bytes like ``_fixed_cells``'s,
+    formatted one by one."""
+    return np.frombuffer("".join(
+        ("%.17g" % x + ("\n" if end else ",")).ljust(_CELL, "\0")
+        for x, end in zip(v.tolist(), last.tolist())).encode(), np.uint8).reshape(-1, _CELL)
+
+
 def write_table(path, header, columns) -> None:
     """Equal-length ``columns`` as comma-separated rows of ``%.17g`` values
-    under a ``header`` row, to ``path`` or, when it is None, to stdout."""
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    _write(path, ",".join(header) + "\n"
-           + "".join(row % tuple(r) for r in np.column_stack(columns).tolist()))
+    under a ``header`` row, to ``path`` or, when it is None, to stdout.  A
+    finite cell with ``1e-4 <= |v| < 1e16`` is built, in batches, from its
+    exact 17-digit significand in fixed notation, which is what ``%.17g``
+    prints there; every other cell is ``"%.17g" % v``.  So every cell's bytes
+    are those of ``"%.17g" % v``."""
+    table = np.column_stack(columns).astype(np.float64, copy=False)
+    if table.shape[1] != len(header):
+        raise ValueError(f"{table.shape[1]} columns under {len(header)} header names")
+    cells = table.ravel()
+    step = max(1, _CHUNK // len(header)) * len(header)   # every batch starts a row
+    last = (np.arange(step) % len(header) == len(header) - 1).astype(np.intp)
+    size = min(step, cells.size)
+    rows = np.repeat(np.arange(0, 24 * size, 24), _CELL).reshape(size, _CELL)
+    pieces = []
+    for start in range(0, cells.size, step):
+        v = cells[start:start + step]
+        a = np.abs(v)
+        fixed = (a >= 1e-4) & (a < 1e16)          # False for NaN
+        other = np.flatnonzero(~fixed)
+        # the other cells' rows are formatted as 1.0, then overwritten
+        out = _fixed_cells(np.where(fixed, v, 1.0), last[:v.size], rows[:v.size])
+        if other.size:
+            out[other] = _other_cells(v[other], last[other])
+        pieces.append(out[out != 0].tobytes())
+    _write(path, ",".join(header) + "\n" + b"".join(pieces).decode("ascii"))
 
 
 def speed_to_dict(spec: SpeedSpec) -> dict:

@@ -1,9 +1,19 @@
 """Tests for CSV/JSON profile serialization."""
 
+import contextlib
+import io
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import curvsol.io
 from curvsol import ParameterError, harmonic_pairs, integrate_profile, sigma_k_root
+from curvsol.cli import main
 from curvsol.io import (derived_columns, read_profile_csv, speed_from_dict,
                         speed_to_dict, write_profile_csv, write_table)
 
@@ -76,6 +86,117 @@ def test_write_table_bytes(tmp_path, capsys):
     assert path.read_bytes() == expected.encode()
     write_table(None, ("x", "y"), (np.array(values), -np.array(values)))
     assert capsys.readouterr().out == expected
+
+
+def oracle_write_table(path, header, columns):
+    """The row-at-a-time formatter that the batched ``write_table`` replaced,
+    kept as the reference for its bytes."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    text = (",".join(header) + "\n"
+            + "".join(row % tuple(r) for r in np.column_stack(columns).tolist()))
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def table_text(header, columns) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_table(None, header, columns)
+    return out.getvalue()
+
+
+def per_cell_text(header, table) -> str:
+    return ",".join(header) + "\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 300), st.integers(1, 9)),
+                  elements=st.floats(width=64, allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+def test_write_table_bytes_equal_per_cell_format(table):
+    header = tuple(f"c{j}" for j in range(table.shape[1]))
+    assert table_text(header, tuple(table.T)) == per_cell_text(header, table)
+
+
+def _neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+EDGE_VALUES = [
+    *(v for k in range(-6, 19) for v in _neighbours(float(f"1e{k}"))),   # powers of ten
+    *(v for x in (1e-4, 1e16) for v in (*_neighbours(x), *_neighbours(-x))),  # batched-path edges
+    *_neighbours(2.0 ** 53), 2.0 ** 53 + 2.0, 2.0 ** 53 - 1.0,
+    1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 9.9999999999999999e15,
+    -1.5, -0.1, -123456.789, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+    -1.7976931348623157e308, np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0,
+]
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3, 7])
+def test_write_table_edge_values(columns):
+    values = np.array(EDGE_VALUES)
+    table = np.resize(values, (len(values) // columns + 1) * columns).reshape(-1, columns)
+    header = tuple(f"c{j}" for j in range(columns))
+    assert table_text(header, tuple(table.T)) == per_cell_text(header, table)
+
+
+@pytest.mark.parametrize("value, text", [
+    (1e15 + 0.25, "1000000000000000.2"),     # exact ties round half to even
+    (1e15 + 0.75, "1000000000000000.8"),
+    (1e14 + 0.125, "100000000000000.12"),
+    (9.9999999999999999e15, "10000000000000000"),
+    (np.nextafter(1e16, 0.0), "9999999999999998"),
+    (2.0 ** 53 + 2.0, "9007199254740994"),
+    (1e-4, "0.0001"),
+    (-1e-4, "-0.0001"),
+    (np.nextafter(1e-4, 0.0), "9.9999999999999991e-05"),
+    (0.1, "0.10000000000000001"),
+    (-0.0, "-0"),
+    (5e-324, "4.9406564584124654e-324"),
+    (1.7976931348623157e308, "1.7976931348623157e+308"),
+    (np.nan, "nan"),
+    (-np.inf, "-inf"),
+])
+def test_write_table_cell_text(value, text):
+    assert table_text(("x", "y"), (np.array([value]), np.array([1.0]))) == f"x,y\n{text},1\n"
+
+
+def test_write_table_without_rows_is_the_header():
+    assert table_text(("r", "w"), (np.array([]), np.array([]))) == "r,w\n"
+    assert table_text(("r",), (np.array([]),)) == "r\n"
+
+
+def test_write_table_one_column():
+    values = np.linspace(-3.0, 3.0, 5001)       # more than one batch, 0 in the middle
+    assert table_text(("r",), (values,)) == per_cell_text(("r",), values[:, None])
+
+
+def test_write_table_header_must_match_columns():
+    with pytest.raises(ValueError, match="3 columns under 2 header names"):
+        write_table(None, ("r", "w"), (np.ones(2), np.ones(2), np.ones(2)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["picard", "--n", 3, "--R", 0.38, "--grid", 8189, "--tol", 1e-13, "--out", "t.json"],
+    ["solve", "--speed", "harmonic", "--n", 3, "--rmax", 3, "--out", "t.csv"],
+    ["barriers", "--names", "w3,w5", "--n", 3, "--out", "t.csv"],
+], ids=["picard", "solve", "barriers"])
+def test_cli_tables_equal_the_row_formatter(tmp_path, monkeypatch, argv):
+    def table(directory):
+        directory.mkdir()
+        assert main([str(directory / a) if a in ("t.json", "t.csv") else str(a)
+                     for a in argv]) == 0
+        return (directory / "t.csv").read_bytes()
+
+    batched = table(tmp_path / "batched")
+    monkeypatch.setattr(curvsol.io, "write_table", oracle_write_table)
+    assert batched == table(tmp_path / "oracle")
+    cells = np.loadtxt(tmp_path / "oracle" / "t.csv", delimiter=",", skiprows=1)
+    # each table also has cells that take the per-cell path
+    assert np.any((np.abs(cells) < 1e-4) | ~np.isfinite(cells))
 
 
 HEADER = "r,u,du,ddu,lambda1,lambda2,gamma,tilt,residual\n"
