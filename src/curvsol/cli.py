@@ -164,6 +164,9 @@ def _cmd_picard(args) -> int:
         "fixed_point_csv_path": fp_ref,
     }
     pio.write_json(args.out, payload)
+    if not result.converged:
+        print(f"error: not converged after {len(result.iterations)} iterations, last "
+              f"sup_change {result.iterations[-1]['sup_change']:.6g}", file=sys.stderr)
     return 0 if result.converged else 1
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .speeds import (SpeedSpec, _rows, harmonic_pairs, sigma_k_root, sigma_partials,
-                     speed_values, support_margins, unit_draws)
+                     speed_values, support_margins, support_mask, unit_draws)
 
 __all__ = [
     "ConeSpec",
@@ -19,10 +19,8 @@ __all__ = [
     "two_convex",
     "gamma_alpha_delta",
     "uniform_two_convex",
-    "contains",
     "cone_mask",
     "unit_samples",
-    "cyl_ray",
     "cone_separation",
 ]
 
@@ -75,28 +73,19 @@ def uniform_two_convex(beta: float, n: int) -> ConeSpec:
     return ConeSpec(kind="uniform_two_convex", speed=harmonic_pairs(n), beta=beta)
 
 
-def _conditions(cone: ConeSpec, L: np.ndarray) -> list:
-    """The defining conditions of ``cone`` at the rows of L, in the order
-    they are tested: (holds, witness text, witness values) triples, where
-    ``holds`` is a boolean array over the rows."""
+def cone_mask(cone: ConeSpec, lam) -> np.ndarray:
+    """Boolean array over the rows of ``lam`` (shape (m, n)): the row lies in
+    the cone.  Support cones are open, the pinching and uniform-2-convexity
+    cones closed; a boundary value is classified with no tolerance."""
+    L = _rows(cone.n, lam)
     if cone.kind == "support":
-        return [(v > 0.0, text, (v,)) for text, v in support_margins(cone.speed, L)]
+        return support_mask(cone.speed, L)
     H = np.sum(L, axis=1)
     if cone.kind == "gamma_alpha_delta":
         g = speed_values(cone.speed, L)                 # NaN outside the speed's cone
-        lhs, rhs = (cone.delta + 1.0) * H, cone.alpha * g
-        return [(~np.isnan(g), "lambda outside the speed's support cone", ()),
-                (lhs <= rhs, "(delta+1)H = {:.6g} > alpha*gamma = {:.6g}", (lhs, rhs))]
+        return ~np.isnan(g) & ((cone.delta + 1.0) * H <= cone.alpha * g)
     ((_, ps),) = support_margins(cone.speed, L)
-    bound = cone.beta * H
-    return [(H > 0.0, "H = {:.6g} <= 0", (H,)),
-            (ps >= bound, "min pair sum = {:.6g} < beta*H = {:.6g}", (ps, bound))]
-
-
-def cone_mask(cone: ConeSpec, lam) -> np.ndarray:
-    """Boolean array over the rows of ``lam`` (shape (m, n)): the row lies in
-    the cone, by the same conditions as ``contains``."""
-    return np.all([holds for holds, _, _ in _conditions(cone, _rows(cone.n, lam))], axis=0)
+    return (H > 0.0) & (ps >= cone.beta * H)
 
 
 def unit_samples(cone: ConeSpec, samples: int, rng: np.random.Generator):
@@ -104,31 +93,6 @@ def unit_samples(cone: ConeSpec, samples: int, rng: np.random.Generator):
     normal draws that lie in the cone."""
     for x in unit_draws(cone.n, samples, rng):
         yield x[cone_mask(cone, x)]
-
-
-def contains(cone: ConeSpec, lam) -> tuple[bool, Optional[str]]:
-    """Membership test.  Returns (inside, witness); the witness names the
-    violated condition when outside.  Support cones use strict inequalities,
-    the pinching and uniform-2-convexity conditions are closed; exact
-    boundary values are classified by the stated inequality with no
-    tolerance."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (cone.n,):
-        raise ParameterError(f"dimension mismatch: lambda of shape {lam.shape}, cone n={cone.n}")
-    for holds, text, values in _conditions(cone, lam[None]):
-        if not holds[0]:
-            return False, text.format(*(v[0] for v in values))
-    return True, None
-
-
-def cyl_ray(n: int, j: int) -> np.ndarray:
-    """Unit generator of the cylindrical ray with n-j leading ones and j
-    trailing zeros."""
-    if not 0 <= j <= n - 1:
-        raise ParameterError(f"j={j} out of range 0..{n - 1}")
-    v = np.zeros(n)
-    v[: n - j] = 1.0
-    return v / np.linalg.norm(v)
 
 
 def _distance_to_cyl_rays(L: np.ndarray) -> np.ndarray:

@@ -22,8 +22,6 @@ from .speeds import harmonic_pairs
 
 __all__ = [
     "GridFunction",
-    "initial_iterate",
-    "operator_T",
     "picard_solve",
     "PicardResult",
     "lipschitz_radius",
@@ -94,13 +92,9 @@ class GridFunction:
 
 
 def _midpoint(grid: _Grid, n: int) -> np.ndarray:
-    """The values of ``initial_iterate`` on ``grid``."""
+    """The solve's initial iterate: the midpoint of the admissible band
+    [w4, min(w3, w2)] at each node of ``grid``."""
     return 0.5 * (grid.lo + np.minimum(grid.hi, barrier("w2", n)(grid.r)))
-
-
-def initial_iterate(n: int, R: float, m: int) -> GridFunction:
-    """Midpoint of the admissible band [w4, min(w3, w2)] nodewise."""
-    return GridFunction(n=n, R=R, values=_midpoint(_grid(n, R, m), n))
 
 
 def _quadrature(grid: _Grid, w: np.ndarray) -> np.ndarray:
@@ -115,17 +109,6 @@ def _quadrature(grid: _Grid, w: np.ndarray) -> np.ndarray:
     g[0] = m * eq.psi(1.0 / m)
     g[1:] = eq.rhs(r[1:], w[1:])
     return np.concatenate(([0.0], np.cumsum(0.5 * h * (g[:-1] + g[1:]))))
-
-
-def operator_T(w: GridFunction) -> tuple[GridFunction, int]:
-    """One application of the integral operator: cumulative quadrature via
-    ``_quadrature``, then clamped nodewise into the band.  Returns the new
-    grid function and the number of clamped nodes.  The tests' reference
-    definition of T; ``picard_solve`` applies the same two steps to arrays."""
-    grid = _grid(w.n, w.R, w.m)
-    q = _quadrature(grid, w.values)
-    t = np.clip(q, grid.lo, grid.hi)
-    return GridFunction(n=w.n, R=w.R, values=t), int(np.count_nonzero(t != q))
 
 
 def _newton_correction(grid: _Grid, w: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -295,7 +295,9 @@ def integrate_profile(spec: SpeedSpec,
     step-size underflow at a moderate slope (``step_failure``).  u'' is
     stored as the right-hand side at each node, exact by the equation.
     scipy raises an rtol below 100 machine epsilons to that floor (with a
-    warning), and ``tolerances`` records the rtol it used.
+    warning), and ``tolerances`` records the rtol it used.  ``rtol`` is
+    LSODA's per-step tolerance, not a global error bound: harmonic n = 3 to
+    r_max = 1 ends 1.7e-10 relative off an rtol = 1e-13 solve at 1e-10.
     """
     from scipy.integrate import LSODA
     if not startup_radius > 0.0:

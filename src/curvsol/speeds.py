@@ -7,8 +7,8 @@ the inverse of the sum of reciprocal pairwise curvature sums ("harmonic
 pairs"), quotients of elementary symmetric polynomials, and weighted
 geometric means of the above.
 
-One array kernel works on (m, n) arrays of curvature rows; the scalar entry
-points are one-row calls of it.  Every row is canonicalized by sorting, so
+One array kernel works on (m, n) arrays of curvature rows; ``eval_speed`` and
+``support_violation`` are one-row calls of it.  Every row is sorted first, so
 permuting its entries returns bit-identical results.
 """
 
@@ -29,17 +29,14 @@ __all__ = [
     "harmonic_pairs",
     "quotient",
     "product",
-    "eval_sigma_k",
     "sigma_partials",
     "eval_speed",
-    "eval_derivatives",
     "speed_values",
     "speed_derivatives",
     "hessian_quadratic_forms",
     "support_violation",
     "support_margins",
     "support_mask",
-    "sample_interior",
     "unit_draws",
     "check_properties",
     "PropertyReport",
@@ -67,16 +64,6 @@ def _sigma_all(S: np.ndarray, kmax: int) -> np.ndarray:
         for j in range(min(c + 1, kmax), 0, -1):
             e[j] = e[j] + x * e[j - 1]
     return np.stack(e, axis=-1)
-
-
-def eval_sigma_k(lam, k: int) -> float:
-    """k-th elementary symmetric polynomial, unnormalized (sum over all
-    k-subsets of products)."""
-    lam = _as_lambda(lam)
-    n = lam.size
-    if not 1 <= k <= n:
-        raise ParameterError(f"k={k} out of range 1..{n}")
-    return float(_sigma_all(np.sort(lam), k)[k])
 
 
 def _drop_one(n: int) -> np.ndarray:
@@ -185,10 +172,10 @@ def product(factors, weights) -> SpeedSpec:
 
 @dataclass(frozen=True)
 class SpeedDerivatives:
-    """Value, gradient and Hessian of a speed at a curvature vector, or the
-    stacked arrays of shapes (m,), (m, n), (m, n, n) over m rows."""
+    """Value, gradient and Hessian of a speed, stacked over m curvature rows:
+    arrays of shapes (m,), (m, n), (m, n, n)."""
 
-    value: float | np.ndarray
+    value: np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
 
@@ -350,18 +337,6 @@ def speed_derivatives(spec: SpeedSpec, lam) -> SpeedDerivatives:
                             hessian=h[rows, back[:, :, None], back[:, None, :]])
 
 
-def eval_derivatives(spec: SpeedSpec, lam) -> SpeedDerivatives:
-    """Value, gradient and Hessian in the curvature variables.
-
-    Analytic throughout; agrees with central finite differences of
-    ``eval_speed`` to 1e-6 relative on interior points.
-    """
-    lam = _as_lambda(lam)
-    _require_support(spec, lam)
-    d = speed_derivatives(spec, lam[None])
-    return SpeedDerivatives(value=float(d.value[0]), gradient=d.gradient[0], hessian=d.hessian[0])
-
-
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, :, None] * b[:, None, :]
 
@@ -474,15 +449,14 @@ def unit_draws(n: int, samples: int, rng: np.random.Generator):
         yield X[norms > 0.0] / norms[norms > 0.0, None]
 
 
-def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int,
-                 chunk: int = _CHUNK) -> np.ndarray:
+def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` uniformly random unit vectors in the open support cone, by
-    rejection over chunks of at most ``chunk`` draws."""
+    rejection over chunks of at most ``_CHUNK`` draws."""
     found, accepted, draws, misses = [], 0, 0, 0
     while accepted < count:
         need = count - accepted
-        size = min(chunk, need * (draws // max(accepted, 1) + 1))
-        X = next(unit_draws(spec.n, size, rng))          # size <= chunk <= _CHUNK: one chunk
+        size = min(_CHUNK, need * (draws // max(accepted, 1) + 1))
+        X = next(unit_draws(spec.n, size, rng))          # size <= _CHUNK: one chunk
         draws += size
         X = X[support_mask(spec, X)][:need]
         misses = 0 if X.size else misses + size
@@ -492,12 +466,6 @@ def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int,
         found.append(X)
         accepted += X.shape[0]
     return np.concatenate(found)
-
-
-def sample_interior(spec: SpeedSpec, rng: np.random.Generator) -> np.ndarray:
-    """One uniformly-random unit vector in the open support cone, by
-    rejection, drawing one candidate at a time."""
-    return _sample_rows(spec, rng, 1, chunk=1)[0]
 
 
 def _radial_degeneracy(L: np.ndarray, hess: np.ndarray):

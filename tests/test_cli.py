@@ -502,6 +502,16 @@ class TestPicardCmd:
         assert flag[2:].replace("-", "_") in err[0]
         assert not out.exists()
 
+    def test_max_iter_without_convergence_says_so(self, tmp_path, capsys):
+        out = tmp_path / "picard.json"
+        assert run(["picard", "--n", 3, "--R", 0.1, "--grid", 64, "--tol", 1e-300,
+                    "--max-iter", 2, "--out", out]) == 1
+        payload = json.loads(out.read_text())
+        assert not payload["converged"] and len(payload["iterations"]) == 2
+        last = payload["iterations"][-1]["sup_change"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: not converged after 2 iterations, last sup_change {last:.6g}"]
+
 
 class TestPlot:
     def test_barrier_overlay(self, tmp_path):

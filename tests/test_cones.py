@@ -1,5 +1,8 @@
-"""Tests for cone membership, cylindrical rays, and the sampled separation
-estimate."""
+"""Tests for cone membership, the distance to the cylindrical rays, and the
+sampled separation estimate."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +13,6 @@ from curvsol import (
     ParameterError,
     cone_mask,
     cone_separation,
-    contains,
-    cyl_ray,
     eval_speed,
     gamma_alpha_delta,
     gamma_k,
@@ -22,39 +23,39 @@ from curvsol import (
     two_convex,
     uniform_two_convex,
 )
+from curvsol.cones import _distance_to_cyl_rays
+from curvsol.speeds import speed_values
 
 RNG = np.random.default_rng(11)
 
 
+def inside(cone, lam) -> bool:
+    """``cone_mask`` of the one vector ``lam``."""
+    return bool(cone_mask(cone, np.asarray(lam, dtype=float)[None])[0])
+
+
 class TestContains:
     def test_gamma_k_boundary_excluded(self):
-        inside, witness = contains(gamma_k(2, 3), [1.0, 1.0, -0.5])
-        assert not inside
-        assert "S_2" in witness
+        assert not inside(gamma_k(2, 3), [1.0, 1.0, -0.5])   # S_2 = 0
 
     def test_two_convex_umbilic(self):
-        inside, witness = contains(two_convex(3), [1.0, 1.0, 1.0])
-        assert inside and witness is None
+        assert inside(two_convex(3), [1.0, 1.0, 1.0])
 
     def test_uniform_two_convex_example(self):
-        inside, _ = contains(uniform_two_convex(0.1, 3), [-0.1, 1.0, 1.0])
-        assert inside  # min pair sum 0.9 >= 0.1 * 1.9
+        assert inside(uniform_two_convex(0.1, 3), [-0.1, 1.0, 1.0])  # min pair sum 0.9 >= 0.1 * 1.9
 
     def test_uniform_two_convex_needs_positive_H(self):
-        inside, witness = contains(uniform_two_convex(0.1, 3), [-1.0, -1.0, 1.0])
-        assert not inside and "H" in witness
+        assert not inside(uniform_two_convex(0.1, 3), [-1.0, -1.0, 1.0])
 
     def test_gamma_alpha_delta(self):
-        cone = gamma_alpha_delta(100.0, 0.1, harmonic_pairs(3))
-        inside, _ = contains(cone, [1.0, 1.0, 1.0])
-        assert inside
-        cone_small = gamma_alpha_delta(1.0, 0.1, harmonic_pairs(3))
-        inside, witness = contains(cone_small, [1.0, 1.0, 1.0])
-        assert not inside and "alpha" in witness
+        assert inside(gamma_alpha_delta(100.0, 0.1, harmonic_pairs(3)), [1.0, 1.0, 1.0])
+        # (delta+1)H = 3.3 > alpha*gamma = 2/3
+        assert not inside(gamma_alpha_delta(1.0, 0.1, harmonic_pairs(3)), [1.0, 1.0, 1.0])
 
     def test_dimension_mismatch(self):
+        # one vector is one row of an (m, n) array, not a bare (n,) vector
         with pytest.raises(ParameterError):
-            contains(gamma_k(2, 3), [1.0, 2.0])
+            cone_mask(gamma_k(2, 3), [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("cone", [
         gamma_k(2, 4), two_convex(4), uniform_two_convex(0.3, 4),
@@ -62,30 +63,45 @@ class TestContains:
     ])
     @pytest.mark.parametrize("c", [0.25, 1.0, 7.5])
     def test_scale_invariance(self, cone, c):
-        for _ in range(20):
-            lam = RNG.normal(size=4)
-            assert contains(cone, c * lam)[0] == contains(cone, lam)[0]
+        L = RNG.normal(size=(20, 4))
+        assert np.array_equal(cone_mask(cone, c * L), cone_mask(cone, L))
 
     def test_monotone_nesting(self):
-        for _ in range(200):
-            lam = RNG.normal(size=4)
-            for k in range(4, 1, -1):
-                if contains(gamma_k(k, 4), lam)[0]:
-                    assert contains(gamma_k(k - 1, 4), lam)[0]
+        L = RNG.normal(size=(200, 4))
+        for k in range(4, 1, -1):
+            assert not np.any(cone_mask(gamma_k(k, 4), L) & ~cone_mask(gamma_k(k - 1, 4), L))
 
     def test_uniform_two_convex_bounds_entries(self):
         # with H <= alpha/(delta+1), every |lambda_i| <= alpha/(delta+1)
         alpha, delta, beta = 2.0, 0.5, 0.2
         bound = alpha / (delta + 1.0)
-        cone = uniform_two_convex(beta, 4)
-        found = 0
-        while found < 50:
-            lam = RNG.normal(size=4)
-            if not contains(cone, lam)[0]:
-                continue
-            lam *= bound / (np.sum(lam) * 1.1)   # scale so H < bound
-            found += 1
-            assert np.all(np.abs(lam) <= bound + 1e-12)
+        L = RNG.normal(size=(2000, 4))
+        L = L[cone_mask(uniform_two_convex(beta, 4), L)][:50]
+        assert L.shape[0] == 50
+        L *= bound / (np.sum(L, axis=1, keepdims=True) * 1.1)   # scale so H < bound
+        assert np.all(np.abs(L) <= bound + 1e-12)
+
+
+def contains(cone, lam) -> bool:
+    """Reference membership of one vector, condition by condition: the
+    support cones from brute-force elementary symmetric sums and pair sums,
+    the pinching and uniform-2-convexity inequalities from their definitions."""
+    lam = [float(x) for x in lam]
+    H = sum(lam)
+    if cone.kind == "gamma_alpha_delta":
+        gamma = speed_values(cone.speed, np.array([lam]))[0]
+        return contains(ConeSpec(kind="support", speed=cone.speed), lam) and \
+            (cone.delta + 1.0) * H <= cone.alpha * gamma
+    pair = min(a + b for a, b in itertools.combinations(lam, 2))
+    if cone.kind == "uniform_two_convex":
+        return H > 0.0 and pair >= cone.beta * H
+    speed = cone.speed
+    if speed.kind == "product":
+        return all(contains(ConeSpec(kind="support", speed=f), lam) for f in speed.factors)
+    if speed.kind == "sigma_k_root":
+        return all(sum(math.prod(c) for c in itertools.combinations(lam, l)) > 0.0
+                   for l in range(1, speed.k + 1))
+    return (pair if speed.kind == "harmonic_pairs" else min(lam)) > 0.0
 
 
 def _pinching(speed, delta):
@@ -123,7 +139,7 @@ class TestConeMask:
             assert mask.shape == (L.shape[0],) and mask.dtype == bool
             assert 0 < np.count_nonzero(mask) < L.shape[0], cone
             for i in range(L.shape[0]):
-                assert mask[i] == contains(cone, L[i])[0], (cone, L[i])
+                assert mask[i] == contains(cone, L[i]), (cone, L[i])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
@@ -148,20 +164,20 @@ class TestConeMask:
 
 
 class TestCylRay:
+    # the unit generator of a cylindrical ray (n - j leading ones, j trailing
+    # zeros) lies sqrt(1 - 1/(n - j)) from the nearest coordinate-axis ray
+
     def test_full_umbilic(self):
-        assert cyl_ray(3, 0) == pytest.approx(np.ones(3) / np.sqrt(3.0))
+        d = _distance_to_cyl_rays(np.ones((1, 3)) / np.sqrt(3.0))
+        assert d[0] == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-15)
 
     def test_most_degenerate(self):
-        assert cyl_ray(3, 2) == pytest.approx([1.0, 0.0, 0.0])
+        rows = np.array([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+        assert _distance_to_cyl_rays(rows).tolist() == [0.0, 0.0]
 
     def test_intermediate(self):
-        assert cyl_ray(4, 1) == pytest.approx([1 / np.sqrt(3), 1 / np.sqrt(3), 1 / np.sqrt(3), 0.0])
-
-    def test_j_out_of_range(self):
-        with pytest.raises(ParameterError):
-            cyl_ray(3, 3)
-        with pytest.raises(ParameterError):
-            cyl_ray(3, -1)
+        d = _distance_to_cyl_rays(np.array([[1.0, 1.0, 0.0, 1.0]]) / np.sqrt(3.0))
+        assert d[0] == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-15)
 
 
 class TestConeSeparation:

@@ -12,10 +12,8 @@ from curvsol import (
     barrier,
     domain_radius,
     harmonic_pairs,
-    initial_iterate,
     integrate_profile,
     lipschitz_radius,
-    operator_T,
     picard_solve,
     slope_equation,
 )
@@ -35,6 +33,24 @@ def barrier_grid(name: str, n: int, R: float, m: int) -> GridFunction:
     r = np.linspace(0.0, R, m)
     vals = np.concatenate(([0.0], b(r[1:])))
     return GridFunction(n=n, R=R, values=vals)
+
+
+def initial_iterate(n: int, R: float, m: int) -> GridFunction:
+    """Reference: the midpoint of the admissible band [w4, min(w3, w2)] at
+    each of m uniform nodes on [0, R], where ``picard_solve`` starts."""
+    r = np.linspace(0.0, R, m)
+    w4, w3, w2 = (barrier(name, n) for name in ("w4", "w3", "w2"))
+    return GridFunction(n=n, R=R, values=0.5 * (w4(r) + np.minimum(w3(r), w2(r))))
+
+
+def operator_T(w: GridFunction) -> tuple[GridFunction, int]:
+    """The paper's operator T as ``picard_solve`` applies it: ``_quadrature``
+    on the solve's grid, clamped nodewise into the band.  Returns T(w) and
+    the number of clamped nodes."""
+    grid = _grid(w.n, w.R, w.m)
+    q = _quadrature(grid, w.values)
+    t = np.clip(q, grid.lo, grid.hi)
+    return GridFunction(n=w.n, R=w.R, values=t), int(np.count_nonzero(t != q))
 
 
 class TestGridFunction:
@@ -247,8 +263,11 @@ class TestNewton:
     def test_fixed_point_matches_the_picard_iteration(self):
         n, R, m = 3, 0.3, 513
         # the undamped iteration contracts at n = 3 and settles at round-off
-        # (a 2-cycle of amplitude 1.6e-13 here) after about 200 steps
+        # (a 2-cycle of amplitude 1.6e-13 here) after about 200 steps; it
+        # starts where the solve starts, so their first changes agree
         w = initial_iterate(n, R, m)
+        first = np.max(np.abs(operator_T(w)[0].values - w.values))
+        assert picard_solve(n, R, m, max_iter=1).iterations[0]["sup_change"] == first
         for _ in range(400):
             w_next, _events = operator_T(w)
             change = np.max(np.abs(w_next.values - w.values))

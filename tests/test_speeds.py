@@ -17,13 +17,10 @@ from curvsol import (
     ParameterError,
     SpeedSpec,
     check_properties,
-    eval_derivatives,
-    eval_sigma_k,
     eval_speed,
     harmonic_pairs,
     product,
     quotient,
-    sample_interior,
     sigma_k_root,
 )
 from curvsol.io import derived_columns, read_profile_csv, write_profile_csv
@@ -35,6 +32,28 @@ from curvsol.speeds import (_BOUNDARY_DEPTH, _BOUNDARY_REL, _boundary_paths, _ra
                             support_mask, support_violation)
 
 RNG = np.random.default_rng(20240817)
+
+
+def draw_interior(spec, rng):
+    """One uniformly random unit vector in the open support cone of ``spec``,
+    by rejection, one standard normal draw at a time.  The tests below share
+    one generator, so each test's points depend on this exact stream."""
+    for _ in range(20000):
+        x = rng.standard_normal((1, spec.n))
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        if support_mask(spec, x)[0]:
+            return x[0]
+    raise AssertionError(f"no interior draw for {spec.label()}")
+
+
+def interior_rows(spec, rng, count):
+    """``count`` rows, each from its own ``draw_interior``."""
+    return np.array([draw_interior(spec, rng) for _ in range(count)])
+
+
+def sigma(lam, k):
+    """S_k of one curvature vector by the array kernel."""
+    return _sigma_all(np.sort(np.asarray(lam, dtype=float)), k)[k]
 
 
 def brute_sigma(lam, k):
@@ -84,25 +103,20 @@ ALL_SPEEDS = [
 
 class TestSigmaK:
     def test_equal_entries(self):
-        assert eval_sigma_k([1.0, 1.0, 1.0], 2) == 3.0
+        assert sigma([1.0, 1.0, 1.0], 2) == 3.0
 
     def test_brute_force_example(self):
-        assert eval_sigma_k([1.0, 2.0, 3.0], 2) == brute_sigma([1.0, 2.0, 3.0], 2) == 11.0
+        assert sigma([1.0, 2.0, 3.0], 2) == brute_sigma([1.0, 2.0, 3.0], 2) == 11.0
 
     def test_k1_is_sum(self):
-        assert eval_sigma_k([1.0, 2.0, 3.0], 1) == 6.0
+        assert sigma([1.0, 2.0, 3.0], 1) == 6.0
 
     @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (3, 3), (5, 2), (5, 4), (6, 3)])
     def test_matches_brute_force(self, n, k):
-        for _ in range(25):
-            lam = RNG.normal(size=n)
-            assert eval_sigma_k(lam, k) == pytest.approx(brute_sigma(lam, k), rel=1e-12)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ParameterError):
-            eval_sigma_k([1.0, 2.0], 3)
-        with pytest.raises(ParameterError):
-            eval_sigma_k([1.0, 2.0], 0)
+        L = RNG.normal(size=(25, n))
+        got = _sigma_all(np.sort(L, axis=1), k)[:, k]
+        want = np.array([brute_sigma(lam, k) for lam in L])
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestEvalSpeed:
@@ -131,7 +145,7 @@ class TestEvalSpeed:
     @pytest.mark.parametrize("spec", ALL_SPEEDS, ids=lambda s: s.label())
     def test_permutation_invariance_exact(self, spec):
         for _ in range(10):
-            lam = sample_interior(spec, RNG)
+            lam = draw_interior(spec, RNG)
             for _ in range(4):
                 perm = RNG.permutation(spec.n)
                 assert eval_speed(spec, lam[perm]) == eval_speed(spec, lam)
@@ -140,70 +154,64 @@ class TestEvalSpeed:
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
     def test_homogeneity(self, spec, c):
         for _ in range(5):
-            lam = sample_interior(spec, RNG)
+            lam = draw_interior(spec, RNG)
             assert eval_speed(spec, c * lam) == pytest.approx(c * eval_speed(spec, lam), rel=1e-12)
 
 
 class TestDerivatives:
     def test_sigma2_umbilic_gradient(self):
-        d = eval_derivatives(sigma_k_root(2, 3), [1.0, 1.0, 1.0])
-        assert d.gradient == pytest.approx(np.full(3, 1 / math.sqrt(3)), rel=1e-14)
+        d = speed_derivatives(sigma_k_root(2, 3), [[1.0, 1.0, 1.0]])
+        assert d.gradient[0] == pytest.approx(np.full(3, 1 / math.sqrt(3)), rel=1e-14)
 
     def test_mean_curvature_linear(self):
-        d = eval_derivatives(sigma_k_root(1, 4), [0.3, 0.9, 1.2, 2.0])
-        assert d.gradient == pytest.approx(np.ones(4), abs=1e-15)
+        d = speed_derivatives(sigma_k_root(1, 4), [[0.3, 0.9, 1.2, 2.0]])
+        assert d.gradient[0] == pytest.approx(np.ones(4), abs=1e-15)
         assert np.max(np.abs(d.hessian)) == 0.0
 
     def test_harmonic_euler_value(self):
         lam = np.ones(3)
-        d = eval_derivatives(harmonic_pairs(3), lam)
-        assert float(lam @ d.gradient) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        d = speed_derivatives(harmonic_pairs(3), lam[None])
+        assert float(lam @ d.gradient[0]) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPEEDS, ids=lambda s: s.label())
     def test_gradient_matches_finite_differences(self, spec):
-        for _ in range(8):
-            lam = sample_interior(spec, RNG)
-            d = eval_derivatives(spec, lam)
-            fd = fd_gradient(spec, lam)
-            assert d.gradient == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        L = interior_rows(spec, RNG, 8)
+        for lam, grad in zip(L, speed_derivatives(spec, L).gradient):
+            assert grad == pytest.approx(fd_gradient(spec, lam), rel=1e-6, abs=1e-9)
 
     @pytest.mark.parametrize("spec", ALL_SPEEDS, ids=lambda s: s.label())
     def test_hessian_matches_finite_differences(self, spec):
         # matrix-norm comparison: the FD truncation error scales with the
         # size of the higher derivatives, which blow up near the cone edge
-        for _ in range(4):
-            lam = sample_interior(spec, RNG)
-            d = eval_derivatives(spec, lam)
+        L = interior_rows(spec, RNG, 4)
+        for lam, hess in zip(L, speed_derivatives(spec, L).hessian):
             fd = fd_hessian(spec, lam)
             scale = max(1.0, float(np.max(np.abs(fd))))
-            assert np.max(np.abs(d.hessian - fd)) <= 1e-4 * scale
+            assert np.max(np.abs(hess - fd)) <= 1e-4 * scale
 
     @pytest.mark.parametrize("spec", ALL_SPEEDS, ids=lambda s: s.label())
     def test_euler_relation_and_positivity(self, spec):
-        for _ in range(10):
-            lam = sample_interior(spec, RNG)
-            d = eval_derivatives(spec, lam)
-            assert d.value > 0.0
-            assert np.all(d.gradient > 0.0)
-            assert float(lam @ d.gradient) == pytest.approx(d.value, rel=1e-9)
+        L = interior_rows(spec, RNG, 10)
+        d = speed_derivatives(spec, L)
+        assert np.all(d.value > 0.0)
+        assert np.all(d.gradient > 0.0)
+        assert np.einsum("mi,mi->m", L, d.gradient) == pytest.approx(d.value, rel=1e-9)
 
     @pytest.mark.parametrize("spec", ALL_SPEEDS, ids=lambda s: s.label())
     def test_off_radial_concavity(self, spec):
-        for _ in range(6):
-            lam = sample_interior(spec, RNG)
-            d = eval_derivatives(spec, lam)
+        L = interior_rows(spec, RNG, 6)
+        for lam, hess in zip(L, speed_derivatives(spec, L).hessian):
             proj = np.eye(spec.n) - np.outer(lam, lam)
-            m = proj @ d.hessian @ proj
+            m = proj @ hess @ proj
             assert np.max(np.linalg.eigvalsh(0.5 * (m + m.T))) <= 1e-8
-            assert abs(float(lam @ d.hessian @ lam)) <= 1e-10
+            assert abs(float(lam @ hess @ lam)) <= 1e-10
 
     def test_gradient_permutes_with_input(self):
         spec = sigma_k_root(2, 4)
         lam = np.array([0.5, 1.0, 2.0, 3.0])
         perm = np.array([2, 0, 3, 1])
-        d0 = eval_derivatives(spec, lam)
-        d1 = eval_derivatives(spec, lam[perm])
-        assert d1.gradient == pytest.approx(d0.gradient[perm], rel=1e-14)
+        d = speed_derivatives(spec, [lam, lam[perm]])
+        assert d.gradient[1] == pytest.approx(d.gradient[0][perm], rel=1e-14)
 
 
 class TestHessianQuadraticForm:
@@ -223,8 +231,8 @@ class TestHessianQuadraticForm:
         lam = np.array([0.7, 1.1, 2.3])
         diag = np.array([0.4, -0.8, 1.5])
         got = hessian_quadratic_forms(spec, [lam], [np.diag(diag)])[0]
-        d = eval_derivatives(spec, lam)
-        assert got == pytest.approx(float(diag @ d.hessian @ diag), abs=1e-10)
+        hess = speed_derivatives(spec, lam[None]).hessian[0]
+        assert got == pytest.approx(float(diag @ hess @ diag), abs=1e-10)
 
     @pytest.mark.parametrize("spec", [sigma_k_root(2, 3), harmonic_pairs(3), quotient(2, 1, 3)],
                              ids=lambda s: s.label())
@@ -382,9 +390,9 @@ class TestArrayKernel:
         values = speed_values(spec, lam)
         d = speed_derivatives(spec, lam)
         for i, row in enumerate(lam):
-            alone = eval_derivatives(spec, row)
+            alone = speed_derivatives(spec, row[None])
             np.testing.assert_allclose(eval_speed(spec, row), values[i], rtol=1e-14, atol=0)
-            np.testing.assert_allclose(alone.gradient, d.gradient[i], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(alone.gradient[0], d.gradient[i], rtol=1e-14, atol=0)
 
     @KERNEL
     @given(cone_batches(min_shift=1.5))
