@@ -7,12 +7,12 @@ lambda_1 >= H - alpha*gamma."""
 from .cones import (ConeSpec, cone_mask, cone_separation, gamma_alpha_delta, gamma_k,
                     two_convex, uniform_two_convex)
 from .errors import ContractionFailureError, DomainError, ParameterError
-from .picard import GridFunction, PicardResult, domain_radius, lipschitz_radius, picard_solve
+from .picard import PicardResult, domain_radius, lipschitz_radius, picard_solve
 from .profiles import (Barrier, ProfileSolution, SlopeEquation, barrier, closed_form_cyl,
                        closed_form_v, cyl_height, integrate_profile, slope_equation,
                        solve_cyl_profile)
 from .rotgeom import cylinder_curvatures, graph_curvatures, tilt
-from .speeds import (PropertyReport, SpeedDerivatives, SpeedSpec, check_properties, eval_speed,
+from .speeds import (SpeedDerivatives, SpeedSpec, check_properties, eval_speed,
                      harmonic_pairs, product, quotient, sigma_k_root)
 from .verifier import (CheckEntry, PinchingEstimate, check_barriers, check_convexity_estimate,
                        check_sigma2_cylinder, check_soliton, estimate_pinching_constants,

@@ -112,11 +112,11 @@ def _cmd_verify(args) -> int:
 def _cmd_props(args) -> int:
     speed = _speed_from_flags(args.speed, args.n, k=args.k, l=args.l,
                               factors=args.factors, weights=args.weights)
-    rep = check_properties(speed, sample_count=args.samples, seed=args.seed)
+    checks = check_properties(speed, sample_count=args.samples, seed=args.seed)
     pio.write_json(args.out, {"speed": pio.speed_to_dict(speed), "samples": args.samples,
                               "seed": args.seed,
-                              "checks": {name: asdict(c) for name, c in rep.checks.items()}})
-    failing = rep.failing_checks()
+                              "checks": {name: asdict(c) for name, c in checks.items()}})
+    failing = [name for name, c in checks.items() if c.failed > 0]
     if speed.kind == "quotient" and failing and set(failing) <= {"boundary_vanishing"}:
         print("warning: boundary-vanishing not satisfied (expected for quotient speeds)",
               file=sys.stderr)
@@ -127,11 +127,15 @@ def _cmd_props(args) -> int:
 def _cmd_barriers(args) -> int:
     if args.count < 1:
         raise ParameterError(f"--count must be >= 1, got {args.count}")
+    if np.isinf(args.rmin):
+        raise ParameterError(f"--rmin must be finite, got {args.rmin}")
     if args.rmin > args.rmax:
         raise ParameterError(f"--rmin must not exceed --rmax, got {args.rmin} > {args.rmax}")
     names = [t.strip() for t in args.names.split(",")]
     bars = [barrier(name, args.n, k=args.k, a=args.a) for name in names]
     r_hi = min([args.rmax] + [b.r_end * (1.0 - 1e-9) for b in bars])
+    if np.isinf(r_hi):
+        raise ParameterError(f"--rmax must be finite where no barrier ends, got {args.rmax}")
     r = np.linspace(args.rmin, r_hi, args.count)
     pio.write_table(args.out, ("r", *names), [r] + [b(r) for b in bars])
     return 0
@@ -153,7 +157,7 @@ def _cmd_picard(args) -> int:
     fp_ref = None
     if fp_csv:
         fp_csv = Path(fp_csv)
-        pio.write_table(fp_csv, ("r", "w"), (result.grid.nodes, result.grid.values))
+        pio.write_table(fp_csv, ("r", "w"), (result.nodes, result.values))
         # referenced by name so the log does not depend on where it was written
         fp_ref = fp_csv.name if args.out and fp_csv.parent == Path(args.out).parent else str(fp_csv)
     payload = {

@@ -11,7 +11,7 @@ in T(w)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,14 +21,11 @@ from .profiles import SlopeEquation, barrier, slope_equation
 from .speeds import harmonic_pairs
 
 __all__ = [
-    "GridFunction",
     "picard_solve",
     "PicardResult",
     "lipschitz_radius",
     "domain_radius",
 ]
-
-_X_SLACK = 1e-9  # relative slack for membership at the barrier edges
 
 
 def domain_radius(n: int) -> float:
@@ -55,40 +52,6 @@ def _grid(n: int, R: float, m: int) -> _Grid:
     w4, w3 = barrier("w4", n), barrier("w3", n)
     return _Grid(r=r, lo=w4(r), hi=w3(r), slopes=(w4.slope, w3.slope),
                  eq=slope_equation(harmonic_pairs(n)))
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """A continuous candidate slope on [0, R], sampled at m uniform nodes,
-    pinned to 0 at the axis and confined to the barrier band [w4, w3]."""
-
-    n: int
-    R: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size < 2:
-            raise ParameterError("GridFunction needs at least two nodes")
-        if vals[0] != 0.0:
-            raise ParameterError("GridFunction must vanish at r = 0")
-        grid = _grid(self.n, self.R, vals.size)
-        slack = _X_SLACK * np.maximum(1.0, np.abs(grid.hi))
-        inside = (vals >= grid.lo - slack) & (vals <= grid.hi + slack)   # False for NaN
-        if not np.all(inside):
-            bad = int(np.argmin(inside))
-            raise ParameterError(
-                f"grid value {vals[bad]:.12g} at r={grid.r[bad]:.12g} outside "
-                f"the band [{grid.lo[bad]:.12g}, {grid.hi[bad]:.12g}]")
-
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.R, self.m)
 
 
 def _midpoint(grid: _Grid, n: int) -> np.ndarray:
@@ -140,9 +103,10 @@ def _newton_correction(grid: _Grid, w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PicardResult:
-    grid: GridFunction
-    iterations: list[dict] = field(default_factory=list)
-    converged: bool = False
+    nodes: np.ndarray
+    values: np.ndarray
+    iterations: list[dict]
+    converged: bool
 
     @property
     def contraction_ratios(self) -> list[float]:
@@ -160,7 +124,8 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     The entry holds ``sup_change`` = max|T(w) - w|, T(w) = clip(q) into the
     band; ``contraction_ratio``, its quotient by the previous entry's
     sup_change (None on the first entry); and ``clamp_events``, the number
-    of nodes that clip changes in T(w).  ``grid`` is the last T(w).
+    of nodes that clip changes in T(w).  The result's ``values`` are the last
+    T(w), on the grid's ``nodes``.
 
     Requires n in 3..6, m >= 64, R within the super-solution band's
     interval, max_iter >= 1 and a finite tol > 0.  Raises
@@ -170,8 +135,7 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     counts as convergence.
 
     The grid (nodes, band edges, slope range and slope equation) is built
-    once per solve; the iterates are plain arrays on it, and only the last
-    T(w) becomes a band-checked ``GridFunction``.
+    once per solve, and the iterates are plain arrays on it.
     """
     if not 3 <= n <= 6:
         raise ParameterError("picard_solve requires n in 3..6")
@@ -212,8 +176,7 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
                     f"consecutive iterations at R={R}")
         prev_change = change
         w = np.clip(w + _newton_correction(grid, w, q), grid.lo, grid.hi)
-    return PicardResult(grid=GridFunction(n=n, R=R, values=t), iterations=iterations,
-                        converged=converged)
+    return PicardResult(nodes=grid.r, values=t, iterations=iterations, converged=converged)
 
 
 def lipschitz_radius(n: int, samples: int = 4000, seed: int = 0) -> tuple[float, float]:

@@ -33,6 +33,8 @@ __all__ = [
 
 BARRIER_NAMES = ("v1", "v2", "v3", "w1", "w2", "w3", "w4", "w5")
 
+_MAX_STEPS = 500_000   # LSODA steps and restarts per profile before it ends in step_failure
+
 
 # --------------------------------------------------------------------------
 # the slope equation
@@ -278,8 +280,7 @@ def integrate_profile(spec: SpeedSpec,
                       rtol: float = 1e-10,
                       atol: float = 1e-13,
                       blowup_threshold: float = 1e8,
-                      max_step: Optional[float] = None,
-                      max_steps: int = 500_000) -> ProfileSolution:
+                      max_step: Optional[float] = None) -> ProfileSolution:
     """Integrate the profile slope equation from the axis startup.
 
     Launches at r = startup_radius with u'(r) = c*r (c the startup slope)
@@ -289,7 +290,7 @@ def integrate_profile(spec: SpeedSpec,
     keeps a step whose right-hand side or Jacobian was NaN (outside the cone),
     so a step that ends on a non-finite row is dropped and LSODA restarted at
     the last row with half that step; each restart counts against
-    ``max_steps``.  Stops at r_max (status ``completed``), when u' exceeds
+    ``_MAX_STEPS``.  Stops at r_max (status ``completed``), when u' exceeds
     ``blowup_threshold`` or the step size underflows while the slope is
     already huge (``blew_up``, ending at the last accepted node), or on
     step-size underflow at a moderate slope (``step_failure``).  u'' is
@@ -334,7 +335,7 @@ def integrate_profile(spec: SpeedSpec,
     solver = launch(startup_radius, y0, min(startup_radius / 8.0, max_step))
     rows = [(startup_radius, *y0, at(rhs, startup_radius, y0))]
     status = "step_failure"
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         solver.step()
         row = (solver.t, *solver.y, at(rhs, solver.t, solver.y))
         if solver.status == "failed" or not all(map(isfinite, row)):

@@ -39,7 +39,6 @@ __all__ = [
     "support_mask",
     "unit_draws",
     "check_properties",
-    "PropertyReport",
     "CheckStat",
 ]
 
@@ -429,17 +428,6 @@ class CheckStat:
             self.witness = tuple(points[i].tolist())
 
 
-@dataclass
-class PropertyReport:
-    checks: dict[str, CheckStat]
-
-    def failures(self) -> int:
-        return sum(c.failed for c in self.checks.values())
-
-    def failing_checks(self) -> list[str]:
-        return [name for name, c in self.checks.items() if c.failed > 0]
-
-
 def unit_draws(n: int, samples: int, rng: np.random.Generator):
     """Yield the unit vectors among ``samples`` standard normal draws in
     R^n, chunk by chunk."""
@@ -560,13 +548,14 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
     return found, ratio <= _BOUNDARY_REL, ratio
 
 
-def check_properties(spec: SpeedSpec, sample_count: int = 1000, seed: int = 0) -> PropertyReport:
+def check_properties(spec: SpeedSpec, sample_count: int = 1000,
+                     seed: int = 0) -> dict[str, CheckStat]:
     """Sampled verification of the defining properties of a speed:
     permutation symmetry, positivity, gradient positivity, the Euler
     relation of 1-homogeneity, off-radial concavity of the Hessian, radial
     degeneracy, and vanishing of the continuous extension at the cone
-    boundary.  Failures are counted and witnessed, never raised.
-    """
+    boundary.  Failures are counted and witnessed, never raised: the result
+    maps each check's name to its ``CheckStat``."""
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
     if seed < 0:
@@ -587,4 +576,4 @@ def check_properties(spec: SpeedSpec, sample_count: int = 1000, seed: int = 0) -
         found, ok, ratio = _boundary_paths(spec, lam, d / np.linalg.norm(d, axis=1, keepdims=True))
         boundary.record(ok[found], ratio[found], lam[found])
         done += int(np.count_nonzero(found))
-    return PropertyReport(checks=checks)
+    return checks

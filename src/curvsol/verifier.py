@@ -30,6 +30,8 @@ __all__ = [
     "PinchingEstimate",
 ]
 
+_SLACK_TOL = 1e-10   # violation of lambda_1 >= H - alpha*gamma that still passes
+
 
 @dataclass
 class CheckEntry:
@@ -90,11 +92,11 @@ def fit_convexity_params(profile: ProfileSolution, delta: float = 0.05) -> tuple
 
 
 def check_convexity_estimate(profile: ProfileSolution, alpha: float, delta: float,
-                             beta: float, slack_tol: float = 1e-10) -> CheckEntry:
+                             beta: float) -> CheckEntry:
     """Pointwise convexity estimate on the hypothesis-satisfying samples:
     inside the cones ``gamma_alpha_delta(alpha, delta)`` and
     ``uniform_two_convex(beta)``, assert lambda_1 >= H - alpha*gamma -
-    slack_tol.  Samples failing a hypothesis are skipped, never failed;
+    ``_SLACK_TOL``.  Samples failing a hypothesis are skipped, never failed;
     parameters outside alpha > 0, delta > 0, 0 < beta < 1 are a
     ParameterError."""
     geo = profile_geometry(profile)
@@ -102,7 +104,7 @@ def check_convexity_estimate(profile: ProfileSolution, alpha: float, delta: floa
     admissible = np.flatnonzero(cone_mask(gamma_alpha_delta(alpha, delta, profile.speed), geo.lam)
                                 & cone_mask(uniform_two_convex(beta, profile.n), geo.lam))
     if admissible.size == 0:
-        return CheckEntry(name="convexity_estimate", status="skipped", tolerance=slack_tol,
+        return CheckEntry(name="convexity_estimate", status="skipped", tolerance=_SLACK_TOL,
                           detail="no sample satisfies both hypotheses")
     lambda1 = np.min(geo.lam, axis=1)
     slack = lambda1 - (H - alpha * g)
@@ -111,8 +113,8 @@ def check_convexity_estimate(profile: ProfileSolution, alpha: float, delta: floa
     witness = {"r": profile.r[i], "slack": min_slack, "lambda1": float(lambda1[i]),
                "H": float(H[i]), "gamma": float(g[i])}
     worst = max(0.0, -min_slack)
-    status = "pass" if worst <= slack_tol else "fail"
-    return CheckEntry(name="convexity_estimate", status=status, tolerance=slack_tol,
+    status = "pass" if worst <= _SLACK_TOL else "fail"
+    return CheckEntry(name="convexity_estimate", status=status, tolerance=_SLACK_TOL,
                       worst_violation=worst, witness=witness,
                       detail=f"admissible {admissible.size}/{H.size}, min slack {min_slack:.3e}")
 
@@ -160,7 +162,7 @@ def check_barriers(profile: ProfileSolution) -> list[CheckEntry]:
     return entries
 
 
-def check_sigma2_cylinder(z_samples, tol: float = 1e-9) -> CheckEntry:
+def check_sigma2_cylinder(z_samples, tol: float) -> CheckEntry:
     """Sign conditions H < 0, K > 0 and the soliton identity
     |sqrt(K) - |<nu, e_3>|| <= tol along the cylindrical-type closed form
     with a = 0; heights outside the solvable range are skipped."""

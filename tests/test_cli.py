@@ -209,6 +209,23 @@ class TestProps:
         payload = json.loads(rep.read_text())
         assert payload["checks"]["boundary_vanishing"]["failed"] > 0
 
+    @pytest.mark.parametrize("flags, failing, code, warns", [
+        (["--speed", "sigma-k", "--k", 2], ["euler"], 1, False),
+        (["--speed", "quotient", "--k", 2, "--l", 1], ["boundary_vanishing"], 0, True),
+        (["--speed", "quotient", "--k", 2, "--l", 1], ["boundary_vanishing", "euler"], 1, False),
+    ])
+    def test_exit_code_from_the_failing_checks(self, flags, failing, code, warns, monkeypatch,
+                                               tmp_path, capsys):
+        # only a quotient whose sole failure is boundary_vanishing passes
+        from curvsol import cli
+        from curvsol.speeds import CheckStat
+        names = ("euler", "boundary_vanishing", "positivity")
+        checks = {name: CheckStat(passed=5, failed=int(name in failing)) for name in names}
+        monkeypatch.setattr(cli, "check_properties", lambda spec, sample_count, seed: checks)
+        assert run(["props", *flags, "--n", 3, "--out", tmp_path / "p.json"]) == code
+        err = capsys.readouterr().err
+        assert ("warning: boundary-vanishing not satisfied" in err) == warns
+
     def test_product(self, tmp_path):
         code = run(["props", "--speed", "product", "--n", 3,
                     "--factors", "sigma-k:2,sigma-k:1", "--weights", "0.5,0.5",
@@ -416,6 +433,22 @@ class TestBarriersCmd:
                     "--out", out]) == 2
         assert "r=nan" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--rmax", "inf"), ("--rmin", "-inf")])
+    def test_infinite_range_end_is_usage_error(self, flag, value, tmp_path, capsys):
+        # w1 has no right end, so neither end of the range is finite
+        out = tmp_path / "w.csv"
+        assert run(["barriers", "--names", "w1", "--n", 3, f"{flag}={value}", "--count", 3,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} must be finite")
+        assert not out.exists()
+
+    def test_infinite_rmax_is_capped_by_a_bounded_barrier(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert run(["barriers", "--names", "w1,w3", "--n", 3, "--rmax", "inf", "--count", 3,
+                    "--out", out]) == 0
+        assert float(out.read_text().splitlines()[-1].split(",")[0]) < barrier("w3", 3).r_end
 
     def test_rmin_above_rmax_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "w.csv"

@@ -7,7 +7,6 @@ import pytest
 from curvsol import (
     ContractionFailureError,
     DomainError,
-    GridFunction,
     ParameterError,
     barrier,
     domain_radius,
@@ -17,6 +16,7 @@ from curvsol import (
     picard_solve,
     slope_equation,
 )
+from curvsol.cli import main as cli_main
 from curvsol.picard import _grid, _newton_correction, _quadrature
 
 
@@ -28,52 +28,28 @@ def harmonic_rhs_dw(n: int, r, w):
     return slope_equation(harmonic_pairs(n)).rhs_dw(r, w)
 
 
-def barrier_grid(name: str, n: int, R: float, m: int) -> GridFunction:
-    b = barrier(name, n)
+def barrier_grid(name: str, n: int, R: float, m: int) -> np.ndarray:
+    """Barrier ``name`` at m uniform nodes on [0, R], pinned to 0 at the axis."""
     r = np.linspace(0.0, R, m)
-    vals = np.concatenate(([0.0], b(r[1:])))
-    return GridFunction(n=n, R=R, values=vals)
+    return np.concatenate(([0.0], barrier(name, n)(r[1:])))
 
 
-def initial_iterate(n: int, R: float, m: int) -> GridFunction:
+def initial_iterate(n: int, R: float, m: int) -> np.ndarray:
     """Reference: the midpoint of the admissible band [w4, min(w3, w2)] at
     each of m uniform nodes on [0, R], where ``picard_solve`` starts."""
     r = np.linspace(0.0, R, m)
     w4, w3, w2 = (barrier(name, n) for name in ("w4", "w3", "w2"))
-    return GridFunction(n=n, R=R, values=0.5 * (w4(r) + np.minimum(w3(r), w2(r))))
+    return 0.5 * (w4(r) + np.minimum(w3(r), w2(r)))
 
 
-def operator_T(w: GridFunction) -> tuple[GridFunction, int]:
+def operator_T(n: int, R: float, w: np.ndarray) -> tuple[np.ndarray, int]:
     """The paper's operator T as ``picard_solve`` applies it: ``_quadrature``
-    on the solve's grid, clamped nodewise into the band.  Returns T(w) and
-    the number of clamped nodes."""
-    grid = _grid(w.n, w.R, w.m)
-    q = _quadrature(grid, w.values)
+    on the solve's grid of ``w.size`` nodes on [0, R], clamped nodewise into
+    the band.  Returns T(w) and the number of clamped nodes."""
+    grid = _grid(n, R, w.size)
+    q = _quadrature(grid, w)
     t = np.clip(q, grid.lo, grid.hi)
-    return GridFunction(n=w.n, R=w.R, values=t), int(np.count_nonzero(t != q))
-
-
-class TestGridFunction:
-    def test_requires_zero_at_axis(self):
-        with pytest.raises(ParameterError):
-            GridFunction(n=3, R=0.3, values=np.array([0.1, 0.2, 0.3]))
-
-    def test_requires_band_membership(self):
-        r = np.linspace(0.0, 0.3, 8)
-        vals = 3.0 * r   # above w3 near the axis
-        with pytest.raises(ParameterError, match="band"):
-            GridFunction(n=3, R=0.3, values=vals)
-
-    def test_rejects_nan_value(self):
-        vals = initial_iterate(3, 0.3, 64).values.copy()
-        vals[5] = np.nan
-        with pytest.raises(ParameterError, match="grid value nan at r="):
-            GridFunction(n=3, R=0.3, values=vals)
-
-    def test_accepts_band_interior(self):
-        g = initial_iterate(3, 0.3, 64)
-        assert g.values[0] == 0.0
-        assert g.m == 64
+    return t, int(np.count_nonzero(t != q))
 
 
 class TestOperatorT:
@@ -81,29 +57,27 @@ class TestOperatorT:
         # along the linear sub-solution the integrand is c (1 + c^2 s^2), so
         # the operator returns c r + c^3 r^3 / 3 exactly up to trapezoid error
         n, R, m = 3, 0.1, 4097
-        w = barrier_grid("w1", n, R, m)
-        out, _events = operator_T(w)
+        out, _events = operator_T(n, R, barrier_grid("w1", n, R, m))
         c = 7.0 / 4.0
-        r = w.nodes
+        r = np.linspace(0.0, R, m)
         exact = c * r + c ** 3 * r ** 3 / 3.0
-        assert np.max(np.abs(out.values - exact)) <= 1e-10
-        assert out.values[-1] == pytest.approx(0.175 + 343.0 / 192.0 * 1e-3, rel=1e-7)
+        assert np.max(np.abs(out - exact)) <= 1e-10
+        assert out[-1] == pytest.approx(0.175 + 343.0 / 192.0 * 1e-3, rel=1e-7)
 
     def test_degenerate_two_node_grid(self):
         R = 1e-8
         w = barrier_grid("w1", 4, R, 2)
-        out, _ = operator_T(w)
-        assert out.values[1] == pytest.approx(w.values[1], rel=1e-6)
+        out, _ = operator_T(4, R, w)
+        assert out[1] == pytest.approx(w[1], rel=1e-6)
 
     def test_maps_lower_barrier_up(self):
         # the unclamped image of the lower edge exceeds the edge everywhere
         # (it overshoots the band's top near the axis, which the clamp absorbs)
         n, R, m = 3, 0.3, 513
         w4_grid = barrier_grid("w4", n, R, m)
-        raw = _quadrature(_grid(n, R, m), w4_grid.values)
-        w4 = barrier("w4", n)
-        assert np.all(raw[1:] >= w4(w4_grid.nodes[1:]))
-        _out, events = operator_T(w4_grid)
+        raw = _quadrature(_grid(n, R, m), w4_grid)
+        assert np.all(raw[1:] >= w4_grid[1:])
+        _out, events = operator_T(n, R, w4_grid)
         assert events > 0
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -112,8 +86,8 @@ class TestOperatorT:
         # it evaluates every barrier inside its domain
         R = domain_radius(n)
         assert R == barrier("w2", n).r_end
-        out, _events = operator_T(initial_iterate(n, R, 64))
-        assert out.nodes[-1] == R
+        out, _events = operator_T(n, R, initial_iterate(n, R, 64))
+        assert np.all(np.isfinite(out))
 
     def test_x_violation_error(self):
         grid = _grid(3, 0.3, 65)
@@ -134,32 +108,29 @@ class TestPicardSolve:
         assert max(ratios) < 1.0
 
     def test_startup_slope_recovered(self, solution):
-        g = solution.grid
-        assert g.values[1] / g.nodes[1] == pytest.approx(1.75, abs=1e-3)
+        assert solution.values[1] / solution.nodes[1] == pytest.approx(1.75, abs=1e-3)
 
     def test_fixed_point_strictly_inside_bands(self, solution):
-        g = solution.grid
-        r = g.nodes[1:]
+        r, w = solution.nodes[1:], solution.values[1:]
         w4, w3 = barrier("w4", 3), barrier("w3", 3)
         w1, w2 = barrier("w1", 3), barrier("w2", 3)
-        assert np.all(g.values[1:] > w4(r))
-        assert np.all(g.values[1:] < w3(r))
-        assert np.all(g.values[1:] >= w1(r) - 1e-9)
+        assert np.all(w > w4(r))
+        assert np.all(w < w3(r))
+        assert np.all(w >= w1(r) - 1e-9)
         mask = r <= w2.r_end
-        assert np.all(g.values[1:][mask] <= w2(r[mask]) + 1e-9)
+        assert np.all(w[mask] <= w2(r[mask]) + 1e-9)
 
     def test_matches_adaptive_integration(self, solution):
         p = integrate_profile(harmonic_pairs(3), startup_radius=1e-6, r_max=0.3,
                               rtol=1e-12, atol=1e-15, max_step=1e-3)
-        g = solution.grid
-        rk = np.interp(g.nodes[1:], p.r, p.du)
-        assert np.max(np.abs(g.values[1:] - rk)) <= 1e-6
+        rk = np.interp(solution.nodes[1:], p.r, p.du)
+        assert np.max(np.abs(solution.values[1:] - rk)) <= 1e-6
 
     def test_quadrature_order(self):
         # node coordinates of an m-grid embed in the (2m-1)-grid, so the
         # fixed-point change under step halving is measured exactly
         R = 0.3
-        fp = {m: picard_solve(3, R, m, tol=1e-13, max_iter=600).grid.values
+        fp = {m: picard_solve(3, R, m, tol=1e-13, max_iter=600).values
               for m in (513, 1025, 2049)}
         d1 = np.max(np.abs(fp[1025][::2] - fp[513]))
         d2 = np.max(np.abs(fp[2049][::2] - fp[1025]))
@@ -183,45 +154,45 @@ class TestPicardSolve:
         import curvsol.picard as pic
         a = initial_iterate(3, 0.3, 64)
         bump = np.concatenate(([0.0], np.full(63, 1e-3)))
-        b = GridFunction(n=3, R=0.3, values=a.values + bump)
+        b = a + bump
         state = {"flip": False}
 
         def fake_quadrature(grid, w):
             state["flip"] = not state["flip"]
-            return (b if state["flip"] else a).values
+            return b if state["flip"] else a
 
         monkeypatch.setattr(pic, "_quadrature", fake_quadrature)
         with pytest.raises(ContractionFailureError, match="^difference ratio >= 1"):
             pic.picard_solve(3, 0.3, 64, tol=1e-15, max_iter=50)
 
 
-def _forward_substitution(w: GridFunction, q: np.ndarray) -> np.ndarray:
-    """Reference: (I - J) u = q - w solved row by row on the lower-triangular
-    Jacobian of the trapezoidal sum, one node at a time."""
-    eq = slope_equation(harmonic_pairs(w.n))
-    r, v = w.nodes, w.values
+def _forward_substitution(n: int, R: float, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Reference: (I - J) u = q - v solved row by row on the lower-triangular
+    Jacobian of the trapezoidal sum on ``v.size`` nodes on [0, R], one node
+    at a time."""
+    eq = slope_equation(harmonic_pairs(n))
+    r = np.linspace(0.0, R, v.size)
     h = r[1] - r[0]
     s = v[1] / r[1]
     a = 0.0
-    if barrier("w4", w.n).slope <= s <= barrier("w3", w.n).slope:
+    if barrier("w4", n).slope <= s <= barrier("w3", n).slope:
         a = (eq.psi(1.0 / s) - eq.dpsi(1.0 / s) / s) / r[1]
     F = q - v
-    u = np.zeros(w.m)
+    u = np.zeros(v.size)
     u[1] = F[1] / (1.0 - 0.5 * h * (a + eq.rhs_dw(r[1], v[1])))
     below = 0.5 * h * a * u[1]     # the axis column's share of every row below
-    for i in range(2, w.m):
+    for i in range(2, v.size):
         below += h * eq.rhs_dw(r[i - 1], v[i - 1]) * u[i - 1]
         u[i] = (F[i] + below) / (1.0 - 0.5 * h * eq.rhs_dw(r[i], v[i]))
     return u
 
 
-def _newton_iterates(n: int, R: float, m: int) -> list[GridFunction]:
-    """The initial iterate, the second one and the converged grid."""
+def _newton_iterates(n: int, R: float, m: int) -> list[np.ndarray]:
+    """The initial iterate, the second one and the converged values."""
     grid = _grid(n, R, m)
-    w0 = initial_iterate(n, R, m).values
+    w0 = initial_iterate(n, R, m)
     w1 = np.clip(w0 + _newton_correction(grid, w0, _quadrature(grid, w0)), grid.lo, grid.hi)
-    return [GridFunction(n=n, R=R, values=w0), GridFunction(n=n, R=R, values=w1),
-            picard_solve(n, R, m).grid]
+    return [w0, w1, picard_solve(n, R, m).values]
 
 
 def _default_radius(n: int) -> float:
@@ -231,17 +202,18 @@ def _default_radius(n: int) -> float:
 class TestNewton:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_recurrence_matches_forward_substitution(self, n):
+        R = _default_radius(n)
         for m in (64, 2049, 8189):
-            grid = _grid(n, _default_radius(n), m)
-            for w in _newton_iterates(n, _default_radius(n), m):
-                q = _quadrature(grid, w.values)
-                u, ref = _newton_correction(grid, w.values, q), _forward_substitution(w, q)
+            grid = _grid(n, R, m)
+            for w in _newton_iterates(n, R, m):
+                q = _quadrature(grid, w)
+                u, ref = _newton_correction(grid, w, q), _forward_substitution(n, R, w, q)
                 assert u[0] == 0.0
                 # relative to the larger of u and the residual it solves for:
                 # at the fixed point the residual is round-off whose
                 # signs cancel in u, so u alone is too small a scale
-                scale = max(np.max(np.abs(ref)), np.max(np.abs(q - w.values)))
-                assert np.max(np.abs(u - ref)) <= 1e-13 * scale, (m, w.values[1])
+                scale = max(np.max(np.abs(ref)), np.max(np.abs(q - w)))
+                assert np.max(np.abs(u - ref)) <= 1e-13 * scale, (m, w[1])
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_jacobian_matches_finite_differences(self, n):
@@ -249,15 +221,14 @@ class TestNewton:
         # unclamped quadrature
         grid = _grid(n, _default_radius(n), 64)
         for w in _newton_iterates(n, _default_radius(n), 64)[::2]:
-            q = _quadrature(grid, w.values)
-            u = _newton_correction(grid, w.values, q)
-            J = np.zeros((w.m, w.m))
-            for j in range(1, w.m):
-                e = np.zeros(w.m)
-                e[j] = 1e-6 * w.values[j]
-                J[:, j] = (_quadrature(grid, w.values + e)
-                           - _quadrature(grid, w.values - e)) / (2.0 * e[j])
-            F = q - w.values
+            q = _quadrature(grid, w)
+            u = _newton_correction(grid, w, q)
+            J = np.zeros((w.size, w.size))
+            for j in range(1, w.size):
+                e = np.zeros(w.size)
+                e[j] = 1e-6 * w[j]
+                J[:, j] = (_quadrature(grid, w + e) - _quadrature(grid, w - e)) / (2.0 * e[j])
+            F = q - w
             assert np.max(np.abs(u - J @ u - F)) <= 1e-6 * np.max(np.abs(u))
 
     def test_fixed_point_matches_the_picard_iteration(self):
@@ -266,15 +237,15 @@ class TestNewton:
         # (a 2-cycle of amplitude 1.6e-13 here) after about 200 steps; it
         # starts where the solve starts, so their first changes agree
         w = initial_iterate(n, R, m)
-        first = np.max(np.abs(operator_T(w)[0].values - w.values))
+        first = np.max(np.abs(operator_T(n, R, w)[0] - w))
         assert picard_solve(n, R, m, max_iter=1).iterations[0]["sup_change"] == first
         for _ in range(400):
-            w_next, _events = operator_T(w)
-            change = np.max(np.abs(w_next.values - w.values))
+            w_next, _events = operator_T(n, R, w)
+            change = np.max(np.abs(w_next - w))
             w = w_next
         assert change < 1e-12
-        newton = picard_solve(n, R, m, tol=1e-13).grid
-        assert np.max(np.abs(newton.values - w.values)) <= 1e-11
+        newton = picard_solve(n, R, m, tol=1e-13).values
+        assert np.max(np.abs(newton - w)) <= 1e-11
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("radius", [_default_radius, domain_radius])
@@ -286,22 +257,44 @@ class TestNewton:
         assert max(res.contraction_ratios) < 1.0
         p = integrate_profile(harmonic_pairs(n), startup_radius=1e-6, r_max=R,
                               rtol=1e-12, atol=1e-15, max_step=1e-3)
-        g = res.grid
-        assert np.max(np.abs(g.values[1:] - np.interp(g.nodes[1:], p.r, p.du))) <= 1e-6
+        assert np.max(np.abs(res.values[1:] - np.interp(res.nodes[1:], p.r, p.du))) <= 1e-6
 
 
-def _operator_T_fresh(w: GridFunction) -> tuple[np.ndarray, int]:
+class TestResult:
+    @pytest.mark.parametrize("m", [64, 2049])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("radius", [_default_radius, domain_radius])
+    def test_nodes_values_and_fixed_point_csv(self, radius, n, m, tmp_path):
+        # the values are a clip into [w4, w3] on the nodes, so the band holds
+        # exactly and no value can be NaN
+        R = radius(n)
+        res = picard_solve(n, R, m)
+        np.testing.assert_array_equal(res.nodes, np.linspace(0.0, R, m))
+        assert res.values[0] == 0.0
+        assert np.all(np.isfinite(res.values))
+        assert np.all(barrier("w4", n)(res.nodes) <= res.values)
+        assert np.all(res.values <= barrier("w3", n)(res.nodes))
+        csv = tmp_path / "fp.csv"
+        assert cli_main(["picard", "--n", str(n), "--R", repr(R), "--grid", str(m),
+                         "--fixed-point-csv", str(csv)]) == 0
+        assert csv.read_text().splitlines()[0] == "r,w"
+        r, w = np.loadtxt(csv, delimiter=",", skiprows=1, unpack=True)
+        np.testing.assert_array_equal(r, res.nodes)
+        np.testing.assert_array_equal(w, res.values)
+
+
+def _operator_T_fresh(n: int, R: float, w: np.ndarray) -> tuple[np.ndarray, int]:
     """Reference: one operator step whose nodes, band edges, slope range and
     slope equation come from fresh ``np.linspace``, ``barrier`` and
     ``slope_equation`` calls."""
-    eq = slope_equation(harmonic_pairs(w.n))
-    r = np.linspace(0.0, w.R, w.m)
+    eq = slope_equation(harmonic_pairs(n))
+    r = np.linspace(0.0, R, w.size)
     h = r[1] - r[0]
-    w4, w3 = barrier("w4", w.n), barrier("w3", w.n)
-    m = min(max(w.values[1] / r[1], w4.slope), w3.slope)
-    g = np.empty(w.m)
+    w4, w3 = barrier("w4", n), barrier("w3", n)
+    m = min(max(w[1] / r[1], w4.slope), w3.slope)
+    g = np.empty(w.size)
     g[0] = m * eq.psi(1.0 / m)
-    g[1:] = eq.rhs(r[1:], w.values[1:])
+    g[1:] = eq.rhs(r[1:], w[1:])
     out = np.concatenate(([0.0], np.cumsum(0.5 * h * (g[:-1] + g[1:]))))
     lo = np.concatenate(([0.0], w4(r[1:])))
     hi = np.concatenate(([0.0], w3(r[1:])))
@@ -340,30 +333,18 @@ class TestGridConstantsOncePerSolve:
         second = picard_solve(3, 0.3, 256)
         assert calls == made
         assert first.iterations == second.iterations
-        np.testing.assert_array_equal(first.grid.values, second.grid.values)
+        np.testing.assert_array_equal(first.values, second.values)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_operator_equals_fresh_constants_bitwise(self, n):
         R = min(domain_radius(n), lipschitz_radius(n)[1])
         w = initial_iterate(n, R, 257)
         for _ in range(3):
-            ref, ref_events = _operator_T_fresh(w)
-            out, events = operator_T(w)
+            ref, ref_events = _operator_T_fresh(n, R, w)
+            out, events = operator_T(n, R, w)
             assert events == ref_events
-            np.testing.assert_array_equal(out.values, ref)
-            np.testing.assert_array_equal(out.nodes, np.linspace(0.0, R, 257))
+            np.testing.assert_array_equal(out, ref)
             w = out
-
-    def test_band_check_text_from_the_shared_constants(self):
-        # the message reports the first offending node and the band's edges there
-        r = np.linspace(0.0, 0.3, 8)
-        vals = 3.0 * r
-        w4, w3 = barrier("w4", 3), barrier("w3", 3)
-        text = (f"grid value {vals[1]:.12g} at r={r[1]:.12g} outside "
-                f"the band [{w4(r[1]):.12g}, {w3(r[1]):.12g}]")
-        with pytest.raises(ParameterError) as exc:
-            GridFunction(n=3, R=0.3, values=vals)
-        assert str(exc.value) == text
 
 
 def _lipschitz_radius_loop(n: int, samples: int, seed: int) -> tuple[float, float]:

@@ -522,8 +522,10 @@ class TestIntegrateProfile:
         assert p.tolerances["rtol"] == 100 * np.finfo(float).eps
         assert integrate_profile(sigma_k_root(2, 2), r_max=1.0).tolerances["rtol"] == 1e-10
 
-    def test_step_budget_exhausted(self):
-        p = integrate_profile(sigma_k_root(2, 3), r_max=1.0, max_steps=3)
+    def test_step_budget_exhausted(self, monkeypatch):
+        import curvsol.profiles as prof
+        monkeypatch.setattr(prof, "_MAX_STEPS", 3)
+        p = integrate_profile(sigma_k_root(2, 3), r_max=1.0)
         assert p.status == "step_failure"
         assert p.blowup_radius is None
         assert p.samples.shape[0] == 4 and p.r[-1] < 1.0

@@ -158,12 +158,12 @@ class TestBarrierChecks:
 
 class TestSigma2Cylinder:
     def test_sign_conditions_and_identity(self):
-        entry = check_sigma2_cylinder(np.linspace(-0.5, 3.0, 100))
+        entry = check_sigma2_cylinder(np.linspace(-0.5, 3.0, 100), 1e-9)
         assert entry.status == "pass"
         assert entry.worst_violation <= 1e-9
 
     def test_out_of_range_heights_skipped(self):
-        entry = check_sigma2_cylinder([-1.0, 0.0, 1.0])
+        entry = check_sigma2_cylinder([-1.0, 0.0, 1.0], 1e-9)
         assert entry.status == "pass"
         assert "skipped 1" in entry.detail
 
