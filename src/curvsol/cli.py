@@ -4,6 +4,12 @@ Subcommands: solve, verify (soliton|convexity|barriers|cylinder), props,
 barriers, picard, plot.  Exit codes: 0 all checks passed, 1 a verification
 failed, 2 usage or input error.  A JSON config file can predefine any flag
 (flags given on the command line override it).
+
+``_COMMANDS`` is the command table: each name maps to its help text, a
+function that adds its flags and its handler.  Top-level options
+(``--config``, ``-h``) go before the command.  ``main`` builds the subparser
+of the command in first place only; with anything else first it builds every
+subparser from the table.
 """
 
 from __future__ import annotations
@@ -136,6 +142,10 @@ def _cmd_barriers(args) -> int:
     r_hi = min([args.rmax] + [b.r_end * (1.0 - 1e-9) for b in bars])
     if np.isinf(r_hi):
         raise ParameterError(f"--rmax must be finite where no barrier ends, got {args.rmax}")
+    if args.rmin > r_hi:            # past the end of a barrier (--rmin <= --rmax holds)
+        end = min(bars, key=lambda b: b.r_end)
+        raise ParameterError(f"--rmin must lie below the end of {end.name}'s domain, "
+                             f"{end.r_end:.12g}, got {args.rmin}")
     r = np.linspace(args.rmin, r_hi, args.count)
     pio.write_table(args.out, ("r", *names), [r] + [b(r) for b in bars])
     return 0
@@ -198,7 +208,89 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _solve_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--speed", choices=("sigma-k", "harmonic"), required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int)
+    p.add_argument("--rmax", type=float, default=3.0)
+    p.add_argument("--eps", type=float, default=1e-4, help="startup radius")
+    p.add_argument("--rtol", type=float, default=1e-10)
+    p.add_argument("--atol", type=float, default=1e-13)
+    p.add_argument("--blowup-threshold", type=float, default=1e8)
+    p.add_argument("--sweep", help="range of n, e.g. n=3..6")
+    p.add_argument("--out", required=True)
+
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("which", choices=("soliton", "convexity", "barriers", "cylinder"))
+    p.add_argument("--profile", help="profile CSV (not needed for cylinder)")
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--alpha", default="auto")
+    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--beta", default="auto")
+    p.add_argument("--zmin", type=float, default=-0.5)
+    p.add_argument("--zmax", type=float, default=3.0)
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--out")
+
+
+def _props_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--speed", choices=_SPEED_KINDS, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int)
+    p.add_argument("--l", type=int)
+    p.add_argument("--factors", help="product factors, e.g. sigma-k:2,sigma-k:1")
+    p.add_argument("--weights", help="product weights, e.g. 0.5,0.5")
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out")
+
+
+def _barriers_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--names", required=True, help="comma-separated, e.g. w3,w5")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int)
+    p.add_argument("--a", type=float)
+    p.add_argument("--rmin", type=float, default=0.0)
+    p.add_argument("--rmax", type=float, default=1.0)
+    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--out")
+
+
+def _picard_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--R", type=float, help="default: min(band radius, contraction radius)")
+    p.add_argument("--grid", type=int, default=2049)
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--max-iter", type=int, default=400)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fixed-point-csv")
+    p.add_argument("--out")
+
+
+def _plot_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--barriers", help="overlay barriers, e.g. w3,w5")
+    p.add_argument("--revolve", action="store_true",
+                   help="silhouette of the surface of revolution")
+    p.add_argument("--out", required=True)
+
+
+# name: (help, function adding the command's flags, handler)
+_COMMANDS = {
+    "solve": ("integrate a profile and export CSV + metadata", _solve_flags, _cmd_solve),
+    "verify": ("run verification checks, emit a JSON report", _verify_flags, _cmd_verify),
+    "props": ("sampled speed property suite", _props_flags, _cmd_props),
+    "barriers": ("tabulate barrier functions", _barriers_flags, _cmd_barriers),
+    "picard": ("fixed point of the integral operator by Newton's method", _picard_flags,
+               _cmd_picard),
+    "plot": ("render an SVG chart from a profile CSV", _plot_flags, _cmd_plot),
+}
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser with the subparser of ``command`` only, or of every command
+    in ``_COMMANDS`` when ``command`` is None."""
     parser = argparse.ArgumentParser(
         prog="curvsol",
         description="Rotationally symmetric translating solitons of concave "
@@ -234,81 +326,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser.add_argument("--config", action=ApplyConfig,
                         help="JSON file of flag defaults (flags override)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="integrate a profile and export CSV + metadata")
-    p.add_argument("--speed", choices=("sigma-k", "harmonic"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--rmax", type=float, default=3.0)
-    p.add_argument("--eps", type=float, default=1e-4, help="startup radius")
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-13)
-    p.add_argument("--blowup-threshold", type=float, default=1e8)
-    p.add_argument("--sweep", help="range of n, e.g. n=3..6")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("verify", help="run verification checks, emit a JSON report")
-    p.add_argument("which", choices=("soliton", "convexity", "barriers", "cylinder"))
-    p.add_argument("--profile", help="profile CSV (not needed for cylinder)")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--alpha", default="auto")
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--beta", default="auto")
-    p.add_argument("--zmin", type=float, default=-0.5)
-    p.add_argument("--zmax", type=float, default=3.0)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("props", help="sampled speed property suite")
-    p.add_argument("--speed", choices=_SPEED_KINDS, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--factors", help="product factors, e.g. sigma-k:2,sigma-k:1")
-    p.add_argument("--weights", help="product weights, e.g. 0.5,0.5")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_props)
-
-    p = sub.add_parser("barriers", help="tabulate barrier functions")
-    p.add_argument("--names", required=True, help="comma-separated, e.g. w3,w5")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--a", type=float)
-    p.add_argument("--rmin", type=float, default=0.0)
-    p.add_argument("--rmax", type=float, default=1.0)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_barriers)
-
-    p = sub.add_parser("picard", help="fixed point of the integral operator by Newton's method")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--R", type=float, help="default: min(band radius, contraction radius)")
-    p.add_argument("--grid", type=int, default=2049)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fixed-point-csv")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_picard)
-
-    p = sub.add_parser("plot", help="render an SVG chart from a profile CSV")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--barriers", help="overlay barriers, e.g. w3,w5")
-    p.add_argument("--revolve", action="store_true",
-                   help="silhouette of the surface of revolution")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_plot)
+    # with one subparser, a usage line the top-level parser prints (an
+    # unrecognized flag) still lists every command
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if command is None else "{" + ",".join(_COMMANDS) + "}"))
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_flags, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # A known command in first place needs its subparser only.  Anything else
+    # (a top-level option such as --config or -h, no command, an unknown name)
+    # builds all of them: --config checks its keys against every command's
+    # flags, and the help and the usage errors list every command.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:         # argparse has printed its usage error or the help
         return exc.code

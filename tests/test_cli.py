@@ -457,6 +457,15 @@ class TestBarriersCmd:
         assert capsys.readouterr().err == "error: --rmin must not exceed --rmax, got 0.5 > 0.1\n"
         assert not out.exists()
 
+    def test_rmin_past_a_barrier_end_is_usage_error(self, tmp_path, capsys):
+        # w3 ends at 1/c = 0.5714 for n = 3, left of both --rmin and --rmax
+        out = tmp_path / "w.csv"
+        assert run(["barriers", "--names", "w1,w3", "--n", 3, "--rmin", 0.7, "--rmax", 1,
+                    "--count", 3, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: --rmin must lie below the end of w3's domain, 0.571428571429, got 0.7\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", [2, 7])
     def test_harmonic_barrier_outside_n_3_to_6_is_usage_error(self, n, tmp_path, capsys):
         out = tmp_path / "w.csv"
@@ -633,3 +642,40 @@ class TestConfig:
         assert on.read_bytes() == off.read_bytes()
         cfg.write_text(json.dumps({"revolve": "yes"}))
         assert run(["--config", cfg, "plot", "--in", sigma2_csv, "--out", off]) == 2
+
+    def test_key_of_another_command_is_accepted(self, tmp_path):
+        # samples is a verify and props flag: the config is checked against every command
+        cfg, out = tmp_path / "cfg.json", tmp_path / "a.csv"
+        cfg.write_text(json.dumps({"rmax": 0.4, "samples": 5}))
+        assert run(["--config", cfg, "solve", "--speed", "harmonic", "--n", 3, "--out", out]) == 0
+        assert out.read_text().splitlines()[-1].split(",")[0] == "0.40000000000000002"
+
+    @pytest.mark.parametrize("form", ["--conf", "--conf="])
+    def test_abbreviated_option(self, form, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "a.csv"
+        cfg.write_text(json.dumps({"rmax": 0.4}))
+        flag = [f"{form}{cfg}"] if form.endswith("=") else [form, cfg]
+        assert run([*flag, "solve", "--speed", "harmonic", "--n", 3, "--out", out]) == 0
+        assert out.read_text().splitlines()[-1].split(",")[0] == "0.40000000000000002"
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["curvsol", "barriers", "--names", "w1", "--n", "3",
+                                      "--rmax", "0.5", "--count", "2"])
+    assert main() == 0
+    assert capsys.readouterr().out == "r,w1\n0,0\n0.5,%.17g\n" % barrier("w1", 3)(0.5)
+
+
+# stdout, stderr and exit code of the help and the usage errors, recorded when one
+# parser held every command: building one command's parser must not change them
+_USAGE_GOLDEN = json.loads((Path(__file__).parent / "cli_usage_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", _USAGE_GOLDEN,
+                         ids=[" ".join(c["argv"]) or "(none)" for c in _USAGE_GOLDEN])
+def test_help_and_usage_errors_are_byte_identical(case, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    assert main(list(case["argv"])) == case["code"]
+    assert capsys.readouterr() == (case["out"], case["err"])
+    assert not list(tmp_path.iterdir())
