@@ -135,6 +135,8 @@ def _cmd_barriers(args) -> int:
         raise ParameterError(f"--count must be >= 1, got {args.count}")
     if np.isinf(args.rmin):
         raise ParameterError(f"--rmin must be finite, got {args.rmin}")
+    if args.rmin < 0.0:
+        raise ParameterError(f"--rmin must be >= 0, got {args.rmin}")
     if args.rmin > args.rmax:
         raise ParameterError(f"--rmin must not exceed --rmax, got {args.rmin} > {args.rmax}")
     names = [t.strip() for t in args.names.split(",")]

@@ -485,21 +485,37 @@ def _pointwise_checks(spec: SpeedSpec, L: np.ndarray, rng: np.random.Generator) 
     }
 
 
+def _march(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
+    """Doubling march along the paths lam + t d from the rows of ``lam`` in
+    the directions ``d``, at t = 0.01 * 2^j while t < 1e4, in one
+    `support_mask` call: whether each path leaves the cone, and the first
+    march time found outside (0 where none is)."""
+    p, n = lam.shape
+    t = 0.01 * 2.0 ** np.arange(20)
+    points = lam[:, None, :] + t[:, None] * d[:, None, :]
+    outside = ~support_mask(spec, points.reshape(-1, n)).reshape(p, t.size)
+    found = outside.any(axis=1)
+    return found, np.where(found, t[np.argmax(outside, axis=1)], 0.0)
+
+
 def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
     """Test decay of the speed along straight paths from the rows of ``lam``
     in the unit directions ``d`` to the cone boundary, all paths in lockstep.
 
-    Returns (found, satisfied, limit_ratio) arrays over the paths.  A doubling
-    march finds the paths that leave the cone and brackets their exits; a
-    bracket of 1e-9 relative about the exact exit time replaces it where
-    ``support_mask`` confirms both ends, and each call then tests 63 evenly
-    spaced points per bracket until every bracket is one ulp wide.  The speed
-    is sampled at geometrically shrinking distances from the last point
-    inside, a power-law exponent is fitted, and the inferred boundary limit
-    (0 for a clean positive exponent, else the observed plateau) is compared
-    against ``_BOUNDARY_REL`` times the interior value.  A raw-value
-    threshold alone would misclassify k-th roots with k >= 4, whose decay
-    cannot reach 1e-3 of the interior value at double-precision distances.
+    Returns (found, satisfied, limit_ratio) arrays over the paths.  The
+    doubling march of `_march` finds the paths that leave the cone and
+    brackets their exits; a bracket of 1e-9 relative about the exact exit
+    time replaces it where ``support_mask`` confirms both ends, and each call
+    then tests 63 evenly spaced points per bracket until every bracket is one
+    ulp wide.  The speed is sampled at geometrically shrinking distances
+    from the last point inside, a power-law exponent is fitted, and the
+    inferred boundary limit (0 for a clean positive exponent, else the
+    observed plateau) is compared against ``_BOUNDARY_REL`` times the
+    interior value.  A path with fewer than 12 decay samples inside the cone
+    is not found.  A raw-value threshold alone would misclassify k-th roots
+    with k >= 4, whose decay cannot reach 1e-3 of the interior value at
+    double-precision distances.  Every step works row by row, so a path's
+    results do not depend on the other rows of the call.
     """
     p, n = lam.shape
 
@@ -507,11 +523,8 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
         points = lam[rows, None, :] + times[:, :, None] * d[rows, None, :]
         return support_mask(spec, points.reshape(-1, n)).reshape(times.shape)
 
-    t = 0.01 * 2.0 ** np.arange(20)                  # doubling march while t < 1e4
-    outside = ~inside_at(slice(None), np.broadcast_to(t, (p, t.size)))
-    found = outside.any(axis=1)
+    found, t_hi = _march(spec, lam, d)
     t_lo = np.zeros(p)
-    t_hi = np.where(found, t[np.argmax(outside, axis=1)], 0.0)
     exit_t = np.full(p, np.inf)
     exit_t[found] = _support_exit(spec, lam[found], d[found])
     hinted = np.flatnonzero(np.isfinite(exit_t))
@@ -555,7 +568,15 @@ def check_properties(spec: SpeedSpec, sample_count: int = 1000,
     relation of 1-homogeneity, off-radial concavity of the Hessian, radial
     degeneracy, and vanishing of the continuous extension at the cone
     boundary.  Failures are counted and witnessed, never raised: the result
-    maps each check's name to its ``CheckStat``."""
+    maps each check's name to its ``CheckStat``.
+
+    The boundary check runs in two stages.  Plan: rounds of interior rows
+    and unit directions are drawn, and only the doubling march of `_march`
+    runs on each, until ``_BOUNDARY_PATHS`` paths leave the cone or
+    ``20 * _BOUNDARY_PATHS`` paths are drawn.  Batch: one `_boundary_paths`
+    call on all planned paths, recorded at once.  A path with too few decay
+    samples inside the cone does not count; for such a shortfall further
+    rounds are planned and batched while the draw budget lasts."""
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
     if seed < 0:
@@ -569,11 +590,16 @@ def check_properties(spec: SpeedSpec, sample_count: int = 1000,
     boundary = checks["boundary_vanishing"] = CheckStat()
     done = tries = 0
     while done < _BOUNDARY_PATHS and tries < 20 * _BOUNDARY_PATHS:
-        size = min(_BOUNDARY_PATHS - done, 20 * _BOUNDARY_PATHS - tries)
-        tries += size
-        lam = _sample_rows(spec, rng, size)
-        d = rng.standard_normal((size, spec.n))
-        found, ok, ratio = _boundary_paths(spec, lam, d / np.linalg.norm(d, axis=1, keepdims=True))
+        start, lams, ds = done, [], []
+        while done < _BOUNDARY_PATHS and tries < 20 * _BOUNDARY_PATHS:     # plan
+            size = min(_BOUNDARY_PATHS - done, 20 * _BOUNDARY_PATHS - tries)
+            tries += size
+            lams.append(_sample_rows(spec, rng, size))
+            d = rng.standard_normal((size, spec.n))
+            ds.append(d / np.linalg.norm(d, axis=1, keepdims=True))
+            done += int(np.count_nonzero(_march(spec, lams[-1], ds[-1])[0]))
+        lam = np.concatenate(lams)                                         # batch
+        found, ok, ratio = _boundary_paths(spec, lam, np.concatenate(ds))
         boundary.record(ok[found], ratio[found], lam[found])
-        done += int(np.count_nonzero(found))
+        done = start + int(np.count_nonzero(found))      # a path short of decay samples drops
     return checks

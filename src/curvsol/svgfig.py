@@ -36,10 +36,10 @@ def render_chart(series: list[tuple], title: str, x_label: str, y_label: str) ->
     ml, mr, mt, mb = 64, 16, 28, 44
     pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
-    def px(x: float) -> float:
+    def px(x):                      # a tick value or a series' whole array
         return ml + (x - x0) / (x1 - x0) * pw
 
-    def py(y: float) -> float:
+    def py(y):
         return mt + (y1 - y) / (y1 - y0) * ph
 
     parts = [
@@ -70,7 +70,8 @@ def render_chart(series: list[tuple], title: str, x_label: str, y_label: str) ->
                  f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{y_label}</text>')
     for i, (label, sx, sy) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(sx, sy))
+        X, Y = px(np.asarray(sx, dtype=float)), py(np.asarray(sy, dtype=float))
+        pts = " ".join(["%.2f,%.2f"] * X.size) % tuple(np.column_stack([X, Y]).ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = mt + 14 + 15 * i

@@ -457,6 +457,14 @@ class TestBarriersCmd:
         assert capsys.readouterr().err == "error: --rmin must not exceed --rmax, got 0.5 > 0.1\n"
         assert not out.exists()
 
+    def test_negative_rmin_is_usage_error(self, tmp_path, capsys):
+        # the flag is blamed, not the barrier that the range would leave
+        out = tmp_path / "w.csv"
+        assert run(["barriers", "--names", "w3", "--n", 3, "--rmin", -0.1, "--count", 3,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --rmin must be >= 0, got -0.1\n"
+        assert not out.exists()
+
     def test_rmin_past_a_barrier_end_is_usage_error(self, tmp_path, capsys):
         # w3 ends at 1/c = 0.5714 for n = 3, left of both --rmin and --rmax
         out = tmp_path / "w.csv"

@@ -477,6 +477,62 @@ class TestBoundaryPaths:
             assert np.array_equal(got, ref)
 
 
+def round_by_round_boundary(spec, sample_count, seed):
+    """Reference for the suite's boundary check: after the same pointwise
+    draws, one `_boundary_paths` call and one record per round, each round
+    sized by the found paths still missing."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, sample_count, speeds._CHUNK):
+        lam = _sample_rows(spec, rng, min(speeds._CHUNK, sample_count - start))
+        speeds._pointwise_checks(spec, lam, rng)
+    boundary = speeds.CheckStat()
+    done = tries = 0
+    while done < speeds._BOUNDARY_PATHS and tries < 20 * speeds._BOUNDARY_PATHS:
+        size = min(speeds._BOUNDARY_PATHS - done, 20 * speeds._BOUNDARY_PATHS - tries)
+        tries += size
+        lam = _sample_rows(spec, rng, size)
+        d = rng.standard_normal((size, spec.n))
+        found, ok, ratio = speeds._boundary_paths(
+            spec, lam, d / np.linalg.norm(d, axis=1, keepdims=True))
+        boundary.record(ok[found], ratio[found], lam[found])
+        done += int(np.count_nonzero(found))
+    return boundary
+
+
+class TestBoundaryPlanAndBatch:
+    @pytest.mark.parametrize("seed", [0, 11, 4242])
+    @pytest.mark.parametrize("spec", SUITE_SPEEDS, ids=lambda s: s.label())
+    def test_equals_the_round_by_round_loop(self, spec, seed):
+        got = check_properties(spec, 150, seed)["boundary_vanishing"]
+        want = round_by_round_boundary(spec, 150, seed)
+        assert (got.passed, got.failed) == (want.passed, want.failed)
+        assert got.passed + got.failed == speeds._BOUNDARY_PATHS
+        assert got.worst == want.worst
+        assert got.witness == want.witness
+
+    @pytest.mark.parametrize("spec", [sigma_k_root(1, 3), harmonic_pairs(4), quotient(2, 1, 3)],
+                             ids=lambda s: s.label())
+    def test_shortfall_stops_at_the_draw_budget(self, spec, monkeypatch):
+        # with 11 decay samples per path, no path has the 12 it needs to count
+        monkeypatch.setattr(speeds, "_BOUNDARY_DEPTH", 10)
+        drawn = []
+        batch = speeds._boundary_paths
+
+        def counted(spec, lam, d):
+            drawn.append(lam.shape[0])
+            return batch(spec, lam, d)
+
+        monkeypatch.setattr(speeds, "_boundary_paths", counted)
+        results = []
+        for suite in (lambda: check_properties(spec, 150, 3)["boundary_vanishing"],
+                      lambda: round_by_round_boundary(spec, 150, 3)):
+            drawn.clear()
+            results.append(suite())
+            assert sum(drawn) == 20 * speeds._BOUNDARY_PATHS
+        for stat in results:
+            assert (stat.passed, stat.failed, stat.worst, stat.witness) == (0, 0, 0.0, None)
+
+
 EXIT_SPEEDS = [s for n in range(2, 7) for s in (
     [sigma_k_root(k, n) for k in range(1, n + 1)]
     + [harmonic_pairs(n), quotient(2, 1, n)] + ([quotient(3, 1, n)] if n >= 3 else [])
