@@ -108,11 +108,6 @@ class PicardResult:
     iterations: list[dict]
     converged: bool
 
-    @property
-    def contraction_ratios(self) -> list[float]:
-        return [it["contraction_ratio"] for it in self.iterations
-                if it["contraction_ratio"] is not None]
-
 
 def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
                  max_iter: int = 400) -> PicardResult:

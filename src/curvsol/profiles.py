@@ -123,15 +123,19 @@ def closed_form_cyl(a: float, r: float) -> float:
 
 def cyl_height(a: float, r: float) -> float:
     """Signed height z(r) of the cylindrical-type profile, anchored so that
-    z = 0 at r = 1: the quadrature of sqrt(e^{s^2-2a} - 1) from 1 to r."""
+    z = 0 at r = 1: the quadrature of sqrt(e^{s^2-2a} - 1) from 1 to r.
+    Raises DomainError where the integrand overflows a float."""
     from scipy.integrate import quad
     waist = sqrt(2.0 * a) if a > 0.0 else 0.0
     if waist >= 1.0:
         raise ParameterError(f"anchor r=1 lies below the waist sqrt(2a)={waist}")
     if r < waist:
         raise DomainError(f"r={r} below the waist {waist}")
-    return quad(lambda s: sqrt(max(exp(s * s - 2.0 * a) - 1.0, 0.0)), 1.0, r,
-                epsabs=1e-12, epsrel=1e-13)[0]
+    try:
+        return quad(lambda s: sqrt(max(exp(s * s - 2.0 * a) - 1.0, 0.0)), 1.0, r,
+                    epsabs=1e-12, epsrel=1e-13)[0]
+    except OverflowError:
+        raise DomainError(f"the height at r={r} overflows a float") from None
 
 
 def solve_cyl_profile(a: float, z: float) -> float:
@@ -221,8 +225,9 @@ def barrier(name: str, n: int, k: Optional[int] = None, a: Optional[float] = Non
         m4 = sqrt(n ** 4 - 4 * n ** 3 + 7 * n * n - 8 * n + 4) / (2.0 * sqrt(6.0))
         return Barrier(name, slope=m4)
     aa = sqrt(eq.c) if a is None else float(a)
-    if not 0.0 < aa < inf:
-        raise ParameterError(f"barrier w5 requires a finite a > 0, got {aa}")
+    if not (0.0 < aa and 0.0 < aa * aa < inf and 1.0 / (aa * aa) < inf):
+        raise ParameterError(f"barrier w5 requires a finite a > 0 with a^2 and 1/a^2 finite, "
+                             f"got {aa}")
     return Barrier(name, slope=aa, r_end=1.0 / aa ** 2)
 
 
@@ -312,6 +317,9 @@ def integrate_profile(spec: SpeedSpec,
         raise ParameterError("profiles require k >= 2 (mean curvature excluded)")
     eq = slope_equation(spec)
     c, rhs, rhs_dw = eq.c, eq.rhs, eq.rhs_dw
+    if not 0.5 * c * startup_radius * startup_radius < np.inf:
+        raise ParameterError(f"startup_radius={startup_radius} is too large: "
+                             f"the startup height c*r^2/2 overflows")
     if max_step is None:
         max_step = max((r_max - startup_radius) / 50.0, 1e-3)
 

@@ -47,6 +47,7 @@ _MAX_TRIES = 20000     # consecutive rejected draws before sampling gives up
 _BOUNDARY_PATHS = 20   # decay paths to the cone boundary per property check
 _BOUNDARY_DEPTH = 30   # halvings of the distance to the boundary along a path
 _BOUNDARY_REL = 1e-3   # boundary limit / interior value that counts as vanishing
+_BOUNDARY_FAR = 0.01 * 2.0 ** 19   # a path leaves the cone iff its point at this t is outside
 
 
 # --------------------------------------------------------------------------
@@ -485,37 +486,24 @@ def _pointwise_checks(spec: SpeedSpec, L: np.ndarray, rng: np.random.Generator) 
     }
 
 
-def _march(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
-    """Doubling march along the paths lam + t d from the rows of ``lam`` in
-    the directions ``d``, at t = 0.01 * 2^j while t < 1e4, in one
-    `support_mask` call: whether each path leaves the cone, and the first
-    march time found outside (0 where none is)."""
-    p, n = lam.shape
-    t = 0.01 * 2.0 ** np.arange(20)
-    points = lam[:, None, :] + t[:, None] * d[:, None, :]
-    outside = ~support_mask(spec, points.reshape(-1, n)).reshape(p, t.size)
-    found = outside.any(axis=1)
-    return found, np.where(found, t[np.argmax(outside, axis=1)], 0.0)
-
-
 def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
     """Test decay of the speed along straight paths from the rows of ``lam``
     in the unit directions ``d`` to the cone boundary, all paths in lockstep.
+    Every path must leave the cone before ``_BOUNDARY_FAR``.
 
-    Returns (found, satisfied, limit_ratio) arrays over the paths.  The
-    doubling march of `_march` finds the paths that leave the cone and
-    brackets their exits; a bracket of 1e-9 relative about the exact exit
-    time replaces it where ``support_mask`` confirms both ends, and each call
-    then tests 63 evenly spaced points per bracket until every bracket is one
-    ulp wide.  The speed is sampled at geometrically shrinking distances
-    from the last point inside, a power-law exponent is fitted, and the
-    inferred boundary limit (0 for a clean positive exponent, else the
-    observed plateau) is compared against ``_BOUNDARY_REL`` times the
-    interior value.  A path with fewer than 12 decay samples inside the cone
-    is not found.  A raw-value threshold alone would misclassify k-th roots
-    with k >= 4, whose decay cannot reach 1e-3 of the interior value at
-    double-precision distances.  Every step works row by row, so a path's
-    results do not depend on the other rows of the call.
+    Returns (found, satisfied, limit_ratio) arrays over the paths.  Each exit
+    is bracketed by [0, _BOUNDARY_FAR], or by 1e-9 relative about the exact
+    exit time where ``support_mask`` confirms both ends, and each call then
+    tests 63 evenly spaced points per bracket until every bracket is one ulp
+    wide.  The speed is sampled at geometrically shrinking distances from
+    the last point inside, a power-law exponent is fitted, and the inferred
+    boundary limit (0 for a clean positive exponent, else the observed
+    plateau) is compared against ``_BOUNDARY_REL`` times the interior value.
+    A path is found iff at least 12 of its decay samples lie inside the cone.
+    A raw-value threshold alone would misclassify k-th roots with k >= 4,
+    whose decay cannot reach 1e-3 of the interior value at double-precision
+    distances.  Every step works row by row, so a path's results do not
+    depend on the other rows of the call.
     """
     p, n = lam.shape
 
@@ -523,14 +511,12 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
         points = lam[rows, None, :] + times[:, :, None] * d[rows, None, :]
         return support_mask(spec, points.reshape(-1, n)).reshape(times.shape)
 
-    found, t_hi = _march(spec, lam, d)
-    t_lo = np.zeros(p)
-    exit_t = np.full(p, np.inf)
-    exit_t[found] = _support_exit(spec, lam[found], d[found])
+    t_lo, t_hi = np.zeros(p), np.full(p, _BOUNDARY_FAR)
+    exit_t = _support_exit(spec, lam, d)
     hinted = np.flatnonzero(np.isfinite(exit_t))
     ends = exit_t[hinted, None] * np.array([1.0 - 1e-9, 1.0 + 1e-9])
     inside = inside_at(hinted, ends)
-    confirmed = inside[:, 0] & ~inside[:, 1]         # a wrong hint keeps the march bracket
+    confirmed = inside[:, 0] & ~inside[:, 1]         # a wrong hint keeps [0, _BOUNDARY_FAR]
     t_lo[hinted[confirmed]], t_hi[hinted[confirmed]] = ends[confirmed].T
     frac = np.arange(1, 64) / 64.0
     while (wide := np.flatnonzero(np.nextafter(t_lo, np.inf) < t_hi)).size:
@@ -546,7 +532,7 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
     points = b[:, None, :] + mus[:, None] * (lam - b)[:, None, :]
     vals = speed_values(spec, points.reshape(-1, n)).reshape(p, mus.size)
     keep = ~np.isnan(vals)
-    found &= np.count_nonzero(keep, axis=1) >= 12
+    found = np.count_nonzero(keep, axis=1) >= 12
     # the last ten values kept on each found path, and their least-squares slope
     last = keep & (np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] <= 10) & found[:, None]
     v = vals[last].reshape(-1, 10)
@@ -571,12 +557,14 @@ def check_properties(spec: SpeedSpec, sample_count: int = 1000,
     maps each check's name to its ``CheckStat``.
 
     The boundary check runs in two stages.  Plan: rounds of interior rows
-    and unit directions are drawn, and only the doubling march of `_march`
-    runs on each, until ``_BOUNDARY_PATHS`` paths leave the cone or
-    ``20 * _BOUNDARY_PATHS`` paths are drawn.  Batch: one `_boundary_paths`
-    call on all planned paths, recorded at once.  A path with too few decay
-    samples inside the cone does not count; for such a shortfall further
-    rounds are planned and batched while the draw budget lasts."""
+    and unit directions are drawn, and a path is kept iff its point at
+    ``_BOUNDARY_FAR`` lies outside the cone (the cone is convex, so then and
+    only then does the path leave it before there), until ``_BOUNDARY_PATHS``
+    paths are kept or ``20 * _BOUNDARY_PATHS`` paths are drawn.  Batch: one
+    `_boundary_paths` call on the kept paths, recorded at once.  A path with
+    too few decay samples inside the cone does not count; for such a
+    shortfall further rounds are planned and batched while the draw budget
+    lasts."""
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
     if seed < 0:
@@ -594,10 +582,13 @@ def check_properties(spec: SpeedSpec, sample_count: int = 1000,
         while done < _BOUNDARY_PATHS and tries < 20 * _BOUNDARY_PATHS:     # plan
             size = min(_BOUNDARY_PATHS - done, 20 * _BOUNDARY_PATHS - tries)
             tries += size
-            lams.append(_sample_rows(spec, rng, size))
+            lam = _sample_rows(spec, rng, size)
             d = rng.standard_normal((size, spec.n))
-            ds.append(d / np.linalg.norm(d, axis=1, keepdims=True))
-            done += int(np.count_nonzero(_march(spec, lams[-1], ds[-1])[0]))
+            d = d / np.linalg.norm(d, axis=1, keepdims=True)
+            leaves = ~support_mask(spec, lam + _BOUNDARY_FAR * d)
+            lams.append(lam[leaves])
+            ds.append(d[leaves])
+            done += int(np.count_nonzero(leaves))
         lam = np.concatenate(lams)                                         # batch
         found, ok, ratio = _boundary_paths(spec, lam, np.concatenate(ds))
         boundary.record(ok[found], ratio[found], lam[found])

@@ -207,7 +207,8 @@ def test_criterion_6_picard_rk_equivalence():
     _c, r2 = cs.lipschitz_radius(n, samples=4000, seed=0)
     R = min(cs.domain_radius(n), r2)
     res = cs.picard_solve(n, R, 2048, tol=1e-12)
-    ratios = res.contraction_ratios
+    ratios = [it["contraction_ratio"] for it in res.iterations
+              if it["contraction_ratio"] is not None]
     p = cs.integrate_profile(cs.harmonic_pairs(n), startup_radius=1e-6, r_max=R,
                              rtol=1e-12, atol=1e-15, max_step=1e-3)
     rk = np.interp(res.nodes[1:], p.r, p.du)

@@ -58,6 +58,13 @@ class TestSolve:
         assert capsys.readouterr().err == f"error: --sweep: expected {expected}, got {bad!r}\n"
         assert not list(tmp_path.iterdir())
 
+    def test_overflowing_startup_radius_is_usage_error(self, tmp_path, capsys):
+        assert run(["solve", "--speed", "sigma-k", "--k", 2, "--n", 3, "--eps", 1e160,
+                    "--rmax", 1e161, "--out", tmp_path / "o.csv"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: startup_radius=1e+160 is too large")
+        assert not list(tmp_path.iterdir())
+
     def test_infinite_rmax_is_usage_error(self, tmp_path, capsys):
         assert run(["solve", "--speed", "sigma-k", "--k", 2, "--n", 3, "--rmax", "inf",
                     "--out", tmp_path / "x.csv"]) == 2
@@ -145,6 +152,13 @@ class TestVerify:
         code = run(["verify", "cylinder", "--zmin", -0.5, "--zmax", 3, "--samples", 50,
                     "--tol", 1e-9, "--out", tmp_path / "cyl.json"])
         assert code == 0
+
+    def test_cylinder_heights_past_float_range_are_skipped(self, tmp_path):
+        out = tmp_path / "cyl.json"
+        assert run(["verify", "cylinder", "--zmin", 0, "--zmax", 1e55, "--samples", 3,
+                    "--out", out]) == 0
+        check, = json.loads(out.read_text())["checks"]
+        assert (check["status"], check["detail"]) == ("pass", "checked 1, skipped 2")
 
     @pytest.mark.parametrize("flag, value", [("--zmin", "nan"), ("--zmax", "inf")])
     def test_cylinder_non_finite_height_is_usage_error(self, tmp_path, capsys, flag, value):
@@ -449,6 +463,15 @@ class TestBarriersCmd:
         assert run(["barriers", "--names", "w1,w3", "--n", 3, "--rmax", "inf", "--count", 3,
                     "--out", out]) == 0
         assert float(out.read_text().splitlines()[-1].split(",")[0]) < barrier("w3", 3).r_end
+
+    @pytest.mark.parametrize("a", ["1e-200", "1e200"])
+    def test_w5_a_out_of_float_range_is_usage_error(self, a, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert run(["barriers", "--names", "w5", "--n", 3, "--a", a, "--count", 3,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: barrier w5 requires a finite a > 0")
+        assert not out.exists()
 
     def test_rmin_above_rmax_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "w.csv"

@@ -201,6 +201,14 @@ class TestCylProfileInversion:
         with pytest.raises(DomainError, match="z=nan"):
             solve_cyl_profile(0.0, float("nan"))
 
+    def test_height_whose_integrand_overflows_is_domain_error(self):
+        # e^{s^2} overflows past s = 26.6; the bracket doubles from r = 16 to 32
+        assert solve_cyl_profile(0.0, 1e54) < 16.0
+        with pytest.raises(DomainError, match="overflows"):
+            cyl_height(0.0, 32.0)
+        with pytest.raises(DomainError, match="overflows"):
+            solve_cyl_profile(0.0, 5e54)
+
     def test_monotone(self):
         rs = [solve_cyl_profile(0.0, z) for z in (-0.5, -0.2, 0.0, 0.5, 2.0)]
         assert all(a < b for a, b in zip(rs, rs[1:]))
@@ -288,7 +296,8 @@ class TestBarriers:
         with pytest.raises(ParameterError, match="n in 3..6"):
             barrier(name, n)
 
-    @pytest.mark.parametrize("a", [0.0, -1.0, np.inf, np.nan])
+    # a^2 is 0 at 1e-200 and its end 1/a^2 inf at 1e-160; a^2 is inf at 1e160 and 1e200
+    @pytest.mark.parametrize("a", [0.0, -1.0, np.inf, np.nan, 1e-200, 1e-160, 1e160, 1e200])
     def test_w5_requires_finite_positive_a(self, a):
         with pytest.raises(ParameterError, match="finite a > 0"):
             barrier("w5", 3, a=a)
@@ -505,6 +514,13 @@ class TestIntegrateProfile:
         # an unbounded interval would only end when the step budget runs out
         with pytest.raises(ParameterError, match="r_max must be finite"):
             integrate_profile(sigma_k_root(2, 3), r_max=np.inf)
+
+    @pytest.mark.parametrize("spec, eps", [(sigma_k_root(2, 3), 1e160),
+                                           (harmonic_pairs(6), 1e154)])
+    def test_startup_height_overflow_is_parameter_error(self, spec, eps):
+        # 1e160^2 overflows; at 1e154 only c r^2/2 does (c = 5.5 for harmonic n = 6)
+        with pytest.raises(ParameterError, match="startup height"):
+            integrate_profile(spec, startup_radius=eps, r_max=10 * eps)
 
     @pytest.mark.parametrize("name, value", [
         ("rtol", np.nan), ("rtol", np.inf), ("rtol", 0.0), ("atol", np.nan), ("atol", -1.0),

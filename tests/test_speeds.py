@@ -26,8 +26,8 @@ from curvsol import (
 from curvsol.io import derived_columns, read_profile_csv, write_profile_csv
 from curvsol.profiles import ProfileSolution
 from curvsol import speeds
-from curvsol.speeds import (_BOUNDARY_DEPTH, _BOUNDARY_REL, _boundary_paths, _radial_degeneracy,
-                            _sample_rows, _sigma_all, _sigma_line, _support_exit,
+from curvsol.speeds import (_BOUNDARY_REL, _boundary_paths, _radial_degeneracy, _sample_rows,
+                            _sigma_all, _sigma_line, _support_exit,
                             hessian_quadratic_forms, speed_derivatives, speed_values,
                             support_mask, support_violation)
 
@@ -410,17 +410,30 @@ SUITE_SPEEDS = ([sigma_k_root(k, n) for n in range(3, 7) for k in range(1, n + 1
                    product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.5])])
 
 
+def march(spec, lam, d):
+    """Doubling march along the paths lam + t d, at t = 0.01 * 2^j while
+    t < 1e4: whether each path leaves the cone, and the first march time
+    found outside (0 where none is)."""
+    p, n = lam.shape
+    t = 0.01 * 2.0 ** np.arange(20)
+    points = lam[:, None, :] + t[:, None] * d[:, None, :]
+    outside = ~support_mask(spec, points.reshape(-1, n)).reshape(p, t.size)
+    found = outside.any(axis=1)
+    return found, np.where(found, t[np.argmax(outside, axis=1)], 0.0)
+
+
+def leaves(spec, lam, d):
+    """The suite's one-point test: the path's point at `_BOUNDARY_FAR` is outside."""
+    return ~support_mask(spec, lam + speeds._BOUNDARY_FAR * d)
+
+
 def bisection_boundary_paths(spec, lam, d):
     """Reference for `_boundary_paths`: each bracket from the doubling march
     halved at its midpoint, one `support_mask` call per halving, until no
     float lies strictly inside it; then one `np.polyfit` per path."""
     p, n = lam.shape
-    t = 0.01 * 2.0 ** np.arange(20)
-    march = lam[:, None, :] + t[:, None] * d[:, None, :]
-    outside = ~support_mask(spec, march.reshape(-1, n)).reshape(p, t.size)
-    found = outside.any(axis=1)
+    found, t_hi = march(spec, lam, d)
     t_lo = np.zeros(p)
-    t_hi = np.where(found, t[np.argmax(outside, axis=1)], 0.0)
     for _ in range(100):
         tm = 0.5 * (t_lo + t_hi)
         if not np.any((tm > t_lo) & (tm < t_hi)):
@@ -430,7 +443,7 @@ def bisection_boundary_paths(spec, lam, d):
         t_hi = np.where(inside, t_hi, tm)
     b = lam + t_lo[:, None] * d
     g_int = speed_values(spec, lam)
-    mus = 2.0 ** -np.arange(_BOUNDARY_DEPTH + 1)
+    mus = 2.0 ** -np.arange(speeds._BOUNDARY_DEPTH + 1)
     points = b[:, None, :] + mus[:, None] * (lam - b)[:, None, :]
     vals = speed_values(spec, points.reshape(-1, n)).reshape(p, mus.size)
     ratio = np.zeros(p)
@@ -455,44 +468,49 @@ def suite_paths(spec, seed, count=40):
 
 
 class TestBoundaryPaths:
+    @staticmethod
+    def assert_equals_bisection(spec, lam, d):
+        """`_boundary_paths` on the paths that leave equals the oracle on them,
+        and the oracle finds none of the paths the one-point test drops."""
+        keep = leaves(spec, lam, d)
+        want = bisection_boundary_paths(spec, lam, d)
+        assert not np.any(want[0][~keep])
+        for got, ref in zip(_boundary_paths(spec, lam[keep], d[keep]), want):
+            assert np.array_equal(got, ref[keep])
+
     @pytest.mark.parametrize("seed", [3, 17, 2024])
     @pytest.mark.parametrize("spec", SUITE_SPEEDS, ids=lambda s: s.label())
     def test_bit_identical_to_bisection(self, spec, seed):
-        lam, d = suite_paths(spec, seed)
-        for got, want in zip(_boundary_paths(spec, lam, d), bisection_boundary_paths(spec, lam, d)):
-            assert np.array_equal(got, want)
+        self.assert_equals_bisection(spec, *suite_paths(spec, seed))
 
-    @pytest.mark.parametrize("hint", [lambda t: 1.5 * t, lambda t: 0.5 * t,
+    @pytest.mark.parametrize("hint", [lambda t: t, lambda t: 1.5 * t, lambda t: 0.5 * t,
                                       lambda t: np.full_like(t, np.inf),
                                       lambda t: np.full_like(t, np.nan)],
-                             ids=["late", "early", "inf", "nan"])
+                             ids=["exact", "late", "early", "inf", "nan"])
     @pytest.mark.parametrize("spec", [sigma_k_root(3, 5), harmonic_pairs(4), quotient(2, 1, 3)],
                              ids=lambda s: s.label())
     def test_wrong_exit_hint_changes_nothing(self, spec, hint, monkeypatch):
-        lam, d = suite_paths(spec, 5)
-        want = bisection_boundary_paths(spec, lam, d)
         exact = speeds._support_exit
         monkeypatch.setattr(speeds, "_support_exit", lambda *a: hint(exact(*a)))
-        for got, ref in zip(_boundary_paths(spec, lam, d), want):
-            assert np.array_equal(got, ref)
+        self.assert_equals_bisection(spec, *suite_paths(spec, 5))
 
 
 def round_by_round_boundary(spec, sample_count, seed):
     """Reference for the suite's boundary check: after the same pointwise
-    draws, one `_boundary_paths` call and one record per round, each round
-    sized by the found paths still missing."""
+    draws, one `bisection_boundary_paths` call and one record per round,
+    each round sized by the found paths still missing."""
     rng = np.random.default_rng(seed)
     for start in range(0, sample_count, speeds._CHUNK):
-        lam = _sample_rows(spec, rng, min(speeds._CHUNK, sample_count - start))
+        lam = speeds._sample_rows(spec, rng, min(speeds._CHUNK, sample_count - start))
         speeds._pointwise_checks(spec, lam, rng)
     boundary = speeds.CheckStat()
     done = tries = 0
     while done < speeds._BOUNDARY_PATHS and tries < 20 * speeds._BOUNDARY_PATHS:
         size = min(speeds._BOUNDARY_PATHS - done, 20 * speeds._BOUNDARY_PATHS - tries)
         tries += size
-        lam = _sample_rows(spec, rng, size)
+        lam = speeds._sample_rows(spec, rng, size)
         d = rng.standard_normal((size, spec.n))
-        found, ok, ratio = speeds._boundary_paths(
+        found, ok, ratio = bisection_boundary_paths(
             spec, lam, d / np.linalg.norm(d, axis=1, keepdims=True))
         boundary.record(ok[found], ratio[found], lam[found])
         done += int(np.count_nonzero(found))
@@ -500,7 +518,7 @@ def round_by_round_boundary(spec, sample_count, seed):
 
 
 class TestBoundaryPlanAndBatch:
-    @pytest.mark.parametrize("seed", [0, 11, 4242])
+    @pytest.mark.parametrize("seed", [0, 11, 4242, 7, 99])
     @pytest.mark.parametrize("spec", SUITE_SPEEDS, ids=lambda s: s.label())
     def test_equals_the_round_by_round_loop(self, spec, seed):
         got = check_properties(spec, 150, seed)["boundary_vanishing"]
@@ -516,19 +534,21 @@ class TestBoundaryPlanAndBatch:
         # with 11 decay samples per path, no path has the 12 it needs to count
         monkeypatch.setattr(speeds, "_BOUNDARY_DEPTH", 10)
         drawn = []
-        batch = speeds._boundary_paths
+        sample = speeds._sample_rows
 
-        def counted(spec, lam, d):
-            drawn.append(lam.shape[0])
-            return batch(spec, lam, d)
+        def counted(spec, rng, count):
+            drawn.append(count)
+            return sample(spec, rng, count)
 
-        monkeypatch.setattr(speeds, "_boundary_paths", counted)
+        monkeypatch.setattr(speeds, "_sample_rows", counted)
         results = []
         for suite in (lambda: check_properties(spec, 150, 3)["boundary_vanishing"],
                       lambda: round_by_round_boundary(spec, 150, 3)):
             drawn.clear()
             results.append(suite())
-            assert sum(drawn) == 20 * speeds._BOUNDARY_PATHS
+            # the pointwise rows first, then every boundary row drawn
+            assert drawn[0] == 150
+            assert sum(drawn[1:]) == 20 * speeds._BOUNDARY_PATHS
         for stat in results:
             assert (stat.passed, stat.failed, stat.worst, stat.witness) == (0, 0, 0.0, None)
 
@@ -541,6 +561,12 @@ EXIT = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 class TestSupportExit:
+    @pytest.mark.parametrize("seed", [1, 42, 777])
+    @pytest.mark.parametrize("spec", EXIT_SPEEDS, ids=lambda s: f"{s.label()}-n{s.n}")
+    def test_one_point_test_equals_the_march(self, spec, seed):
+        lam, d = suite_paths(spec, seed, count=400)
+        assert np.array_equal(leaves(spec, lam, d), march(spec, lam, d)[0])
+
     @EXIT
     @given(st.sampled_from(EXIT_SPEEDS), st.integers(0, 2 ** 32 - 1))
     def test_exit_brackets_the_mask(self, spec, seed):

@@ -167,6 +167,11 @@ class TestSigma2Cylinder:
         assert entry.status == "pass"
         assert "skipped 1" in entry.detail
 
+    def test_heights_whose_bracket_overflows_skipped(self):
+        entry = check_sigma2_cylinder(np.linspace(0.0, 1e55, 3), 1e-9)
+        assert entry.status == "pass"
+        assert entry.detail == "checked 1, skipped 2"
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_bad_tol_rejected(self, tol):
         with pytest.raises(ParameterError, match="tol must be finite and >= 0"):
