@@ -4,13 +4,11 @@ cones, profile ODEs with sub/super-solution barriers, a Picard fixed-point
 construction, and numerical verification of the convexity estimate
 lambda_1 >= H - alpha*gamma."""
 
-from .cones import (ConeSpec, cone_mask, cone_separation, gamma_alpha_delta, gamma_k,
-                    two_convex, uniform_two_convex)
+from .cones import ConeSpec, cone_mask, cone_separation, gamma_alpha_delta, uniform_two_convex
 from .errors import ContractionFailureError, DomainError, ParameterError
 from .picard import PicardResult, domain_radius, lipschitz_radius, picard_solve
 from .profiles import (Barrier, ProfileSolution, SlopeEquation, barrier, closed_form_cyl,
-                       closed_form_v, cyl_height, integrate_profile, slope_equation,
-                       solve_cyl_profile)
+                       closed_form_v, cyl_profile, integrate_profile, slope_equation)
 from .rotgeom import cylinder_curvatures, graph_curvatures, tilt
 from .speeds import (SpeedDerivatives, SpeedSpec, check_properties, eval_speed,
                      harmonic_pairs, product, quotient, sigma_k_root)

@@ -149,7 +149,13 @@ def _cmd_barriers(args) -> int:
         raise ParameterError(f"--rmin must lie below the end of {end.name}'s domain, "
                              f"{end.r_end:.12g}, got {args.rmin}")
     r = np.linspace(args.rmin, r_hi, args.count)
-    pio.write_table(args.out, ("r", *names), [r] + [b(r) for b in bars])
+    with np.errstate(over="ignore"):
+        columns = [b(r) for b in bars]
+    for name, col in zip(names, columns):
+        if not np.isfinite(col).all():
+            raise ParameterError(f"barrier {name} overflows a float on [--rmin, --rmax], "
+                                 f"got --rmax {args.rmax}")
+    pio.write_table(args.out, ("r", *names), [r] + columns)
     return 0
 
 

@@ -10,13 +10,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .speeds import (SpeedSpec, _rows, harmonic_pairs, sigma_k_root, sigma_partials,
-                     speed_values, support_margins, support_mask, unit_draws)
+from .speeds import (SpeedSpec, _rows, harmonic_pairs, sigma_partials, speed_values,
+                     support_margins, support_mask, unit_draws)
 
 __all__ = [
     "ConeSpec",
-    "gamma_k",
-    "two_convex",
     "gamma_alpha_delta",
     "uniform_two_convex",
     "cone_mask",
@@ -53,16 +51,6 @@ class ConeSpec:
     @property
     def n(self) -> int:
         return self.speed.n
-
-
-def gamma_k(k: int, n: int) -> ConeSpec:
-    """The Garding cone S_l > 0 for l <= k: the support cone of S_k^(1/k)."""
-    return ConeSpec(kind="support", speed=sigma_k_root(k, n))
-
-
-def two_convex(n: int) -> ConeSpec:
-    """All pair sums positive: the support cone of the harmonic-pairs speed."""
-    return ConeSpec(kind="support", speed=harmonic_pairs(n))
 
 
 def gamma_alpha_delta(alpha: float, delta: float, speed: SpeedSpec) -> ConeSpec:

@@ -9,7 +9,7 @@ slope w = u', with psi derived from the speed (``slope_equation``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, exp, inf, isfinite, sqrt
+from math import comb, exp, expm1, inf, isfinite, log, sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,8 +22,7 @@ __all__ = [
     "slope_equation",
     "closed_form_v",
     "closed_form_cyl",
-    "cyl_height",
-    "solve_cyl_profile",
+    "cyl_profile",
     "Barrier",
     "barrier",
     "BARRIER_NAMES",
@@ -34,6 +33,7 @@ __all__ = [
 BARRIER_NAMES = ("v1", "v2", "v3", "w1", "w2", "w3", "w4", "w5")
 
 _MAX_STEPS = 500_000   # LSODA steps and restarts per profile before it ends in step_failure
+_S_MAX = log(np.finfo(float).max)   # the r^2 past which e^{r^2} overflows a float
 
 
 # --------------------------------------------------------------------------
@@ -121,40 +121,30 @@ def closed_form_cyl(a: float, r: float) -> float:
     return 1.0 / sqrt(exp(r * r - 2.0 * a) - 1.0)
 
 
-def cyl_height(a: float, r: float) -> float:
-    """Signed height z(r) of the cylindrical-type profile, anchored so that
-    z = 0 at r = 1: the quadrature of sqrt(e^{s^2-2a} - 1) from 1 to r.
-    Raises DomainError where the integrand overflows a float."""
-    from scipy.integrate import quad
-    waist = sqrt(2.0 * a) if a > 0.0 else 0.0
-    if waist >= 1.0:
-        raise ParameterError(f"anchor r=1 lies below the waist sqrt(2a)={waist}")
-    if r < waist:
-        raise DomainError(f"r={r} below the waist {waist}")
-    try:
-        return quad(lambda s: sqrt(max(exp(s * s - 2.0 * a) - 1.0, 0.0)), 1.0, r,
-                    epsabs=1e-12, epsrel=1e-13)[0]
-    except OverflowError:
-        raise DomainError(f"the height at r={r} overflows a float") from None
+def cyl_profile(z):
+    """Radius r and slope dr/dz of the cylindrical-type profile (a = 0) at the
+    heights z, with r(0) = 1.  One DOP853 solve on each side of z = 0
+    integrates s = r^2, whose rate ds/dz = 2 sqrt(s/expm1(s)) is 2 at the waist
+    s = 0; it ends there or at s = log(float max), past which e^{r^2}
+    overflows.  Heights that are not finite or lie beyond either end are NaN."""
+    from scipy.integrate import solve_ivp
+    z = np.asarray(z, dtype=float)
+    s = np.where(z == 0.0, 1.0, np.nan)
 
+    def rate(x):   # 2 sqrt(x/expm1(x)), written so that it cannot overflow
+        return 2.0 * sqrt(x * exp(-x) / -expm1(-x)) if x != 0.0 else 2.0
 
-def solve_cyl_profile(a: float, z: float) -> float:
-    """Radius r(z) of the cylindrical-type profile, inverting the implicit
-    quadrature relation by bracketed root finding to 1e-12.  r(0) = 1."""
-    from scipy.optimize import brentq
-    waist = sqrt(2.0 * a) if a > 0.0 else 0.0
-    z_min = cyl_height(a, waist)
-    if not z >= z_min:
-        raise DomainError(f"z={z} not at or above the parametrization minimum z_min={z_min:.12g}")
-    if z == 0.0:
-        return 1.0
-    hi = max(1.0, waist + 1.0)
-    while cyl_height(a, hi) < z:
-        hi *= 2.0
-        if hi > 1e3:
-            raise DomainError(f"z={z} not reachable")
-    lo = waist
-    return float(brentq(lambda rr: cyl_height(a, rr) - z, lo, hi, xtol=1e-13, rtol=8.9e-16))
+    def ends(_, y):
+        return y[0] * (_S_MAX - y[0])
+    ends.terminal = True
+    for sign in (1.0, -1.0):    # up over z > 0, down over z < 0, in |z|
+        side = np.isfinite(z) & (sign * z > 0.0)
+        t, back = np.unique(sign * z[side], return_inverse=True)
+        if t.size:
+            sol = solve_ivp(lambda _, y: [sign * rate(y[0])], (0.0, t[-1]), [1.0],
+                            method="DOP853", t_eval=t, events=ends, rtol=1e-13, atol=1e-15)
+            s[side] = np.append(sol.y, np.full(t.size - len(sol.t), np.nan))[back]
+    return np.sqrt(s), 1.0 / np.sqrt(np.expm1(s))
 
 
 # --------------------------------------------------------------------------

@@ -153,9 +153,17 @@ class TestVerify:
                     "--tol", 1e-9, "--out", tmp_path / "cyl.json"])
         assert code == 0
 
-    def test_cylinder_heights_past_float_range_are_skipped(self, tmp_path):
+    def test_cylinder_far_heights_are_checked(self, tmp_path):
         out = tmp_path / "cyl.json"
         assert run(["verify", "cylinder", "--zmin", 0, "--zmax", 1e55, "--samples", 3,
+                    "--out", out]) == 0
+        check, = json.loads(out.read_text())["checks"]
+        assert (check["status"], check["detail"]) == ("pass", "checked 3, skipped 0")
+
+    def test_cylinder_heights_past_the_overflow_end_are_skipped(self, tmp_path):
+        # e^{r^2} overflows a float past z of about 5.0e152
+        out = tmp_path / "cyl.json"
+        assert run(["verify", "cylinder", "--zmin", 0, "--zmax", 1e300, "--samples", 3,
                     "--out", out]) == 0
         check, = json.loads(out.read_text())["checks"]
         assert (check["status"], check["detail"]) == ("pass", "checked 1, skipped 2")
@@ -533,6 +541,14 @@ class TestBarriersCmd:
         out = tmp_path / "w.csv"
         assert run(["barriers", "--names", "w3", "--n", 3, "--count", count, "--out", out]) == 2
         assert capsys.readouterr().err == f"error: --count must be >= 1, got {count}\n"
+        assert not out.exists()
+
+    def test_overflowing_barrier_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert run(["barriers", "--names", "w1", "--n", 6, "--rmax", 1e308, "--count", 3,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: barrier w1 overflows")
         assert not out.exists()
 
     def test_count_one_is_the_left_end(self, tmp_path):

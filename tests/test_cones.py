@@ -15,12 +15,10 @@ from curvsol import (
     cone_separation,
     eval_speed,
     gamma_alpha_delta,
-    gamma_k,
     harmonic_pairs,
     product,
     quotient,
     sigma_k_root,
-    two_convex,
     uniform_two_convex,
 )
 from curvsol.cones import _distance_to_cyl_rays
@@ -36,10 +34,11 @@ def inside(cone, lam) -> bool:
 
 class TestContains:
     def test_gamma_k_boundary_excluded(self):
-        assert not inside(gamma_k(2, 3), [1.0, 1.0, -0.5])   # S_2 = 0
+        # S_2 = 0
+        assert not inside(ConeSpec(kind="support", speed=sigma_k_root(2, 3)), [1.0, 1.0, -0.5])
 
     def test_two_convex_umbilic(self):
-        assert inside(two_convex(3), [1.0, 1.0, 1.0])
+        assert inside(ConeSpec(kind="support", speed=harmonic_pairs(3)), [1.0, 1.0, 1.0])
 
     def test_uniform_two_convex_example(self):
         assert inside(uniform_two_convex(0.1, 3), [-0.1, 1.0, 1.0])  # min pair sum 0.9 >= 0.1 * 1.9
@@ -55,10 +54,11 @@ class TestContains:
     def test_dimension_mismatch(self):
         # one vector is one row of an (m, n) array, not a bare (n,) vector
         with pytest.raises(ParameterError):
-            cone_mask(gamma_k(2, 3), [1.0, 2.0, 3.0])
+            cone_mask(ConeSpec(kind="support", speed=sigma_k_root(2, 3)), [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("cone", [
-        gamma_k(2, 4), two_convex(4), uniform_two_convex(0.3, 4),
+        ConeSpec(kind="support", speed=sigma_k_root(2, 4)),
+        ConeSpec(kind="support", speed=harmonic_pairs(4)), uniform_two_convex(0.3, 4),
         gamma_alpha_delta(50.0, 0.2, harmonic_pairs(4)),
     ])
     @pytest.mark.parametrize("c", [0.25, 1.0, 7.5])
@@ -68,8 +68,10 @@ class TestContains:
 
     def test_monotone_nesting(self):
         L = RNG.normal(size=(200, 4))
-        for k in range(4, 1, -1):
-            assert not np.any(cone_mask(gamma_k(k, 4), L) & ~cone_mask(gamma_k(k - 1, 4), L))
+        masks = [cone_mask(ConeSpec(kind="support", speed=sigma_k_root(k, 4)), L)
+                 for k in range(4, 0, -1)]
+        for inner, outer in zip(masks, masks[1:]):
+            assert not np.any(inner & ~outer)
 
     def test_uniform_two_convex_bounds_entries(self):
         # with H <= alpha/(delta+1), every |lambda_i| <= alpha/(delta+1)
@@ -115,8 +117,8 @@ def _cones(n: int) -> list:
     """Every kind of cone at dimension n: each Garding cone, 2-convexity, the
     support cones of a quotient and of a product, two pinching cones, and
     uniform 2-convexity."""
-    return [gamma_k(k, n) for k in range(1, n + 1)] + [
-        two_convex(n),
+    return [ConeSpec(kind="support", speed=sigma_k_root(k, n)) for k in range(1, n + 1)] + [
+        ConeSpec(kind="support", speed=harmonic_pairs(n)),
         ConeSpec(kind="support", speed=quotient(2, 1, n)),
         ConeSpec(kind="support", speed=product([sigma_k_root(2, n), harmonic_pairs(n)],
                                                      [0.5, 0.5])),
@@ -143,12 +145,12 @@ class TestConeMask:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
-            cone_mask(two_convex(3), np.ones((5, 4)))
+            cone_mask(ConeSpec(kind="support", speed=harmonic_pairs(3)), np.ones((5, 4)))
 
     @pytest.mark.parametrize("make", [
-        lambda: gamma_k(0, 3),
-        lambda: gamma_k(4, 3),
-        lambda: two_convex(1),
+        lambda: ConeSpec(kind="support", speed=sigma_k_root(0, 3)),
+        lambda: ConeSpec(kind="support", speed=sigma_k_root(4, 3)),
+        lambda: ConeSpec(kind="support", speed=harmonic_pairs(1)),
         lambda: gamma_alpha_delta(-1.0, 0.1, harmonic_pairs(3)),
         lambda: gamma_alpha_delta(1.0, 0.0, harmonic_pairs(3)),
         lambda: gamma_alpha_delta(float("nan"), 0.1, harmonic_pairs(3)),

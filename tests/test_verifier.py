@@ -167,10 +167,14 @@ class TestSigma2Cylinder:
         assert entry.status == "pass"
         assert "skipped 1" in entry.detail
 
-    def test_heights_whose_bracket_overflows_skipped(self):
+    def test_far_heights_checked(self):
         entry = check_sigma2_cylinder(np.linspace(0.0, 1e55, 3), 1e-9)
         assert entry.status == "pass"
-        assert entry.detail == "checked 1, skipped 2"
+        assert entry.detail == "checked 3, skipped 0"
+
+    def test_heights_all_below_the_waist(self):
+        entry = check_sigma2_cylinder([-1.0], 1e-9)
+        assert (entry.status, entry.detail) == ("skipped", "no solvable heights")
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_bad_tol_rejected(self, tol):
@@ -178,9 +182,8 @@ class TestSigma2Cylinder:
             check_sigma2_cylinder([0.0, 1.0], tol=tol)
 
     def test_large_height_flattens(self):
-        from curvsol import closed_form_cyl, cylinder_curvatures, solve_cyl_profile
-        r = solve_cyl_profile(0.0, 40.0)
-        f = closed_form_cyl(0.0, r)
+        from curvsol import cyl_profile, cylinder_curvatures
+        (r,), (f,) = cyl_profile([40.0])
         lam = cylinder_curvatures(r, f, -(1 + f * f) * r * f * f)
         K = lam[0] * lam[1]
         assert lam.sum() < 0.0
