@@ -4,7 +4,7 @@ cones, profile ODEs with sub/super-solution barriers, a Picard fixed-point
 construction, and numerical verification of the convexity estimate
 lambda_1 >= H - alpha*gamma."""
 
-from .cones import ConeSpec, cone_mask, cone_separation, gamma_alpha_delta, uniform_two_convex
+from .cones import ConeSpec, cone_mask, cone_separation, gamma_alpha_delta, pinched, uniform_two_convex
 from .errors import ContractionFailureError, DomainError, ParameterError
 from .picard import PicardResult, domain_radius, lipschitz_radius, picard_solve
 from .profiles import (Barrier, ProfileSolution, SlopeEquation, barrier, closed_form_cyl,

@@ -467,9 +467,9 @@ def _radial_degeneracy(L: np.ndarray, hess: np.ndarray):
 
 def _pointwise_checks(spec: SpeedSpec, L: np.ndarray, rng: np.random.Generator) -> dict:
     """(passed, measure) arrays of the six pointwise checks at the rows of L."""
-    g = speed_values(spec, L)
-    diff = np.abs(speed_values(spec, rng.permuted(L, axis=1)) - g)
     d = speed_derivatives(spec, L)
+    g = d.value
+    diff = np.abs(speed_values(spec, rng.permuted(L, axis=1)) - g)
     gmin = np.min(d.gradient, axis=1)
     euler = np.abs(np.einsum("mi,mi->m", L, d.gradient) - g) / np.abs(g)
     # Hessian restricted to the orthogonal complement of span{lam}

@@ -11,12 +11,12 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import ConeSpec, cone_mask, gamma_alpha_delta, uniform_two_convex, unit_samples
+from .cones import ConeSpec, cone_mask, gamma_alpha_delta, pinched, uniform_two_convex
 from .errors import DomainError, ParameterError
 from .profiles import ProfileSolution, barrier, cyl_profile, slope_equation
 from .rotgeom import cylinder_curvatures, profile_geometry
 from .speeds import (SpeedSpec, harmonic_pairs, hessian_quadratic_forms, speed_derivatives,
-                     support_margins, support_violation)
+                     support_margins, support_violation, unit_draws)
 
 __all__ = [
     "CheckEntry",
@@ -75,33 +75,37 @@ def check_soliton(profile: ProfileSolution, tol: float) -> CheckEntry:
 def fit_convexity_params(profile: ProfileSolution, delta: float = 0.05) -> tuple[float, float]:
     """Fit (alpha, beta) from the profile with safety factors so that the
     pinching and uniform-2-convexity hypotheses hold at every sample; a
-    profile with a pair sum <= 0 where H > 0 is not uniformly 2-convex."""
+    profile with a pair sum <= 0 where H > 0 is not uniformly 2-convex, and
+    a delta so large that the fitted alpha is not finite is a ParameterError."""
     gamma_alpha_delta(1.0, delta, profile.speed)     # rejects delta <= 0 before the fit
     geo = profile_geometry(profile)
     ((_, ps),) = support_margins(harmonic_pairs(profile.n), geo.lam)
     inside = ~np.isnan(geo.gamma)
     H, g, ps = geo.H[inside], geo.gamma[inside], ps[inside]
-    alpha = float(np.max((delta + 1.0) * H / g, initial=0.0))
+    with np.errstate(over="ignore"):
+        alpha = 1.05 * float(np.max((delta + 1.0) * H / g, initial=0.0))
+    if not np.isfinite(alpha):
+        raise ParameterError(f"delta = {delta:g} is too large: the fitted alpha is not finite")
     beta_bound = float(np.min(ps[H > 0.0] / H[H > 0.0], initial=np.inf))
     if alpha == 0.0 or not np.isfinite(beta_bound):
         raise DomainError("no in-cone samples with positive mean curvature to fit from")
     if beta_bound <= 0.0:
         raise DomainError(f"profile not uniformly 2-convex: min pair sum/H = {beta_bound:.6g}")
-    return 1.05 * alpha, 0.9 * beta_bound
+    return alpha, 0.9 * beta_bound
 
 
 def check_convexity_estimate(profile: ProfileSolution, alpha: float, delta: float,
                              beta: float) -> CheckEntry:
     """Pointwise convexity estimate on the hypothesis-satisfying samples:
-    inside the cones ``gamma_alpha_delta(alpha, delta)`` and
-    ``uniform_two_convex(beta)``, assert lambda_1 >= H - alpha*gamma -
-    ``_SLACK_TOL``.  Samples failing a hypothesis are skipped, never failed;
-    parameters outside alpha > 0, delta > 0, 0 < beta < 1 are a
-    ParameterError."""
+    inside the pinching cone ``gamma_alpha_delta(alpha, delta)``, tested on
+    the curvature table's H and gamma, and ``uniform_two_convex(beta)``,
+    assert lambda_1 >= H - alpha*gamma - ``_SLACK_TOL``.  Samples failing a
+    hypothesis are skipped, never failed; parameters outside alpha > 0,
+    delta > 0, 0 < beta < 1 are a ParameterError."""
     geo = profile_geometry(profile)
     H, g = geo.H, geo.gamma
-    admissible = np.flatnonzero(cone_mask(gamma_alpha_delta(alpha, delta, profile.speed), geo.lam)
-                                & cone_mask(uniform_two_convex(beta, profile.n), geo.lam))
+    cone = gamma_alpha_delta(alpha, delta, profile.speed)
+    admissible = np.flatnonzero(pinched(cone, H, g) & uniform_two_convex(beta, geo.lam))
     if admissible.size == 0:
         return CheckEntry(name="convexity_estimate", status="skipped", tolerance=_SLACK_TOL,
                           detail="no sample satisfies both hypotheses")
@@ -208,7 +212,8 @@ def estimate_pinching_constants(spec: SpeedSpec, cone: ConeSpec, samples: int,
     grad_ratio = 1.0
     hess_sup = -np.inf
     used = 0
-    for x in unit_samples(cone, samples, rng):
+    for x in unit_draws(cone.n, samples, rng):
+        x = x[cone_mask(cone, x)]
         if not x.shape[0]:
             continue
         used += x.shape[0]

@@ -138,6 +138,28 @@ class TestVerify:
         assert len(err) == 1 and err[0].startswith("error: ") and flag[2:] in err[0]
         assert not out.exists()
 
+    # --alpha and --beta default to auto, and the fit of --alpha overflows;
+    # a numpy warning that leaks fails the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extra", [[], ["--alpha", "5"]])
+    def test_overflowing_delta_is_usage_error(self, extra, sigma2_csv, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run(["verify", "convexity", "--profile", sigma2_csv, "--delta", "1e308",
+                    *extra, "--out", out]) == 2
+        assert capsys.readouterr().err == ("error: delta = 1e+308 is too large: "
+                                           "the fitted alpha is not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_pinching_side_classifies_silently(self, sigma2_csv, tmp_path, capsys):
+        # (delta+1)H overflows to inf, so no sample lies in the pinching cone
+        out = tmp_path / "c.json"
+        assert run(["verify", "convexity", "--profile", sigma2_csv, "--delta", "1e308",
+                    "--alpha", "5", "--beta", "0.5", "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        check, = json.loads(out.read_text())["checks"]
+        assert check["status"] == "skipped"
+
     def test_harmonic_soliton_residual_is_reported_as_failure(self, tmp_path):
         # the harmonic slope equation is not the geometric soliton equation
         # for the harmonic speed; verify reports that honestly with exit 1

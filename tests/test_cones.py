@@ -1,8 +1,11 @@
-"""Tests for cone membership, the distance to the cylindrical rays, and the
+"""Tests for cone membership (the speeds' support cones, the pinching cone
+and uniform 2-convexity), the distance to the cylindrical rays, and the
 sampled separation estimate."""
 
+import dataclasses
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,60 +19,67 @@ from curvsol import (
     eval_speed,
     gamma_alpha_delta,
     harmonic_pairs,
+    integrate_profile,
+    pinched,
     product,
     quotient,
     sigma_k_root,
     uniform_two_convex,
 )
 from curvsol.cones import _distance_to_cyl_rays
-from curvsol.speeds import speed_values
+from curvsol.rotgeom import profile_geometry
+from curvsol.speeds import speed_values, support_mask
 
 RNG = np.random.default_rng(11)
 
 
-def inside(cone, lam) -> bool:
-    """``cone_mask`` of the one vector ``lam``."""
-    return bool(cone_mask(cone, np.asarray(lam, dtype=float)[None])[0])
+def inside(mask, lam) -> bool:
+    """The mask callable ``mask`` at the one vector ``lam``."""
+    return bool(mask(np.asarray(lam, dtype=float)[None])[0])
 
 
 class TestContains:
     def test_gamma_k_boundary_excluded(self):
         # S_2 = 0
-        assert not inside(ConeSpec(kind="support", speed=sigma_k_root(2, 3)), [1.0, 1.0, -0.5])
+        assert not inside(partial(support_mask, sigma_k_root(2, 3)), [1.0, 1.0, -0.5])
 
     def test_two_convex_umbilic(self):
-        assert inside(ConeSpec(kind="support", speed=harmonic_pairs(3)), [1.0, 1.0, 1.0])
+        assert inside(partial(support_mask, harmonic_pairs(3)), [1.0, 1.0, 1.0])
 
     def test_uniform_two_convex_example(self):
-        assert inside(uniform_two_convex(0.1, 3), [-0.1, 1.0, 1.0])  # min pair sum 0.9 >= 0.1 * 1.9
+        # min pair sum 0.9 >= 0.1 * 1.9
+        assert inside(partial(uniform_two_convex, 0.1), [-0.1, 1.0, 1.0])
 
     def test_uniform_two_convex_needs_positive_H(self):
-        assert not inside(uniform_two_convex(0.1, 3), [-1.0, -1.0, 1.0])
+        assert not inside(partial(uniform_two_convex, 0.1), [-1.0, -1.0, 1.0])
 
     def test_gamma_alpha_delta(self):
-        assert inside(gamma_alpha_delta(100.0, 0.1, harmonic_pairs(3)), [1.0, 1.0, 1.0])
+        assert inside(partial(cone_mask, gamma_alpha_delta(100.0, 0.1, harmonic_pairs(3))),
+                      [1.0, 1.0, 1.0])
         # (delta+1)H = 3.3 > alpha*gamma = 2/3
-        assert not inside(gamma_alpha_delta(1.0, 0.1, harmonic_pairs(3)), [1.0, 1.0, 1.0])
+        assert not inside(partial(cone_mask, gamma_alpha_delta(1.0, 0.1, harmonic_pairs(3))),
+                          [1.0, 1.0, 1.0])
 
     def test_dimension_mismatch(self):
         # one vector is one row of an (m, n) array, not a bare (n,) vector
-        with pytest.raises(ParameterError):
-            cone_mask(ConeSpec(kind="support", speed=sigma_k_root(2, 3)), [1.0, 2.0, 3.0])
+        for mask in (partial(support_mask, sigma_k_root(2, 3)), partial(uniform_two_convex, 0.1),
+                     partial(cone_mask, gamma_alpha_delta(100.0, 0.1, harmonic_pairs(3)))):
+            with pytest.raises(ParameterError):
+                mask([1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("cone", [
-        ConeSpec(kind="support", speed=sigma_k_root(2, 4)),
-        ConeSpec(kind="support", speed=harmonic_pairs(4)), uniform_two_convex(0.3, 4),
-        gamma_alpha_delta(50.0, 0.2, harmonic_pairs(4)),
+        partial(support_mask, sigma_k_root(2, 4)), partial(support_mask, harmonic_pairs(4)),
+        partial(uniform_two_convex, 0.3),
+        partial(cone_mask, gamma_alpha_delta(50.0, 0.2, harmonic_pairs(4))),
     ])
     @pytest.mark.parametrize("c", [0.25, 1.0, 7.5])
     def test_scale_invariance(self, cone, c):
         L = RNG.normal(size=(20, 4))
-        assert np.array_equal(cone_mask(cone, c * L), cone_mask(cone, L))
+        assert np.array_equal(cone(c * L), cone(L))
 
     def test_monotone_nesting(self):
         L = RNG.normal(size=(200, 4))
-        masks = [cone_mask(ConeSpec(kind="support", speed=sigma_k_root(k, 4)), L)
-                 for k in range(4, 0, -1)]
+        masks = [support_mask(sigma_k_root(k, 4), L) for k in range(4, 0, -1)]
         for inner, outer in zip(masks, masks[1:]):
             assert not np.any(inner & ~outer)
 
@@ -78,7 +88,7 @@ class TestContains:
         alpha, delta, beta = 2.0, 0.5, 0.2
         bound = alpha / (delta + 1.0)
         L = RNG.normal(size=(2000, 4))
-        L = L[cone_mask(uniform_two_convex(beta, 4), L)][:50]
+        L = L[uniform_two_convex(beta, L)][:50]
         assert L.shape[0] == 50
         L *= bound / (np.sum(L, axis=1, keepdims=True) * 1.1)   # scale so H < bound
         assert np.all(np.abs(L) <= bound + 1e-12)
@@ -86,24 +96,23 @@ class TestContains:
 
 def contains(cone, lam) -> bool:
     """Reference membership of one vector, condition by condition: the
-    support cones from brute-force elementary symmetric sums and pair sums,
-    the pinching and uniform-2-convexity inequalities from their definitions."""
+    support cone of a speed from brute-force elementary symmetric sums and
+    pair sums, a ``ConeSpec``'s pinching inequality and, for a float beta,
+    uniform 2-convexity from their definitions."""
     lam = [float(x) for x in lam]
     H = sum(lam)
-    if cone.kind == "gamma_alpha_delta":
+    if isinstance(cone, ConeSpec):
         gamma = speed_values(cone.speed, np.array([lam]))[0]
-        return contains(ConeSpec(kind="support", speed=cone.speed), lam) and \
-            (cone.delta + 1.0) * H <= cone.alpha * gamma
+        return contains(cone.speed, lam) and (cone.delta + 1.0) * H <= cone.alpha * gamma
     pair = min(a + b for a, b in itertools.combinations(lam, 2))
-    if cone.kind == "uniform_two_convex":
-        return H > 0.0 and pair >= cone.beta * H
-    speed = cone.speed
-    if speed.kind == "product":
-        return all(contains(ConeSpec(kind="support", speed=f), lam) for f in speed.factors)
-    if speed.kind == "sigma_k_root":
+    if isinstance(cone, float):
+        return H > 0.0 and pair >= cone * H
+    if cone.kind == "product":
+        return all(contains(f, lam) for f in cone.factors)
+    if cone.kind == "sigma_k_root":
         return all(sum(math.prod(c) for c in itertools.combinations(lam, l)) > 0.0
-                   for l in range(1, speed.k + 1))
-    return (pair if speed.kind == "harmonic_pairs" else min(lam)) > 0.0
+                   for l in range(1, cone.k + 1))
+    return (pair if cone.kind == "harmonic_pairs" else min(lam)) > 0.0
 
 
 def _pinching(speed, delta):
@@ -114,18 +123,19 @@ def _pinching(speed, delta):
 
 
 def _cones(n: int) -> list:
-    """Every kind of cone at dimension n: each Garding cone, 2-convexity, the
-    support cones of a quotient and of a product, two pinching cones, and
-    uniform 2-convexity."""
-    return [ConeSpec(kind="support", speed=sigma_k_root(k, n)) for k in range(1, n + 1)] + [
-        ConeSpec(kind="support", speed=harmonic_pairs(n)),
-        ConeSpec(kind="support", speed=quotient(2, 1, n)),
-        ConeSpec(kind="support", speed=product([sigma_k_root(2, n), harmonic_pairs(n)],
-                                                     [0.5, 0.5])),
-        _pinching(harmonic_pairs(n), 0.1),
-        _pinching(sigma_k_root(2, n), 0.2),
-        uniform_two_convex(0.2, n),
-    ]
+    """Every cone at dimension n, as (mask callable, the cone as ``contains``
+    takes it): the support cones of each Garding speed, of harmonic pairs
+    (2-convexity), of a quotient and of a product, three pinching cones, and
+    uniform 2-convexity.  The sigma_1 pinching cone has gamma = H and
+    alpha = delta + 1, so every integer row with H > 0 lies on its boundary."""
+    speeds = [sigma_k_root(k, n) for k in range(1, n + 1)] + [
+        harmonic_pairs(n), quotient(2, 1, n),
+        product([sigma_k_root(2, n), harmonic_pairs(n)], [0.5, 0.5])]
+    pinching = [_pinching(harmonic_pairs(n), 0.1), _pinching(sigma_k_root(2, n), 0.2),
+                gamma_alpha_delta(1.5, 0.5, sigma_k_root(1, n))]
+    return ([(partial(support_mask, s), s) for s in speeds]
+            + [(partial(cone_mask, c), c) for c in pinching]
+            + [(partial(uniform_two_convex, 0.2), 0.2)])
 
 
 class TestConeMask:
@@ -136,8 +146,8 @@ class TestConeMask:
         rng = np.random.default_rng(n)
         L = np.vstack([rng.normal(size=(150, n)), rng.integers(-2, 3, size=(100, n)),
                        rng.uniform(0.5, 1.5, size=(100, n))])
-        for cone in _cones(n):
-            mask = cone_mask(cone, L)
+        for mask_of, cone in _cones(n):
+            mask = mask_of(L)
             assert mask.shape == (L.shape[0],) and mask.dtype == bool
             assert 0 < np.count_nonzero(mask) < L.shape[0], cone
             for i in range(L.shape[0]):
@@ -145,24 +155,56 @@ class TestConeMask:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
-            cone_mask(ConeSpec(kind="support", speed=harmonic_pairs(3)), np.ones((5, 4)))
+            support_mask(harmonic_pairs(3), np.ones((5, 4)))
+        with pytest.raises(ParameterError):
+            cone_mask(gamma_alpha_delta(100.0, 0.1, harmonic_pairs(3)), np.ones((5, 4)))
 
     @pytest.mark.parametrize("make", [
-        lambda: ConeSpec(kind="support", speed=sigma_k_root(0, 3)),
-        lambda: ConeSpec(kind="support", speed=sigma_k_root(4, 3)),
-        lambda: ConeSpec(kind="support", speed=harmonic_pairs(1)),
+        lambda: sigma_k_root(0, 3),
+        lambda: sigma_k_root(4, 3),
+        lambda: harmonic_pairs(1),
         lambda: gamma_alpha_delta(-1.0, 0.1, harmonic_pairs(3)),
         lambda: gamma_alpha_delta(1.0, 0.0, harmonic_pairs(3)),
         lambda: gamma_alpha_delta(float("nan"), 0.1, harmonic_pairs(3)),
-        lambda: uniform_two_convex(1.5, 3),
-        lambda: uniform_two_convex(-0.2, 3),
-        lambda: ConeSpec(kind="gamma_k", speed=harmonic_pairs(3)),
+        lambda: uniform_two_convex(1.5, np.ones((1, 3))),
+        lambda: uniform_two_convex(-0.2, np.ones((1, 3))),
+        lambda: ConeSpec(speed=harmonic_pairs(3), alpha=1.0, delta=float("nan")),
         lambda: gamma_alpha_delta(float("inf"), 0.1, harmonic_pairs(3)),
         lambda: gamma_alpha_delta(1.0, float("inf"), harmonic_pairs(3)),
+        lambda: uniform_two_convex(float("nan"), np.ones((1, 3))),
     ])
     def test_invalid_cone_parameters_rejected(self, make):
         with pytest.raises(ParameterError):
             make()
+
+    def test_cone_spec_is_the_pinching_cone(self):
+        assert [f.name for f in dataclasses.fields(ConeSpec)] == ["speed", "alpha", "delta"]
+        with pytest.raises(TypeError):
+            ConeSpec(speed=harmonic_pairs(3))            # alpha and delta are required
+
+
+class TestPinched:
+    """``cone_mask`` is ``pinched`` at the rows' H and speed value, so the
+    convexity check may test the curvature table's own columns."""
+
+    @pytest.mark.parametrize("speed", [sigma_k_root(2, 4), harmonic_pairs(5)],
+                             ids=["sigma2_n4", "harmonic_n5"])
+    def test_cone_mask_is_pinched_on_a_profile_table(self, speed):
+        geo = profile_geometry(integrate_profile(speed, r_max=3.0))
+        delta = 0.05
+        ratio = (delta + 1.0) * geo.H / geo.gamma
+        masks = []
+        for alpha in (np.median(ratio), ratio[len(ratio) // 3], 2.0 * np.max(ratio)):
+            cone = gamma_alpha_delta(float(alpha), delta, speed)
+            masks.append(cone_mask(cone, geo.lam))
+            assert np.array_equal(masks[-1], pinched(cone, geo.H, geo.gamma))
+        assert 0 < np.count_nonzero(masks[0]) < len(ratio) and np.all(masks[2])
+
+    def test_overflowing_side_classifies_without_warning(self):
+        cone = gamma_alpha_delta(2.0, 1e308, harmonic_pairs(3))
+        with np.errstate(all="raise"):
+            out = pinched(cone, np.array([10.0, -10.0, 0.0]), np.array([1.0, 1.0, np.nan]))
+        assert out.tolist() == [False, True, False]
 
 
 class TestCylRay:

@@ -21,6 +21,8 @@ from curvsol import (
     integrate_profile,
     sigma_k_root,
 )
+from curvsol import cones, rotgeom, verifier
+from curvsol.speeds import speed_values
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +109,24 @@ class TestConvexityEstimate:
         alpha, beta = fit_convexity_params(sigma23_profile, delta=0.05)
         entry = check_convexity_estimate(sigma23_profile, alpha, 0.05, beta)
         assert entry.status == "pass"
+
+    def test_speed_is_evaluated_once(self, harmonic3_profile, monkeypatch):
+        # the pinching test reads the curvature table's gamma column
+        calls = []
+
+        def counted(spec, lam):
+            calls.append(len(lam))
+            return speed_values(spec, lam)
+        for layer in (rotgeom, cones, verifier):
+            monkeypatch.setattr(layer, "speed_values", counted, raising=False)
+        entry = check_convexity_estimate(harmonic3_profile, 100.0, 0.05, 0.1)
+        assert entry.status == "pass"
+        assert calls == [harmonic3_profile.samples.shape[0]]
+
+    def test_fit_rejects_an_overflowing_delta(self, harmonic3_profile):
+        with np.errstate(all="raise"):
+            with pytest.raises(ParameterError, match="delta = 1e\\+308 is too large"):
+                fit_convexity_params(harmonic3_profile, delta=1e308)
 
     def test_fit_rejects_a_profile_that_is_not_two_convex(self):
         # lambda = (-1.2, 1, 1, 1, 1) lambda_2 lies in the Garding cone Gamma_2
