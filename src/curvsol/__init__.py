@@ -5,7 +5,7 @@ construction, and numerical verification of the convexity estimate
 lambda_1 >= H - alpha*gamma."""
 
 from .cones import ConeSpec, cone_mask, cone_separation, gamma_alpha_delta, pinched, uniform_two_convex
-from .errors import ContractionFailureError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .picard import PicardResult, domain_radius, lipschitz_radius, picard_solve
 from .profiles import (Barrier, ProfileSolution, SlopeEquation, barrier, closed_form_cyl,
                        closed_form_v, cyl_profile, integrate_profile, slope_equation)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import io as pio
 from . import picard as ppicard
-from .errors import ContractionFailureError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .profiles import barrier, integrate_profile
 from .speeds import SpeedSpec, check_properties
 from .svgfig import render_chart
@@ -165,12 +165,7 @@ def _cmd_picard(args) -> int:
         R = min(ppicard.domain_radius(args.n), r2)
     else:
         c_n, R = None, args.R
-    try:
-        result = ppicard.picard_solve(args.n, R, args.grid, tol=args.tol,
-                                      max_iter=args.max_iter)
-    except ContractionFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = ppicard.picard_solve(args.n, R, args.grid, tol=args.tol, max_iter=args.max_iter)
     fp_csv = args.fixed_point_csv or (Path(args.out).with_suffix(".csv") if args.out else None)
     fp_ref = None
     if fp_csv:

@@ -7,7 +7,3 @@ class ParameterError(ValueError):
 
 class DomainError(ValueError):
     """A point lies outside the mathematical domain of an operation."""
-
-
-class ContractionFailureError(RuntimeError):
-    """Fixed-point iteration observed sustained non-contraction."""

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractionFailureError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .profiles import SlopeEquation, barrier, slope_equation
 from .speeds import harmonic_pairs
 
@@ -34,50 +34,26 @@ def domain_radius(n: int) -> float:
     return barrier("w2", n).r_end
 
 
-@dataclass(frozen=True)
-class _Grid:
-    """What depends only on (n, R, m): the nodes, the band edges [w4, w3]
-    (both 0 at the axis), the band's slope range and the harmonic slope
-    equation.  A solve builds it once."""
-
-    r: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    slopes: tuple[float, float]
-    eq: SlopeEquation
-
-
-def _grid(n: int, R: float, m: int) -> _Grid:
-    r = np.linspace(0.0, R, m)
-    w4, w3 = barrier("w4", n), barrier("w3", n)
-    return _Grid(r=r, lo=w4(r), hi=w3(r), slopes=(w4.slope, w3.slope),
-                 eq=slope_equation(harmonic_pairs(n)))
-
-
-def _midpoint(grid: _Grid, n: int) -> np.ndarray:
-    """The solve's initial iterate: the midpoint of the admissible band
-    [w4, min(w3, w2)] at each node of ``grid``."""
-    return 0.5 * (grid.lo + np.minimum(grid.hi, barrier("w2", n)(grid.r)))
-
-
-def _quadrature(grid: _Grid, w: np.ndarray) -> np.ndarray:
-    """Unclamped cumulative trapezoidal quadrature of the slope equation's
-    right-hand side along the grid, at the slopes ``w``.  The axis node uses
-    its finite limit m psi(1/m), with the startup slope m = w/r at the first
-    node clamped into the band's slope range."""
-    r, eq = grid.r, grid.eq
+def _quadrature(eq: SlopeEquation, r: np.ndarray, w: np.ndarray,
+                slopes: tuple[float, float]) -> np.ndarray:
+    """Unclamped cumulative trapezoidal quadrature of ``eq``'s right-hand
+    side along the uniform nodes ``r`` (r[0] = 0), at the slopes ``w``.  The
+    axis node uses its finite limit m psi(1/m), with the startup slope
+    m = w/r at the first node clamped into ``slopes``, the band's slope
+    range."""
     h = r[1] - r[0]
-    m = min(max(w[1] / r[1], grid.slopes[0]), grid.slopes[1])
+    m = min(max(w[1] / r[1], slopes[0]), slopes[1])
     g = np.empty(w.size)
     g[0] = m * eq.psi(1.0 / m)
     g[1:] = eq.rhs(r[1:], w[1:])
     return np.concatenate(([0.0], np.cumsum(0.5 * h * (g[:-1] + g[1:]))))
 
 
-def _newton_correction(grid: _Grid, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _newton_correction(eq: SlopeEquation, r: np.ndarray, w: np.ndarray, q: np.ndarray,
+                       slopes: tuple[float, float]) -> np.ndarray:
     """The Newton correction u, with u = 0 at the axis, that solves
-    (I - J) u = q - w for q = ``_quadrature(grid, w)`` and J its Jacobian
-    in w.
+    (I - J) u = q - w for q = ``_quadrature(eq, r, w, slopes)`` and J its
+    Jacobian in w.
 
     With d_i = rhs_dw(r_i, w_i), node i >= 1 of the trapezoidal sum has
     dq_i/dw_j = h d_j for j < i and (h/2) d_i for j = i; the axis term
@@ -86,12 +62,11 @@ def _newton_correction(grid: _Grid, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     difference of consecutive rows makes I - J lower bidiagonal:
     u_i = alpha_i u_{i-1} + beta_i, solved by one cumulative product and one
     cumulative sum.  d < 0 on the band, so no pivot vanishes."""
-    r, eq = grid.r, grid.eq
     h = r[1] - r[0]
     d = 0.5 * h * eq.rhs_dw(r[1:], w[1:])
     s = w[1] / r[1]
     a = 0.0
-    if grid.slopes[0] <= s <= grid.slopes[1]:
+    if slopes[0] <= s <= slopes[1]:
         a = 0.5 * h * (eq.psi(1.0 / s) - eq.dpsi(1.0 / s) / s) / r[1]
     pivot = 1.0 - d
     pivot[0] -= a
@@ -114,23 +89,20 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     """Newton on the paper's operator T: its fixed point, from the band
     midpoint, until the sup-norm residual max|T(w) - w| drops below ``tol``.
 
-    Each iteration computes q = ``_quadrature(grid, w)``, logs one entry and,
-    unless it stops, sets w <- clip(w + u) with u from ``_newton_correction``.
-    The entry holds ``sup_change`` = max|T(w) - w|, T(w) = clip(q) into the
-    band; ``contraction_ratio``, its quotient by the previous entry's
-    sup_change (None on the first entry); and ``clamp_events``, the number
-    of nodes that clip changes in T(w).  The result's ``values`` are the last
-    T(w), on the grid's ``nodes``.
+    Each iteration computes q = ``_quadrature(eq, r, w, slopes)``, logs one
+    entry and, unless it stops, sets w <- clip(w + u) with u from
+    ``_newton_correction``.  The entry holds ``sup_change`` = max|T(w) - w|,
+    T(w) = clip(q) into the band; ``contraction_ratio``, its quotient by the
+    previous entry's sup_change (None on the first entry); and
+    ``clamp_events``, the number of nodes that clip changes in T(w).  The
+    result's ``values`` are the last T(w), on the grid's ``nodes``.
 
     Requires n in 3..6, m >= 64, R within the super-solution band's
-    interval, max_iter >= 1 and a finite tol > 0.  Raises
-    ContractionFailureError when sup_change sets no new minimum for 3
-    consecutive iterations above the round-off floor of the cumulative
-    quadrature; a change at or below that floor that sets no new minimum
-    counts as convergence.
-
-    The grid (nodes, band edges, slope range and slope equation) is built
-    once per solve, and the iterates are plain arrays on it.
+    interval, max_iter >= 1 and a finite tol > 0.  The solve ends with
+    ``converged`` False after max_iter iterations, or when sup_change sets no
+    new minimum for 3 consecutive iterations above the round-off floor of
+    the cumulative quadrature; a change at or below that floor that sets no
+    new minimum counts as convergence.
     """
     if not 3 <= n <= 6:
         raise ParameterError("picard_solve requires n in 3..6")
@@ -142,15 +114,19 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     if not (np.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
-    grid = _grid(n, R, m)
-    w = _midpoint(grid, n)
+    r = np.linspace(0.0, R, m)
+    w2, w3, w4 = (barrier(name, n) for name in ("w2", "w3", "w4"))
+    lo, hi = w4(r), w3(r)            # the band [w4, w3], both 0 at the axis
+    slopes = (w4.slope, w3.slope)
+    eq = slope_equation(harmonic_pairs(n))
+    w = 0.5 * (lo + np.minimum(hi, w2(r)))
     iterations: list[dict] = []
     converged = False
     prev_change: Optional[float] = None
     best, stalls = np.inf, 0
     for _ in range(max_iter):
-        q = _quadrature(grid, w)
-        t = np.clip(q, grid.lo, grid.hi)
+        q = _quadrature(eq, r, w, slopes)
+        t = np.clip(q, lo, hi)
         change = float(np.max(np.abs(t - w)))
         ratio = None if not prev_change else change / prev_change
         iterations.append({"sup_change": change, "contraction_ratio": ratio,
@@ -166,12 +142,10 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
                 converged = True
                 break
             if stalls >= 3:
-                raise ContractionFailureError(
-                    f"difference ratio >= 1 against the smallest change so far for 3 "
-                    f"consecutive iterations at R={R}")
+                break
         prev_change = change
-        w = np.clip(w + _newton_correction(grid, w, q), grid.lo, grid.hi)
-    return PicardResult(nodes=grid.r, values=t, iterations=iterations, converged=converged)
+        w = np.clip(w + _newton_correction(eq, r, w, q, slopes), lo, hi)
+    return PicardResult(nodes=r, values=t, iterations=iterations, converged=converged)
 
 
 def lipschitz_radius(n: int, samples: int = 4000, seed: int = 0) -> tuple[float, float]:

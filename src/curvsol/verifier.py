@@ -203,7 +203,10 @@ def estimate_pinching_constants(spec: SpeedSpec, cone: ConeSpec, samples: int,
     """Sampled extremal derivative ratios on a compact cone: the gradient
     pinching constant and the supremum of the matrix-Hessian quadratic form
     scaled by H/|T|^2 over random symmetric directions.  Samples with
-    degenerate entries count for the gradient ratio only."""
+    degenerate entries count for the gradient ratio only.  ``spec`` must be
+    the cone's speed, whose cone the samples are drawn from."""
+    if spec != cone.speed:
+        raise ParameterError(f"spec {spec} is not the cone's speed {cone.speed}")
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     if seed < 0:

@@ -646,6 +646,18 @@ class TestPlot:
         run(["plot", "--in", sigma2_csv, "--barriers", "v1", "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_barrier_missing_every_row_is_left_out(self, tmp_path):
+        # the profile starts at r = 2, past the end sqrt(3) of v3's domain,
+        # so v3 draws nothing and only du and v1 are drawn
+        csv, fig = tmp_path / "s.csv", tmp_path / "fig.svg"
+        assert run(["solve", "--speed", "sigma-k", "--n", 3, "--k", 2, "--eps", 2,
+                    "--rmax", 3, "--out", csv]) == 0
+        assert barrier("v3", 3, k=2).r_end < 2.0
+        assert run(["plot", "--in", csv, "--barriers", "v1,v3", "--out", fig]) == 0
+        text = fig.read_text()
+        assert text.count("<polyline") == 2
+        assert "v1" in text and "v3" not in text
+
     def test_empty_csv_is_input_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("r,u,du,ddu,lambda1,lambda2,gamma,tilt,residual\n")
@@ -711,6 +723,20 @@ class TestConfig:
         assert on.read_bytes() == off.read_bytes()
         cfg.write_text(json.dumps({"revolve": "yes"}))
         assert run(["--config", cfg, "plot", "--in", sigma2_csv, "--out", off]) == 2
+
+    @pytest.mark.parametrize("content", [None, "[1]"])
+    def test_missing_or_non_object_config_is_usage_error(self, content, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "a.csv"
+        if content is not None:
+            cfg.write_text(content)
+        assert run(["--config", cfg, "solve", "--speed", "harmonic", "--n", 3,
+                    "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert ("expected a JSON object" if content else "cannot read config") in err[0]
+        assert not out.exists()
 
     def test_key_of_another_command_is_accepted(self, tmp_path):
         # samples is a verify and props flag: the config is checked against every command

@@ -26,9 +26,9 @@ from curvsol import (
     sigma_k_root,
     uniform_two_convex,
 )
-from curvsol.cones import _distance_to_cyl_rays
+from curvsol.cones import _distance_to_cyl_rays, _distance_to_support_boundary
 from curvsol.rotgeom import profile_geometry
-from curvsol.speeds import speed_values, support_mask
+from curvsol.speeds import speed_values, support_mask, unit_draws
 
 RNG = np.random.default_rng(11)
 
@@ -246,3 +246,55 @@ class TestConeSeparation:
         a = cone_separation(cone, samples=500, seed=9)
         b = cone_separation(cone, samples=500, seed=9)
         assert a == b
+
+
+def boundary_distance(spec, x) -> float:
+    """Reference for one unit vector ``x`` in the speed's cone: the pair-sum
+    distance min (x_i + x_j)/sqrt(2), min x on the positive cone, and for
+    Gamma_k min_l S_l/|grad S_l| from brute-force sums of products; the
+    minimum over a product's factors."""
+    if spec.kind == "product":
+        return min(boundary_distance(f, x) for f in spec.factors)
+    if spec.kind == "harmonic_pairs":
+        return min(a + b for a, b in itertools.combinations(x, 2)) / math.sqrt(2.0)
+    if spec.kind == "quotient":
+        return min(x)
+
+    def S(l, v):
+        return sum(math.prod(c) for c in itertools.combinations(v, l))
+    return min(S(l, x) / math.hypot(*[S(l - 1, x[:i] + x[i + 1:]) for i in range(len(x))])
+               for l in range(1, spec.k + 1))
+
+
+def cyl_ray_distance(x) -> float:
+    """Reference: distance from ``x`` to the nearest coordinate ray."""
+    norm = math.hypot(*x)
+    return min([norm] + [math.sqrt(max(norm * norm - xi * xi, 0.0)) for xi in x if xi > 0.0])
+
+
+N4_SPEEDS = ([sigma_k_root(k, 4) for k in range(1, 5)]
+             + [harmonic_pairs(4), quotient(2, 1, 4), quotient(3, 1, 4), quotient(4, 2, 4),
+                product([sigma_k_root(2, 4), sigma_k_root(1, 4)], [0.5, 0.5]),
+                product([quotient(3, 2, 4), sigma_k_root(3, 4), harmonic_pairs(4)],
+                        [0.25, 0.25, 0.5])])
+
+
+class TestSeparationOracle:
+    @pytest.mark.parametrize("speed", N4_SPEEDS, ids=lambda s: s.label())
+    def test_matches_brute_force_distances(self, speed):
+        # the same draws as cone_separation's: every in-cone row's distance to
+        # the support boundary, and the separation as the smallest of those
+        # and the ray distances
+        cone = gamma_alpha_delta(100.0, 0.1, speed)
+        samples, seed = 3000, 4
+        best, rows = math.inf, 0
+        for X in unit_draws(4, samples, np.random.default_rng(seed)):
+            X = X[cone_mask(cone, X)]
+            d = _distance_to_support_boundary(speed, X)
+            for x, dx in zip(X.tolist(), d):
+                ref = boundary_distance(speed, x)
+                assert dx == pytest.approx(ref, rel=1e-12, abs=1e-15), x
+                best = min(best, ref, cyl_ray_distance(x))
+            rows += len(X)
+        assert rows > 100
+        assert cone_separation(cone, samples, seed) == pytest.approx(best, rel=1e-12)

@@ -1,11 +1,12 @@
 """Tests for the integral-operator fixed point: quadrature, clamping,
 convergence, and the slope-sensitivity estimate."""
 
+import json
+
 import numpy as np
 import pytest
 
 from curvsol import (
-    ContractionFailureError,
     DomainError,
     ParameterError,
     barrier,
@@ -17,7 +18,7 @@ from curvsol import (
     slope_equation,
 )
 from curvsol.cli import main as cli_main
-from curvsol.picard import _grid, _newton_correction, _quadrature
+from curvsol.picard import _newton_correction, _quadrature
 
 
 def contraction_ratios(result) -> list[float]:
@@ -48,13 +49,22 @@ def initial_iterate(n: int, R: float, m: int) -> np.ndarray:
     return 0.5 * (w4(r) + np.minimum(w3(r), w2(r)))
 
 
+def band(n: int, R: float, m: int):
+    """What ``picard_solve`` builds once per solve: the harmonic slope
+    equation, the m uniform nodes on [0, R], the band edges w4 and w3 on
+    them and the band's slope range."""
+    r = np.linspace(0.0, R, m)
+    w4, w3 = barrier("w4", n), barrier("w3", n)
+    return slope_equation(harmonic_pairs(n)), r, w4(r), w3(r), (w4.slope, w3.slope)
+
+
 def operator_T(n: int, R: float, w: np.ndarray) -> tuple[np.ndarray, int]:
     """The paper's operator T as ``picard_solve`` applies it: ``_quadrature``
-    on the solve's grid of ``w.size`` nodes on [0, R], clamped nodewise into
-    the band.  Returns T(w) and the number of clamped nodes."""
-    grid = _grid(n, R, w.size)
-    q = _quadrature(grid, w)
-    t = np.clip(q, grid.lo, grid.hi)
+    on ``w.size`` uniform nodes on [0, R], clamped nodewise into the band.
+    Returns T(w) and the number of clamped nodes."""
+    eq, r, lo, hi, slopes = band(n, R, w.size)
+    q = _quadrature(eq, r, w, slopes)
+    t = np.clip(q, lo, hi)
     return t, int(np.count_nonzero(t != q))
 
 
@@ -81,7 +91,8 @@ class TestOperatorT:
         # (it overshoots the band's top near the axis, which the clamp absorbs)
         n, R, m = 3, 0.3, 513
         w4_grid = barrier_grid("w4", n, R, m)
-        raw = _quadrature(_grid(n, R, m), w4_grid)
+        eq, r, _lo, _hi, slopes = band(n, R, m)
+        raw = _quadrature(eq, r, w4_grid, slopes)
         assert np.all(raw[1:] >= w4_grid[1:])
         _out, events = operator_T(n, R, w4_grid)
         assert events > 0
@@ -96,9 +107,27 @@ class TestOperatorT:
         assert np.all(np.isfinite(out))
 
     def test_x_violation_error(self):
-        grid = _grid(3, 0.3, 65)
+        eq, r, _lo, _hi, slopes = band(3, 0.3, 65)
         with pytest.raises(DomainError, match="admissible cone"):
-            _quadrature(grid, 0.4 * grid.r)
+            _quadrature(eq, r, 0.4 * r, slopes)
+
+
+@pytest.fixture()
+def alternating_quadrature(monkeypatch):
+    """A non-contracting map for the solve at n = 3, R = 0.3, m = 64: its
+    quadrature alternates between two fixed grids b, a, b, ..., whatever the
+    iterate.  Returns (a, b)."""
+    import curvsol.picard as pic
+    a = initial_iterate(3, 0.3, 64)
+    b = a + np.concatenate(([0.0], np.full(63, 1e-3)))
+    state = {"flip": False}
+
+    def fake_quadrature(eq, r, w, slopes):
+        state["flip"] = not state["flip"]
+        return b if state["flip"] else a
+
+    monkeypatch.setattr(pic, "_quadrature", fake_quadrature)
+    return a, b
 
 
 @pytest.fixture(scope="module")
@@ -154,22 +183,47 @@ class TestPicardSolve:
             with pytest.raises(ParameterError, match=next(iter(kwargs))):
                 picard_solve(3, 0.3, 256, **kwargs)
 
-    def test_contraction_failure_reported(self, monkeypatch):
-        # force a non-contracting map: the quadrature alternates between two
-        # fixed grids, whatever the iterate
-        import curvsol.picard as pic
-        a = initial_iterate(3, 0.3, 64)
-        bump = np.concatenate(([0.0], np.full(63, 1e-3)))
-        b = a + bump
-        state = {"flip": False}
+    def test_contraction_failure_reported(self, alternating_quadrature):
+        # a non-contracting map stops the solve unconverged once sup_change
+        # has set no new minimum for 3 iterations above the floor
+        result = picard_solve(3, 0.3, 64, tol=1e-15, max_iter=50)
+        assert not result.converged
+        changes = [it["sup_change"] for it in result.iterations]
+        assert len(changes) == 5
+        floor = 8.0 * 64 * np.finfo(float).eps
+        best = min(changes[:2])
+        assert all(c >= best and c > floor for c in changes[2:]), changes
 
-        def fake_quadrature(grid, w):
-            state["flip"] = not state["flip"]
-            return b if state["flip"] else a
+    def test_stall_ends_like_max_iter_in_the_cli(self, alternating_quadrature, tmp_path,
+                                                 capsys):
+        # the same stall through ``picard``: one error line, the JSON and the
+        # CSV written, exit 1
+        out = tmp_path / "stall.json"
+        assert cli_main(["picard", "--n", "3", "--R", "0.3", "--grid", "64",
+                         "--tol", "1e-15", "--max-iter", "50", "--out", str(out)]) == 1
+        payload = json.loads(out.read_text())
+        assert not payload["converged"] and len(payload["iterations"]) == 5
+        last = payload["iterations"][-1]["sup_change"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: not converged after 5 iterations, last sup_change {last:.6g}"]
+        r, w = np.loadtxt(tmp_path / "stall.csv", delimiter=",", skiprows=1, unpack=True)
+        np.testing.assert_array_equal(r, np.linspace(0.0, 0.3, 64))
+        _eq, _r, lo, hi, _slopes = band(3, 0.3, 64)
+        b = alternating_quadrature[1]
+        np.testing.assert_array_equal(w, np.clip(b, lo, hi))     # the 5th T(w)
 
-        monkeypatch.setattr(pic, "_quadrature", fake_quadrature)
-        with pytest.raises(ContractionFailureError, match="^difference ratio >= 1"):
-            pic.picard_solve(3, 0.3, 64, tol=1e-15, max_iter=50)
+    def test_converges_at_the_round_off_floor(self):
+        # with tol below every reachable change the solve ends through the
+        # floor rule: a change at or below 8 m eps max(1, max|w|) that sets no
+        # new minimum counts as convergence
+        m = 512
+        res = picard_solve(3, 0.2, m, tol=1e-300, max_iter=30)
+        assert res.converged
+        changes = [it["sup_change"] for it in res.iterations]
+        assert len(changes) < 30
+        assert np.max(np.abs(res.values)) < 1.0        # so max(1, max|w|) = 1
+        assert changes[-1] <= 8.0 * m * np.finfo(float).eps
+        assert changes[-1] >= min(changes[:-1])
 
 
 def _forward_substitution(n: int, R: float, v: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -195,9 +249,10 @@ def _forward_substitution(n: int, R: float, v: np.ndarray, q: np.ndarray) -> np.
 
 def _newton_iterates(n: int, R: float, m: int) -> list[np.ndarray]:
     """The initial iterate, the second one and the converged values."""
-    grid = _grid(n, R, m)
+    eq, r, lo, hi, slopes = band(n, R, m)
     w0 = initial_iterate(n, R, m)
-    w1 = np.clip(w0 + _newton_correction(grid, w0, _quadrature(grid, w0)), grid.lo, grid.hi)
+    q0 = _quadrature(eq, r, w0, slopes)
+    w1 = np.clip(w0 + _newton_correction(eq, r, w0, q0, slopes), lo, hi)
     return [w0, w1, picard_solve(n, R, m).values]
 
 
@@ -210,10 +265,11 @@ class TestNewton:
     def test_recurrence_matches_forward_substitution(self, n):
         R = _default_radius(n)
         for m in (64, 2049, 8189):
-            grid = _grid(n, R, m)
+            eq, r, _lo, _hi, slopes = band(n, R, m)
             for w in _newton_iterates(n, R, m):
-                q = _quadrature(grid, w)
-                u, ref = _newton_correction(grid, w, q), _forward_substitution(n, R, w, q)
+                q = _quadrature(eq, r, w, slopes)
+                u = _newton_correction(eq, r, w, q, slopes)
+                ref = _forward_substitution(n, R, w, q)
                 assert u[0] == 0.0
                 # relative to the larger of u and the residual it solves for:
                 # at the fixed point the residual is round-off whose
@@ -225,15 +281,16 @@ class TestNewton:
     def test_jacobian_matches_finite_differences(self, n):
         # (I - J) u = q - w with J the central-difference Jacobian of the
         # unclamped quadrature
-        grid = _grid(n, _default_radius(n), 64)
+        eq, r, _lo, _hi, slopes = band(n, _default_radius(n), 64)
         for w in _newton_iterates(n, _default_radius(n), 64)[::2]:
-            q = _quadrature(grid, w)
-            u = _newton_correction(grid, w, q)
+            q = _quadrature(eq, r, w, slopes)
+            u = _newton_correction(eq, r, w, q, slopes)
             J = np.zeros((w.size, w.size))
             for j in range(1, w.size):
                 e = np.zeros(w.size)
                 e[j] = 1e-6 * w[j]
-                J[:, j] = (_quadrature(grid, w + e) - _quadrature(grid, w - e)) / (2.0 * e[j])
+                J[:, j] = (_quadrature(eq, r, w + e, slopes)
+                           - _quadrature(eq, r, w - e, slopes)) / (2.0 * e[j])
             F = q - w
             assert np.max(np.abs(u - J @ u - F)) <= 1e-6 * np.max(np.abs(u))
 

@@ -85,6 +85,22 @@ class TestCheckSoliton:
         with pytest.raises(ParameterError, match="tol must be finite and >= 0"):
             check_soliton(sigma2_profile, tol=tol)
 
+    def test_curvatures_outside_the_cone_fail_with_a_witness(self):
+        # u'' = -10 at r = 0.2 makes the radial curvature -10/(1.0036)^1.5
+        # outweigh the two rotational ones there, so S_1 < 0; the other rows
+        # lie in Gamma_2, and the first row outside is the witness
+        r = np.array([0.1, 0.2, 0.3])
+        samples = np.column_stack((r, 0.15 * r * r, 0.3 * r, [0.3, -10.0, 0.3]))
+        profile = ProfileSolution(speed=sigma_k_root(2, 3), samples=samples, status="completed")
+        entry = check_soliton(profile, tol=1e-8)
+        assert entry.status == "fail"
+        assert entry.worst_violation == np.inf
+        w = 1.0 + 0.06 ** 2
+        lam = [-10.0 / w ** 1.5] + [0.06 / (0.2 * np.sqrt(w))] * 2
+        assert entry.witness["r"] == 0.2
+        np.testing.assert_allclose(entry.witness["lambda"], lam, rtol=1e-15)
+        assert entry.detail == "curvatures left the cone: S_1(lambda) = -9.34732 <= 0"
+
 
 class TestConvexityEstimate:
     def test_fitted_parameters_pass(self, harmonic3_profile):
@@ -236,6 +252,14 @@ class TestPinching:
         a = estimate_pinching_constants(spec, cone, samples=400, seed=5)
         b = estimate_pinching_constants(spec, cone, samples=400, seed=5)
         assert (a.gradient_pinching, a.hessian_sup) == (b.gradient_pinching, b.hessian_sup)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_speed_other_than_the_cones_is_rejected(self, k):
+        # the samples come from the sigma_2 cone: sigma_1 would read a
+        # gradient ratio of 1 and sigma_3 leave its own cone there
+        cone = gamma_alpha_delta(100.0, 0.1, sigma_k_root(2, 3))
+        with pytest.raises(ParameterError, match="is not the cone's speed"):
+            estimate_pinching_constants(sigma_k_root(k, 3), cone, samples=500, seed=2)
 
     def test_negative_seed_is_parameter_error(self):
         spec = harmonic_pairs(3)
