@@ -7,17 +7,22 @@ failed, 2 usage or input error.  A JSON config file can predefine any flag
 
 ``_COMMANDS`` is the command table: each name maps to its help text, a
 function that adds its flags and its handler.  Top-level options
-(``--config``, ``-h``) go before the command.  ``main`` builds the subparser
-of the command in first place only; with anything else first it builds every
-subparser from the table.
+(``--config``, ``-h``) go before the command.  ``main`` parses a known
+command in first place with that command's own parser; anything else (no
+command, a top-level option, an unknown name, or arguments the command's
+parser leaves over) goes to the full parser, which holds every command as a
+subparser and prints the top-level usage.  Both are built per call, with the
+terminal width queried once.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -133,8 +138,10 @@ def _cmd_props(args) -> int:
 def _cmd_barriers(args) -> int:
     if args.count < 1:
         raise ParameterError(f"--count must be >= 1, got {args.count}")
-    if np.isinf(args.rmin):
+    if not np.isfinite(args.rmin):
         raise ParameterError(f"--rmin must be finite, got {args.rmin}")
+    if np.isnan(args.rmax):         # inf is allowed where a barrier ends
+        raise ParameterError("--rmax must not be nan")
     if args.rmin < 0.0:
         raise ParameterError(f"--rmin must be >= 0, got {args.rmin}")
     if args.rmin > args.rmax:
@@ -188,6 +195,9 @@ def _cmd_picard(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    if args.revolve and args.barriers:
+        raise ParameterError("--barriers cannot be drawn with --revolve: barriers are slopes, "
+                             "the silhouette plots u")
     profile = pio.read_profile_csv(args.infile)
     if args.revolve:
         r, u = profile.r, profile.u
@@ -291,11 +301,18 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser with the subparser of ``command`` only, or of every command
-    in ``_COMMANDS`` when ``command`` is None."""
+def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``p`` with the flags and the handler of command ``name``."""
+    _, add_flags, handler = _COMMANDS[name]
+    add_flags(p)
+    p.set_defaults(func=handler)
+    return p
+
+
+def _build_parser(formatter) -> argparse.ArgumentParser:
+    """The full parser: every command in ``_COMMANDS`` as a subparser."""
     parser = argparse.ArgumentParser(
-        prog="curvsol",
+        prog="curvsol", formatter_class=formatter,
         description="Rotationally symmetric translating solitons of concave "
                     "curvature flows: profiles, barriers, fixed point, verification.")
 
@@ -329,27 +346,24 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
 
     parser.add_argument("--config", action=ApplyConfig,
                         help="JSON file of flag defaults (flags override)")
-    # with one subparser, a usage line the top-level parser prints (an
-    # unrecognized flag) still lists every command
-    sub = parser.add_subparsers(dest="command", required=True, metavar=(
-        None if command is None else "{" + ",".join(_COMMANDS) + "}"))
-    for name in _COMMANDS if command is None else (command,):
-        help_text, add_flags, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_flags(p)
-        p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text, formatter_class=formatter), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # A known command in first place needs its subparser only.  Anything else
-    # (a top-level option such as --config or -h, no command, an unknown name)
-    # builds all of them: --config checks its keys against every command's
-    # flags, and the help and the usage errors list every command.
+    # argparse's own default width, queried once instead of in every add_argument
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser(command).parse_args(argv)
+        if command:
+            parser = argparse.ArgumentParser(prog=f"curvsol {command}", formatter_class=formatter)
+            args, rest = _add_command(parser, command).parse_known_args(argv[1:])
+        # the full parser reports leftover arguments under the top-level usage
+        if not command or rest:
+            args = _build_parser(formatter).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:         # argparse has printed its usage error or the help
         return exc.code

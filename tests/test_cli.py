@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and its exit-code
 contract (0 pass, 1 verification failure, 2 usage/input error)."""
 
+import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -472,10 +474,19 @@ class TestBarriersCmd:
         assert len(lines) == 51
 
     def test_nan_radius_is_usage_error(self, tmp_path, capsys):
+        # the flag is blamed, not the barrier evaluated at r=nan
         out = tmp_path / "w.csv"
         assert run(["barriers", "--names", "w3", "--n", 3, "--rmin", "nan", "--count", 3,
                     "--out", out]) == 2
-        assert "r=nan" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --rmin must be finite, got nan\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names", ["w1", "w3"])
+    def test_nan_rmax_is_usage_error(self, names, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert run(["barriers", "--names", names, "--n", 3, "--rmax", "nan", "--count", 3,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --rmax must not be nan\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--rmax", "inf"), ("--rmin", "-inf")])
@@ -640,6 +651,18 @@ class TestPlot:
         assert run(["plot", "--in", sigma2_csv, "--revolve", "--out", fig]) == 0
         assert fig.read_text().startswith("<svg")
 
+    def test_barriers_with_revolve_is_usage_error(self, sigma2_csv, tmp_path, capsys):
+        # barriers are slopes and the silhouette plots u, so nothing could be overlaid
+        fig = tmp_path / "rv.svg"
+        assert run(["plot", "--in", sigma2_csv, "--barriers", "v1,v2", "--revolve",
+                    "--out", fig]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "--barriers" in err[0] and "--revolve" in err[0]
+        assert not fig.exists()
+
     def test_deterministic_bytes(self, sigma2_csv, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         run(["plot", "--in", sigma2_csv, "--barriers", "v1", "--out", a])
@@ -774,3 +797,73 @@ def test_help_and_usage_errors_are_byte_identical(case, monkeypatch, tmp_path, c
     assert main(list(case["argv"])) == case["code"]
     assert capsys.readouterr() == (case["out"], case["err"])
     assert not list(tmp_path.iterdir())
+
+
+def _parsers_and_queries(argv):
+    """Exit code of ``main(argv)``, the argparse parsers it built and the
+    terminal-size queries it made."""
+    counts = {"parsers": 0, "queries": 0}
+    init, query = argparse.ArgumentParser.__init__, shutil.get_terminal_size
+
+    def counting_init(self, *args, **kwargs):
+        counts["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_query(*args, **kwargs):
+        counts["queries"] += 1
+        return query(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        mp.setattr(shutil, "get_terminal_size", counting_query)
+        return run(argv), counts["parsers"], counts["queries"]
+
+
+class TestParsers:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--speed", "harmonic", "--n", 3, "--rmax", 0.4, "--out", "s.csv"],
+        ["verify", "barriers", "--profile", "p.csv", "--out", "v.json"],
+        ["props", "--speed", "harmonic", "--n", 3, "--samples", 10, "--out", "q.json"],
+        ["barriers", "--names", "w3", "--n", 3, "--count", 3, "--out", "w.csv"],
+        ["picard", "--n", 3, "--R", 0.3, "--grid", 64, "--out", "f.json"],
+        ["plot", "--in", "p.csv", "--barriers", "w3", "--out", "p.svg"]],
+        ids=lambda argv: argv[0])
+    def test_a_command_builds_one_parser_and_queries_the_terminal_once(self, argv, tmp_path,
+                                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["solve", "--speed", "harmonic", "--n", 3, "--rmax", 0.4,
+                    "--out", "p.csv"]) == 0
+        assert _parsers_and_queries(argv) == (0, 1, 1)
+
+    @pytest.mark.parametrize("argv, code, parsers", [
+        ([], 2, 7),
+        (["--config", "cfg.json", "solve", "--speed", "harmonic", "--n", 3, "--out", "c.csv"],
+         0, 7),
+        (["-h"], 0, 7),
+        (["solve", "--speed", "harmonic", "--n", 3, "--out", "x.csv", "--bogus", 1], 2, 8)],
+        ids=["none", "config", "help", "leftover"])
+    def test_anything_else_reaches_the_full_parser(self, argv, code, parsers, tmp_path,
+                                                   monkeypatch, capsys):
+        # the full parser is the top-level one plus one subparser per command
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"rmax": 0.4}))
+        assert _parsers_and_queries(argv) == (code, parsers, 1)
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_a_config_does_not_outlive_its_call(self, tmp_path):
+        cfg, a, b = tmp_path / "cfg.json", tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg.write_text(json.dumps({"rmax": 0.4}))
+        assert run(["--config", cfg, "solve", "--speed", "harmonic", "--n", 3,
+                    "--out", a]) == 0
+        assert run(["solve", "--speed", "harmonic", "--n", 3, "--out", b]) == 0
+        assert a.read_text().splitlines()[-1].split(",")[0] == "0.40000000000000002"
+        assert b.read_text().splitlines()[-1].split(",")[0] == "3"
+
+    def test_help_wraps_to_the_columns_of_each_call(self, monkeypatch, capsys):
+        # a width fixed at import would give both calls the same line count
+        lines = {}
+        for columns in (50, 120):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            assert main(["verify", "-h"]) == 0
+            lines[columns] = len(capsys.readouterr().out.splitlines())
+        assert lines == {50: 27, 120: 18}
