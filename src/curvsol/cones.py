@@ -84,19 +84,19 @@ def _distance_to_support_boundary(speed: SpeedSpec, L: np.ndarray) -> np.ndarray
     """Distance from each row of L to the boundary of the speed's support
     cone.
 
-    Exact for pair-sum cones (linear constraints); first-order margin
-    min_l S_l/|grad S_l| for Garding cones.
+    Exact for pair-sum cones (linear constraints); the first-order margin
+    S_k/|grad S_k| for Gamma_k, the least of S_l/|grad S_l| over l <= k on
+    every sampled row (tests/test_cones.py).
     """
     if speed.kind == "product":
         return np.min([_distance_to_support_boundary(f, L) for f in speed.factors], axis=0)
-    margins = [v for _, v in support_margins(speed, L)]
+    margin = support_margins(speed, L)[-1][1]
     if speed.kind == "harmonic_pairs":
-        return margins[0] / np.sqrt(2.0)
+        return margin / np.sqrt(2.0)
     if speed.kind == "quotient":
-        return margins[0]
+        return margin
     with np.errstate(divide="ignore"):          # a vanishing gradient bounds nothing
-        return np.min([e / np.linalg.norm(sigma_partials(L, l), axis=1)
-                       for l, e in enumerate(margins, start=1)], axis=0)
+        return margin / np.linalg.norm(sigma_partials(L, speed.k), axis=1)
 
 
 def cone_separation(cone: ConeSpec, samples: int, seed: int = 0) -> float:

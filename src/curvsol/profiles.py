@@ -285,17 +285,19 @@ def integrate_profile(spec: SpeedSpec,
     keeps a step whose right-hand side or Jacobian was NaN (outside the cone),
     so a step that ends on a non-finite row is dropped and LSODA restarted at
     the last row with half that step; each restart counts against
-    ``_MAX_STEPS``.  Stops at r_max (status ``completed``), when u' exceeds
-    ``blowup_threshold`` or the step size underflows while the slope is
-    already huge (``blew_up``, ending at the last accepted node), or on
-    step-size underflow at a moderate slope (``step_failure``).  u'' is
-    stored as the right-hand side at each node, exact by the equation.
+    ``_MAX_STEPS``.  Stops at r_max (status ``completed``), when u' crosses
+    ``blowup_threshold`` (``blew_up``, ending at the crossing, which
+    ``brentq`` finds on the last step's dense output) or the step size
+    underflows at a huge slope (``blew_up``, ending at the last node), or at
+    a moderate slope (``step_failure``).  u'' is stored as the right-hand
+    side at each node, exact by the equation.
     scipy raises an rtol below 100 machine epsilons to that floor (with a
     warning), and ``tolerances`` records the rtol it used.  ``rtol`` is
     LSODA's per-step tolerance, not a global error bound: harmonic n = 3 to
     r_max = 1 ends 1.7e-10 relative off an rtol = 1e-13 solve at 1e-10.
     """
     from scipy.integrate import LSODA
+    from scipy.optimize import brentq
     if not startup_radius > 0.0:
         raise ParameterError("startup_radius must be positive")
     if not startup_radius < r_max < np.inf:
@@ -346,7 +348,11 @@ def integrate_profile(spec: SpeedSpec,
                 status = "blew_up"
             break
         rows.append(row)
-        if row[2] > blowup_threshold:
+        if row[2] > blowup_threshold:   # end at the crossing, on the last step's interpolant
+            sol = solver.dense_output()
+            if sol(solver.t_old)[1] < blowup_threshold:    # else it crossed before the start
+                r = brentq(lambda x: sol(x)[1] - blowup_threshold, solver.t_old, solver.t)
+                rows[-1] = (r, *sol(r), at(rhs, r, sol(r)))
             status = "blew_up"
             break
         if solver.status == "finished":

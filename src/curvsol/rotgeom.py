@@ -32,7 +32,7 @@ def graph_curvatures(r, du, ddu, n: int) -> np.ndarray:
     radius r > 0: the radial curvature u''/(1+u'^2)^{3/2} followed by n-1
     copies of the rotational curvature u'/(r sqrt(1+u'^2)).  Shape (n,) for
     floats; (m, n), one row per radius, for equal-length arrays."""
-    _require_off_axis(r, "radial jet")
+    _require_off_axis(r, "graph_curvatures")
     if n < 2:
         raise ParameterError("graph curvatures require n >= 2")
     w = 1.0 + du ** 2
@@ -45,7 +45,7 @@ def cylinder_curvatures(r, dr, ddr) -> np.ndarray:
     r(z) > 0 over its axis, with r' = dr and r'' = ddr; the rotational
     curvature -1/(r sqrt(1+r'^2)) is always negative.  Shape (2,) for floats;
     (m, 2) for equal-length arrays."""
-    _require_off_axis(r, "cylindrical jet")
+    _require_off_axis(r, "cylinder_curvatures")
     w = 1.0 + dr ** 2
     return np.stack((ddr / w ** 1.5, -1.0 / (r * np.sqrt(w))), axis=-1)
 

@@ -7,9 +7,10 @@ the inverse of the sum of reciprocal pairwise curvature sums ("harmonic
 pairs"), quotients of elementary symmetric polynomials, and weighted
 geometric means of the above.
 
-One array kernel works on (m, n) arrays of curvature rows; ``eval_speed`` and
-``support_violation`` are one-row calls of it.  Every row is sorted first, so
-permuting its entries returns bit-identical results.
+One array kernel works on (m, n) arrays of curvature rows and answers in
+arrays; ``eval_speed``, kept for the benchmark, is its only one-row call.
+Every row is sorted first, so permuting its entries returns bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import DomainError, ParameterError
 
 __all__ = [
     "SpeedSpec",
-    "SpeedDerivatives",
     "sigma_k_root",
     "harmonic_pairs",
     "quotient",
@@ -34,7 +34,6 @@ __all__ = [
     "speed_values",
     "speed_derivatives",
     "hessian_quadratic_forms",
-    "support_violation",
     "support_margins",
     "support_mask",
     "unit_draws",
@@ -170,23 +169,6 @@ def product(factors, weights) -> SpeedSpec:
                      factors=factors, weights=tuple(float(w) for w in weights))
 
 
-@dataclass(frozen=True)
-class SpeedDerivatives:
-    """Value, gradient and Hessian of a speed, stacked over m curvature rows:
-    arrays of shapes (m,), (m, n), (m, n, n)."""
-
-    value: np.ndarray
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
-def _as_lambda(lam) -> np.ndarray:
-    arr = np.asarray(lam, dtype=float)
-    if arr.ndim != 1:
-        raise ParameterError("curvature vector must be one-dimensional")
-    return arr
-
-
 def _rows(n: int, lam) -> np.ndarray:
     arr = np.asarray(lam, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != n:
@@ -267,22 +249,11 @@ def support_mask(spec: SpeedSpec, lam) -> np.ndarray:
     return np.all([v > 0.0 for _, v in support_margins(spec, lam)], axis=0)
 
 
-def support_violation(spec: SpeedSpec, lam) -> Optional[str]:
-    """None if ``lam`` lies in the open support cone of ``spec``, otherwise a
-    human-readable description of the violated condition."""
-    lam = _as_lambda(lam)
-    if lam.size != spec.n:
-        return f"dimension mismatch: len(lambda)={lam.size}, n={spec.n}"
-    for text, margin in support_margins(spec, lam[None]):
-        if not margin[0] > 0.0:
-            return text.format(margin[0])
-    return None
-
-
-def _require_support(spec: SpeedSpec, lam: np.ndarray) -> None:
-    v = support_violation(spec, lam)
-    if v is not None:
-        raise DomainError(f"lambda outside the support cone of {spec.label()}: {v}")
+def _violation(spec: SpeedSpec, row) -> str:
+    """The text of the first ``support_margins`` condition that the curvature
+    row ``row`` (shape (n,)), outside the open support cone, violates."""
+    return next(text.format(m[0]) for text, m in support_margins(spec, np.asarray(row)[None])
+                if not m[0] > 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -299,10 +270,14 @@ def speed_values(spec: SpeedSpec, lam) -> np.ndarray:
 
 
 def eval_speed(spec: SpeedSpec, lam) -> float:
-    """Speed value at ``lam``; raises DomainError outside the open cone."""
-    lam = _as_lambda(lam)
-    _require_support(spec, lam)
-    return float(_value(spec, np.sort(lam)[None])[0])
+    """Speed value at the one row ``lam`` by `speed_values`; raises
+    DomainError outside the open cone."""
+    row = np.asarray(lam, dtype=float)[None]
+    value = speed_values(spec, row)[0]
+    if np.isnan(value) and not support_mask(spec, row)[0]:   # inf/inf in the cone is NaN
+        raise DomainError(f"lambda outside the support cone of {spec.label()}: "
+                          + _violation(spec, row[0]))
+    return float(value)
 
 
 def _value(spec: SpeedSpec, S: np.ndarray) -> np.ndarray:
@@ -322,19 +297,20 @@ def _value(spec: SpeedSpec, S: np.ndarray) -> np.ndarray:
     return out
 
 
-def speed_derivatives(spec: SpeedSpec, lam) -> SpeedDerivatives:
-    """Stacked derivatives at the rows of ``lam`` (shape (m, n)); raises
-    DomainError if a row is outside the open cone."""
+def speed_derivatives(spec: SpeedSpec, lam):
+    """``(value, gradient, hessian)``, of shapes (m,), (m, n), (m, n, n), at
+    the rows of ``lam`` (shape (m, n)); raises DomainError naming the first
+    row outside the open cone and the first condition it violates."""
     L = _rows(spec.n, lam)
     inside = support_mask(spec, L)
     if not np.all(inside):
-        _require_support(spec, L[np.argmin(inside)])
+        raise DomainError(f"lambda outside the support cone of {spec.label()}: "
+                          + _violation(spec, L[np.argmin(inside)]))
     order = np.argsort(L, axis=1, kind="stable")
     v, g, h = _value_grad_hess(spec, np.take_along_axis(L, order, axis=1))
     back = np.argsort(order, axis=1)
     rows = np.arange(L.shape[0])[:, None, None]
-    return SpeedDerivatives(value=v, gradient=np.take_along_axis(g, back, axis=1),
-                            hessian=h[rows, back[:, :, None], back[:, None, :]])
+    return v, np.take_along_axis(g, back, axis=1), h[rows, back[:, :, None], back[:, None, :]]
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -396,12 +372,12 @@ def hessian_quadratic_forms(spec: SpeedSpec, lam, T) -> np.ndarray:
     gaps = np.diff(np.sort(L, axis=1), axis=1)
     ok = ~np.any(gaps < 1e-10 * np.max(np.abs(L), axis=1, keepdims=True), axis=1)
     L, T = L[ok], T[ok]
-    d = speed_derivatives(spec, L)
+    _, grad, hess = speed_derivatives(spec, L)
     a, b = np.triu_indices(spec.n, 1)
     diag = np.diagonal(T, axis1=1, axis2=2)
-    off = 2.0 * (d.gradient[:, b] - d.gradient[:, a]) / (L[:, b] - L[:, a]) * T[:, a, b] ** 2
+    off = 2.0 * (grad[:, b] - grad[:, a]) / (L[:, b] - L[:, a]) * T[:, a, b] ** 2
     q = np.full(ok.size, np.nan)
-    q[ok] = np.einsum("mi,mij,mj->m", diag, d.hessian, diag) + np.sum(off, axis=1)
+    q[ok] = np.einsum("mi,mij,mj->m", diag, hess, diag) + np.sum(off, axis=1)
     return q
 
 
@@ -467,14 +443,13 @@ def _radial_degeneracy(L: np.ndarray, hess: np.ndarray):
 
 def _pointwise_checks(spec: SpeedSpec, L: np.ndarray, rng: np.random.Generator) -> dict:
     """(passed, measure) arrays of the six pointwise checks at the rows of L."""
-    d = speed_derivatives(spec, L)
-    g = d.value
+    g, grad, hess = speed_derivatives(spec, L)
     diff = np.abs(speed_values(spec, rng.permuted(L, axis=1)) - g)
-    gmin = np.min(d.gradient, axis=1)
-    euler = np.abs(np.einsum("mi,mi->m", L, d.gradient) - g) / np.abs(g)
+    gmin = np.min(grad, axis=1)
+    euler = np.abs(np.einsum("mi,mi->m", L, grad) - g) / np.abs(g)
     # Hessian restricted to the orthogonal complement of span{lam}
     proj = np.eye(spec.n) - _outer(L, L)
-    M = proj @ d.hessian @ proj
+    M = proj @ hess @ proj
     top = np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, -1]
     return {
         "symmetry": (diff == 0.0, diff),
@@ -482,7 +457,7 @@ def _pointwise_checks(spec: SpeedSpec, L: np.ndarray, rng: np.random.Generator) 
         "gradient_positivity": (gmin > 0.0, -gmin),
         "euler": (euler <= 1e-9, euler),
         "off_radial_concavity": (top <= 1e-8, top),
-        "radial_degeneracy": _radial_degeneracy(L, d.hessian),
+        "radial_degeneracy": _radial_degeneracy(L, hess),
     }
 
 

@@ -15,8 +15,8 @@ from .cones import ConeSpec, cone_mask, gamma_alpha_delta, pinched, uniform_two_
 from .errors import DomainError, ParameterError
 from .profiles import ProfileSolution, barrier, cyl_profile, slope_equation
 from .rotgeom import cylinder_curvatures, profile_geometry
-from .speeds import (SpeedSpec, harmonic_pairs, hessian_quadratic_forms, speed_derivatives,
-                     support_margins, support_violation, unit_draws)
+from .speeds import (SpeedSpec, _violation, harmonic_pairs, hessian_quadratic_forms,
+                     speed_derivatives, support_margins, unit_draws)
 
 __all__ = [
     "CheckEntry",
@@ -62,7 +62,7 @@ def check_soliton(profile: ProfileSolution, tol: float) -> CheckEntry:
                           worst_violation=float("inf"),
                           witness={"r": profile.r[i], "lambda": geo.lam[i].tolist()},
                           detail="curvatures left the cone: "
-                                 + support_violation(profile.speed, geo.lam[i]))
+                                 + _violation(profile.speed, geo.lam[i]))
     res = np.abs(geo.residual)
     i = int(np.argmax(res))
     worst = float(res[i])
@@ -220,7 +220,7 @@ def estimate_pinching_constants(spec: SpeedSpec, cone: ConeSpec, samples: int,
         if not x.shape[0]:
             continue
         used += x.shape[0]
-        grad = speed_derivatives(spec, x).gradient
+        _, grad, _ = speed_derivatives(spec, x)
         grad_ratio = max(grad_ratio, float(np.max(np.max(grad, axis=1) / np.min(grad, axis=1))))
         T = rng.standard_normal((x.shape[0], spec.n, spec.n))
         T = 0.5 * (T + T.transpose(0, 2, 1))

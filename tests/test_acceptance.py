@@ -234,7 +234,7 @@ def test_criterion_6_picard_rk_equivalence():
 
 def _fd_gradient_agrees(spec, rng, samples=40, rel=1e-6):
     L = interior_rows(spec, rng, samples)
-    for lam, grad in zip(L, speed_derivatives(spec, L).gradient):
+    for lam, grad in zip(L, speed_derivatives(spec, L)[1]):
         h = 1e-6 * float(np.linalg.norm(lam))
         for i in range(spec.n):
             e = np.zeros(spec.n)

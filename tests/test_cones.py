@@ -28,7 +28,8 @@ from curvsol import (
 )
 from curvsol.cones import _distance_to_cyl_rays, _distance_to_support_boundary
 from curvsol.rotgeom import profile_geometry
-from curvsol.speeds import speed_values, support_mask, unit_draws
+from curvsol.speeds import (sigma_partials, speed_values, support_margins, support_mask,
+                            unit_draws)
 
 RNG = np.random.default_rng(11)
 
@@ -298,3 +299,33 @@ class TestSeparationOracle:
             rows += len(X)
         assert rows > 100
         assert cone_separation(cone, samples, seed) == pytest.approx(best, rel=1e-12)
+
+
+class TestGardingMargin:
+    """The Garding margin keeps only its S_k term: inside Gamma_k the ratio
+    (S_l/|grad S_l|)/(S_k/|grad S_k|) is at least k/l for every l < k, with
+    equality at the umbilic, so min_l S_l/|grad S_l| is the l = k term."""
+
+    @staticmethod
+    def ratios(X, k):
+        """(S_l/|grad S_l|)/(S_k/|grad S_k|) * l/k at the rows of X, one
+        column per l = 1..k-1."""
+        S = [v for _, v in support_margins(sigma_k_root(k, X.shape[1]), X)]
+        q = [S[l - 1] / np.linalg.norm(sigma_partials(X, l), axis=1) for l in range(1, k + 1)]
+        return np.stack([q[l - 1] / q[k - 1] * l / k for l in range(1, k)], axis=1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_the_sk_term_is_the_least(self, n):
+        # draws about the umbilic ray at random distances, so that rows near
+        # the umbilic and near the cone's boundary are both sampled
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((20000, n)) + rng.uniform(0.0, 3.0, (20000, 1))
+        for k in range(2, n + 1):
+            inside = X[support_mask(sigma_k_root(k, n), X)]
+            assert inside.shape[0] > 1000
+            assert np.min(self.ratios(inside, k)) >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equality_at_the_umbilic(self, n):
+        for k in range(2, n + 1):
+            np.testing.assert_allclose(self.ratios(np.ones((1, n)), k), 1.0, rtol=1e-14)

@@ -529,12 +529,22 @@ class TestIntegrateProfile:
         assert max(vals) - min(vals) < 1e-7
 
     def test_blowup_threshold_semantics(self):
-        # the k = n = 2 profile grows like e^{r^2/2}: the slope threshold
-        # fires once it is exceeded and the last accepted node is reported
+        # the k = n = 2 profile has u'^2 = e^{r^2} - 1: the slope threshold
+        # fires once it is exceeded, and the profile ends at the crossing
+        # r = sqrt(ln(1 + threshold^2)), not at the next node
         p = integrate_profile(sigma_k_root(2, 2), r_max=8.0, blowup_threshold=1e6)
         assert p.status == "blew_up"
         assert p.blowup_radius == p.r[-1]
-        assert p.du[-1] > 1e6
+        assert abs(p.blowup_radius - math.sqrt(math.log1p(1e12))) <= 1e-8
+        assert p.du[-1] == pytest.approx(1e6, rel=1e-12)
+        assert p.du[-2] < 1e6
+
+    def test_a_threshold_below_the_startup_slope_ends_at_the_first_node(self):
+        # the slope starts above the threshold, so there is no crossing to find
+        p = integrate_profile(harmonic_pairs(3), r_max=3.0, blowup_threshold=1e-9)
+        assert p.status == "blew_up"
+        assert p.samples.shape[0] == 2
+        assert p.du[0] > 1e-9
 
     def test_mean_curvature_excluded(self):
         with pytest.raises(ParameterError):

@@ -33,7 +33,7 @@ class TestGraphCurvatures:
         assert lam == pytest.approx([3.0, 0.0], abs=1e-15)
 
     def test_axis_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^graph_curvatures requires r > 0, got r=0.0$"):
             graph_curvatures(0.0, 0.0, 0.0, 3)
 
     @pytest.mark.parametrize("r", [1e-2, 1e-3])
@@ -74,7 +74,7 @@ class TestCylinderCurvatures:
 
     @pytest.mark.parametrize("r", [0.0, np.array([1.0, 0.0, 2.0]), np.nan])
     def test_axis_rejected(self, r):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^cylinder_curvatures requires r > 0, got r="):
             cylinder_curvatures(r, np.zeros_like(r), np.zeros_like(r))
 
 

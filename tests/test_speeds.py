@@ -29,7 +29,7 @@ from curvsol import speeds
 from curvsol.speeds import (_BOUNDARY_REL, _boundary_paths, _radial_degeneracy, _sample_rows,
                             _sigma_all, _sigma_line, _support_exit,
                             hessian_quadratic_forms, speed_derivatives, speed_values,
-                            support_mask, support_violation)
+                            support_mask)
 
 RNG = np.random.default_rng(20240817)
 
@@ -139,8 +139,40 @@ class TestEvalSpeed:
 
     def test_quotient_positive_cone_only(self):
         # 2-convex but not positive: rejected for quotients
-        assert "positive cone" in support_violation(quotient(2, 1, 3), [-0.1, 1.0, 1.0])
-        assert support_violation(quotient(2, 1, 3), [0.1, 1.0, 1.0]) is None
+        with pytest.raises(DomainError, match="positive cone"):
+            eval_speed(quotient(2, 1, 3), [-0.1, 1.0, 1.0])
+        assert eval_speed(quotient(2, 1, 3), [0.1, 1.0, 1.0]) > 0.0
+
+    @pytest.mark.parametrize("spec, lam, text", [
+        (sigma_k_root(2, 3), [1.0, -1.0, 0.1], "sigma_2^(1/2): S_2(lambda) = -1 <= 0"),
+        (sigma_k_root(3, 3), [-1.0, 2.0, 2.0], "sigma_3^(1/3): S_2(lambda) = 0 <= 0"),
+        (harmonic_pairs(3), [1.0, -0.6, 0.5],
+         "harmonic_pairs(n=3): min pair sum lambda_i+lambda_j = -0.1 <= 0"),
+        (quotient(2, 1, 3), [-0.1, 1.0, 1.0],
+         "(S_2/S_1)^(1/1): min lambda = -0.1 <= 0 (quotient supported on the positive cone)"),
+        (product([sigma_k_root(2, 3), harmonic_pairs(3)], [0.5, 0.5]), [2.0, 2.0, -1.5],
+         "sigma_2^(1/2)^0.5 * harmonic_pairs(n=3)^0.5: S_2(lambda) = -2 <= 0"),
+        (sigma_k_root(2, 3), [np.nan, 1.0, 1.0], "sigma_2^(1/2): S_1(lambda) = nan <= 0")],
+        ids=["sigma_2", "sigma_3", "harmonic", "quotient", "product", "nan"])
+    def test_outside_cone_message_names_the_first_violated_condition(self, spec, lam, text):
+        # one text for the one-row call and the array kernel's first bad row
+        message = f"lambda outside the support cone of {text}"
+        with pytest.raises(DomainError) as one_row:
+            eval_speed(spec, lam)
+        with pytest.raises(DomainError) as kernel:
+            speed_derivatives(spec, [np.ones(spec.n), lam, -np.ones(spec.n)])
+        assert str(one_row.value) == str(kernel.value) == message
+
+    def test_a_nan_value_inside_the_cone_is_returned(self):
+        # S_2/S_1 = inf/inf on an infinite row of the positive cone, as in speed_values
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(eval_speed(quotient(2, 1, 3), [np.inf] * 3))
+
+    @pytest.mark.parametrize("lam", [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], 1.0],
+                             ids=["short", "long", "2-D", "scalar"])
+    def test_one_row_of_the_wrong_shape_is_a_parameter_error(self, lam):
+        with pytest.raises(ParameterError, match=r"expected an \(m, 3\) array"):
+            eval_speed(sigma_k_root(2, 3), lam)
 
     @pytest.mark.parametrize("spec", ALL_SPEEDS, ids=lambda s: s.label())
     def test_permutation_invariance_exact(self, spec):
@@ -160,23 +192,23 @@ class TestEvalSpeed:
 
 class TestDerivatives:
     def test_sigma2_umbilic_gradient(self):
-        d = speed_derivatives(sigma_k_root(2, 3), [[1.0, 1.0, 1.0]])
-        assert d.gradient[0] == pytest.approx(np.full(3, 1 / math.sqrt(3)), rel=1e-14)
+        _, grad, _ = speed_derivatives(sigma_k_root(2, 3), [[1.0, 1.0, 1.0]])
+        assert grad[0] == pytest.approx(np.full(3, 1 / math.sqrt(3)), rel=1e-14)
 
     def test_mean_curvature_linear(self):
-        d = speed_derivatives(sigma_k_root(1, 4), [[0.3, 0.9, 1.2, 2.0]])
-        assert d.gradient[0] == pytest.approx(np.ones(4), abs=1e-15)
-        assert np.max(np.abs(d.hessian)) == 0.0
+        _, grad, hess = speed_derivatives(sigma_k_root(1, 4), [[0.3, 0.9, 1.2, 2.0]])
+        assert grad[0] == pytest.approx(np.ones(4), abs=1e-15)
+        assert np.max(np.abs(hess)) == 0.0
 
     def test_harmonic_euler_value(self):
         lam = np.ones(3)
-        d = speed_derivatives(harmonic_pairs(3), lam[None])
-        assert float(lam @ d.gradient[0]) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        _, grad, _ = speed_derivatives(harmonic_pairs(3), lam[None])
+        assert float(lam @ grad[0]) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPEEDS, ids=lambda s: s.label())
     def test_gradient_matches_finite_differences(self, spec):
         L = interior_rows(spec, RNG, 8)
-        for lam, grad in zip(L, speed_derivatives(spec, L).gradient):
+        for lam, grad in zip(L, speed_derivatives(spec, L)[1]):
             assert grad == pytest.approx(fd_gradient(spec, lam), rel=1e-6, abs=1e-9)
 
     @pytest.mark.parametrize("spec", ALL_SPEEDS, ids=lambda s: s.label())
@@ -184,7 +216,7 @@ class TestDerivatives:
         # matrix-norm comparison: the FD truncation error scales with the
         # size of the higher derivatives, which blow up near the cone edge
         L = interior_rows(spec, RNG, 4)
-        for lam, hess in zip(L, speed_derivatives(spec, L).hessian):
+        for lam, hess in zip(L, speed_derivatives(spec, L)[2]):
             fd = fd_hessian(spec, lam)
             scale = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(hess - fd)) <= 1e-4 * scale
@@ -192,15 +224,15 @@ class TestDerivatives:
     @pytest.mark.parametrize("spec", ALL_SPEEDS, ids=lambda s: s.label())
     def test_euler_relation_and_positivity(self, spec):
         L = interior_rows(spec, RNG, 10)
-        d = speed_derivatives(spec, L)
-        assert np.all(d.value > 0.0)
-        assert np.all(d.gradient > 0.0)
-        assert np.einsum("mi,mi->m", L, d.gradient) == pytest.approx(d.value, rel=1e-9)
+        value, grad, _ = speed_derivatives(spec, L)
+        assert np.all(value > 0.0)
+        assert np.all(grad > 0.0)
+        assert np.einsum("mi,mi->m", L, grad) == pytest.approx(value, rel=1e-9)
 
     @pytest.mark.parametrize("spec", ALL_SPEEDS, ids=lambda s: s.label())
     def test_off_radial_concavity(self, spec):
         L = interior_rows(spec, RNG, 6)
-        for lam, hess in zip(L, speed_derivatives(spec, L).hessian):
+        for lam, hess in zip(L, speed_derivatives(spec, L)[2]):
             proj = np.eye(spec.n) - np.outer(lam, lam)
             m = proj @ hess @ proj
             assert np.max(np.linalg.eigvalsh(0.5 * (m + m.T))) <= 1e-8
@@ -210,8 +242,8 @@ class TestDerivatives:
         spec = sigma_k_root(2, 4)
         lam = np.array([0.5, 1.0, 2.0, 3.0])
         perm = np.array([2, 0, 3, 1])
-        d = speed_derivatives(spec, [lam, lam[perm]])
-        assert d.gradient[1] == pytest.approx(d.gradient[0][perm], rel=1e-14)
+        _, grad, _ = speed_derivatives(spec, [lam, lam[perm]])
+        assert grad[1] == pytest.approx(grad[0][perm], rel=1e-14)
 
 
 class TestHessianQuadraticForm:
@@ -231,7 +263,7 @@ class TestHessianQuadraticForm:
         lam = np.array([0.7, 1.1, 2.3])
         diag = np.array([0.4, -0.8, 1.5])
         got = hessian_quadratic_forms(spec, [lam], [np.diag(diag)])[0]
-        hess = speed_derivatives(spec, lam[None]).hessian[0]
+        hess = speed_derivatives(spec, lam[None])[2][0]
         assert got == pytest.approx(float(diag @ hess @ diag), abs=1e-10)
 
     @pytest.mark.parametrize("spec", [sigma_k_root(2, 3), harmonic_pairs(3), quotient(2, 1, 3)],
@@ -326,12 +358,12 @@ class TestRadialDegeneracy:
                          -0.25428697001299155, 0.3417449379402276, 0.3057593659775644]])
 
     def test_round_off_at_large_hessian_passes(self):
-        hess = speed_derivatives(sigma_k_root(2, 6), self.WITNESS).hessian
+        _, _, hess = speed_derivatives(sigma_k_root(2, 6), self.WITNESS)
         ok, _ = _radial_degeneracy(self.WITNESS, hess)
         assert ok[0]
 
     def test_relative_radial_term_fails(self):
-        hess = speed_derivatives(sigma_k_root(2, 6), self.WITNESS).hessian
+        _, _, hess = speed_derivatives(sigma_k_root(2, 6), self.WITNESS)
         lam = self.WITNESS[0]
         bump = 1e-6 * np.max(np.abs(hess)) * np.outer(lam, lam)
         ok, measure = _radial_degeneracy(self.WITNESS, hess + bump)
@@ -369,15 +401,15 @@ class TestArrayKernel:
     @given(cone_batches())
     def test_euler_relation(self, batch):
         spec, lam = batch
-        d = speed_derivatives(spec, lam)
-        np.testing.assert_allclose(np.einsum("mi,mi->m", lam, d.gradient), d.value, rtol=1e-9)
+        value, grad, _ = speed_derivatives(spec, lam)
+        np.testing.assert_allclose(np.einsum("mi,mi->m", lam, grad), value, rtol=1e-9)
 
     @KERNEL
     @given(cone_batches())
     def test_off_radial_concavity(self, batch):
         spec, lam = batch
         lam = lam / np.linalg.norm(lam, axis=1, keepdims=True)
-        hess = speed_derivatives(spec, lam).hessian
+        _, _, hess = speed_derivatives(spec, lam)
         proj = np.eye(spec.n) - lam[:, :, None] * lam[:, None, :]
         m = proj @ hess @ proj
         top = np.linalg.eigvalsh(0.5 * (m + m.transpose(0, 2, 1)))[:, -1]
@@ -388,19 +420,19 @@ class TestArrayKernel:
     def test_row_in_batch_matches_row_alone(self, batch):
         spec, lam = batch
         values = speed_values(spec, lam)
-        d = speed_derivatives(spec, lam)
+        _, grad, _ = speed_derivatives(spec, lam)
         for i, row in enumerate(lam):
-            alone = speed_derivatives(spec, row[None])
+            _, alone, _ = speed_derivatives(spec, row[None])
             np.testing.assert_allclose(eval_speed(spec, row), values[i], rtol=1e-14, atol=0)
-            np.testing.assert_allclose(alone.gradient[0], d.gradient[i], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(alone[0], grad[i], rtol=1e-14, atol=0)
 
     @KERNEL
     @given(cone_batches(min_shift=1.5))
     def test_gradient_matches_central_differences(self, batch):
         spec, lam = batch
-        d = speed_derivatives(spec, lam)
+        _, grad, _ = speed_derivatives(spec, lam)
         for i, row in enumerate(lam):
-            assert d.gradient[i] == pytest.approx(fd_gradient(spec, row), rel=1e-6, abs=1e-9)
+            assert grad[i] == pytest.approx(fd_gradient(spec, row), rel=1e-6, abs=1e-9)
 
 
 # The 25 speeds of the benchmark's speed suite.
