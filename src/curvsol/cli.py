@@ -75,13 +75,12 @@ def _cmd_solve(args) -> int:
         ns = list(range(_parse(int, lo, "--sweep"), _parse(int, hi, "--sweep") + 1))
         if not ns:
             raise ParameterError(f"--sweep: expected a nonempty range, got {span!r}")
+    profiles = [integrate_profile(            # every n before any file: a bad n writes none
+        _speed_from_flags(args.speed, n, k=args.k), startup_radius=args.eps, r_max=args.rmax,
+        rtol=args.rtol, atol=args.atol, blowup_threshold=args.blowup_threshold) for n in ns]
     out = Path(args.out)
-    for n in ns:
-        speed = _speed_from_flags(args.speed, n, k=args.k)
-        profile = integrate_profile(
-            speed, startup_radius=args.eps, r_max=args.rmax, rtol=args.rtol,
-            atol=args.atol, blowup_threshold=args.blowup_threshold)
-        path = out if len(ns) == 1 else out.with_name(f"{out.stem}_n{n}{out.suffix}")
+    for profile in profiles:
+        path = out if len(ns) == 1 else out.with_name(f"{out.stem}_n{profile.n}{out.suffix}")
         pio.write_profile_csv(path, profile)
         msg = f"{path}: status={profile.status}, {profile.samples.shape[0]} samples"
         if profile.blowup_radius is not None:

@@ -33,7 +33,7 @@ class ConeSpec:
 
     def __post_init__(self):
         if not (0.0 < self.alpha < np.inf and 0.0 < self.delta < np.inf):    # NaN fails too
-            raise ParameterError("gamma_alpha_delta requires finite alpha > 0 and delta > 0")
+            raise ParameterError("alpha and delta must be finite and > 0")
 
     @property
     def n(self) -> int:
@@ -41,6 +41,7 @@ class ConeSpec:
 
 
 def gamma_alpha_delta(alpha: float, delta: float, speed: SpeedSpec) -> ConeSpec:
+    """``ConeSpec(speed, alpha, delta)``; kept for the benchmark."""
     return ConeSpec(speed=speed, alpha=alpha, delta=delta)
 
 
@@ -99,26 +100,35 @@ def _distance_to_support_boundary(speed: SpeedSpec, L: np.ndarray) -> np.ndarray
         return margin / np.linalg.norm(sigma_partials(L, speed.k), axis=1)
 
 
-def cone_separation(cone: ConeSpec, samples: int, seed: int = 0) -> float:
-    """Sampled lower estimate of the separation of the pinching cone from
-    the cylindrical rays and from the boundary of the speed's cone, over
-    unit vectors.  Positive output supports (does not certify) the
-    compact-support hypothesis of the convexity estimate."""
+def _cone_draws(cone: ConeSpec, samples: int, seed: int):
+    """Yield ``(rng, rows)``: the in-cone rows of each chunk of ``samples``
+    unit draws seeded by ``seed`` that has any; a DomainError if none has.
+    Callers' draws from ``rng`` fall between chunks, so both streams, and
+    ``estimate_pinching_constants``' outputs, depend on this order."""
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    best = np.inf
-    found = 0
+    found = False
     for x in unit_draws(cone.n, samples, rng):
         x = x[cone_mask(cone, x)]
         if x.shape[0]:
-            found += x.shape[0]
-            d = np.minimum(_distance_to_cyl_rays(x), _distance_to_support_boundary(cone.speed, x))
-            best = min(best, float(np.min(d)))
-    if found == 0:
+            found = True
+            yield rng, x
+    if not found:
         raise DomainError(
             f"no unit vector of {samples} samples lies in the cone "
             f"(alpha={cone.alpha}, delta={cone.delta} may be incompatible)")
-    return float(best)
+
+
+def cone_separation(cone: ConeSpec, samples: int, seed: int = 0) -> float:
+    """Sampled separation of the pinching cone from the cylindrical rays and
+    the boundary of the speed's cone: the least distance of an in-cone unit
+    draw, so at or above the true separation.  Positive output supports (does
+    not certify) the compact-support hypothesis of the convexity estimate."""
+    best = np.inf
+    for _, x in _cone_draws(cone, samples, seed):
+        d = np.minimum(_distance_to_cyl_rays(x), _distance_to_support_boundary(cone.speed, x))
+        best = min(best, float(np.min(d)))
+    return best

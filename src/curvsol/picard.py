@@ -103,6 +103,11 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     new minimum for 3 consecutive iterations above the round-off floor of
     the cumulative quadrature; a change at or below that floor that sets no
     new minimum counts as convergence.
+
+    Newton, because the plain iteration w <- T(w) stalls for n >= 4: near the
+    axis T maps eps r^p to (1 - K) eps r^p / p with K = psi'(1/c)/c, the
+    clamp pins the slope (p = 1), and the r^3 mode's multiplier (1 - K)/3 is
+    -0.6, -1.13, -2.33 and -7 for n = 3..6, at every R since r^3 is scale-free.
     """
     if not 3 <= n <= 6:
         raise ParameterError("picard_solve requires n in 3..6")

@@ -33,7 +33,6 @@ __all__ = [
     "eval_speed",
     "speed_values",
     "speed_derivatives",
-    "hessian_quadratic_forms",
     "support_margins",
     "support_mask",
     "unit_draws",
@@ -350,35 +349,6 @@ def _value_grad_hess(spec: SpeedSpec, S: np.ndarray):
             v, u = v * fv ** w, u + w * fg / fv
             u2 = u2 + w * (fh / fv[:, :, None] - _outer(fg, fg) / fv[:, :, None] ** 2)
     return v[:, 0], v * u, v[:, :, None] * (_outer(u, u) + u2)
-
-
-def hessian_quadratic_forms(spec: SpeedSpec, lam, T) -> np.ndarray:
-    """Second derivative of the matrix extension of the speed at diag(lam),
-    contracted twice with the symmetric matrix T, at every row of ``lam``
-    (shape (m, n)) with its ``T`` (shape (m, n, n)).
-
-    The off-diagonal part is 2 sum_{a<b} (g_b - g_a)/(lam_b - lam_a) |T_ab|^2
-    on top of the curvature-variable Hessian contracted with the diagonal of
-    T.  It needs pairwise distinct entries: NaN on the rows with two entries
-    closer than 1e-10 times their largest |entry|.
-    """
-    L = _rows(spec.n, lam)
-    T = np.asarray(T, dtype=float)
-    if T.shape != L.shape + (spec.n,):
-        raise ParameterError(f"T must be {spec.n}x{spec.n} per row")
-    scale = max(1.0, float(np.max(np.abs(T), initial=0.0)))
-    if not np.allclose(T, T.transpose(0, 2, 1), atol=1e-12 * scale):
-        raise ParameterError("T must be symmetric")
-    gaps = np.diff(np.sort(L, axis=1), axis=1)
-    ok = ~np.any(gaps < 1e-10 * np.max(np.abs(L), axis=1, keepdims=True), axis=1)
-    L, T = L[ok], T[ok]
-    _, grad, hess = speed_derivatives(spec, L)
-    a, b = np.triu_indices(spec.n, 1)
-    diag = np.diagonal(T, axis1=1, axis2=2)
-    off = 2.0 * (grad[:, b] - grad[:, a]) / (L[:, b] - L[:, a]) * T[:, a, b] ** 2
-    q = np.full(ok.size, np.nan)
-    q[ok] = np.einsum("mi,mij,mj->m", diag, hess, diag) + np.sum(off, axis=1)
-    return q
 
 
 # --------------------------------------------------------------------------

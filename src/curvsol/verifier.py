@@ -11,12 +11,11 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import ConeSpec, cone_mask, gamma_alpha_delta, pinched, uniform_two_convex
+from .cones import ConeSpec, _cone_draws, pinched, uniform_two_convex
 from .errors import DomainError, ParameterError
 from .profiles import ProfileSolution, barrier, cyl_profile, slope_equation
 from .rotgeom import cylinder_curvatures, profile_geometry
-from .speeds import (SpeedSpec, _violation, harmonic_pairs, hessian_quadratic_forms,
-                     speed_derivatives, support_margins, unit_draws)
+from .speeds import SpeedSpec, _violation, harmonic_pairs, speed_derivatives, support_margins
 
 __all__ = [
     "CheckEntry",
@@ -77,7 +76,7 @@ def fit_convexity_params(profile: ProfileSolution, delta: float = 0.05) -> tuple
     pinching and uniform-2-convexity hypotheses hold at every sample; a
     profile with a pair sum <= 0 where H > 0 is not uniformly 2-convex, and
     a delta so large that the fitted alpha is not finite is a ParameterError."""
-    gamma_alpha_delta(1.0, delta, profile.speed)     # rejects delta <= 0 before the fit
+    ConeSpec(profile.speed, 1.0, delta)     # rejects delta <= 0 before the fit
     geo = profile_geometry(profile)
     ((_, ps),) = support_margins(harmonic_pairs(profile.n), geo.lam)
     inside = ~np.isnan(geo.gamma)
@@ -97,14 +96,14 @@ def fit_convexity_params(profile: ProfileSolution, delta: float = 0.05) -> tuple
 def check_convexity_estimate(profile: ProfileSolution, alpha: float, delta: float,
                              beta: float) -> CheckEntry:
     """Pointwise convexity estimate on the hypothesis-satisfying samples:
-    inside the pinching cone ``gamma_alpha_delta(alpha, delta)``, tested on
+    inside the pinching cone ``ConeSpec(speed, alpha, delta)``, tested on
     the curvature table's H and gamma, and ``uniform_two_convex(beta)``,
     assert lambda_1 >= H - alpha*gamma - ``_SLACK_TOL``.  Samples failing a
     hypothesis are skipped, never failed; parameters outside alpha > 0,
     delta > 0, 0 < beta < 1 are a ParameterError."""
     geo = profile_geometry(profile)
     H, g = geo.H, geo.gamma
-    cone = gamma_alpha_delta(alpha, delta, profile.speed)
+    cone = ConeSpec(profile.speed, alpha, delta)
     admissible = np.flatnonzero(pinched(cone, H, g) & uniform_two_convex(beta, geo.lam))
     if admissible.size == 0:
         return CheckEntry(name="convexity_estimate", status="skipped", tolerance=_SLACK_TOL,
@@ -194,8 +193,24 @@ def check_sigma2_cylinder(z_samples, tol: float) -> CheckEntry:
 @dataclass
 class PinchingEstimate:
     gradient_pinching: float     # sup over samples of max_a grad_a / min_a grad_a
-    hessian_sup: float           # sup of (quadratic form) * H / |T|^2, expected < 0
+    hessian_sup: float           # sup of (quadratic form) * H / |T|^2 over random T; 0 over all T
     samples_used: int
+
+
+def _hessian_forms(lam: np.ndarray, grad: np.ndarray, hess: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Second derivative of the speed's matrix extension at diag(lam) along
+    the symmetric T (m, n, n), from its gradient and Hessian at the rows lam
+    (m, n): the Hessian on T's diagonal plus 2 sum_{a<b} (g_b - g_a)/(lam_b -
+    lam_a) |T_ab|^2; NaN on rows with two entries closer than 1e-10 max|lam|."""
+    gaps = np.diff(np.sort(lam, axis=1), axis=1)
+    ok = ~np.any(gaps < 1e-10 * np.max(np.abs(lam), axis=1, keepdims=True), axis=1)
+    L, grad, hess, T = lam[ok], grad[ok], hess[ok], T[ok]
+    a, b = np.triu_indices(lam.shape[1], 1)
+    diag = np.diagonal(T, axis1=1, axis2=2)
+    off = 2.0 * (grad[:, b] - grad[:, a]) / (L[:, b] - L[:, a]) * T[:, a, b] ** 2
+    q = np.full(ok.size, np.nan)
+    q[ok] = np.einsum("mi,mij,mj->m", diag, hess, diag) + np.sum(off, axis=1)
+    return q
 
 
 def estimate_pinching_constants(spec: SpeedSpec, cone: ConeSpec, samples: int,
@@ -207,27 +222,14 @@ def estimate_pinching_constants(spec: SpeedSpec, cone: ConeSpec, samples: int,
     the cone's speed, whose cone the samples are drawn from."""
     if spec != cone.speed:
         raise ParameterError(f"spec {spec} is not the cone's speed {cone.speed}")
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    grad_ratio = 1.0
-    hess_sup = -np.inf
-    used = 0
-    for x in unit_draws(cone.n, samples, rng):
-        x = x[cone_mask(cone, x)]
-        if not x.shape[0]:
-            continue
+    grad_ratio, hess_sup, used = 1.0, -np.inf, 0
+    for rng, x in _cone_draws(cone, samples, seed):
         used += x.shape[0]
-        _, grad, _ = speed_derivatives(spec, x)
+        _, grad, hess = speed_derivatives(spec, x)
         grad_ratio = max(grad_ratio, float(np.max(np.max(grad, axis=1) / np.min(grad, axis=1))))
         T = rng.standard_normal((x.shape[0], spec.n, spec.n))
         T = 0.5 * (T + T.transpose(0, 2, 1))
-        q = hessian_quadratic_forms(spec, x, T)           # NaN on degenerate rows
+        q = _hessian_forms(x, grad, hess, T)           # NaN on degenerate rows
         scaled = q * np.sum(x, axis=1) / np.sum(T * T, axis=(1, 2))
         hess_sup = float(np.fmax.reduce(scaled, initial=hess_sup))     # fmax skips NaN
-    if used == 0:
-        raise DomainError("no samples inside the cone; widen alpha or delta")
-    return PinchingEstimate(gradient_pinching=grad_ratio, hessian_sup=float(hess_sup),
-                            samples_used=used)
+    return PinchingEstimate(gradient_pinching=grad_ratio, hessian_sup=hess_sup, samples_used=used)

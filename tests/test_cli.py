@@ -60,6 +60,15 @@ class TestSolve:
         assert capsys.readouterr().err == f"error: --sweep: expected {expected}, got {bad!r}\n"
         assert not list(tmp_path.iterdir())
 
+    def test_sweep_with_a_bad_n_writes_nothing(self, tmp_path, capsys):
+        # n = 5 and 6 integrate; n = 7 does not, so no profile of the sweep is written
+        assert run(["solve", "--speed", "harmonic", "--n", 5, "--sweep", "n=5..7",
+                    "--rmax", 0.3, "--out", tmp_path / "h.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: harmonic profiles require n in 3..6\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_overflowing_startup_radius_is_usage_error(self, tmp_path, capsys):
         assert run(["solve", "--speed", "sigma-k", "--k", 2, "--n", 3, "--eps", 1e160,
                     "--rmax", 1e161, "--out", tmp_path / "o.csv"]) == 2
@@ -138,6 +147,8 @@ class TestVerify:
                     "--out", out]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and flag[2:] in err[0]
+        if flag != "--beta":
+            assert err[0] == "error: alpha and delta must be finite and > 0"
         assert not out.exists()
 
     # --alpha and --beta default to auto, and the fit of --alpha overflows;

@@ -182,6 +182,8 @@ class TestConeMask:
         assert [f.name for f in dataclasses.fields(ConeSpec)] == ["speed", "alpha", "delta"]
         with pytest.raises(TypeError):
             ConeSpec(speed=harmonic_pairs(3))            # alpha and delta are required
+        with pytest.raises(ParameterError, match=r"^alpha and delta must be finite and > 0$"):
+            ConeSpec(speed=harmonic_pairs(3), alpha=1.0, delta=float("inf"))
 
 
 class TestPinched:

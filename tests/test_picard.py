@@ -1,5 +1,6 @@
 """Tests for the integral-operator fixed point: quadrature, clamping,
-convergence, and the slope-sensitivity estimate."""
+convergence, the axis multiplier that makes the plain iteration stall,
+and the slope-sensitivity estimate."""
 
 import json
 
@@ -15,6 +16,7 @@ from curvsol import (
     integrate_profile,
     lipschitz_radius,
     picard_solve,
+    sigma_k_root,
     slope_equation,
 )
 from curvsol.cli import main as cli_main
@@ -321,6 +323,61 @@ class TestNewton:
         p = integrate_profile(harmonic_pairs(n), startup_radius=1e-6, r_max=R,
                               rtol=1e-12, atol=1e-15, max_step=1e-3)
         assert np.max(np.abs(res.values[1:] - np.interp(res.nodes[1:], p.r, p.du))) <= 1e-6
+
+
+def axis_K(speed) -> float:
+    """K = psi'(1/c)/c: near the axis the slope equation's w-derivative is
+    about (1 - K)/r."""
+    eq = slope_equation(speed)
+    return eq.dpsi(1.0 / eq.c) / eq.c
+
+
+class TestAxisMultiplier:
+    """Why ``picard_solve`` takes Newton steps: T maps eps r^p to
+    (1 - K) eps r^p / p near the axis, the clamp pins the slope (p = 1), and
+    the r^3 mode's multiplier mu_3 = (1 - K)/3 has |mu_3| > 1 exactly for
+    n >= 4, at every radius since r^3 is scale-free."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_K_is_n_for_every_sigma_k(self, n):
+        for k in range(2, n + 1):
+            assert axis_K(sigma_k_root(k, n)) == pytest.approx(n, abs=1e-12)
+
+    @pytest.mark.parametrize("n, K, mu3", [(3, 2.8, -0.6), (4, 4.4, -17.0 / 15.0),
+                                           (5, 8.0, -7.0 / 3.0), (6, 22.0, -7.0)])
+    def test_harmonic_axis_multiplier(self, n, K, mu3):
+        got = axis_K(harmonic_pairs(n))
+        assert got == pytest.approx(K, rel=1e-12)
+        assert (1.0 - got) / 3.0 == pytest.approx(mu3, rel=1e-12)
+
+    @pytest.mark.parametrize("n, last_change", [(3, None), (4, 1.056), (5, 1.635), (6, 3.120)])
+    def test_plain_iteration_converges_only_for_n3(self, n, last_change):
+        # w <- T(w) from the band midpoint at domain_radius(n): the r^3 mode
+        # decays for n = 3 and keeps the iterates apart by order one for n >= 4
+        R, m = domain_radius(n), 257
+        w = initial_iterate(n, R, m)
+        for _ in range(300):
+            w_next, _events = operator_T(n, R, w)
+            change = np.max(np.abs(w_next - w))
+            w = w_next
+        if last_change is None:
+            assert change < 1e-13
+        else:
+            assert change == pytest.approx(last_change, abs=1e-3)
+
+    @pytest.mark.parametrize("n, iterations", [(3, 32), (4, 47), (5, 82), (6, 208)])
+    def test_relaxed_iteration_converges_to_the_newton_values(self, n, iterations):
+        # w <- w + theta (T(w) - w) with theta = 1/(1 - mu_3) damps the r^3 mode
+        theta = 1.0 / (1.0 - (1.0 - axis_K(harmonic_pairs(n))) / 3.0)
+        R, m = domain_radius(n), 257
+        w = initial_iterate(n, R, m)
+        for count in range(1, 1000):
+            t, _events = operator_T(n, R, w)
+            if np.max(np.abs(t - w)) <= 1e-13:
+                break
+            w = w + theta * (t - w)
+        assert abs(count - iterations) <= 1
+        assert np.max(np.abs(w - picard_solve(n, R, m, tol=1e-13).values)) <= 2e-13
 
 
 class TestResult:

@@ -1,5 +1,5 @@
-"""Tests for the speed catalog: values, derivatives, the matrix quadratic
-form, and the sampled property suite."""
+"""Tests for the speed catalog: values, derivatives and the sampled
+property suite."""
 
 import itertools
 import math
@@ -27,9 +27,8 @@ from curvsol.io import derived_columns, read_profile_csv, write_profile_csv
 from curvsol.profiles import ProfileSolution
 from curvsol import speeds
 from curvsol.speeds import (_BOUNDARY_REL, _boundary_paths, _radial_degeneracy, _sample_rows,
-                            _sigma_all, _sigma_line, _support_exit,
-                            hessian_quadratic_forms, speed_derivatives, speed_values,
-                            support_mask)
+                            _sigma_all, _sigma_line, _support_exit, speed_derivatives,
+                            speed_values, support_mask)
 
 RNG = np.random.default_rng(20240817)
 
@@ -244,60 +243,6 @@ class TestDerivatives:
         perm = np.array([2, 0, 3, 1])
         _, grad, _ = speed_derivatives(spec, [lam, lam[perm]])
         assert grad[1] == pytest.approx(grad[0][perm], rel=1e-14)
-
-
-class TestHessianQuadraticForm:
-    def test_linear_speed_vanishes(self):
-        T = RNG.normal(size=(3, 3))
-        T = 0.5 * (T + T.T)
-        got = hessian_quadratic_forms(sigma_k_root(1, 3), [[0.5, 1.0, 2.0]], [T])[0]
-        assert got == pytest.approx(0.0, abs=1e-14)
-
-    def test_off_diagonal_example(self):
-        T = [[0.0, 1.0], [1.0, 0.0]]
-        got = hessian_quadratic_forms(sigma_k_root(2, 2), [[1.0, 2.0]], [T])[0]
-        assert got == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-13)
-
-    def test_diagonal_T_reduces_to_hessian(self):
-        spec = sigma_k_root(2, 3)
-        lam = np.array([0.7, 1.1, 2.3])
-        diag = np.array([0.4, -0.8, 1.5])
-        got = hessian_quadratic_forms(spec, [lam], [np.diag(diag)])[0]
-        hess = speed_derivatives(spec, lam[None])[2][0]
-        assert got == pytest.approx(float(diag @ hess @ diag), abs=1e-10)
-
-    @pytest.mark.parametrize("spec", [sigma_k_root(2, 3), harmonic_pairs(3), quotient(2, 1, 3)],
-                             ids=lambda s: s.label())
-    def test_matches_matrix_finite_differences(self, spec):
-        # oracle: second s-derivative of gamma(eigenvalues(diag(lam) + s T))
-        lam = np.array([0.6, 1.0, 1.9]) if spec.kind != "quotient" else np.array([0.6, 1.0, 1.9])
-        T = np.array([[0.3, 0.5, -0.2], [0.5, -0.1, 0.4], [-0.2, 0.4, 0.2]])
-        h = 1e-4
-
-        def g(s):
-            ev = np.linalg.eigvalsh(np.diag(lam) + s * T)
-            return eval_speed(spec, ev)
-
-        fd = (g(h) - 2.0 * g(0.0) + g(-h)) / (h * h)
-        got = hessian_quadratic_forms(spec, [lam], [T])[0]
-        assert got == pytest.approx(fd, rel=5e-5, abs=5e-6)
-
-    def test_degenerate_eigenvalues_rejected(self):
-        # the matrix formula needs distinct entries: a repeated one gives NaN
-        got = hessian_quadratic_forms(sigma_k_root(2, 3), [[1.0, 1.0, 2.0]], [np.eye(3)])[0]
-        assert np.isnan(got)
-
-    def test_asymmetric_T_rejected(self):
-        with pytest.raises(ParameterError):
-            hessian_quadratic_forms(sigma_k_root(2, 2), [[1.0, 2.0]], [[[0.0, 1.0], [0.0, 0.0]]])
-
-    def test_T_is_checked_against_lambda_first(self):
-        with pytest.raises(ParameterError):
-            hessian_quadratic_forms(sigma_k_root(2, 3), [[1.0, 2.0]], [np.eye(3)])
-
-    def test_lambda_of_another_dimension_is_parameter_error(self):
-        with pytest.raises(ParameterError, match=r"expected an \(m, 3\) array"):
-            hessian_quadratic_forms(sigma_k_root(2, 3), [[1.0, 2.0]], [np.eye(2)])
 
 
 class TestSpecValidation:

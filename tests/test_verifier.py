@@ -1,6 +1,8 @@
 """Tests for the verification report generators."""
 
 import dataclasses
+import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,10 +21,12 @@ from curvsol import (
     gamma_alpha_delta,
     harmonic_pairs,
     integrate_profile,
+    product,
+    quotient,
     sigma_k_root,
 )
 from curvsol import cones, rotgeom, verifier
-from curvsol.speeds import speed_values
+from curvsol.speeds import eval_speed, speed_derivatives, speed_values, unit_draws
 
 
 @pytest.fixture(scope="module")
@@ -243,8 +247,14 @@ class TestPinching:
     def test_empty_cone_raises(self):
         spec = harmonic_pairs(3)
         cone = gamma_alpha_delta(1.0, 0.1, spec)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^no unit vector of 200 samples lies in the cone"):
             estimate_pinching_constants(spec, cone, samples=200, seed=2)
+
+    def test_zero_samples_rejected(self):
+        spec = harmonic_pairs(3)
+        cone = gamma_alpha_delta(100.0, 0.1, spec)
+        with pytest.raises(ParameterError, match="^samples must be >= 1$"):
+            estimate_pinching_constants(spec, cone, samples=0)
 
     def test_deterministic_under_seed(self):
         spec = harmonic_pairs(3)
@@ -268,3 +278,130 @@ class TestPinching:
                        lambda: estimate_pinching_constants(spec, cone, samples=10, seed=-1)):
             with pytest.raises(ParameterError, match="^seed must be >= 0, got -1$"):
                 sample()
+
+
+def hessian_forms(spec, lam, T):
+    """``verifier._hessian_forms`` at the rows ``lam`` with the speed's own
+    gradient and Hessian there."""
+    L = np.asarray(lam, dtype=float)
+    _, grad, hess = speed_derivatives(spec, L)
+    return verifier._hessian_forms(L, grad, hess, np.asarray(T, dtype=float))
+
+
+class TestHessianForms:
+    def test_linear_speed_vanishes(self):
+        T = np.random.default_rng(20240817).normal(size=(3, 3))
+        T = 0.5 * (T + T.T)
+        got = hessian_forms(sigma_k_root(1, 3), [[0.5, 1.0, 2.0]], [T])[0]
+        assert got == pytest.approx(0.0, abs=1e-14)
+
+    def test_off_diagonal_example(self):
+        T = [[0.0, 1.0], [1.0, 0.0]]
+        got = hessian_forms(sigma_k_root(2, 2), [[1.0, 2.0]], [T])[0]
+        assert got == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-13)
+
+    def test_diagonal_T_reduces_to_hessian(self):
+        spec = sigma_k_root(2, 3)
+        lam = np.array([0.7, 1.1, 2.3])
+        diag = np.array([0.4, -0.8, 1.5])
+        got = hessian_forms(spec, [lam], [np.diag(diag)])[0]
+        hess = speed_derivatives(spec, lam[None])[2][0]
+        assert got == pytest.approx(float(diag @ hess @ diag), abs=1e-10)
+
+    @pytest.mark.parametrize("spec", [sigma_k_root(2, 3), harmonic_pairs(3), quotient(2, 1, 3)],
+                             ids=lambda s: s.label())
+    def test_matches_matrix_finite_differences(self, spec):
+        # oracle: second s-derivative of gamma(eigenvalues(diag(lam) + s T))
+        lam = np.array([0.6, 1.0, 1.9])
+        T = np.array([[0.3, 0.5, -0.2], [0.5, -0.1, 0.4], [-0.2, 0.4, 0.2]])
+        h = 1e-4
+
+        def g(s):
+            ev = np.linalg.eigvalsh(np.diag(lam) + s * T)
+            return eval_speed(spec, ev)
+
+        fd = (g(h) - 2.0 * g(0.0) + g(-h)) / (h * h)
+        got = hessian_forms(spec, [lam], [T])[0]
+        assert got == pytest.approx(fd, rel=5e-5, abs=5e-6)
+
+    def test_degenerate_eigenvalues_rejected(self):
+        # the matrix formula needs distinct entries: a repeated one gives NaN
+        got = hessian_forms(sigma_k_root(2, 3), [[1.0, 1.0, 2.0]], [np.eye(3)])[0]
+        assert np.isnan(got)
+
+
+def reference_hessian_quadratic_forms(spec, L, T):
+    """The matrix-Hessian form from a derivative call of its own on the rows
+    with distinct entries (NaN on the others)."""
+    gaps = np.diff(np.sort(L, axis=1), axis=1)
+    ok = ~np.any(gaps < 1e-10 * np.max(np.abs(L), axis=1, keepdims=True), axis=1)
+    L, T = L[ok], T[ok]
+    _, grad, hess = speed_derivatives(spec, L)
+    a, b = np.triu_indices(spec.n, 1)
+    diag = np.diagonal(T, axis1=1, axis2=2)
+    off = 2.0 * (grad[:, b] - grad[:, a]) / (L[:, b] - L[:, a]) * T[:, a, b] ** 2
+    q = np.full(ok.size, np.nan)
+    q[ok] = np.einsum("mi,mij,mj->m", diag, hess, diag) + np.sum(off, axis=1)
+    return q
+
+
+def reference_pinching(spec, cone, samples, seed):
+    """Reference: the gradient ratio, Hessian sup and row count, then the
+    separation, each from its own draw-and-filter loop over the seed's unit
+    draws, the Hessian form with two derivative calls per chunk; None for a
+    value whose loop found no row in the cone."""
+    rng = np.random.default_rng(seed)
+    grad_ratio, hess_sup, used = 1.0, -np.inf, 0
+    for x in unit_draws(spec.n, samples, rng):
+        x = x[cones.cone_mask(cone, x)]
+        if not x.shape[0]:
+            continue
+        used += x.shape[0]
+        _, grad, _ = speed_derivatives(spec, x)
+        grad_ratio = max(grad_ratio, float(np.max(np.max(grad, axis=1) / np.min(grad, axis=1))))
+        T = rng.standard_normal((x.shape[0], spec.n, spec.n))
+        T = 0.5 * (T + T.transpose(0, 2, 1))
+        q = reference_hessian_quadratic_forms(spec, x, T)
+        scaled = q * np.sum(x, axis=1) / np.sum(T * T, axis=(1, 2))
+        hess_sup = float(np.fmax.reduce(scaled, initial=hess_sup))
+    estimate = (grad_ratio, hess_sup, used) if used else None
+    rng = np.random.default_rng(seed)
+    best, found = np.inf, 0
+    for x in unit_draws(spec.n, samples, rng):
+        x = x[cones.cone_mask(cone, x)]
+        if x.shape[0]:
+            found += x.shape[0]
+            d = np.minimum(cones._distance_to_cyl_rays(x),
+                           cones._distance_to_support_boundary(spec, x))
+            best = min(best, float(np.min(d)))
+    return estimate, (best if found else None)
+
+
+SUITE_SPEEDS = ([sigma_k_root(k, n) for n in range(3, 7) for k in range(1, n + 1)]
+                + [harmonic_pairs(n) for n in range(3, 7)]
+                + [quotient(2, 1, 3), quotient(3, 1, 4),
+                   product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.5])])
+
+
+class TestOneDrawLoop:
+    @pytest.mark.parametrize("spec", SUITE_SPEEDS, ids=lambda s: f"{s.label()} n={s.n}")
+    def test_bit_identical_to_separate_loops(self, spec):
+        # pinching cones at 1.05, 1.5 and 3 times the umbilic alpha (delta =
+        # 0.1), three seeds, 800 samples: the shared loop and the derivatives
+        # shared with the Hessian form change no bit, and a cone with no
+        # sample raises in both functions
+        umbilic_alpha = 1.1 * spec.n / eval_speed(spec, np.ones(spec.n))
+        for factor in (1.05, 1.5, 3.0):
+            cone = gamma_alpha_delta(factor * umbilic_alpha, 0.1, spec)
+            for seed in (0, 1, 17):
+                estimate, separation = reference_pinching(spec, cone, 800, seed)
+                if estimate is None:
+                    assert separation is None
+                    for sample in (partial(estimate_pinching_constants, spec),
+                                   cone_separation):
+                        with pytest.raises(DomainError, match="^no unit vector of 800 samples"):
+                            sample(cone, 800, seed=seed)
+                    continue
+                got = estimate_pinching_constants(spec, cone, 800, seed=seed)
+                assert (got.gradient_pinching, got.hessian_sup, got.samples_used) == estimate
+                assert cone_separation(cone, 800, seed=seed) == separation
