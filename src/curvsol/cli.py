@@ -166,6 +166,8 @@ def _cmd_barriers(args) -> int:
 
 
 def _cmd_picard(args) -> int:
+    if not 3 <= args.n <= 6:
+        raise ParameterError(f"--n must lie in 3..6, got {args.n}")
     if args.R is None:
         c_n, r2 = ppicard.lipschitz_radius(args.n, seed=args.seed)
         R = min(ppicard.domain_radius(args.n), r2)

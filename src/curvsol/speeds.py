@@ -9,13 +9,14 @@ geometric means of the above.
 
 One array kernel works on (m, n) arrays of curvature rows and answers in
 arrays; ``eval_speed``, kept for the benchmark, is its only one-row call.
-Every row is sorted first, so permuting its entries returns bit-identical
-results.
+A call sorts each row once, so permuting its entries returns bit-identical
+results, and a k-th root's cone test and value share one S_k recurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from numbers import Integral
 from typing import Optional
 
@@ -52,16 +53,16 @@ _BOUNDARY_FAR = 0.01 * 2.0 ** 19   # a path leaves the cone iff its point at thi
 # elementary symmetric polynomials
 # --------------------------------------------------------------------------
 
-def _sigma_all(S: np.ndarray, kmax: int) -> np.ndarray:
-    """e_0..e_kmax (last axis) of the rows of S by the prefix recurrence over
-    the columns e_k(x_1..x_c) = e_k(x_1..x_{c-1}) + x_c e_{k-1}(x_1..x_{c-1});
-    callers sort the rows, which fixes the order of the arithmetic."""
+def _sigma_all(S: np.ndarray, kmax: int) -> list[np.ndarray]:
+    """The list [e_0, .., e_kmax] at the sorted rows S by the prefix recurrence
+    e_k(x_1..x_c) = e_k(x_1..x_{c-1}) + x_c e_{k-1}(x_1..x_{c-1}), whose order the
+    sort fixes; `speed_values` of a k-th root runs it once per call."""
     e = [np.ones(S.shape[:-1])] + [np.zeros(S.shape[:-1]) for _ in range(kmax)]
     for c in range(S.shape[-1]):
         x = S[..., c]
         for j in range(min(c + 1, kmax), 0, -1):
             e[j] = e[j] + x * e[j - 1]
-    return np.stack(e, axis=-1)
+    return e
 
 
 def _drop_one(n: int) -> np.ndarray:
@@ -73,7 +74,7 @@ def sigma_partials(lam, k: int) -> np.ndarray:
     """dS_k/dlam_i at every row of ``lam`` (shape (..., n)): S_{k-1} of the
     row with entry i removed."""
     lam = np.asarray(lam, dtype=float)
-    return _sigma_all(lam[..., _drop_one(lam.shape[-1])], k - 1)[..., k - 1]
+    return _sigma_all(lam[..., _drop_one(lam.shape[-1])], k - 1)[k - 1]
 
 
 def _sigma_derivatives(S: np.ndarray, k: int):
@@ -84,7 +85,7 @@ def _sigma_derivatives(S: np.ndarray, k: int):
     if k >= 2:
         drop = _drop_one(n)
         P2[:, np.arange(n)[:, None], drop] = sigma_partials(S[:, drop], k - 1)
-    return _sigma_all(S, k)[:, k, None], sigma_partials(S, k), P2
+    return _sigma_all(S, k)[k][:, None], sigma_partials(S, k), P2
 
 
 # --------------------------------------------------------------------------
@@ -141,13 +142,16 @@ class SpeedSpec:
             object.__setattr__(self, "k", None)
 
     def label(self) -> str:
+        return f"{self._name()} at n={self.n}"
+
+    def _name(self) -> str:
         if self.kind == "sigma_k_root":
             return f"sigma_{self.k}^(1/{self.k})"
         if self.kind == "harmonic_pairs":
-            return f"harmonic_pairs(n={self.n})"
+            return "harmonic_pairs"
         if self.kind == "quotient":
             return f"(S_{self.k}/S_{self.l})^(1/{self.k - self.l})"
-        return " * ".join(f"{f.label()}^{w:g}" for f, w in zip(self.factors, self.weights))
+        return " * ".join(f"{f._name()}^{w:g}" for f, w in zip(self.factors, self.weights))
 
 
 def sigma_k_root(k: int, n: int) -> SpeedSpec:
@@ -190,15 +194,19 @@ def support_margins(spec: SpeedSpec, lam) -> list[tuple[str, np.ndarray]]:
     cones on which the boundary-vanishing property genuinely fails for
     k < n while monotonicity and concavity still hold.
     """
-    S = np.sort(_rows(spec.n, lam), axis=1)
+    return _margins(spec, np.sort(_rows(spec.n, lam), axis=1))
+
+
+def _margins(spec: SpeedSpec, S: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """`support_margins` at the sorted rows S, which a product's factors share."""
     if spec.kind == "sigma_k_root":
         e = _sigma_all(S, spec.k)
-        return [(f"S_{l}(lambda) = {{:.6g}} <= 0", e[:, l]) for l in range(1, spec.k + 1)]
+        return [(f"S_{l}(lambda) = {{:.6g}} <= 0", e[l]) for l in range(1, spec.k + 1)]
     if spec.kind == "harmonic_pairs":
         return [("min pair sum lambda_i+lambda_j = {:.6g} <= 0", S[:, 0] + S[:, 1])]
     if spec.kind == "quotient":
         return [("min lambda = {:.6g} <= 0 (quotient supported on the positive cone)", S[:, 0])]
-    return [c for f in spec.factors for c in support_margins(f, S)]
+    return [c for f in spec.factors for c in _margins(f, S)]
 
 
 def _sigma_line(lam: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
@@ -245,7 +253,12 @@ def _support_exit(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray) -> np.ndarray
 def support_mask(spec: SpeedSpec, lam) -> np.ndarray:
     """Boolean array over the rows of ``lam`` (shape (m, n)): the row lies in
     the open support cone of ``spec``."""
-    return np.all([v > 0.0 for _, v in support_margins(spec, lam)], axis=0)
+    return _inside(support_margins(spec, lam))
+
+
+def _inside(margins: list[tuple[str, np.ndarray]]) -> np.ndarray:
+    """The rows at which every margin is positive, ANDed in order."""
+    return reduce(np.logical_and, [m > 0.0 for _, m in margins])
 
 
 def _violation(spec: SpeedSpec, row) -> str:
@@ -261,10 +274,13 @@ def _violation(spec: SpeedSpec, row) -> str:
 
 def speed_values(spec: SpeedSpec, lam) -> np.ndarray:
     """Speed value at every row of ``lam`` (shape (m, n)); NaN on the rows
-    outside the open support cone."""
-    inside = support_mask(spec, lam)
+    outside the open support cone; a k-th root's value is its last margin."""
+    S = np.sort(_rows(spec.n, lam), axis=1)
+    margins = _margins(spec, S)
+    inside = _inside(margins)
     out = np.full(inside.size, np.nan)
-    out[inside] = _value(spec, np.sort(np.asarray(lam)[inside], axis=1))
+    out[inside] = (margins[-1][1][inside] ** (1.0 / spec.k) if spec.kind == "sigma_k_root"
+                   else _value(spec, S[inside]))
     return out
 
 
@@ -281,7 +297,7 @@ def eval_speed(spec: SpeedSpec, lam) -> float:
 
 def _value(spec: SpeedSpec, S: np.ndarray) -> np.ndarray:
     if spec.kind == "sigma_k_root":
-        return _sigma_all(S, spec.k)[:, spec.k] ** (1.0 / spec.k)
+        return _sigma_all(S, spec.k)[spec.k] ** (1.0 / spec.k)
     if spec.kind == "harmonic_pairs":
         acc = 0.0
         for i, j in zip(*np.triu_indices(S.shape[1], 1)):
@@ -289,7 +305,7 @@ def _value(spec: SpeedSpec, S: np.ndarray) -> np.ndarray:
         return 1.0 / acc
     if spec.kind == "quotient":
         e = _sigma_all(S, spec.k)
-        return (e[:, spec.k] / e[:, spec.l]) ** (1.0 / (spec.k - spec.l))
+        return (e[spec.k] / e[spec.l]) ** (1.0 / (spec.k - spec.l))
     out = 1.0
     for f, w in zip(spec.factors, spec.weights):
         out = out * _value(f, S) ** w
@@ -301,12 +317,13 @@ def speed_derivatives(spec: SpeedSpec, lam):
     the rows of ``lam`` (shape (m, n)); raises DomainError naming the first
     row outside the open cone and the first condition it violates."""
     L = _rows(spec.n, lam)
-    inside = support_mask(spec, L)
+    order = np.argsort(L, axis=1, kind="stable")
+    S = np.take_along_axis(L, order, axis=1)
+    inside = _inside(_margins(spec, S))
     if not np.all(inside):
         raise DomainError(f"lambda outside the support cone of {spec.label()}: "
                           + _violation(spec, L[np.argmin(inside)]))
-    order = np.argsort(L, axis=1, kind="stable")
-    v, g, h = _value_grad_hess(spec, np.take_along_axis(L, order, axis=1))
+    v, g, h = _value_grad_hess(spec, S)
     back = np.argsort(order, axis=1)
     rows = np.arange(L.shape[0])[:, None, None]
     return v, np.take_along_axis(g, back, axis=1), h[rows, back[:, :, None], back[:, None, :]]

@@ -303,7 +303,8 @@ class TestProps:
         assert run(["props", "--speed", "sigma-k", "--n", 20, "--k", 20, "--samples", 5,
                     "--out", out]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: no interior sample found for sigma_20")
+        assert len(err) == 1 and err[0].startswith(
+            "error: no interior sample found for sigma_20^(1/20) at n=20 after ")
         assert not out.exists()
 
     @pytest.mark.parametrize("factors, weights", [
@@ -633,6 +634,16 @@ class TestPicardCmd:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert flag[2:].replace("-", "_") in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, radius", [(7, []), (7, ["--R", 0.1]), (2, ["--R", 0.1])],
+                             ids=["default-radius", "explicit-radius", "below"])
+    def test_n_out_of_range_names_the_flag(self, tmp_path, capsys, n, radius):
+        # the default radius fails first in lipschitz_radius, an explicit one
+        # in picard_solve: one message, naming the flag and its value
+        out = tmp_path / "picard.json"
+        assert run(["picard", "--n", n, *radius, "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: --n must lie in 3..6, got {n}"]
         assert not out.exists()
 
     def test_max_iter_without_convergence_says_so(self, tmp_path, capsys):

@@ -113,7 +113,7 @@ class TestSigmaK:
     @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (3, 3), (5, 2), (5, 4), (6, 3)])
     def test_matches_brute_force(self, n, k):
         L = RNG.normal(size=(25, n))
-        got = _sigma_all(np.sort(L, axis=1), k)[:, k]
+        got = _sigma_all(np.sort(L, axis=1), k)[k]
         want = np.array([brute_sigma(lam, k) for lam in L])
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -143,15 +143,15 @@ class TestEvalSpeed:
         assert eval_speed(quotient(2, 1, 3), [0.1, 1.0, 1.0]) > 0.0
 
     @pytest.mark.parametrize("spec, lam, text", [
-        (sigma_k_root(2, 3), [1.0, -1.0, 0.1], "sigma_2^(1/2): S_2(lambda) = -1 <= 0"),
-        (sigma_k_root(3, 3), [-1.0, 2.0, 2.0], "sigma_3^(1/3): S_2(lambda) = 0 <= 0"),
+        (sigma_k_root(2, 3), [1.0, -1.0, 0.1], "sigma_2^(1/2) at n=3: S_2(lambda) = -1 <= 0"),
+        (sigma_k_root(3, 3), [-1.0, 2.0, 2.0], "sigma_3^(1/3) at n=3: S_2(lambda) = 0 <= 0"),
         (harmonic_pairs(3), [1.0, -0.6, 0.5],
-         "harmonic_pairs(n=3): min pair sum lambda_i+lambda_j = -0.1 <= 0"),
-        (quotient(2, 1, 3), [-0.1, 1.0, 1.0],
-         "(S_2/S_1)^(1/1): min lambda = -0.1 <= 0 (quotient supported on the positive cone)"),
+         "harmonic_pairs at n=3: min pair sum lambda_i+lambda_j = -0.1 <= 0"),
+        (quotient(2, 1, 3), [-0.1, 1.0, 1.0], "(S_2/S_1)^(1/1) at n=3: "
+         "min lambda = -0.1 <= 0 (quotient supported on the positive cone)"),
         (product([sigma_k_root(2, 3), harmonic_pairs(3)], [0.5, 0.5]), [2.0, 2.0, -1.5],
-         "sigma_2^(1/2)^0.5 * harmonic_pairs(n=3)^0.5: S_2(lambda) = -2 <= 0"),
-        (sigma_k_root(2, 3), [np.nan, 1.0, 1.0], "sigma_2^(1/2): S_1(lambda) = nan <= 0")],
+         "sigma_2^(1/2)^0.5 * harmonic_pairs^0.5 at n=3: S_2(lambda) = -2 <= 0"),
+        (sigma_k_root(2, 3), [np.nan, 1.0, 1.0], "sigma_2^(1/2) at n=3: S_1(lambda) = nan <= 0")],
         ids=["sigma_2", "sigma_3", "harmonic", "quotient", "product", "nan"])
     def test_outside_cone_message_names_the_first_violated_condition(self, spec, lam, text):
         # one text for the one-row call and the array kernel's first bad row
@@ -380,6 +380,89 @@ class TestArrayKernel:
             assert grad[i] == pytest.approx(fd_gradient(spec, row), rel=1e-6, abs=1e-9)
 
 
+# Every kind at n = 2..6: sigma_k for k = 1..n, harmonic pairs, the suite's two
+# quotients (k, l) = (2, 1), (3, 1) and a product with a harmonic factor.
+KIND_SPEEDS = [s for n in range(2, 7) for s in (
+    [sigma_k_root(k, n) for k in range(1, n + 1)]
+    + [harmonic_pairs(n)] + [quotient(k, 1, n) for k in (2, 3) if k <= n]
+    + [product([sigma_k_root(2, n), harmonic_pairs(n)], [0.5, 0.5])])]
+SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def reference_mask(spec, lam):
+    """The mask as one stacked test of every margin."""
+    return np.all([m > 0.0 for _, m in speeds.support_margins(spec, lam)], axis=0)
+
+
+def reference_values(spec, lam):
+    """`_value` at the sorted rows inside the reference mask, NaN elsewhere."""
+    inside = reference_mask(spec, lam)
+    out = np.full(inside.size, np.nan)
+    out[inside] = speeds._value(spec, np.sort(lam[inside], axis=1))
+    return out
+
+
+def reference_derivatives(spec, lam):
+    """The derivatives behind the reference mask, from the stable sort."""
+    inside = reference_mask(spec, lam)
+    if not np.all(inside):
+        raise DomainError(f"lambda outside the support cone of {spec.label()}: "
+                          + speeds._violation(spec, lam[np.argmin(inside)]))
+    order = np.argsort(lam, axis=1, kind="stable")
+    v, g, h = speeds._value_grad_hess(spec, np.take_along_axis(lam, order, axis=1))
+    back = np.argsort(order, axis=1)
+    rows = np.arange(lam.shape[0])[:, None, None]
+    return v, np.take_along_axis(g, back, axis=1), h[rows, back[:, :, None], back[:, None, :]]
+
+
+def reference_eval(spec, row):
+    """One row's reference value inside the reference mask, else the
+    reference derivatives' DomainError."""
+    if reference_mask(spec, row[None])[0]:
+        return float(reference_values(spec, row[None])[0])
+    return reference_derivatives(spec, row[None])
+
+
+def outcome(call, *args):
+    """The arrays a call returns, as bits, or the text of its DomainError."""
+    try:
+        out = call(*args)
+    except DomainError as exc:
+        return str(exc)
+    return [np.asarray(a, dtype=float).view(np.uint64).tolist()
+            for a in (out if isinstance(out, tuple) else (out,))]
+
+
+class TestOneSortOneRecurrence:
+    @pytest.mark.parametrize("spec", KIND_SPEEDS, ids=lambda s: s.label())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_bit_identical_to_the_stacked_composition(self, spec, data):
+        # rows on a 1/64 grid of [-2, 6] with signed zeros, infinities and NaN
+        lam = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 8)), spec.n),
+                                   elements=SPECIAL | st.integers(-128, 384).map(
+                                       lambda i: i / 64.0)))
+        with np.errstate(all="ignore"):                  # inf - inf, 0 * inf, ...
+            inside = reference_mask(spec, lam)
+            assert np.array_equal(support_mask(spec, lam), inside)
+            assert outcome(speed_values, spec, lam) == outcome(reference_values, spec, lam)
+            assert outcome(eval_speed, spec, lam[0]) == outcome(reference_eval, spec, lam[0])
+            for rows in (lam, lam[inside]):
+                assert (outcome(speed_derivatives, spec, rows)
+                        == outcome(reference_derivatives, spec, rows))
+
+    def test_a_kth_root_value_call_runs_the_recurrence_once(self, monkeypatch):
+        calls = []
+        sigma_all = speeds._sigma_all
+        monkeypatch.setattr(speeds, "_sigma_all",
+                            lambda S, kmax: calls.append(kmax) or sigma_all(S, kmax))
+        lam = np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [1.0, -1.0, 0.1, 0.2, 0.3]])
+        values = speed_values(sigma_k_root(3, 5), lam)
+        assert calls == [3]
+        assert values[0] == sigma([1.0, 2.0, 3.0, 4.0, 5.0], 3) ** (1.0 / 3.0)
+        assert np.isnan(values[1])
+
+
 # The 25 speeds of the benchmark's speed suite.
 SUITE_SPEEDS = ([sigma_k_root(k, n) for n in range(3, 7) for k in range(1, n + 1)]
                 + [harmonic_pairs(n) for n in range(3, 7)]
@@ -539,7 +622,7 @@ EXIT = settings(max_examples=150, deadline=None, derandomize=True)
 
 class TestSupportExit:
     @pytest.mark.parametrize("seed", [1, 42, 777])
-    @pytest.mark.parametrize("spec", EXIT_SPEEDS, ids=lambda s: f"{s.label()}-n{s.n}")
+    @pytest.mark.parametrize("spec", EXIT_SPEEDS, ids=lambda s: s.label())
     def test_one_point_test_equals_the_march(self, spec, seed):
         lam, d = suite_paths(spec, seed, count=400)
         assert np.array_equal(leaves(spec, lam, d), march(spec, lam, d)[0])
@@ -564,7 +647,7 @@ class TestSupportExit:
         c = _sigma_line(lam, d, spec.k)
         for t in (-2.0, -0.3, 0.1, 0.7, 3.0):
             powers = t ** np.arange(spec.k + 1)
-            direct = _sigma_all(np.sort(lam + t * d, axis=1), spec.k)[:, spec.k]
+            direct = _sigma_all(np.sort(lam + t * d, axis=1), spec.k)[spec.k]
             scale = np.abs(c) @ np.abs(powers)
             assert np.all(np.abs(c @ powers - direct) <= 1e-12 * scale)
         # Garding: the reversed polynomial S_k(d + s lam), whose largest root

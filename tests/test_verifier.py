@@ -384,7 +384,7 @@ SUITE_SPEEDS = ([sigma_k_root(k, n) for n in range(3, 7) for k in range(1, n + 1
 
 
 class TestOneDrawLoop:
-    @pytest.mark.parametrize("spec", SUITE_SPEEDS, ids=lambda s: f"{s.label()} n={s.n}")
+    @pytest.mark.parametrize("spec", SUITE_SPEEDS, ids=lambda s: s.label())
     def test_bit_identical_to_separate_loops(self, spec):
         # pinching cones at 1.05, 1.5 and 3 times the umbilic alpha (delta =
         # 0.1), three seeds, 800 samples: the shared loop and the derivatives
