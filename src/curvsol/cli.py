@@ -31,6 +31,7 @@ from . import io as pio
 from . import picard as ppicard
 from .errors import DomainError, ParameterError
 from .profiles import barrier, integrate_profile
+from .rotgeom import profile_geometry
 from .speeds import SpeedSpec, check_properties
 from .svgfig import render_chart
 from .verifier import (check_barriers, check_convexity_estimate, check_sigma2_cylinder,
@@ -108,11 +109,12 @@ def _cmd_verify(args) -> int:
         if args.which == "soliton":
             entries = [check_soliton(profile, tol=args.tol)]
         elif args.which == "convexity":
+            geo = profile_geometry(profile)       # one curvature table for the fit and the check
             if args.alpha == "auto" or args.beta == "auto":
-                alpha_fit, beta_fit = fit_convexity_params(profile, delta=args.delta)
+                alpha_fit, beta_fit = fit_convexity_params(profile, geo, delta=args.delta)
             alpha = alpha_fit if args.alpha == "auto" else _parse(float, args.alpha, "--alpha")
             beta = beta_fit if args.beta == "auto" else _parse(float, args.beta, "--beta")
-            entries = [check_convexity_estimate(profile, alpha, args.delta, beta)]
+            entries = [check_convexity_estimate(profile, geo, alpha, args.delta, beta)]
         else:
             entries = check_barriers(profile)
     pio.write_json(args.out, {"profile": context, "checks": [asdict(e) for e in entries]})
@@ -216,8 +218,8 @@ def _cmd_plot(args) -> int:
                 if not np.any(mask):
                     continue
                 series.append((name.strip(), profile.r[mask], b(profile.r[mask])))
-    Path(args.out).write_text(render_chart(series, title=title,
-                                           x_label=x_label, y_label=y_label))
+    pio._write(args.out, render_chart(series, title=title, x_label=x_label,
+                                      y_label=y_label).encode())
     print(f"wrote {args.out}")
     return 0
 
@@ -365,6 +367,9 @@ def main(argv=None) -> int:
         # the full parser reports leftover arguments under the top-level usage
         if not command or rest:
             args = _build_parser(formatter).parse_args(argv)
+        for flag in ("out", "fixed_point_csv"):     # None is stdout; "" names no file
+            if getattr(args, flag, None) == "":
+                raise ParameterError(f"--{flag.replace('_', '-')} must not be empty")
         return args.func(args)
     except SystemExit as exc:         # argparse has printed its usage error or the help
         return exc.code

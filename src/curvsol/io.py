@@ -2,19 +2,21 @@
 ``write_table``), profile CSVs with derived curvature columns and their JSON
 metadata sidecars.  Table values are written as ``"%.17g" % v`` writes them, 17
 significant digits, so files round-trip losslessly and byte-identically.
+``_write`` writes every artifact, ``plot``'s SVG too, in place: no ``O_TRUNC``,
+whose cut to zero makes ext4, XFS and btrfs flush the file at close, and no
+fsync, so after a power loss a rewritten file may hold old bytes.
 
-``write_table`` formats a table in batches of about 2,048 cells.  A finite
-cell with ``1e-4 <= |v| < 1e16`` takes the batched path: there ``%.17g``
-prints fixed notation and ``10**(16 - e)`` is an exact double, so the
-significand ``round_half_even(|v| * 10**(16 - e))`` comes out exact from
-Dekker's two-product, and its digits, sign, point and separator are placed by
-table gathers.  Every other cell (0, -0, NaN, +-inf, ``|v| < 1e-4``,
-``|v| >= 1e16``) is written by ``"%.17g" % v`` itself."""
+``write_table`` formats in batches of about 2,048 cells.  ``%.17g`` prints a
+finite cell with ``1e-4 <= |v| < 1e16`` in fixed notation, and ``10**(16 - e)``
+is an exact double, so the significand ``round_half_even(|v| * 10**(16 - e))``
+comes out exact from Dekker's two-product; table gathers place its digits,
+sign, point and separator.  Every other cell is ``"%.17g" % v`` itself."""
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -40,17 +42,20 @@ __all__ = [
 PROFILE_COLUMNS = ("r", "u", "du", "ddu", "lambda1", "lambda2", "gamma", "tilt", "residual")
 
 
-def _write(path, text: str) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _write(path, data: bytes) -> None:
+    if path is None:                       # as text: a swapped-in stdout may lack .buffer
+        sys.stdout.write(data.decode())
+        return
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if os.path.isfile(fh.fileno()):    # a regular file: not /dev/null, a tty or a FIFO
+            fh.truncate()                  # flushes, then cuts the file at len(data)
 
 
 def write_json(path, payload) -> None:
     """``payload`` as JSON with sorted keys, indent 2 and a final newline,
     to ``path`` or, when it is None, to stdout."""
-    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
 
 
 # -- the batched %.17g kernel -------------------------------------------------
@@ -183,7 +188,7 @@ def write_table(path, header, columns) -> None:
         if other.size:
             out[other] = _other_cells(v[other], last[other])
         pieces.append(out[out != 0].tobytes())
-    _write(path, ",".join(header) + "\n" + b"".join(pieces).decode("ascii"))
+    _write(path, b"".join([(",".join(header) + "\n").encode(), *pieces]))
 
 
 def speed_to_dict(spec: SpeedSpec) -> dict:
@@ -226,14 +231,10 @@ def profile_metadata(profile: ProfileSolution) -> dict:
     }
 
 
-def write_profile_csv(path, profile: ProfileSolution) -> Path:
-    """Write the sample table and its metadata sidecar; returns the sidecar
-    path."""
-    path = Path(path)
+def write_profile_csv(path, profile: ProfileSolution) -> None:
+    """Write the sample table and, beside it, its ``.meta.json`` metadata sidecar."""
     write_table(path, PROFILE_COLUMNS, (*profile.samples.T, *derived_columns(profile).T))
-    side = path.with_suffix(".meta.json")
-    write_json(side, profile_metadata(profile))
-    return side
+    write_json(Path(path).with_suffix(".meta.json"), profile_metadata(profile))
 
 
 def _read_samples(path: Path) -> np.ndarray:

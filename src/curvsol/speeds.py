@@ -10,7 +10,7 @@ geometric means of the above.
 One array kernel works on (m, n) arrays of curvature rows and answers in
 arrays; ``eval_speed``, kept for the benchmark, is its only one-row call.
 A call sorts each row once, so permuting its entries returns bit-identical
-results, and a k-th root's cone test and value share one S_k recurrence.
+results, and runs one S_k recurrence for its cone test, value and derivatives.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ _BOUNDARY_FAR = 0.01 * 2.0 ** 19   # a path leaves the cone iff its point at thi
 def _sigma_all(S: np.ndarray, kmax: int) -> list[np.ndarray]:
     """The list [e_0, .., e_kmax] at the sorted rows S by the prefix recurrence
     e_k(x_1..x_c) = e_k(x_1..x_{c-1}) + x_c e_{k-1}(x_1..x_{c-1}), whose order the
-    sort fixes; `speed_values` of a k-th root runs it once per call."""
+    sort fixes; e_k does not depend on kmax >= k."""
     e = [np.ones(S.shape[:-1])] + [np.zeros(S.shape[:-1]) for _ in range(kmax)]
     for c in range(S.shape[-1]):
         x = S[..., c]
@@ -77,15 +77,20 @@ def sigma_partials(lam, k: int) -> np.ndarray:
     return _sigma_all(lam[..., _drop_one(lam.shape[-1])], k - 1)[k - 1]
 
 
-def _sigma_derivatives(S: np.ndarray, k: int):
-    """S_k (shape (m, 1)) with its gradient and Hessian at the rows of S
-    (shape (m, n)); d2S_k/dlam_i dlam_j is S_{k-2} of the row without i, j."""
+def _sigma_derivatives(S: np.ndarray, k: int, e: list):
+    """S_k (shape (m, 1)) from ``e``, with its gradient and Hessian at the rows
+    of S (shape (m, n)); d2S_k/dlam_i dlam_j is S_{k-2} of the row without i, j."""
     m, n = S.shape
     P2 = np.zeros((m, n, n))
     if k >= 2:
         drop = _drop_one(n)
         P2[:, np.arange(n)[:, None], drop] = sigma_partials(S[:, drop], k - 1)
-    return _sigma_all(S, k)[k][:, None], sigma_partials(S, k), P2
+    return e[k][:, None], sigma_partials(S, k), P2
+
+
+def _kmax(spec: SpeedSpec) -> int:
+    """The largest k of the k-th roots in ``spec``, 0 where it has none."""
+    return max([spec.k if spec.kind == "sigma_k_root" else 0] + [_kmax(f) for f in spec.factors])
 
 
 # --------------------------------------------------------------------------
@@ -194,19 +199,20 @@ def support_margins(spec: SpeedSpec, lam) -> list[tuple[str, np.ndarray]]:
     cones on which the boundary-vanishing property genuinely fails for
     k < n while monotonicity and concavity still hold.
     """
-    return _margins(spec, np.sort(_rows(spec.n, lam), axis=1))
+    S = np.sort(_rows(spec.n, lam), axis=1)
+    return _margins(spec, S, _sigma_all(S, _kmax(spec)))
 
 
-def _margins(spec: SpeedSpec, S: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    """`support_margins` at the sorted rows S, which a product's factors share."""
+def _margins(spec: SpeedSpec, S: np.ndarray, e: list) -> list[tuple[str, np.ndarray]]:
+    """`support_margins` at the sorted rows S and ``e = _sigma_all(S, _kmax(spec))``,
+    which a product's factors share, as in `_value` and `_value_grad_hess`."""
     if spec.kind == "sigma_k_root":
-        e = _sigma_all(S, spec.k)
         return [(f"S_{l}(lambda) = {{:.6g}} <= 0", e[l]) for l in range(1, spec.k + 1)]
     if spec.kind == "harmonic_pairs":
         return [("min pair sum lambda_i+lambda_j = {:.6g} <= 0", S[:, 0] + S[:, 1])]
     if spec.kind == "quotient":
         return [("min lambda = {:.6g} <= 0 (quotient supported on the positive cone)", S[:, 0])]
-    return [c for f in spec.factors for c in _margins(f, S)]
+    return [c for f in spec.factors for c in _margins(f, S, e)]
 
 
 def _sigma_line(lam: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
@@ -276,11 +282,12 @@ def speed_values(spec: SpeedSpec, lam) -> np.ndarray:
     """Speed value at every row of ``lam`` (shape (m, n)); NaN on the rows
     outside the open support cone; a k-th root's value is its last margin."""
     S = np.sort(_rows(spec.n, lam), axis=1)
-    margins = _margins(spec, S)
+    e = _sigma_all(S, _kmax(spec))
+    margins = _margins(spec, S, e)
     inside = _inside(margins)
     out = np.full(inside.size, np.nan)
     out[inside] = (margins[-1][1][inside] ** (1.0 / spec.k) if spec.kind == "sigma_k_root"
-                   else _value(spec, S[inside]))
+                   else _value(spec, S[inside], [x[inside] for x in e]))
     return out
 
 
@@ -295,20 +302,20 @@ def eval_speed(spec: SpeedSpec, lam) -> float:
     return float(value)
 
 
-def _value(spec: SpeedSpec, S: np.ndarray) -> np.ndarray:
+def _value(spec: SpeedSpec, S: np.ndarray, e: list) -> np.ndarray:
     if spec.kind == "sigma_k_root":
-        return _sigma_all(S, spec.k)[spec.k] ** (1.0 / spec.k)
+        return e[spec.k] ** (1.0 / spec.k)
     if spec.kind == "harmonic_pairs":
         acc = 0.0
         for i, j in zip(*np.triu_indices(S.shape[1], 1)):
             acc = acc + 1.0 / (S[:, i] + S[:, j])
         return 1.0 / acc
     if spec.kind == "quotient":
-        e = _sigma_all(S, spec.k)
-        return (e[spec.k] / e[spec.l]) ** (1.0 / (spec.k - spec.l))
+        q = _sigma_all(S, spec.k)
+        return (q[spec.k] / q[spec.l]) ** (1.0 / (spec.k - spec.l))
     out = 1.0
     for f, w in zip(spec.factors, spec.weights):
-        out = out * _value(f, S) ** w
+        out = out * _value(f, S, e) ** w
     return out
 
 
@@ -319,11 +326,12 @@ def speed_derivatives(spec: SpeedSpec, lam):
     L = _rows(spec.n, lam)
     order = np.argsort(L, axis=1, kind="stable")
     S = np.take_along_axis(L, order, axis=1)
-    inside = _inside(_margins(spec, S))
+    e = _sigma_all(S, _kmax(spec))
+    inside = _inside(_margins(spec, S, e))
     if not np.all(inside):
         raise DomainError(f"lambda outside the support cone of {spec.label()}: "
                           + _violation(spec, L[np.argmin(inside)]))
-    v, g, h = _value_grad_hess(spec, S)
+    v, g, h = _value_grad_hess(spec, S, e)
     back = np.argsort(order, axis=1)
     rows = np.arange(L.shape[0])[:, None, None]
     return v, np.take_along_axis(g, back, axis=1), h[rows, back[:, :, None], back[:, None, :]]
@@ -333,11 +341,11 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, :, None] * b[:, None, :]
 
 
-def _value_grad_hess(spec: SpeedSpec, S: np.ndarray):
+def _value_grad_hess(spec: SpeedSpec, S: np.ndarray, e: list):
     """Value, gradient and Hessian at the sorted rows S (shape (m, n))."""
     if spec.kind == "sigma_k_root":
         k = spec.k
-        Sk, P, P2 = _sigma_derivatives(S, k)
+        Sk, P, P2 = _sigma_derivatives(S, k, e)
         a = (1.0 / k) * Sk ** (1.0 / k - 1.0)
         b = (1.0 / k) * (1.0 / k - 1.0) * Sk ** (1.0 / k - 2.0)
         return Sk[:, 0] ** (1.0 / k), a * P, b[:, :, None] * _outer(P, P) + a[:, :, None] * P2
@@ -353,7 +361,8 @@ def _value_grad_hess(spec: SpeedSpec, S: np.ndarray):
         return 1.0 / P[:, 0], -dP / P ** 2, h
     if spec.kind == "quotient":                      # through the log, as the product
         p = 1.0 / (spec.k - spec.l)
-        (Sk, Pk, P2k), (Sl, Pl, P2l) = _sigma_derivatives(S, spec.k), _sigma_derivatives(S, spec.l)
+        q = _sigma_all(S, spec.k)
+        (Sk, Pk, P2k), (Sl, Pl, P2l) = (_sigma_derivatives(S, j, q) for j in (spec.k, spec.l))
         v = (Sk / Sl) ** p
         u = p * (Pk / Sk - Pl / Sl)                  # gradient of log f
         Sk, Sl = Sk[:, :, None], Sl[:, :, None]
@@ -361,7 +370,7 @@ def _value_grad_hess(spec: SpeedSpec, S: np.ndarray):
     else:                                            # weighted geometric mean
         v, u, u2 = 1.0, 0.0, 0.0
         for f, w in zip(spec.factors, spec.weights):
-            fv, fg, fh = _value_grad_hess(f, S)
+            fv, fg, fh = _value_grad_hess(f, S, e)
             fv = fv[:, None]
             v, u = v * fv ** w, u + w * fg / fv
             u2 = u2 + w * (fh / fv[:, :, None] - _outer(fg, fg) / fv[:, :, None] ** 2)

@@ -14,7 +14,7 @@ import numpy as np
 from .cones import ConeSpec, _cone_draws, pinched, uniform_two_convex
 from .errors import DomainError, ParameterError
 from .profiles import ProfileSolution, barrier, cyl_profile, slope_equation
-from .rotgeom import cylinder_curvatures, profile_geometry
+from .rotgeom import ProfileGeometry, cylinder_curvatures, profile_geometry
 from .speeds import SpeedSpec, _violation, harmonic_pairs, speed_derivatives, support_margins
 
 __all__ = [
@@ -71,13 +71,13 @@ def check_soliton(profile: ProfileSolution, tol: float) -> CheckEntry:
                       worst_violation=worst, witness=witness)
 
 
-def fit_convexity_params(profile: ProfileSolution, delta: float = 0.05) -> tuple[float, float]:
-    """Fit (alpha, beta) from the profile with safety factors so that the
-    pinching and uniform-2-convexity hypotheses hold at every sample; a
-    profile with a pair sum <= 0 where H > 0 is not uniformly 2-convex, and
-    a delta so large that the fitted alpha is not finite is a ParameterError."""
+def fit_convexity_params(profile: ProfileSolution, geo: ProfileGeometry,
+                         delta: float = 0.05) -> tuple[float, float]:
+    """Fit (alpha, beta) from the profile's curvature table ``geo`` with safety
+    factors so that the pinching and uniform-2-convexity hypotheses hold at
+    every sample; a pair sum <= 0 where H > 0 is not uniformly 2-convex, and a
+    delta so large that the fitted alpha is not finite is a ParameterError."""
     ConeSpec(profile.speed, 1.0, delta)     # rejects delta <= 0 before the fit
-    geo = profile_geometry(profile)
     ((_, ps),) = support_margins(harmonic_pairs(profile.n), geo.lam)
     inside = ~np.isnan(geo.gamma)
     H, g, ps = geo.H[inside], geo.gamma[inside], ps[inside]
@@ -93,15 +93,14 @@ def fit_convexity_params(profile: ProfileSolution, delta: float = 0.05) -> tuple
     return alpha, 0.9 * beta_bound
 
 
-def check_convexity_estimate(profile: ProfileSolution, alpha: float, delta: float,
-                             beta: float) -> CheckEntry:
-    """Pointwise convexity estimate on the hypothesis-satisfying samples:
-    inside the pinching cone ``ConeSpec(speed, alpha, delta)``, tested on
-    the curvature table's H and gamma, and ``uniform_two_convex(beta)``,
-    assert lambda_1 >= H - alpha*gamma - ``_SLACK_TOL``.  Samples failing a
-    hypothesis are skipped, never failed; parameters outside alpha > 0,
-    delta > 0, 0 < beta < 1 are a ParameterError."""
-    geo = profile_geometry(profile)
+def check_convexity_estimate(profile: ProfileSolution, geo: ProfileGeometry, alpha: float,
+                             delta: float, beta: float) -> CheckEntry:
+    """Pointwise convexity estimate on the samples of the curvature table
+    ``geo`` that satisfy the hypotheses: inside the pinching cone
+    ``ConeSpec(speed, alpha, delta)``, tested on its H and gamma, and
+    ``uniform_two_convex(beta)``, assert lambda_1 >= H - alpha*gamma -
+    ``_SLACK_TOL``.  Samples failing a hypothesis are skipped, never failed;
+    parameters outside alpha > 0, delta > 0, 0 < beta < 1 are a ParameterError."""
     H, g = geo.H, geo.gamma
     cone = ConeSpec(profile.speed, alpha, delta)
     admissible = np.flatnonzero(pinched(cone, H, g) & uniform_two_convex(beta, geo.lam))

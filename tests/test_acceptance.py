@@ -286,8 +286,9 @@ def test_criterion_8_convexity_estimate(harmonic_profiles):
     worst_entry = None
     statuses = {}
     for n, p in harmonic_profiles.items():
-        alpha, beta = cs.fit_convexity_params(p, delta=0.05)
-        entry = cs.check_convexity_estimate(p, alpha, 0.05, beta)
+        geo = cs.profile_geometry(p)
+        alpha, beta = cs.fit_convexity_params(p, geo, delta=0.05)
+        entry = cs.check_convexity_estimate(p, geo, alpha, 0.05, beta)
         statuses[n] = entry.status
         if worst_entry is None or entry.worst_violation > worst_entry[1].worst_violation:
             worst_entry = (n, entry)

@@ -14,6 +14,7 @@ import pytest
 
 import curvsol
 from curvsol import barrier, harmonic_pairs, product, quotient, sigma_k_root
+from curvsol import cli, rotgeom, verifier
 from curvsol.cli import _speed_from_flags, main
 
 
@@ -124,6 +125,21 @@ class TestVerify:
         code = run(["verify", "convexity", "--profile", out, "--alpha", "auto",
                     "--delta", 0.05, "--beta", "auto", "--out", tmp_path / "c.json"])
         assert code == 0
+
+    @pytest.mark.parametrize("hypotheses", [["--alpha", "auto", "--beta", "auto"],
+                                            ["--alpha", "auto", "--beta", "0.5"],
+                                            ["--alpha", "50", "--beta", "0.5"]])
+    def test_convexity_builds_one_curvature_table(self, hypotheses, sigma2_csv, tmp_path,
+                                                  monkeypatch):
+        calls = []
+        build = rotgeom.profile_geometry
+        for layer in (rotgeom, curvsol.io, verifier, cli):
+            monkeypatch.setattr(layer, "profile_geometry",
+                                lambda profile: calls.append(profile) or build(profile),
+                                raising=False)
+        assert run(["verify", "convexity", "--profile", sigma2_csv, *hypotheses,
+                    "--out", tmp_path / "c.json"]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("which", ["soliton", "convexity", "barriers"])
     def test_missing_profile_is_usage_error(self, which, capsys):
@@ -355,6 +371,23 @@ def test_flags_build_the_factory_speed(flags, expected):
 def test_directory_path_is_input_error(argv, tmp_path, capsys):
     assert run(argv + [tmp_path]) == 2
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--speed", "sigma-k", "--k", 2, "--n", 3, "--rmax", 0.3, "--out", ""], "--out"),
+    (["verify", "cylinder", "--samples", 3, "--out", ""], "--out"),
+    (["props", "--speed", "sigma-k", "--n", 3, "--k", 2, "--samples", 10, "--out", ""], "--out"),
+    (["barriers", "--names", "w3", "--n", 3, "--count", 3, "--out", ""], "--out"),
+    (["picard", "--n", 3, "--R", 0.1, "--grid", 65, "--out", ""], "--out"),
+    (["picard", "--n", 3, "--R", 0.1, "--grid", 65, "--fixed-point-csv", ""],
+     "--fixed-point-csv"),
+    (["plot", "--in", "p.csv", "--out", ""], "--out"),
+], ids=["solve", "verify", "props", "barriers", "picard-out", "picard-fixed-point-csv", "plot"])
+def test_empty_out_is_usage_error(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} must not be empty\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_import_leaves_scipy_unloaded():

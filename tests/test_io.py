@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -238,3 +239,57 @@ def test_quoted_fields_read_by_the_line_loop(tmp_path, profile):
     path.write_text(lines[0] + "".join(
         ",".join(f'"{x}"' for x in line.rstrip("\n").split(",")) + "\n" for line in lines[1:]))
     assert np.array_equal(read_profile_csv(path).samples, profile.samples)
+
+
+# -- the in-place writer --------------------------------------------------------
+
+def _artifacts(directory, profile):
+    """Write one artifact of each writer into ``directory``; the paths written."""
+    curvsol.io.write_json(directory / "r.json", {"checks": [1.5, None], "n": 3})
+    write_table(directory / "t.csv", ("r", "w"), (np.linspace(0.0, 1.0, 7), np.ones(7)))
+    write_profile_csv(directory / "p.csv", profile)
+    assert main(["plot", "--in", str(directory / "p.csv"), "--out", str(directory / "f.svg")]) == 0
+    return sorted(p.name for p in directory.iterdir())
+
+
+def test_a_rewrite_over_a_longer_file_equals_a_fresh_write(tmp_path, profile):
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    fresh.mkdir()
+    used.mkdir()
+    names = _artifacts(fresh, profile)
+    assert names == ["f.svg", "p.csv", "p.meta.json", "r.json", "t.csv"]
+    for name in names:               # each old file longer than its new content
+        (used / name).write_bytes(b"x" * (2 * (fresh / name).stat().st_size + 4096))
+    assert _artifacts(used, profile) == names
+    for name in names:
+        assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_the_writer_never_opens_with_o_trunc(tmp_path, profile, monkeypatch):
+    flags = []
+    os_open = os.open
+    monkeypatch.setattr(curvsol.io.os, "open",
+                        lambda path, flag, *mode: flags.append(flag) or os_open(path, flag, *mode))
+    _artifacts(tmp_path, profile)
+    _artifacts(tmp_path, profile)    # and over existing files
+    assert len(flags) == 10
+    assert all(flag & os.O_CREAT and not flag & os.O_TRUNC for flag in flags)
+
+
+def test_a_symlinked_out_rewrites_its_target_and_keeps_the_link(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("x" * 1000)
+    link.symlink_to(target)
+    curvsol.io.write_json(link, {"a": 1})
+    assert link.is_symlink()
+    assert target.read_bytes() == b'{\n  "a": 1\n}\n'
+
+
+@pytest.mark.parametrize("argv", [
+    ["props", "--speed", "sigma-k", "--n", "3", "--k", "2", "--samples", "10"],
+    ["barriers", "--names", "w3", "--n", "3", "--count", "3"],
+    ["verify", "cylinder", "--samples", "3"],
+], ids=["props", "barriers", "verify"])
+def test_out_dev_null_exits_zero(argv, capsys):
+    assert main(argv + ["--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""

@@ -381,11 +381,13 @@ class TestArrayKernel:
 
 
 # Every kind at n = 2..6: sigma_k for k = 1..n, harmonic pairs, the suite's two
-# quotients (k, l) = (2, 1), (3, 1) and a product with a harmonic factor.
+# quotients (k, l) = (2, 1), (3, 1), a product with a harmonic factor and one
+# of two k-th roots, which share one recurrence.
 KIND_SPEEDS = [s for n in range(2, 7) for s in (
     [sigma_k_root(k, n) for k in range(1, n + 1)]
     + [harmonic_pairs(n)] + [quotient(k, 1, n) for k in (2, 3) if k <= n]
-    + [product([sigma_k_root(2, n), harmonic_pairs(n)], [0.5, 0.5])])]
+    + [product([sigma_k_root(2, n), harmonic_pairs(n)], [0.5, 0.5]),
+       product([sigma_k_root(2, n), sigma_k_root(1, n)], [0.5, 0.5])])]
 SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
 
 
@@ -394,11 +396,18 @@ def reference_mask(spec, lam):
     return np.all([m > 0.0 for _, m in speeds.support_margins(spec, lam)], axis=0)
 
 
+def own_recurrences(S):
+    """S_0..S_n at the sorted rows S, each from a recurrence run to its own k,
+    for the kernel's ``e``, which runs one recurrence to the largest k."""
+    return {k: speeds._sigma_all(S, k)[k] for k in range(S.shape[1] + 1)}
+
+
 def reference_values(spec, lam):
     """`_value` at the sorted rows inside the reference mask, NaN elsewhere."""
     inside = reference_mask(spec, lam)
     out = np.full(inside.size, np.nan)
-    out[inside] = speeds._value(spec, np.sort(lam[inside], axis=1))
+    S = np.sort(lam[inside], axis=1)
+    out[inside] = speeds._value(spec, S, own_recurrences(S))
     return out
 
 
@@ -409,7 +418,8 @@ def reference_derivatives(spec, lam):
         raise DomainError(f"lambda outside the support cone of {spec.label()}: "
                           + speeds._violation(spec, lam[np.argmin(inside)]))
     order = np.argsort(lam, axis=1, kind="stable")
-    v, g, h = speeds._value_grad_hess(spec, np.take_along_axis(lam, order, axis=1))
+    S = np.take_along_axis(lam, order, axis=1)
+    v, g, h = speeds._value_grad_hess(spec, S, own_recurrences(S))
     back = np.argsort(order, axis=1)
     rows = np.arange(lam.shape[0])[:, None, None]
     return v, np.take_along_axis(g, back, axis=1), h[rows, back[:, :, None], back[:, None, :]]
@@ -461,6 +471,33 @@ class TestOneSortOneRecurrence:
         assert calls == [3]
         assert values[0] == sigma([1.0, 2.0, 3.0, 4.0, 5.0], 3) ** (1.0 / 3.0)
         assert np.isnan(values[1])
+
+    @staticmethod
+    def count_recurrences(monkeypatch):
+        """The (shape, kmax) of every `_sigma_all` call from here on."""
+        calls = []
+        sigma_all = speeds._sigma_all
+        monkeypatch.setattr(speeds, "_sigma_all",
+                            lambda S, kmax: calls.append((S.shape, kmax)) or sigma_all(S, kmax))
+        return calls
+
+    def test_a_kth_root_derivative_call_runs_the_recurrence_once(self, monkeypatch):
+        calls = self.count_recurrences(monkeypatch)
+        lam = np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 0.1, 0.2, 0.3, 0.4]])
+        value, _, _ = speed_derivatives(sigma_k_root(3, 5), lam)
+        # the others run on rows with one or two entries removed
+        assert [c for c in calls if c[0] == lam.shape] == [(lam.shape, 3)]
+        assert value[0] == sigma([1.0, 2.0, 3.0, 4.0, 5.0], 3) ** (1.0 / 3.0)
+
+    def test_a_product_value_call_runs_one_recurrence_for_its_roots(self, monkeypatch):
+        calls = self.count_recurrences(monkeypatch)
+        lam = np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [1.0, -1.0, 0.1, 0.2, 0.3],
+                        [-9.0, 1.0, 1.0, 1.0, 1.0]])
+        values = speed_values(product([sigma_k_root(2, 5), sigma_k_root(1, 5)], [0.5, 0.5]), lam)
+        assert calls == [(lam.shape, 2)]
+        row = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert values[0] == (sigma(row, 2) ** 0.5) ** 0.5 * sigma(row, 1) ** 0.5
+        assert np.isnan(values[2])
 
 
 # The 25 speeds of the benchmark's speed suite.
@@ -616,7 +653,8 @@ class TestBoundaryPlanAndBatch:
 EXIT_SPEEDS = [s for n in range(2, 7) for s in (
     [sigma_k_root(k, n) for k in range(1, n + 1)]
     + [harmonic_pairs(n), quotient(2, 1, n)] + ([quotient(3, 1, n)] if n >= 3 else [])
-    + [product([sigma_k_root(2, n), harmonic_pairs(n)], [0.5, 0.5])])]
+    + [product([sigma_k_root(2, n), harmonic_pairs(n)], [0.5, 0.5]),
+       product([sigma_k_root(2, n), sigma_k_root(1, n)], [0.5, 0.5])])]
 EXIT = settings(max_examples=150, deadline=None, derandomize=True)
 
 

@@ -22,6 +22,7 @@ from curvsol import (
     harmonic_pairs,
     integrate_profile,
     product,
+    profile_geometry,
     quotient,
     sigma_k_root,
 )
@@ -108,26 +109,30 @@ class TestCheckSoliton:
 
 class TestConvexityEstimate:
     def test_fitted_parameters_pass(self, harmonic3_profile):
-        alpha, beta = fit_convexity_params(harmonic3_profile, delta=0.05)
+        geo = profile_geometry(harmonic3_profile)
+        alpha, beta = fit_convexity_params(harmonic3_profile, geo, delta=0.05)
         assert 0.0 < beta < 1.0
-        entry = check_convexity_estimate(harmonic3_profile, alpha, 0.05, beta)
+        entry = check_convexity_estimate(harmonic3_profile, geo, alpha, 0.05, beta)
         assert entry.status == "pass"
         assert "admissible" in entry.detail
 
     def test_monotone_in_alpha(self, harmonic3_profile):
-        alpha, beta = fit_convexity_params(harmonic3_profile, delta=0.05)
+        geo = profile_geometry(harmonic3_profile)
+        alpha, beta = fit_convexity_params(harmonic3_profile, geo, delta=0.05)
         for factor in (1.0, 2.0, 10.0):
-            entry = check_convexity_estimate(harmonic3_profile, factor * alpha, 0.05, beta)
+            entry = check_convexity_estimate(harmonic3_profile, geo, factor * alpha, 0.05, beta)
             assert entry.status == "pass"
 
     def test_unreachable_beta_skips(self, harmonic3_profile):
-        alpha, _ = fit_convexity_params(harmonic3_profile, delta=0.05)
-        entry = check_convexity_estimate(harmonic3_profile, alpha, 0.05, 0.9999)
+        geo = profile_geometry(harmonic3_profile)
+        alpha, _ = fit_convexity_params(harmonic3_profile, geo, delta=0.05)
+        entry = check_convexity_estimate(harmonic3_profile, geo, alpha, 0.05, 0.9999)
         assert entry.status == "skipped"
 
     def test_sigma_profile_passes_with_fit(self, sigma23_profile):
-        alpha, beta = fit_convexity_params(sigma23_profile, delta=0.05)
-        entry = check_convexity_estimate(sigma23_profile, alpha, 0.05, beta)
+        geo = profile_geometry(sigma23_profile)
+        alpha, beta = fit_convexity_params(sigma23_profile, geo, delta=0.05)
+        entry = check_convexity_estimate(sigma23_profile, geo, alpha, 0.05, beta)
         assert entry.status == "pass"
 
     def test_speed_is_evaluated_once(self, harmonic3_profile, monkeypatch):
@@ -139,14 +144,16 @@ class TestConvexityEstimate:
             return speed_values(spec, lam)
         for layer in (rotgeom, cones, verifier):
             monkeypatch.setattr(layer, "speed_values", counted, raising=False)
-        entry = check_convexity_estimate(harmonic3_profile, 100.0, 0.05, 0.1)
+        entry = check_convexity_estimate(harmonic3_profile, rotgeom.profile_geometry(
+            harmonic3_profile), 100.0, 0.05, 0.1)
         assert entry.status == "pass"
         assert calls == [harmonic3_profile.samples.shape[0]]
 
     def test_fit_rejects_an_overflowing_delta(self, harmonic3_profile):
+        geo = profile_geometry(harmonic3_profile)
         with np.errstate(all="raise"):
             with pytest.raises(ParameterError, match="delta = 1e\\+308 is too large"):
-                fit_convexity_params(harmonic3_profile, delta=1e308)
+                fit_convexity_params(harmonic3_profile, geo, delta=1e308)
 
     def test_fit_rejects_a_profile_that_is_not_two_convex(self):
         # lambda = (-1.2, 1, 1, 1, 1) lambda_2 lies in the Garding cone Gamma_2
@@ -156,7 +163,7 @@ class TestConvexityEstimate:
         samples = np.column_stack((r, 0.5 * r * r, r, -1.2 * (1.0 + r * r)))
         profile = ProfileSolution(speed=sigma_k_root(2, 5), samples=samples, status="completed")
         with pytest.raises(DomainError, match="not uniformly 2-convex"):
-            fit_convexity_params(profile, delta=0.05)
+            fit_convexity_params(profile, profile_geometry(profile), delta=0.05)
 
     @pytest.mark.parametrize("alpha, status", [(6.3, "fail"), (6.8, "pass"), (5.9, "skipped")])
     def test_non_convex_profile_can_fail(self, alpha, status):
@@ -167,7 +174,7 @@ class TestConvexityEstimate:
         r = np.linspace(0.01, 1.0, 40)
         samples = np.column_stack((r, 0.5 * r * r, r, -0.3 * (1.0 + r * r)))
         profile = ProfileSolution(speed=harmonic_pairs(3), samples=samples, status="completed")
-        entry = check_convexity_estimate(profile, alpha, 0.05, 0.3)
+        entry = check_convexity_estimate(profile, profile_geometry(profile), alpha, 0.05, 0.3)
         assert entry.status == status
         if status == "fail":
             assert entry.detail.startswith("admissible 40/40")
