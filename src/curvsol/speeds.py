@@ -93,6 +93,13 @@ def _kmax(spec: SpeedSpec) -> int:
     return max([spec.k if spec.kind == "sigma_k_root" else 0] + [_kmax(f) for f in spec.factors])
 
 
+def _in_orthant(spec: SpeedSpec) -> bool:
+    """The support cone of ``spec`` lies in the positive orthant: Gamma_n, a
+    quotient's positive cone, or a product with such a factor."""
+    return (spec.kind == "quotient" or spec.kind == "sigma_k_root" and spec.k == spec.n
+            or any(_in_orthant(f) for f in spec.factors))
+
+
 # --------------------------------------------------------------------------
 # speed descriptors
 # --------------------------------------------------------------------------
@@ -412,12 +419,17 @@ def unit_draws(n: int, samples: int, rng: np.random.Generator):
 
 def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` uniformly random unit vectors in the open support cone, by
-    rejection over chunks of at most ``_CHUNK`` draws."""
+    rejection over chunks of at most ``_CHUNK`` draws, each draw first folded
+    into a region that holds the cone: |X| where the cone lies in the positive
+    orthant, else X sign(sum X), since every support cone lies in the
+    half-space sum lambda > 0.  The sign reflections that fold the sphere
+    onto the region preserve the uniform measure, so the result is exact."""
+    fold = np.abs if _in_orthant(spec) else lambda X: X * np.sign(X.sum(axis=1, keepdims=True))
     found, accepted, draws, misses = [], 0, 0, 0
     while accepted < count:
         need = count - accepted
         size = min(_CHUNK, need * (draws // max(accepted, 1) + 1))
-        X = next(unit_draws(spec.n, size, rng))          # size <= _CHUNK: one chunk
+        X = fold(next(unit_draws(spec.n, size, rng)))    # size <= _CHUNK: one chunk
         draws += size
         X = X[support_mask(spec, X)][:need]
         misses = 0 if X.size else misses + size

@@ -314,14 +314,23 @@ class TestProps:
         assert not out.exists()
 
     def test_cone_too_thin_to_sample_is_usage_error(self, tmp_path, capsys):
-        # Gamma_20 is the positive cone, which holds 2^-20 of the unit sphere
+        # the 2-convex cone at n = 20 holds too little of the half-sphere sum lambda > 0
         out = tmp_path / "p.json"
-        assert run(["props", "--speed", "sigma-k", "--n", 20, "--k", 20, "--samples", 5,
+        assert run(["props", "--speed", "harmonic", "--n", 20, "--samples", 5,
                     "--out", out]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(
-            "error: no interior sample found for sigma_20^(1/20) at n=20 after ")
+            "error: no interior sample found for harmonic_pairs at n=20 after ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_positive_cone_samples_at_any_n(self, n, tmp_path):
+        # Gamma_n holds 2^-n of the unit sphere, all of its positive orthant
+        out = tmp_path / "p.json"
+        assert run(["props", "--speed", "sigma-k", "--n", n, "--k", n, "--samples", 5,
+                    "--seed", 0, "--out", out]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert [name for name, c in checks.items() if c["failed"]] == []
 
     @pytest.mark.parametrize("factors, weights", [
         pytest.param("sigma-k", None, id="sigma-k"),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import ks_2samp
 
 from curvsol import (
     DomainError,
@@ -648,6 +649,64 @@ class TestBoundaryPlanAndBatch:
             assert sum(drawn[1:]) == 20 * speeds._BOUNDARY_PATHS
         for stat in results:
             assert (stat.passed, stat.failed, stat.worst, stat.witness) == (0, 0, 0.0, None)
+
+
+def oracle_sample_rows(spec, rng, count):
+    """The unfolded rejection loop that the folded ``_sample_rows`` replaced,
+    kept as the reference for its distribution: whole-sphere draws, each
+    kept iff it lies in the support cone."""
+    found, accepted, draws, misses = [], 0, 0, 0
+    while accepted < count:
+        need = count - accepted
+        size = min(speeds._CHUNK, need * (draws // max(accepted, 1) + 1))
+        X = next(speeds.unit_draws(spec.n, size, rng))
+        draws += size
+        X = X[support_mask(spec, X)][:need]
+        misses = 0 if X.size else misses + size
+        if misses >= speeds._MAX_TRIES:
+            raise DomainError(
+                f"no interior sample found for {spec.label()} after {misses} draws")
+        found.append(X)
+        accepted += X.shape[0]
+    return np.concatenate(found)
+
+
+ORTHANT_SPEEDS = [sigma_k_root(6, 6), sigma_k_root(20, 20), quotient(3, 1, 4), quotient(2, 1, 3),
+                  product([sigma_k_root(3, 3), sigma_k_root(1, 3)], [0.5, 0.5])]
+
+
+class TestSampleRows:
+    @pytest.mark.parametrize("spec", [sigma_k_root(6, 6), sigma_k_root(2, 4), harmonic_pairs(5),
+                                      quotient(3, 1, 4),
+                                      product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.5]),
+                                      product([sigma_k_root(3, 3), sigma_k_root(1, 3)], [0.5, 0.5])],
+                             ids=lambda s: s.label())
+    def test_folded_rows_follow_the_unfolded_distribution(self, spec):
+        got = _sample_rows(spec, np.random.default_rng(101), 4000)
+        want = oracle_sample_rows(spec, np.random.default_rng(202), 4000)
+        for stat in (lambda L: L.min(axis=1), lambda L: L.max(axis=1), lambda L: L.sum(axis=1)):
+            assert ks_2samp(stat(got), stat(want)).pvalue >= 1e-3
+
+    @pytest.mark.parametrize("spec", SUITE_SPEEDS + ORTHANT_SPEEDS, ids=lambda s: s.label())
+    def test_rows_are_unit_and_inside(self, spec):
+        L = _sample_rows(spec, np.random.default_rng(5), 500)
+        assert L.shape == (500, spec.n)
+        assert np.allclose(np.linalg.norm(L, axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.all(support_mask(spec, L))
+
+    @pytest.mark.parametrize("spec", ORTHANT_SPEEDS, ids=lambda s: s.label())
+    def test_orthant_fold_rejects_no_draw(self, spec, monkeypatch):
+        seen = []
+        mask = speeds.support_mask
+
+        def counted(spec, lam):
+            out = mask(spec, lam)
+            seen.append((len(lam), int(np.count_nonzero(out))))
+            return out
+
+        monkeypatch.setattr(speeds, "support_mask", counted)
+        assert _sample_rows(spec, np.random.default_rng(9), 300).shape == (300, spec.n)
+        assert seen == [(300, 300)]
 
 
 EXIT_SPEEDS = [s for n in range(2, 7) for s in (
