@@ -30,7 +30,7 @@ import numpy as np
 from . import io as pio
 from . import picard as ppicard
 from .errors import DomainError, ParameterError
-from .profiles import barrier, integrate_profile
+from .profiles import BARRIER_FAMILIES, barrier, integrate_profile
 from .rotgeom import profile_geometry
 from .speeds import SpeedSpec, check_properties
 from .svgfig import render_chart
@@ -148,6 +148,10 @@ def _cmd_barriers(args) -> int:
     if args.rmin > args.rmax:
         raise ParameterError(f"--rmin must not exceed --rmax, got {args.rmin} > {args.rmax}")
     names = [t.strip() for t in args.names.split(",")]
+    need_k = BARRIER_FAMILIES["sigma_k_root"]
+    if args.k is None and set(names) & set(need_k):
+        raise ParameterError(f"--k is required by barriers {', '.join(need_k)}, "
+                             f"got --names {args.names}")
     bars = [barrier(name, args.n, k=args.k, a=args.a) for name in names]
     r_hi = min([args.rmax] + [b.r_end * (1.0 - 1e-9) for b in bars])
     if np.isinf(r_hi):
@@ -212,12 +216,18 @@ def _cmd_plot(args) -> int:
         title = "profile slope and barriers"
         x_label, y_label = "r", "slope"
         if args.barriers:
-            for name in args.barriers.split(","):
-                b = barrier(name.strip(), profile.n, k=profile.speed.k)
+            family = BARRIER_FAMILIES.get(profile.speed.kind, ())
+            names = [t.strip() for t in args.barriers.split(",")]
+            stray = [name for name in names if name not in family]
+            if stray:
+                raise ParameterError(f"--barriers {','.join(stray)}: the barriers of a "
+                                     f"{profile.speed.kind} profile are {', '.join(family)}")
+            for name in names:
+                b = barrier(name, profile.n, k=profile.speed.k)
                 mask = b.domain(profile.r)
                 if not np.any(mask):
                     continue
-                series.append((name.strip(), profile.r[mask], b(profile.r[mask])))
+                series.append((name, profile.r[mask], b(profile.r[mask])))
     pio._write(args.out, render_chart(series, title=title, x_label=x_label,
                                       y_label=y_label).encode())
     print(f"wrote {args.out}")

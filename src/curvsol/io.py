@@ -8,9 +8,10 @@ fsync, so after a power loss a rewritten file may hold old bytes.
 
 ``write_table`` formats in batches of about 2,048 cells.  ``%.17g`` prints a
 finite cell with ``1e-4 <= |v| < 1e16`` in fixed notation, and ``10**(16 - e)``
-is an exact double, so the significand ``round_half_even(|v| * 10**(16 - e))``
-comes out exact from Dekker's two-product; table gathers place its digits,
-sign, point and separator.  Every other cell is ``"%.17g" % v`` itself."""
+is an exact double, so Dekker's two-product gives ``hi + lo == |v| * 10**(16 -
+e)``.  Where ``hi`` lies strictly inside ``(1e16, 1e17)``, ``hi + rint(lo)`` is
+the correctly rounded 17-digit significand, whose digits table gathers place.
+Every other cell, one at a decade's edge too, is ``"%.17g" % v`` itself."""
 
 from __future__ import annotations
 
@@ -110,34 +111,22 @@ def _times_pow10(a, k):
     return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
 
 
-def _significand(a):
-    """The decimal exponent ``e`` of ``a`` (each ``1e-4 <= a < 1e16``) after
-    rounding to 17 digits, and its 17-digit significand
-    ``d = round_half_even(a * 10**(16 - e))``, ``1e16 <= d < 1e17``."""
-    e = np.floor(np.log10(a)).astype(np.intp)
+def _fixed_cells(v, last):
+    """Cells ``v`` as rows of ``_CELL`` bytes (the ``%.17g`` string, its
+    separator, a newline where ``last`` is 1, else a comma, zero padding) and
+    the mask of the exact rows, those with ``1e-4 <= |v| < 1e16`` and ``hi``
+    strictly inside ``(1e16, 1e17)``; the other rows hold junk."""
+    a = np.abs(v)
+    fixed = (a >= 1e-4) & (a < 1e16)              # False for NaN
+    a = np.where(fixed, a, 1.0)                   # a finite log10 for the junk rows
+    # log10 may be one off next to a power of ten, and then hi leaves the
+    # decade; e is capped at _LAYOUT's 15, as log10(9999999999999998) is 16
+    e = np.minimum(np.floor(np.log10(a)).astype(np.intp), 15)
     hi, lo = _times_pow10(a, 16 - e)
     # Strictly inside (1e16, 1e17) hi is an even integer (>= 2**53) and
     # hi + lo rounds into the decade, so rounding lo rounds it half to even.
+    exact = fixed & (hi > 1e16) & (hi < 1e17)
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    edge = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
-    if edge.size:   # log10 one off next to a power of ten, or a carry into the next decade
-        hi, lo, x = hi[edge], lo[edge], e[edge]
-        x += ((hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))).astype(np.intp)
-        x -= (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
-        hi, lo = _times_pow10(a[edge], 16 - x)
-        de = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-        carry = de == 10 ** 17
-        d[edge] = np.where(carry, 10 ** 16, de)
-        e[edge] = x + carry
-    return e, d
-
-
-def _fixed_cells(v, last, rows):
-    """Cells ``v`` with ``1e-4 <= |v| < 1e16`` as rows of ``_CELL`` bytes: the
-    ``%.17g`` string, its separator (a newline where ``last`` is 1, else a
-    comma), zero padding.  Every entry of ``rows[i]`` is ``24 * i``, where
-    cell ``i``'s source row starts."""
-    e, d = _significand(np.abs(v))
     groups = np.empty((5, v.size), np.intp)       # four-digit groups, high to low
     for k in range(4, 0, -1):
         q = d // 10000
@@ -150,8 +139,8 @@ def _fixed_cells(v, last, rows):
     source = source.view(np.uint8)
     kept = 17 - np.argmax(source[:, 19:2:-1] != ord("0"), axis=1)
     index = _LAYOUT[((e + 4) * 2 + (v < 0.0)) * 17 + kept - 1]
-    index += rows
-    return source.ravel()[index]
+    index += 24 * np.arange(v.size)[:, None]      # where cell i's source row starts
+    return source.ravel()[index], exact
 
 
 def _other_cells(v, last):
@@ -165,26 +154,21 @@ def _other_cells(v, last):
 def write_table(path, header, columns) -> None:
     """Equal-length ``columns`` as comma-separated rows of ``%.17g`` values
     under a ``header`` row, to ``path`` or, when it is None, to stdout.  A
-    finite cell with ``1e-4 <= |v| < 1e16`` is built, in batches, from its
-    exact 17-digit significand in fixed notation, which is what ``%.17g``
-    prints there; every other cell is ``"%.17g" % v``.  So every cell's bytes
-    are those of ``"%.17g" % v``."""
+    cell with ``1e-4 <= |v| < 1e16`` whose high part of ``|v| * 10**(16 - e)``
+    lies strictly inside ``(1e16, 1e17)`` is built in batches from that exact
+    significand in the fixed notation ``%.17g`` prints there; every other cell
+    is ``"%.17g" % v``.  So every cell's bytes are those of ``"%.17g" % v``."""
     table = np.column_stack(columns).astype(np.float64, copy=False)
     if table.shape[1] != len(header):
         raise ValueError(f"{table.shape[1]} columns under {len(header)} header names")
     cells = table.ravel()
     step = max(1, _CHUNK // len(header)) * len(header)   # every batch starts a row
     last = (np.arange(step) % len(header) == len(header) - 1).astype(np.intp)
-    size = min(step, cells.size)
-    rows = np.repeat(np.arange(0, 24 * size, 24), _CELL).reshape(size, _CELL)
     pieces = []
     for start in range(0, cells.size, step):
         v = cells[start:start + step]
-        a = np.abs(v)
-        fixed = (a >= 1e-4) & (a < 1e16)          # False for NaN
-        other = np.flatnonzero(~fixed)
-        # the other cells' rows are formatted as 1.0, then overwritten
-        out = _fixed_cells(np.where(fixed, v, 1.0), last[:v.size], rows[:v.size])
+        out, exact = _fixed_cells(v, last[:v.size])
+        other = np.flatnonzero(~exact)
         if other.size:
             out[other] = _other_cells(v[other], last[other])
         pieces.append(out[out != 0].tobytes())

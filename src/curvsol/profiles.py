@@ -25,12 +25,14 @@ __all__ = [
     "cyl_profile",
     "Barrier",
     "barrier",
-    "BARRIER_NAMES",
+    "BARRIER_FAMILIES",
     "ProfileSolution",
     "integrate_profile",
 ]
 
-BARRIER_NAMES = ("v1", "v2", "v3", "w1", "w2", "w3", "w4", "w5")
+BARRIER_FAMILIES = {"sigma_k_root": ("v1", "v2", "v3"),
+                    "harmonic_pairs": ("w1", "w2", "w3", "w4", "w5")}
+BARRIER_NAMES = sum(BARRIER_FAMILIES.values(), ())
 
 _MAX_STEPS = 500_000   # LSODA steps and restarts per profile before it ends in step_failure
 _S_MAX = log(np.finfo(float).max)   # the r^2 past which e^{r^2} overflows a float
@@ -201,7 +203,8 @@ def barrier(name: str, n: int, k: Optional[int] = None, a: Optional[float] = Non
     """
     if name not in BARRIER_NAMES:
         raise ParameterError(f"unknown barrier {name!r}; expected one of {BARRIER_NAMES}")
-    eq = slope_equation(sigma_k_root(k, n) if name.startswith("v") else harmonic_pairs(n))
+    speed = sigma_k_root(k, n) if name in BARRIER_FAMILIES["sigma_k_root"] else harmonic_pairs(n)
+    eq = slope_equation(speed)
     if name in ("v1", "w1", "v3", "w3"):
         return Barrier(name, slope=eq.c, r_end=1.0 / eq.c if name.endswith("3") else inf)
     if name == "v2":

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cones import ConeSpec, _cone_draws, pinched, uniform_two_convex
 from .errors import DomainError, ParameterError
-from .profiles import ProfileSolution, barrier, cyl_profile, slope_equation
+from .profiles import BARRIER_FAMILIES, ProfileSolution, barrier, cyl_profile, slope_equation
 from .rotgeom import ProfileGeometry, cylinder_curvatures, profile_geometry
 from .speeds import SpeedSpec, _violation, harmonic_pairs, speed_derivatives, support_margins
 
@@ -137,11 +137,11 @@ def check_barriers(profile: ProfileSolution) -> list[CheckEntry]:
     ``w5_below_du_near_blowup`` always, since w5 bounds no solution from below."""
     r, du, speed = profile.r, profile.du, profile.speed
     tol = 1e-9                    # on the relative excess
-    family = {"sigma_k_root": "v", "harmonic_pairs": "w"}.get(speed.kind)
+    family = BARRIER_FAMILIES.get(speed.kind)
     if family is None:
         raise ParameterError(f"no barrier family for speed kind {speed.kind!r}")
     entries = []
-    for i, name in enumerate((family + "1", family + "2", family + "3")):
+    for i, name in enumerate(family[:3]):
         label = f"du_below_{name}" if i else f"{name}_below_du"
         if name == "v2" and slope_equation(speed).a0 == np.inf:
             entries.append(CheckEntry(name=label, status="skipped", tolerance=tol,
@@ -155,7 +155,7 @@ def check_barriers(profile: ProfileSolution) -> list[CheckEntry]:
             entries.append(CheckEntry(name=label, status="pass" if viol <= tol else "fail",
                                       tolerance=tol, worst_violation=viol,
                                       witness={"r": r[mask][j]}))
-    if family == "w":
+    if "w5" in family:
         entries.append(CheckEntry(
             name="w5_below_du_near_blowup", status="skipped", tolerance=tol,
             detail="refuted: w5^2/w3^2 = (1+x)/x > 1 with x = c1 r, so w5 > w3 >= u' "

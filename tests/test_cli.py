@@ -638,6 +638,14 @@ class TestBarriersCmd:
         assert len(err) == 1 and err[0].startswith("error: barrier w1 overflows")
         assert not out.exists()
 
+    @pytest.mark.parametrize("names", ["v1", "w1,v3"])
+    def test_sigma_k_barrier_without_k_is_usage_error(self, names, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        assert run(["barriers", "--names", names, "--n", 3, "--count", 3, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --k is required by barriers v1, v2, v3, got --names {names}"]
+        assert not out.exists()
+
     def test_count_one_is_the_left_end(self, tmp_path):
         out = tmp_path / "w.csv"
         assert run(["barriers", "--names", "w3", "--n", 3, "--rmin", 0.25, "--count", 1,
@@ -725,6 +733,21 @@ class TestPlot:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "--barriers" in err[0] and "--revolve" in err[0]
+        assert not fig.exists()
+
+    @pytest.mark.parametrize("speed, barriers, family", [
+        (["sigma-k", "--k", 2], "w4", "sigma_k_root profile are v1, v2, v3"),
+        (["harmonic"], "w1,v1", "harmonic_pairs profile are w1, w2, w3, w4, w5"),
+    ], ids=["w-on-sigma-k", "v-on-harmonic"])
+    def test_barrier_of_another_family_is_usage_error(self, speed, barriers, family,
+                                                       tmp_path, capsys):
+        csv, fig = tmp_path / "p.csv", tmp_path / "p.svg"
+        assert run(["solve", "--speed", *speed, "--n", 3, "--rmax", 1, "--out", csv]) == 0
+        capsys.readouterr()
+        assert run(["plot", "--in", csv, "--barriers", barriers, "--out", fig]) == 2
+        stray = barriers.split(",")[-1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --barriers {stray}: the barriers of a {family}"]
         assert not fig.exists()
 
     def test_deterministic_bytes(self, sigma2_csv, tmp_path):

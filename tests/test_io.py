@@ -165,6 +165,27 @@ def test_write_table_cell_text(value, text):
     assert table_text(("x", "y"), (np.array([value]), np.array([1.0]))) == f"x,y\n{text},1\n"
 
 
+def test_decade_edge_cells_take_the_per_cell_path(monkeypatch):
+    # a cell whose significand's high part is 1e16 or 1e17 is not exact in one
+    # pass of the batched kernel, so it must be formatted by %.17g itself
+    edges = [1.0, 10.0, 100.0, 1e-4, 1e-3, 0.1, 1e15]
+    edges += [-x for x in edges]
+    ordinary = np.linspace(0.37, 7.3e3, 26).tolist()
+    table = np.array([x for pair in zip(edges + edges, ordinary) for x in pair]).reshape(-1, 4)
+    seen = []
+    other_cells = curvsol.io._other_cells
+
+    def recording(v, last):
+        seen.extend(v.tolist())
+        return other_cells(v, last)
+
+    monkeypatch.setattr(curvsol.io, "_other_cells", recording)
+    header = ("a", "b", "c", "d")
+    assert table_text(header, tuple(table.T)) == per_cell_text(header, table)
+    assert set(edges) <= set(seen)
+    assert not set(ordinary) & set(seen)
+
+
 def test_write_table_without_rows_is_the_header():
     assert table_text(("r", "w"), (np.array([]), np.array([]))) == "r,w\n"
     assert table_text(("r",), (np.array([]),)) == "r\n"
