@@ -97,12 +97,12 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     ``clamp_events``, the number of nodes that clip changes in T(w).  The
     result's ``values`` are the last T(w), on the grid's ``nodes``.
 
-    Requires n in 3..6, m >= 64, R within the super-solution band's
-    interval, max_iter >= 1 and a finite tol > 0.  The solve ends with
-    ``converged`` False after max_iter iterations, or when sup_change sets no
-    new minimum for 3 consecutive iterations above the round-off floor of
-    the cumulative quadrature; a change at or below that floor that sets no
-    new minimum counts as convergence.
+    Requires n in 3..6, m >= 64, R in the super-solution band's interval with
+    a spacing R/(m-1) that does not underflow to 0, max_iter >= 1 and a
+    finite tol > 0.  The solve ends with ``converged`` False after max_iter
+    iterations, or when sup_change sets no new minimum for 3 consecutive
+    iterations above the round-off floor of the cumulative quadrature; a
+    change at or below that floor that sets no new minimum counts as convergence.
 
     Newton, because the plain iteration w <- T(w) stalls for n >= 4: near the
     axis T maps eps r^p to (1 - K) eps r^p / p with K = psi'(1/c)/c, the
@@ -115,11 +115,13 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
         raise ParameterError("picard_solve requires m >= 64")
     if not 0.0 < R <= domain_radius(n):
         raise ParameterError(f"R must lie in (0, {domain_radius(n)!r}] for n={n}")
+    r = np.linspace(0.0, R, m)
+    if r[1] == 0.0:
+        raise ParameterError(f"R={R!r} is too small for m={m}: R/(m-1) underflows to 0")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     if not (np.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
-    r = np.linspace(0.0, R, m)
     w2, w3, w4 = (barrier(name, n) for name in ("w2", "w3", "w4"))
     lo, hi = w4(r), w3(r)            # the band [w4, w3], both 0 at the axis
     slopes = (w4.slope, w3.slope)

@@ -301,8 +301,8 @@ def integrate_profile(spec: SpeedSpec,
     """
     from scipy.integrate import LSODA
     from scipy.optimize import brentq
-    if not startup_radius > 0.0:
-        raise ParameterError("startup_radius must be positive")
+    if not startup_radius / 8.0 > 0.0:       # the first step, startup_radius/8, must not underflow
+        raise ParameterError(f"startup_radius/8 must be positive, got {startup_radius!r}")
     if not startup_radius < r_max < np.inf:
         raise ParameterError(f"r_max must be finite and exceed startup_radius, got {r_max}")
     for name, x in (("rtol", rtol), ("atol", atol), ("blowup_threshold", blowup_threshold)):

@@ -45,7 +45,7 @@ _CHUNK = 4096          # rows per array call in the sampled checks: bounds their
 _MAX_TRIES = 20000     # consecutive rejected draws before sampling gives up
 _BOUNDARY_PATHS = 20   # decay paths to the cone boundary per property check
 _BOUNDARY_DEPTH = 30   # halvings of the distance to the boundary along a path
-_BOUNDARY_REL = 1e-3   # boundary limit / interior value that counts as vanishing
+_BOUNDARY_REL = 1e-3   # boundary limit / the path's scale that counts as vanishing
 _BOUNDARY_FAR = 0.01 * 2.0 ** 19   # a path leaves the cone iff its point at this t is outside
 
 
@@ -478,15 +478,16 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
     is bracketed by [0, _BOUNDARY_FAR], or by 1e-9 relative about the exact
     exit time where ``support_mask`` confirms both ends, and each call then
     tests 63 evenly spaced points per bracket until every bracket is one ulp
-    wide.  The speed is sampled at geometrically shrinking distances from
-    the last point inside, a power-law exponent is fitted, and the inferred
-    boundary limit (0 for a clean positive exponent, else the observed
-    plateau) is compared against ``_BOUNDARY_REL`` times the interior value.
-    A path is found iff at least 12 of its decay samples lie inside the cone.
-    A raw-value threshold alone would misclassify k-th roots with k >= 4,
-    whose decay cannot reach 1e-3 of the interior value at double-precision
-    distances.  Every step works row by row, so a path's results do not
-    depend on the other rows of the call.
+    wide.  The speed is sampled at the distances 2^-j (j = 0..30) of the
+    segment to the last point inside; a path is found iff at least 12 of
+    these samples lie inside the cone.  A found path is clean, ratio 0, iff
+    its last three kept values v1 > v2 > v3 fall to an Aitken limit
+    v3 - d2^2/(d2 - d1) (v3 if d2 = d1) of at most ``_BOUNDARY_REL`` times
+    its largest kept value; else its ratio is v3 over the interior value.
+    The limit removes a decay of any order (1/k for a k-th root), not a
+    plateau.  The bound grows, as the 1-homogeneous speed does, with a far
+    exit's length, and so with the round-off the step amplifies.  Every step
+    works row by row: a path's results do not depend on the call's other rows.
     """
     p, n = lam.shape
 
@@ -516,17 +517,14 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
     vals = speed_values(spec, points.reshape(-1, n)).reshape(p, mus.size)
     keep = ~np.isnan(vals)
     found = np.count_nonzero(keep, axis=1) >= 12
-    # the last ten values kept on each found path, and their least-squares slope
-    last = keep & (np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] <= 10) & found[:, None]
-    v = vals[last].reshape(-1, 10)
-    x = np.log(np.broadcast_to(mus, vals.shape)[last].reshape(-1, 10))
-    x = x - x.mean(axis=1, keepdims=True)
-    y = np.log(v)
-    slope = np.sum(x * (y - y.mean(axis=1, keepdims=True)), axis=1) / np.sum(x * x, axis=1)
-    # clean power-law decay: the limit vanishes; else the observed plateau
-    clean = np.all(np.diff(v, axis=1) < 0.0, axis=1) & (slope >= 0.05)
+    # the last three values kept on each found path, and their Aitken limit
+    last = keep & (np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] <= 3) & found[:, None]
+    v1, v2, v3 = vals[last].reshape(-1, 3).T
+    d1, d2 = v2 - v1, v3 - v2
+    limit = v3 - np.divide(d2 * d2, d2 - d1, out=np.zeros_like(d1), where=d2 != d1)
+    clean = (d1 < 0.0) & (d2 < 0.0) & (limit <= _BOUNDARY_REL * np.nanmax(vals[found], axis=1))
     ratio = np.zeros(p)
-    ratio[found] = np.where(clean, 0.0, v[:, -1]) / g_int[found]
+    ratio[found] = np.where(clean, 0.0, v3) / g_int[found]
     return found, ratio <= _BOUNDARY_REL, ratio
 
 
@@ -544,10 +542,11 @@ def check_properties(spec: SpeedSpec, sample_count: int = 1000,
     ``_BOUNDARY_FAR`` lies outside the cone (the cone is convex, so then and
     only then does the path leave it before there), until ``_BOUNDARY_PATHS``
     paths are kept or ``20 * _BOUNDARY_PATHS`` paths are drawn.  Batch: one
-    `_boundary_paths` call on the kept paths, recorded at once.  A path with
-    too few decay samples inside the cone does not count; for such a
-    shortfall further rounds are planned and batched while the draw budget
-    lasts."""
+    `_boundary_paths` call on the kept paths, recorded at once; a path passes
+    iff its decay's Aitken limit is at most ``_BOUNDARY_REL`` times its largest
+    value.  A path with too few decay samples inside the cone does not
+    count; for such a shortfall further rounds are planned and batched
+    while the draw budget lasts."""
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
     if seed < 0:

@@ -2,15 +2,21 @@
 contract (0 pass, 1 verification failure, 2 usage/input error)."""
 
 import argparse
+import functools
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvsol
 from curvsol import barrier, harmonic_pairs, product, quotient, sigma_k_root
@@ -675,9 +681,10 @@ class TestPicardCmd:
             ratios = [it["contraction_ratio"] for it in payload["iterations"][1:]]
             assert ratios and max(ratios) < 1.0
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag, value", [
         ("--max-iter", 0), ("--max-iter", -3), ("--tol", -1), ("--tol", 0),
-        ("--tol", "nan"), ("--tol", "inf"), ("--seed", -1)])
+        ("--tol", "nan"), ("--tol", "inf"), ("--seed", -1), ("--R", "5e-324")])
     def test_bad_limits_are_usage_errors(self, tmp_path, capsys, flag, value):
         out = tmp_path / "picard.json"
         assert run(["picard", "--n", 3, "--grid", 256, flag, value, "--out", out]) == 2
@@ -954,3 +961,106 @@ class TestParsers:
             assert main(["verify", "-h"]) == 0
             lines[columns] = len(capsys.readouterr().out.splitlines())
         assert lines == {50: 27, 120: 18}
+
+
+# The exit-code contract under fuzzing.  Each call starts from valid flags,
+# every optional one given or not, then one flag (or verify's positional
+# word, keyed "") takes an edge value or junk, or is left out.
+_EDGE = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "5e-324")
+_JUNK = ("x", "")
+# the valid values of each command's flags; () marks an on/off flag.  The
+# profiles hm.csv and s2.csv are in the directory the calls run in.
+_VALID = {
+    "solve": {"--speed": ("sigma-k", "harmonic"), "--n": ("3", "4"), "--k": ("2", "3"),
+              "--rmax": ("0.3", "1"), "--eps": ("1e-4", "1e-3"), "--rtol": ("1e-8",),
+              "--atol": ("1e-12",), "--blowup-threshold": ("1e8", "10"),
+              "--sweep": ("n=3..4",), "--out": ("s.csv",)},
+    "verify": {"": ("soliton", "convexity", "barriers", "cylinder"),
+               "--profile": ("hm.csv", "s2.csv"), "--tol": ("1e-8", "1e-3"),
+               "--alpha": ("auto", "0.5"), "--delta": ("0.05",), "--beta": ("auto", "0.5"),
+               "--zmin": ("-0.5", "0"), "--zmax": ("3", "1"), "--samples": ("20",),
+               "--out": ("v.json",)},
+    "props": {"--speed": ("sigma-k", "harmonic", "quotient", "product"), "--n": ("3", "4"),
+              "--k": ("2", "3"), "--l": ("1",), "--factors": ("sigma-k:2,sigma-k:1",),
+              "--weights": ("0.5,0.5",), "--samples": ("5", "50"), "--seed": ("0", "7"),
+              "--out": ("p.json",)},
+    "barriers": {"--names": ("w3", "w3,w5", "v1"), "--n": ("3", "4"), "--k": ("2",),
+                 "--a": ("1",), "--rmin": ("0", "0.1"), "--rmax": ("0.3", "1"),
+                 "--count": ("5", "50"), "--out": ("b.csv",)},
+    "picard": {"--n": ("3", "4"), "--R": ("0.1", "0.2"), "--grid": ("65", "256"),
+               "--tol": ("1e-10",), "--max-iter": ("50",), "--seed": ("0", "3"),
+               "--fixed-point-csv": ("fp.csv",), "--out": ("pic.json",)},
+    "plot": {"--in": ("hm.csv", "s2.csv"), "--barriers": ("w3", "w3,w5", "v1"),
+             "--revolve": (), "--out": ("f.svg",)},
+}
+# scipy raises an rtol below its floor with this warning (integrate_profile's docstring)
+_RTOL_FLOOR = "At least one element of `rtol` is too small"
+
+
+@functools.cache
+def _flag_actions(command):
+    """The argparse action of each of ``command``'s flags, keyed by the flag."""
+    parser = argparse.ArgumentParser()
+    cli._COMMANDS[command][1](parser)
+    return {(a.option_strings or [""])[0]: a for a in parser._actions if a.dest != "help"}
+
+
+@st.composite
+def fuzzed_calls(draw, command):
+    actions = _flag_actions(command)
+    bad = draw(st.sampled_from(sorted(actions)))
+    present = draw(st.integers(0, 2 ** len(actions) - 1))   # bit i: flag i is given
+    argv = [command]
+    for i, (flag, action) in enumerate(actions.items()):
+        if flag == bad:
+            value = draw(st.sampled_from((None,) + _EDGE + _JUNK))   # None leaves it out
+        elif action.required or present >> i & 1:
+            valid = _VALID[command][flag] or (True,)
+            value = valid[0] if len(valid) == 1 else draw(st.sampled_from(valid))
+        else:
+            continue
+        if value is not None:
+            argv.append(flag if value is True else value if not flag else f"{flag}={value}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for argv in (["--speed", "harmonic", "--n", 3, "--rmax", 0.3, "--out", path / "hm.csv"],
+                 ["--speed", "sigma-k", "--k", 2, "--n", 3, "--rmax", 1, "--out", path / "s2.csv"]):
+        assert run(["solve", *argv]) == 0
+    return path
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_flag_has_valid_values(self, command):
+        assert set(_flag_actions(command)) == set(_VALID[command])
+
+    @settings(max_examples=1200, deadline=None, derandomize=True)
+    @given(argv=st.sampled_from(list(cli._COMMANDS)).flatmap(fuzzed_calls))
+    def test_every_call_ends_in_a_documented_exit(self, fuzz_dir, argv):
+        before = set(os.listdir(fuzz_dir))
+        cwd, out, err = os.getcwd(), io.StringIO(), io.StringIO()
+        try:
+            os.chdir(fuzz_dir)
+            with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+                    redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+            written = set(os.listdir(fuzz_dir)) - before
+            for name in written:
+                (fuzz_dir / name).unlink()
+        assert code in (0, 1, 2)
+        assert [str(w.message) for w in caught if _RTOL_FLOOR not in str(w.message)] == []
+        lines = err.getvalue().splitlines()
+        assert not any(line.startswith("Traceback") for line in lines)
+        if code == 2:
+            if lines[0].startswith("usage:"):      # argparse: the usage, then one error line
+                assert [line for line in lines if ": error: " in line] == lines[-1:]
+            else:
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not written

@@ -566,6 +566,12 @@ class TestIntegrateProfile:
         with pytest.raises(ParameterError, match="startup height"):
             integrate_profile(spec, startup_radius=eps, r_max=10 * eps)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, 5e-324, 1e-323])
+    def test_startup_radius_without_a_first_step_is_parameter_error(self, eps):
+        # the first step is eps/8: scipy would raise its own ValueError where it underflows
+        with pytest.raises(ParameterError, match="startup_radius/8 must be positive"):
+            integrate_profile(sigma_k_root(2, 3), startup_radius=eps, r_max=1.0)
+
     @pytest.mark.parametrize("name, value", [
         ("rtol", np.nan), ("rtol", np.inf), ("rtol", 0.0), ("atol", np.nan), ("atol", -1.0),
         ("atol", np.inf), ("blowup_threshold", np.nan), ("blowup_threshold", 0.0),

@@ -279,10 +279,13 @@ class TestPropertySuite:
         checks = check_properties(harmonic_pairs(4), sample_count=300, seed=7)
         assert sum(c.failed for c in checks.values()) == 0
 
-    def test_quotient_fails_only_boundary_vanishing(self):
-        checks = check_properties(quotient(2, 1, 3), sample_count=300, seed=7)
+    @pytest.mark.parametrize("seed", [7, 0, 102])
+    @pytest.mark.parametrize("spec", [quotient(2, 1, 3), quotient(3, 1, 4)],
+                             ids=lambda s: s.label())
+    def test_quotient_fails_only_boundary_vanishing(self, spec, seed):
+        checks = check_properties(spec, sample_count=300, seed=seed)
         assert [name for name, c in checks.items() if c.failed > 0] == ["boundary_vanishing"]
-        assert checks["boundary_vanishing"].failed > 0
+        assert checks["boundary_vanishing"].failed == speeds._BOUNDARY_PATHS
         # the witnessed near-boundary value stays an O(1) fraction of the
         # interior value: a genuine plateau, not slow decay
         assert checks["boundary_vanishing"].worst > 0.01
@@ -525,10 +528,12 @@ def leaves(spec, lam, d):
     return ~support_mask(spec, lam + speeds._BOUNDARY_FAR * d)
 
 
-def bisection_boundary_paths(spec, lam, d):
-    """Reference for `_boundary_paths`: each bracket from the doubling march
-    halved at its midpoint, one `support_mask` call per halving, until no
-    float lies strictly inside it; then one `np.polyfit` per path."""
+def decay_rows(spec, lam, d):
+    """Whether each path lam + t d leaves the cone, its interior value and
+    its decay row: the speed at the distances 2^-j (j = 0..30) of the
+    segment to the last point inside, that point found by halving each
+    bracket of the doubling march at its midpoint, one `support_mask` call
+    per halving, until no float lies strictly inside it."""
     p, n = lam.shape
     found, t_hi = march(spec, lam, d)
     t_lo = np.zeros(p)
@@ -540,20 +545,35 @@ def bisection_boundary_paths(spec, lam, d):
         t_lo = np.where(inside, tm, t_lo)
         t_hi = np.where(inside, t_hi, tm)
     b = lam + t_lo[:, None] * d
-    g_int = speed_values(spec, lam)
     mus = 2.0 ** -np.arange(speeds._BOUNDARY_DEPTH + 1)
     points = b[:, None, :] + mus[:, None] * (lam - b)[:, None, :]
     vals = speed_values(spec, points.reshape(-1, n)).reshape(p, mus.size)
-    ratio = np.zeros(p)
+    return found, speed_values(spec, lam), vals
+
+
+def aitken_limit(v):
+    """Aitken's limit of the last three values of the sequence v, and
+    whether they fall strictly; the last value where the differences agree."""
+    v1, v2, v3 = (float(x) for x in v[-3:])
+    d1, d2 = v2 - v1, v3 - v2
+    return (v3 if d2 == d1 else v3 - d2 * d2 / (d2 - d1)), d1 < 0.0 and d2 < 0.0
+
+
+def bisection_boundary_paths(spec, lam, d):
+    """Reference for `_boundary_paths`: the decay rows of `decay_rows`, then
+    per path in plain Python: found iff it leaves with at least 12 values
+    inside, clean iff its last three values fall strictly to an Aitken limit
+    of at most `_BOUNDARY_REL` times its largest value."""
+    found, g_int, vals = decay_rows(spec, lam, d)
+    ratio = np.zeros(lam.shape[0])
     for i in np.flatnonzero(found):
-        keep = ~np.isnan(vals[i])
-        if np.count_nonzero(keep) < 12:
+        v = [x for x in vals[i].tolist() if not math.isnan(x)]
+        if len(v) < 12:
             found[i] = False
             continue
-        mu, v = mus[keep][-10:], vals[i][keep][-10:]
-        slope, _ = np.polyfit(np.log(mu), np.log(v), 1)
-        limit = 0.0 if np.all(np.diff(v) < 0.0) and slope >= 0.05 else v[-1]
-        ratio[i] = limit / g_int[i]
+        limit, falls = aitken_limit(v)
+        clean = falls and limit <= _BOUNDARY_REL * max(v)
+        ratio[i] = (0.0 if clean else v[-1]) / g_int[i]
     return found, ratio <= _BOUNDARY_REL, ratio
 
 
@@ -649,6 +669,68 @@ class TestBoundaryPlanAndBatch:
             assert sum(drawn[1:]) == 20 * speeds._BOUNDARY_PATHS
         for stat in results:
             assert (stat.passed, stat.failed, stat.worst, stat.witness) == (0, 0, 0.0, None)
+
+
+def vanishing_order(spec):
+    """The order q of the speed's decay mu^q at the cone boundary: 1/k for
+    sigma_k^(1/k), 1 for harmonic_pairs, and 1/4 for the suite's product
+    (sigma_2^(1/2))^0.5 * sigma_1^0.5, whose first factor vanishes with order
+    1/2 while sigma_1 stays positive."""
+    if spec.kind == "sigma_k_root":
+        return 1.0 / spec.k
+    return {"harmonic_pairs": 1.0, "product": 0.25}[spec.kind]
+
+
+class TestBoundaryLimit:
+    @pytest.mark.parametrize("k", [20, 24, 30])
+    def test_high_order_roots_vanish(self, k):
+        # sigma_k^(1/k) vanishes with order 1/k, at or below the former exponent floor 0.05
+        stat = check_properties(sigma_k_root(k, k), 5, 0)["boundary_vanishing"]
+        assert (stat.passed, stat.failed, stat.worst) == (20, 0, 0.0)
+
+    def test_a_far_exit_is_bounded_by_its_own_scale(self, monkeypatch):
+        spec, paths, batch = sigma_k_root(4, 6), [], speeds._boundary_paths
+
+        def recorded(spec, lam, d):
+            paths.append((lam, d))
+            return batch(spec, lam, d)
+
+        monkeypatch.setattr(speeds, "_boundary_paths", recorded)
+        stat = check_properties(spec, 150, 102)["boundary_vanishing"]
+        assert (stat.passed, stat.failed, stat.worst) == (20, 0, 0.0)
+        # a path that exits far away: its values and their round-off grow with
+        # the exit distance, and its limit exceeds _BOUNDARY_REL times the interior value
+        found, g_int, vals = decay_rows(spec, *(np.concatenate(x) for x in zip(*paths)))
+        limits = [aitken_limit(row[~np.isnan(row)])[0] for row in vals[found]]
+        assert max(np.array(limits) / g_int[found]) > _BOUNDARY_REL
+
+    @pytest.mark.parametrize("order", [1.0, 0.2, 0.05, 1 / 30])
+    @pytest.mark.parametrize("plateau, clean", [(2e-3, False), (5e-4, True)])
+    def test_a_plateau_fails_at_any_decay_order(self, order, plateau, clean, monkeypatch):
+        # real paths, fed the interior value 1 and the decay 0.9 mu^order + plateau
+        spec = sigma_k_root(2, 3)
+        lam, d = suite_paths(spec, 5)
+        keep = leaves(spec, lam, d)
+        lam, d = lam[keep], d[keep]
+        mus = 2.0 ** -np.arange(speeds._BOUNDARY_DEPTH + 1)
+        decay = np.tile(0.9 * mus ** order + plateau, (lam.shape[0], 1))
+        fed = iter([np.ones(lam.shape[0]), decay.ravel()])
+        monkeypatch.setattr(speeds, "speed_values", lambda spec, rows: next(fed))
+        found, ok, ratio = _boundary_paths(spec, lam, d)
+        assert found.all() and np.all(ok == clean)
+        assert np.array_equal(ratio, np.zeros(lam.shape[0]) if clean else decay[:, -1])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("spec", [s for s in SUITE_SPEEDS if s.kind != "quotient"]
+                             + [sigma_k_root(k, k) for k in (20, 24, 30)],
+                             ids=lambda s: s.label())
+    def test_last_three_values_show_the_vanishing_order(self, spec, seed):
+        lam, d = suite_paths(spec, seed)
+        found, _, vals = decay_rows(spec, lam, d)
+        rows = [v[~np.isnan(v)] for v in vals[found]]
+        orders = [math.log2((v[-3] - v[-2]) / (v[-2] - v[-1])) for v in rows if v.size >= 12]
+        assert orders
+        assert max(abs(q - vanishing_order(spec)) for q in orders) <= 2e-3
 
 
 def oracle_sample_rows(spec, rng, count):
