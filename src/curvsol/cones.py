@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .speeds import (SpeedSpec, _rows, harmonic_pairs, sigma_partials, speed_values,
+from .speeds import (SpeedSpec, _rows, _support_distance, harmonic_pairs, speed_values,
                      support_margins, unit_draws)
 
 __all__ = [
@@ -81,25 +81,6 @@ def _distance_to_cyl_rays(L: np.ndarray) -> np.ndarray:
     return np.minimum(norm[:, 0], np.min(d, axis=1))
 
 
-def _distance_to_support_boundary(speed: SpeedSpec, L: np.ndarray) -> np.ndarray:
-    """Distance from each row of L to the boundary of the speed's support
-    cone.
-
-    Exact for pair-sum cones (linear constraints); the first-order margin
-    S_k/|grad S_k| for Gamma_k, the least of S_l/|grad S_l| over l <= k on
-    every sampled row (tests/test_cones.py).
-    """
-    if speed.kind == "product":
-        return np.min([_distance_to_support_boundary(f, L) for f in speed.factors], axis=0)
-    margin = support_margins(speed, L)[-1][1]
-    if speed.kind == "harmonic_pairs":
-        return margin / np.sqrt(2.0)
-    if speed.kind == "quotient":
-        return margin
-    with np.errstate(divide="ignore"):          # a vanishing gradient bounds nothing
-        return margin / np.linalg.norm(sigma_partials(L, speed.k), axis=1)
-
-
 def _cone_draws(cone: ConeSpec, samples: int, seed: int):
     """Yield ``(rng, rows)``: the in-cone rows of each chunk of ``samples``
     unit draws seeded by ``seed`` that has any; a DomainError if none has.
@@ -129,6 +110,6 @@ def cone_separation(cone: ConeSpec, samples: int, seed: int = 0) -> float:
     not certify) the compact-support hypothesis of the convexity estimate."""
     best = np.inf
     for _, x in _cone_draws(cone, samples, seed):
-        d = np.minimum(_distance_to_cyl_rays(x), _distance_to_support_boundary(cone.speed, x))
+        d = np.minimum(_distance_to_cyl_rays(x), _support_distance(cone.speed, x))
         best = min(best, float(np.min(d)))
     return best

@@ -294,20 +294,23 @@ def integrate_profile(spec: SpeedSpec,
     underflows at a huge slope (``blew_up``, ending at the last node), or at
     a moderate slope (``step_failure``).  u'' is stored as the right-hand
     side at each node, exact by the equation.
-    scipy raises an rtol below 100 machine epsilons to that floor (with a
-    warning), and ``tolerances`` records the rtol it used.  ``rtol`` is
+    An rtol below 100 machine epsilons is raised to that floor, as scipy
+    would raise it with a warning, and ``tolerances`` records it.  The first
+    step, startup_radius/8, must be a normal float: LSODA runs erratically
+    from a subnormal one, to the step budget or not.  ``rtol`` is
     LSODA's per-step tolerance, not a global error bound: harmonic n = 3 to
     r_max = 1 ends 1.7e-10 relative off an rtol = 1e-13 solve at 1e-10.
     """
     from scipy.integrate import LSODA
     from scipy.optimize import brentq
-    if not startup_radius / 8.0 > 0.0:       # the first step, startup_radius/8, must not underflow
-        raise ParameterError(f"startup_radius/8 must be positive, got {startup_radius!r}")
+    if not startup_radius / 8.0 >= np.finfo(float).tiny:   # a subnormal first step stalls LSODA
+        raise ParameterError(f"startup_radius/8 must be positive and normal, got {startup_radius!r}")
     if not startup_radius < r_max < np.inf:
         raise ParameterError(f"r_max must be finite and exceed startup_radius, got {r_max}")
     for name, x in (("rtol", rtol), ("atol", atol), ("blowup_threshold", blowup_threshold)):
         if not 0.0 < x < np.inf:
             raise ParameterError(f"{name} must be finite and > 0, got {x}")
+    rtol = float(max(rtol, 100 * np.finfo(float).eps))   # scipy's floor, which it warns of
     if spec.kind == "sigma_k_root" and spec.k < 2:
         raise ParameterError("profiles require k >= 2 (mean curvature excluded)")
     eq = slope_equation(spec)
@@ -362,7 +365,6 @@ def integrate_profile(spec: SpeedSpec,
             status = "completed"
             break
 
-    used_rtol = float(max(rtol, 100 * np.finfo(float).eps))   # scipy's floor, see above
     return ProfileSolution(speed=spec, samples=np.array(rows), status=status,
-                           tolerances={"rtol": used_rtol, "atol": atol,
+                           tolerances={"rtol": rtol, "atol": atol,
                                        "blowup_threshold": blowup_threshold, "max_step": max_step})

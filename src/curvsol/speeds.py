@@ -263,6 +263,22 @@ def _support_exit(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray) -> np.ndarray
                   axis=1)
 
 
+def _support_distance(spec: SpeedSpec, L: np.ndarray) -> np.ndarray:
+    """Distance from each row of L to the boundary of the support cone: exact
+    for the pair-sum and positive cones (linear constraints); for Gamma_k the
+    first-order margin S_k/|grad S_k|, the least of S_l/|grad S_l| over l <= k
+    on every sampled row (tests/test_cones.py)."""
+    if spec.kind == "product":
+        return np.min([_support_distance(f, L) for f in spec.factors], axis=0)
+    margin = support_margins(spec, L)[-1][1]
+    if spec.kind == "harmonic_pairs":
+        return margin / np.sqrt(2.0)
+    if spec.kind == "quotient":
+        return margin
+    with np.errstate(divide="ignore"):          # a vanishing gradient bounds nothing
+        return margin / np.linalg.norm(sigma_partials(L, spec.k), axis=1)
+
+
 def support_mask(spec: SpeedSpec, lam) -> np.ndarray:
     """Boolean array over the rows of ``lam`` (shape (m, n)): the row lies in
     the open support cone of ``spec``."""
@@ -474,17 +490,17 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
     in the unit directions ``d`` to the cone boundary, all paths in lockstep.
     Every path must leave the cone before ``_BOUNDARY_FAR``.
 
-    Returns (found, satisfied, limit_ratio) arrays over the paths.  Each exit
-    is bracketed by [0, _BOUNDARY_FAR], or by 1e-9 relative about the exact
-    exit time where ``support_mask`` confirms both ends, and each call then
-    tests 63 evenly spaced points per bracket until every bracket is one ulp
-    wide.  The speed is sampled at the distances 2^-j (j = 0..30) of the
-    segment to the last point inside; a path is found iff at least 12 of
-    these samples lie inside the cone.  A found path is clean, ratio 0, iff
-    its last three kept values v1 > v2 > v3 fall to an Aitken limit
-    v3 - d2^2/(d2 - d1) (v3 if d2 = d1) of at most ``_BOUNDARY_REL`` times
-    its largest kept value; else its ratio is v3 over the interior value.
-    The limit removes a decay of any order (1/k for a k-th root), not a
+    Returns (satisfied, limit_ratio) arrays over the paths.  Each exit is
+    bracketed by [0, _BOUNDARY_FAR], or by 1e-9 relative about the exact exit
+    time where ``support_mask`` confirms both ends, and each call then tests
+    63 evenly spaced points per bracket until every bracket is one ulp wide.
+    The speed is sampled at the distances 2^-j (j = 0..30) of the segment
+    from the interior row to the last point inside, so, the cone being
+    convex, at points inside the cone.  A path is clean, ratio 0, iff its
+    last three values v1 > v2 > v3 fall to an Aitken limit v3 - d2^2/(d2 - d1)
+    (v3 if d2 = d1) of at most ``_BOUNDARY_REL`` times its largest value;
+    else its ratio is v3 over the interior value, and inf where a value is
+    NaN.  The limit removes a decay of any order (1/k for a k-th root), not a
     plateau.  The bound grows, as the 1-homogeneous speed does, with a far
     exit's length, and so with the round-off the step amplifies.  Every step
     works row by row: a path's results do not depend on the call's other rows.
@@ -515,17 +531,13 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
     mus = 2.0 ** -np.arange(_BOUNDARY_DEPTH + 1)
     points = b[:, None, :] + mus[:, None] * (lam - b)[:, None, :]
     vals = speed_values(spec, points.reshape(-1, n)).reshape(p, mus.size)
-    keep = ~np.isnan(vals)
-    found = np.count_nonzero(keep, axis=1) >= 12
-    # the last three values kept on each found path, and their Aitken limit
-    last = keep & (np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] <= 3) & found[:, None]
-    v1, v2, v3 = vals[last].reshape(-1, 3).T
+    top = np.max(vals, axis=1)                       # NaN iff the row holds a NaN
+    v1, v2, v3 = vals[:, -3:].T                      # the last three values and their Aitken limit
     d1, d2 = v2 - v1, v3 - v2
     limit = v3 - np.divide(d2 * d2, d2 - d1, out=np.zeros_like(d1), where=d2 != d1)
-    clean = (d1 < 0.0) & (d2 < 0.0) & (limit <= _BOUNDARY_REL * np.nanmax(vals[found], axis=1))
-    ratio = np.zeros(p)
-    ratio[found] = np.where(clean, 0.0, v3) / g_int[found]
-    return found, ratio <= _BOUNDARY_REL, ratio
+    clean = (d1 < 0.0) & (d2 < 0.0) & (limit <= _BOUNDARY_REL * top)
+    ratio = np.where(clean, 0.0, np.where(np.isnan(top), np.inf, v3)) / g_int
+    return ratio <= _BOUNDARY_REL, ratio
 
 
 def check_properties(spec: SpeedSpec, sample_count: int = 1000,
@@ -544,9 +556,7 @@ def check_properties(spec: SpeedSpec, sample_count: int = 1000,
     paths are kept or ``20 * _BOUNDARY_PATHS`` paths are drawn.  Batch: one
     `_boundary_paths` call on the kept paths, recorded at once; a path passes
     iff its decay's Aitken limit is at most ``_BOUNDARY_REL`` times its largest
-    value.  A path with too few decay samples inside the cone does not
-    count; for such a shortfall further rounds are planned and batched
-    while the draw budget lasts."""
+    value."""
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
     if seed < 0:
@@ -557,22 +567,18 @@ def check_properties(spec: SpeedSpec, sample_count: int = 1000,
         lam = _sample_rows(spec, rng, min(_CHUNK, sample_count - start))
         for name, (ok, measure) in _pointwise_checks(spec, lam, rng).items():
             checks.setdefault(name, CheckStat()).record(ok, measure, lam)
-    boundary = checks["boundary_vanishing"] = CheckStat()
-    done = tries = 0
-    while done < _BOUNDARY_PATHS and tries < 20 * _BOUNDARY_PATHS:
-        start, lams, ds = done, [], []
-        while done < _BOUNDARY_PATHS and tries < 20 * _BOUNDARY_PATHS:     # plan
-            size = min(_BOUNDARY_PATHS - done, 20 * _BOUNDARY_PATHS - tries)
-            tries += size
-            lam = _sample_rows(spec, rng, size)
-            d = rng.standard_normal((size, spec.n))
-            d = d / np.linalg.norm(d, axis=1, keepdims=True)
-            leaves = ~support_mask(spec, lam + _BOUNDARY_FAR * d)
-            lams.append(lam[leaves])
-            ds.append(d[leaves])
-            done += int(np.count_nonzero(leaves))
-        lam = np.concatenate(lams)                                         # batch
-        found, ok, ratio = _boundary_paths(spec, lam, np.concatenate(ds))
-        boundary.record(ok[found], ratio[found], lam[found])
-        done = start + int(np.count_nonzero(found))      # a path short of decay samples drops
+    lams, ds, done, tries = [], [], 0, 0
+    while done < _BOUNDARY_PATHS and tries < 20 * _BOUNDARY_PATHS:         # plan
+        size = min(_BOUNDARY_PATHS - done, 20 * _BOUNDARY_PATHS - tries)
+        tries += size
+        lam = _sample_rows(spec, rng, size)
+        d = rng.standard_normal((size, spec.n))
+        d = d / np.linalg.norm(d, axis=1, keepdims=True)
+        leaves = ~support_mask(spec, lam + _BOUNDARY_FAR * d)
+        lams.append(lam[leaves])
+        ds.append(d[leaves])
+        done += int(np.count_nonzero(leaves))
+    lam = np.concatenate(lams)                                             # batch
+    checks["boundary_vanishing"] = CheckStat()
+    checks["boundary_vanishing"].record(*_boundary_paths(spec, lam, np.concatenate(ds)), lam)
     return checks

@@ -993,8 +993,6 @@ _VALID = {
     "plot": {"--in": ("hm.csv", "s2.csv"), "--barriers": ("w3", "w3,w5", "v1"),
              "--revolve": (), "--out": ("f.svg",)},
 }
-# scipy raises an rtol below its floor with this warning (integrate_profile's docstring)
-_RTOL_FLOOR = "At least one element of `rtol` is too small"
 
 
 @functools.cache
@@ -1055,7 +1053,7 @@ class TestExitCodeContract:
             for name in written:
                 (fuzz_dir / name).unlink()
         assert code in (0, 1, 2)
-        assert [str(w.message) for w in caught if _RTOL_FLOOR not in str(w.message)] == []
+        assert [str(w.message) for w in caught] == []
         lines = err.getvalue().splitlines()
         assert not any(line.startswith("Traceback") for line in lines)
         if code == 2:

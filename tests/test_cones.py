@@ -26,10 +26,10 @@ from curvsol import (
     sigma_k_root,
     uniform_two_convex,
 )
-from curvsol.cones import _distance_to_cyl_rays, _distance_to_support_boundary
+from curvsol.cones import _distance_to_cyl_rays
 from curvsol.rotgeom import profile_geometry
-from curvsol.speeds import (sigma_partials, speed_values, support_margins, support_mask,
-                            unit_draws)
+from curvsol.speeds import (_support_distance, sigma_partials, speed_values, support_margins,
+                            support_mask, unit_draws)
 
 RNG = np.random.default_rng(11)
 
@@ -293,7 +293,7 @@ class TestSeparationOracle:
         best, rows = math.inf, 0
         for X in unit_draws(4, samples, np.random.default_rng(seed)):
             X = X[cone_mask(cone, X)]
-            d = _distance_to_support_boundary(speed, X)
+            d = _support_distance(speed, X)
             for x, dx in zip(X.tolist(), d):
                 ref = boundary_distance(speed, x)
                 assert dx == pytest.approx(ref, rel=1e-12, abs=1e-15), x

@@ -3,6 +3,7 @@ integrator: LSODA with the exact Jacobian, restarted from the last node with
 half the step whenever a step reaches a NaN."""
 
 import math
+import warnings
 from math import comb, exp, sqrt
 
 import numpy as np
@@ -566,11 +567,16 @@ class TestIntegrateProfile:
         with pytest.raises(ParameterError, match="startup height"):
             integrate_profile(spec, startup_radius=eps, r_max=10 * eps)
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, 5e-324, 1e-323])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, 5e-324, 1e-323, 4e-323, 1e-312])
     def test_startup_radius_without_a_first_step_is_parameter_error(self, eps):
-        # the first step is eps/8: scipy would raise its own ValueError where it underflows
+        # the first step is eps/8: scipy would raise its own ValueError where it
+        # underflows, and LSODA may run to the step budget where it is subnormal
         with pytest.raises(ParameterError, match="startup_radius/8 must be positive"):
             integrate_profile(sigma_k_root(2, 3), startup_radius=eps, r_max=1.0)
+
+    def test_a_normal_first_step_is_accepted(self):
+        p = integrate_profile(harmonic_pairs(3), startup_radius=8 * np.finfo(float).tiny, r_max=0.3)
+        assert p.r[0] == 8 * np.finfo(float).tiny and p.status == "completed"
 
     @pytest.mark.parametrize("name, value", [
         ("rtol", np.nan), ("rtol", np.inf), ("rtol", 0.0), ("atol", np.nan), ("atol", -1.0),
@@ -583,7 +589,8 @@ class TestIntegrateProfile:
             integrate_profile(sigma_k_root(2, 3), r_max=1.0, **{name: value})
 
     def test_recorded_rtol_is_the_one_used(self):
-        with pytest.warns(UserWarning, match="rtol"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")           # raised to the floor before scipy warns
             p = integrate_profile(sigma_k_root(2, 2), r_max=1.0, rtol=1e-15)
         assert p.tolerances["rtol"] == 100 * np.finfo(float).eps
         assert integrate_profile(sigma_k_root(2, 2), r_max=1.0).tolerances["rtol"] == 1e-10

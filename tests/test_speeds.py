@@ -561,15 +561,15 @@ def aitken_limit(v):
 
 def bisection_boundary_paths(spec, lam, d):
     """Reference for `_boundary_paths`: the decay rows of `decay_rows`, then
-    per path in plain Python: found iff it leaves with at least 12 values
-    inside, clean iff its last three values fall strictly to an Aitken limit
-    of at most `_BOUNDARY_REL` times its largest value."""
+    per path in plain Python: found iff it leaves, failed with ratio inf iff
+    a value is NaN, else clean iff its last three values fall strictly to an
+    Aitken limit of at most `_BOUNDARY_REL` times its largest value."""
     found, g_int, vals = decay_rows(spec, lam, d)
     ratio = np.zeros(lam.shape[0])
     for i in np.flatnonzero(found):
-        v = [x for x in vals[i].tolist() if not math.isnan(x)]
-        if len(v) < 12:
-            found[i] = False
+        v = vals[i].tolist()
+        if any(math.isnan(x) for x in v):
+            ratio[i] = math.inf
             continue
         limit, falls = aitken_limit(v)
         clean = falls and limit <= _BOUNDARY_REL * max(v)
@@ -588,12 +588,13 @@ def suite_paths(spec, seed, count=40):
 class TestBoundaryPaths:
     @staticmethod
     def assert_equals_bisection(spec, lam, d):
-        """`_boundary_paths` on the paths that leave equals the oracle on them,
-        and the oracle finds none of the paths the one-point test drops."""
+        """`_boundary_paths` on the paths that leave equals the oracle's
+        (ok, ratio) on them, and the oracle finds none of the paths the
+        one-point test drops."""
         keep = leaves(spec, lam, d)
-        want = bisection_boundary_paths(spec, lam, d)
-        assert not np.any(want[0][~keep])
-        for got, ref in zip(_boundary_paths(spec, lam[keep], d[keep]), want):
+        found, *want = bisection_boundary_paths(spec, lam, d)
+        assert not np.any(found[~keep])
+        for got, ref in zip(_boundary_paths(spec, lam[keep], d[keep]), want, strict=True):
             assert np.array_equal(got, ref[keep])
 
     @pytest.mark.parametrize("seed", [3, 17, 2024])
@@ -616,7 +617,7 @@ class TestBoundaryPaths:
 def round_by_round_boundary(spec, sample_count, seed):
     """Reference for the suite's boundary check: after the same pointwise
     draws, one `bisection_boundary_paths` call and one record per round,
-    each round sized by the found paths still missing."""
+    each round sized by the paths still missing that leave the cone."""
     rng = np.random.default_rng(seed)
     for start in range(0, sample_count, speeds._CHUNK):
         lam = speeds._sample_rows(spec, rng, min(speeds._CHUNK, sample_count - start))
@@ -646,29 +647,52 @@ class TestBoundaryPlanAndBatch:
         assert got.worst == want.worst
         assert got.witness == want.witness
 
-    @pytest.mark.parametrize("spec", [sigma_k_root(1, 3), harmonic_pairs(4), quotient(2, 1, 3)],
-                             ids=lambda s: s.label())
-    def test_shortfall_stops_at_the_draw_budget(self, spec, monkeypatch):
-        # with 11 decay samples per path, no path has the 12 it needs to count
-        monkeypatch.setattr(speeds, "_BOUNDARY_DEPTH", 10)
-        drawn = []
-        sample = speeds._sample_rows
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    @pytest.mark.parametrize("spec, samples", [(s, 150) for s in SUITE_SPEEDS]
+                             + [(sigma_k_root(k, k), 20) for k in (20, 30)],
+                             ids=lambda s: s.label() if isinstance(s, SpeedSpec) else str(s))
+    def test_every_decay_value_is_finite(self, spec, samples, seed, monkeypatch):
+        # each decay sample lies on the segment from an interior row to a
+        # point inside, so inside the convex cone: no path has a NaN to drop
+        calls, values = [], speeds.speed_values
 
-        def counted(spec, rng, count):
-            drawn.append(count)
-            return sample(spec, rng, count)
+        def recorded(spec, rows):
+            calls.append(values(spec, rows))
+            return calls[-1]
 
-        monkeypatch.setattr(speeds, "_sample_rows", counted)
-        results = []
-        for suite in (lambda: check_properties(spec, 150, 3)["boundary_vanishing"],
-                      lambda: round_by_round_boundary(spec, 150, 3)):
-            drawn.clear()
-            results.append(suite())
-            # the pointwise rows first, then every boundary row drawn
-            assert drawn[0] == 150
-            assert sum(drawn[1:]) == 20 * speeds._BOUNDARY_PATHS
-        for stat in results:
-            assert (stat.passed, stat.failed, stat.worst, stat.witness) == (0, 0, 0.0, None)
+        monkeypatch.setattr(speeds, "speed_values", recorded)
+        stat = check_properties(spec, samples, seed)["boundary_vanishing"]
+        vals = calls[-1]                             # the last call: `_boundary_paths`' decay rows
+        assert vals.size == (stat.passed + stat.failed) * (speeds._BOUNDARY_DEPTH + 1)
+        assert stat.passed + stat.failed == speeds._BOUNDARY_PATHS
+        assert np.all(np.isfinite(vals))
+
+    def test_a_nan_decay_value_fails_its_path_as_the_witness(self, monkeypatch):
+        spec, width, batches = sigma_k_root(2, 4), speeds._BOUNDARY_DEPTH + 1, []
+        batch, values = speeds._boundary_paths, speeds.speed_values
+
+        def recorded(spec, lam, d):
+            batches.append((lam, batch(spec, lam, d)))
+            return batches[-1][1]
+
+        def poisoned(spec, rows):
+            out = values(spec, rows)
+            if rows.shape[0] == speeds._BOUNDARY_PATHS * width:     # the decay rows
+                out[7 * width + 12] = np.nan
+            return out
+
+        monkeypatch.setattr(speeds, "_boundary_paths", recorded)
+        clean = check_properties(spec, 150, 3)["boundary_vanishing"]
+        monkeypatch.setattr(speeds, "speed_values", poisoned)
+        stat = check_properties(spec, 150, 3)["boundary_vanishing"]
+        (lam, (ok, ratio)), (lam_p, (ok_p, ratio_p)) = batches
+        assert np.array_equal(lam, lam_p) and ok[7] and not ok_p[7] and ratio_p[7] == np.inf
+        others = np.arange(lam.shape[0]) != 7
+        assert np.array_equal(ok[others], ok_p[others])
+        assert np.array_equal(ratio[others], ratio_p[others])
+        assert (clean.passed, clean.failed, clean.worst) == (20, 0, 0.0)
+        assert (stat.passed, stat.failed, stat.worst) == (19, 1, np.inf)
+        assert stat.witness == tuple(lam[7].tolist())
 
 
 def vanishing_order(spec):
@@ -716,8 +740,8 @@ class TestBoundaryLimit:
         decay = np.tile(0.9 * mus ** order + plateau, (lam.shape[0], 1))
         fed = iter([np.ones(lam.shape[0]), decay.ravel()])
         monkeypatch.setattr(speeds, "speed_values", lambda spec, rows: next(fed))
-        found, ok, ratio = _boundary_paths(spec, lam, d)
-        assert found.all() and np.all(ok == clean)
+        ok, ratio = _boundary_paths(spec, lam, d)
+        assert np.all(ok == clean)
         assert np.array_equal(ratio, np.zeros(lam.shape[0]) if clean else decay[:, -1])
 
     @pytest.mark.parametrize("seed", [0, 1])

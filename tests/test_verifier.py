@@ -27,7 +27,8 @@ from curvsol import (
     sigma_k_root,
 )
 from curvsol import cones, rotgeom, verifier
-from curvsol.speeds import eval_speed, speed_derivatives, speed_values, unit_draws
+from curvsol.speeds import (_support_distance, eval_speed, speed_derivatives, speed_values,
+                            unit_draws)
 
 
 @pytest.fixture(scope="module")
@@ -379,7 +380,7 @@ def reference_pinching(spec, cone, samples, seed):
         if x.shape[0]:
             found += x.shape[0]
             d = np.minimum(cones._distance_to_cyl_rays(x),
-                           cones._distance_to_support_boundary(spec, x))
+                           _support_distance(spec, x))
             best = min(best, float(np.min(d)))
     return estimate, (best if found else None)
 
