@@ -100,6 +100,15 @@ def _in_orthant(spec: SpeedSpec) -> bool:
             or any(_in_orthant(f) for f in spec.factors))
 
 
+def _in_pair_cone(spec: SpeedSpec) -> bool:
+    """The support cone of ``spec`` lies in the 2-convex cone lambda_(1) +
+    lambda_(2) > 0: the harmonic speed's own cone, Gamma_k for k >= n - 1 (any
+    n - k + 1 entries of a row of Gamma_k have a positive sum), or a product
+    with such a factor."""
+    return (spec.kind == "harmonic_pairs" or spec.kind == "sigma_k_root" and spec.k >= spec.n - 1
+            or any(_in_pair_cone(f) for f in spec.factors))
+
+
 # --------------------------------------------------------------------------
 # speed descriptors
 # --------------------------------------------------------------------------
@@ -433,14 +442,27 @@ def unit_draws(n: int, samples: int, rng: np.random.Generator):
         yield X[norms > 0.0] / norms[norms > 0.0, None]
 
 
+def _pair_fold(X: np.ndarray) -> np.ndarray:
+    """|X|, except that the entry of least |X| in each row keeps its sign."""
+    Y = np.abs(X)
+    rows, j = np.arange(X.shape[0]), np.argmin(Y, axis=1)
+    Y[rows, j] = X[rows, j]
+    return Y
+
+
 def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` uniformly random unit vectors in the open support cone, by
     rejection over chunks of at most ``_CHUNK`` draws, each draw first folded
     into a region that holds the cone: |X| where the cone lies in the positive
-    orthant, else X sign(sum X), since every support cone lies in the
-    half-space sum lambda > 0.  The sign reflections that fold the sphere
-    onto the region preserve the uniform measure, so the result is exact."""
-    fold = np.abs if _in_orthant(spec) else lambda X: X * np.sign(X.sum(axis=1, keepdims=True))
+    orthant; else `_pair_fold` where it lies in the 2-convex cone, which a row
+    fills iff at most one entry, the least in absolute value, is negative;
+    else X sign(sum X), since every support cone lies in the half-space
+    sum lambda > 0.  Each folded row has preimages that are sign reflections
+    of one another (2^(n-1) of them under the pair fold), and reflections
+    preserve the uniform measure, so the result is exact.  The pair fold
+    fills the 2-convex cone, so the harmonic speed rejects no draw."""
+    fold = (np.abs if _in_orthant(spec) else _pair_fold if _in_pair_cone(spec)
+            else lambda X: X * np.sign(X.sum(axis=1, keepdims=True)))
     found, accepted, draws, misses = [], 0, 0, 0
     while accepted < count:
         need = count - accepted
@@ -457,20 +479,28 @@ def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int) -> np.nd
     return np.concatenate(found)
 
 
+def _hessian_scale(hess: np.ndarray) -> np.ndarray:
+    """max(1, max|D^2f|) per row: the scale of the round-off in D^2f's forms."""
+    return np.maximum(1.0, np.max(np.abs(hess), axis=(1, 2)))
+
+
 def _radial_degeneracy(L: np.ndarray, hess: np.ndarray):
     """|lam^T D^2f lam| at the unit rows of L, which 1-homogeneity makes
-    vanish, relative to max(1, max|D^2f|), the scale of its round-off."""
-    scale = np.maximum(1.0, np.max(np.abs(hess), axis=(1, 2)))
-    radial = np.abs(np.einsum("mi,mij,mj->m", L, hess, L)) / scale
+    vanish, relative to `_hessian_scale`, the scale of its round-off."""
+    radial = np.abs(np.einsum("mi,mij,mj->m", L, hess, L)) / _hessian_scale(hess)
     return radial <= 1e-10, radial
 
 
 def _pointwise_checks(spec: SpeedSpec, L: np.ndarray, rng: np.random.Generator) -> dict:
-    """(passed, measure) arrays of the six pointwise checks at the rows of L."""
+    """(passed, measure) arrays of the six pointwise checks at the rows of L.
+    The Euler and off-radial bounds grow with the scale of their round-off:
+    sum |lam_i d_i f| / |f| for the cancelling sum lam . grad f, and
+    `_hessian_scale` for the eigenvalue; near the cone boundary both grow."""
     g, grad, hess = speed_derivatives(spec, L)
     diff = np.abs(speed_values(spec, rng.permuted(L, axis=1)) - g)
     gmin = np.min(grad, axis=1)
     euler = np.abs(np.einsum("mi,mi->m", L, grad) - g) / np.abs(g)
+    euler_scale = np.maximum(1.0, np.einsum("mi,mi->m", np.abs(L), np.abs(grad)) / np.abs(g))
     # Hessian restricted to the orthogonal complement of span{lam}
     proj = np.eye(spec.n) - _outer(L, L)
     M = proj @ hess @ proj
@@ -479,8 +509,8 @@ def _pointwise_checks(spec: SpeedSpec, L: np.ndarray, rng: np.random.Generator) 
         "symmetry": (diff == 0.0, diff),
         "positivity": (g > 0.0, -g),
         "gradient_positivity": (gmin > 0.0, -gmin),
-        "euler": (euler <= 1e-9, euler),
-        "off_radial_concavity": (top <= 1e-8, top),
+        "euler": (euler <= 1e-9 * euler_scale, euler),
+        "off_radial_concavity": (top <= 1e-8 * _hessian_scale(hess), top),
         "radial_degeneracy": _radial_degeneracy(L, hess),
     }
 
@@ -491,9 +521,10 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
     Every path must leave the cone before ``_BOUNDARY_FAR``.
 
     Returns (satisfied, limit_ratio) arrays over the paths.  Each exit is
-    bracketed by [0, _BOUNDARY_FAR], or by 1e-9 relative about the exact exit
+    bracketed by [0, _BOUNDARY_FAR], or by 1e-13 relative about the exact exit
     time where ``support_mask`` confirms both ends, and each call then tests
-    63 evenly spaced points per bracket until every bracket is one ulp wide.
+    63 evenly spaced points per bracket until every bracket is one ulp wide:
+    two calls for a confirmed bracket, at most about 1,800 ulps wide.
     The speed is sampled at the distances 2^-j (j = 0..30) of the segment
     from the interior row to the last point inside, so, the cone being
     convex, at points inside the cone.  A path is clean, ratio 0, iff its
@@ -514,7 +545,7 @@ def _boundary_paths(spec: SpeedSpec, lam: np.ndarray, d: np.ndarray):
     t_lo, t_hi = np.zeros(p), np.full(p, _BOUNDARY_FAR)
     exit_t = _support_exit(spec, lam, d)
     hinted = np.flatnonzero(np.isfinite(exit_t))
-    ends = exit_t[hinted, None] * np.array([1.0 - 1e-9, 1.0 + 1e-9])
+    ends = exit_t[hinted, None] * np.array([1.0 - 1e-13, 1.0 + 1e-13])
     inside = inside_at(hinted, ends)
     confirmed = inside[:, 0] & ~inside[:, 1]         # a wrong hint keeps [0, _BOUNDARY_FAR]
     t_lo[hinted[confirmed]], t_hi[hinted[confirmed]] = ends[confirmed].T

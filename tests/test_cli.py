@@ -320,13 +320,13 @@ class TestProps:
         assert not out.exists()
 
     def test_cone_too_thin_to_sample_is_usage_error(self, tmp_path, capsys):
-        # the 2-convex cone at n = 20 holds too little of the half-sphere sum lambda > 0
+        # Gamma_10 at n = 20 holds too little of the half-sphere sum lambda > 0
         out = tmp_path / "p.json"
-        assert run(["props", "--speed", "harmonic", "--n", 20, "--samples", 5,
+        assert run(["props", "--speed", "sigma-k", "--n", 20, "--k", 10, "--samples", 5,
                     "--out", out]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(
-            "error: no interior sample found for harmonic_pairs at n=20 after ")
+            "error: no interior sample found for sigma_10^(1/10) at n=20 after ")
         assert not out.exists()
 
     @pytest.mark.parametrize("n", [12, 16])
@@ -335,6 +335,18 @@ class TestProps:
         out = tmp_path / "p.json"
         assert run(["props", "--speed", "sigma-k", "--n", n, "--k", n, "--samples", 5,
                     "--seed", 0, "--out", out]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert [name for name, c in checks.items() if c["failed"]] == []
+
+    @pytest.mark.parametrize("flags", [["--speed", "harmonic", "--n", 16],
+                                       ["--speed", "harmonic", "--n", 20],
+                                       ["--speed", "sigma-k", "--n", 20, "--k", 19]],
+                             ids=["harmonic-16", "harmonic-20", "sigma-19-20"])
+    def test_pair_cone_samples_at_large_n(self, flags, tmp_path):
+        # the pair fold fills the 2-convex cone, which holds Gamma_{n-1}; the
+        # half-space fold found none of these cones' rows in 20,000 draws
+        out = tmp_path / "p.json"
+        assert run(["props", *flags, "--samples", 5, "--seed", 0, "--out", out]) == 0
         checks = json.loads(out.read_text())["checks"]
         assert [name for name, c in checks.items() if c["failed"]] == []
 

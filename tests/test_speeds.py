@@ -270,6 +270,13 @@ class TestSpecValidation:
             SpeedSpec(kind=kind, n=3, k=k, l=l)
 
 
+# The 25 speeds of the benchmark's speed suite.
+SUITE_SPEEDS = ([sigma_k_root(k, n) for n in range(3, 7) for k in range(1, n + 1)]
+                + [harmonic_pairs(n) for n in range(3, 7)]
+                + [quotient(2, 1, 3), quotient(3, 1, 4),
+                   product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.5])])
+
+
 class TestPropertySuite:
     def test_sigma2_clean(self):
         checks = check_properties(sigma_k_root(2, 3), sample_count=300, seed=7)
@@ -318,6 +325,65 @@ class TestRadialDegeneracy:
         ok, measure = _radial_degeneracy(self.WITNESS, hess + bump)
         assert not ok[0]
         assert measure[0] == pytest.approx(1e-6, rel=1e-3)
+
+
+def off_radial_bump(L, hess):
+    """``hess`` with its largest eigenvalue on the orthogonal complement of
+    each row of L set to 1e-6 times the round-off scale max(1, max|D^2f|)."""
+    B = np.linalg.svd(L[:, None, :])[2][:, 1:, :]      # orthonormal rows spanning lam^perp
+    w, Y = np.linalg.eigh(B @ hess @ B.transpose(0, 2, 1))
+    q = np.einsum("mkn,mk->mn", B, Y[:, :, -1])
+    c = 1e-6 * np.maximum(1.0, np.max(np.abs(hess), axis=(1, 2))) - w[:, -1]
+    return hess + c[:, None, None] * q[:, :, None] * q[:, None, :]
+
+
+class TestRoundOffBounds:
+    # The euler and off_radial_concavity witness of `curvsol props --speed harmonic
+    # --n 6 --samples 150 --seed 1039137336` under the former absolute bounds 1e-9
+    # and 1e-8, with the half-space fold: its least pair sum is 6.6e-9, euler is
+    # 4.6e-9 and top 2.7e-8, while |lam . grad f - f| = 3.9e-17 against
+    # sum |lam_i d_i f| = 0.41, and top / max|D^2f| = 2.7e-10.
+    WITNESS = np.array([[0.20528230132678224, 0.2973712062399586, -0.20528229470777826,
+                         0.2898390579302145, 0.8110727026881409, 0.29230654011356216]])
+
+    def test_round_off_near_the_boundary_passes(self):
+        checks = speeds._pointwise_checks(harmonic_pairs(6), self.WITNESS,
+                                          np.random.default_rng(0))
+        for name, bound in (("euler", 1e-9), ("off_radial_concavity", 1e-8)):
+            ok, measure = checks[name]
+            assert ok[0] and measure[0] > bound        # the measure itself is unchanged
+
+    @pytest.mark.parametrize("spec, seed", [
+        (harmonic_pairs(6), 1039137336), (sigma_k_root(4, 5), 36), (sigma_k_root(4, 5), 174),
+        (sigma_k_root(4, 6), 571), (sigma_k_root(2, 6), 575)],
+        ids=lambda x: x.label() if isinstance(x, SpeedSpec) else str(x))
+    def test_runs_that_failed_on_round_off_pass(self, spec, seed):
+        # each failed euler or off_radial_concavity under the absolute bounds
+        checks = check_properties(spec, 150, seed)
+        assert [name for name, c in checks.items() if c.failed] == []
+
+    @pytest.mark.parametrize("spec", SUITE_SPEEDS, ids=lambda s: s.label())
+    def test_a_gradient_off_by_1e_6_fails(self, spec, monkeypatch):
+        derivatives = speeds.speed_derivatives
+
+        def scaled(spec, L):
+            v, g, h = derivatives(spec, L)
+            return v, g * (1.0 + 1e-6), h
+
+        monkeypatch.setattr(speeds, "speed_derivatives", scaled)
+        stat = check_properties(spec, 150, 0)["euler"]
+        assert stat.failed >= 140 and stat.worst >= 1e-6 * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("spec", SUITE_SPEEDS, ids=lambda s: s.label())
+    def test_a_convex_off_radial_direction_fails(self, spec, monkeypatch):
+        derivatives = speeds.speed_derivatives
+
+        def bumped(spec, L):
+            v, g, h = derivatives(spec, L)
+            return v, g, off_radial_bump(L, h)
+
+        monkeypatch.setattr(speeds, "speed_derivatives", bumped)
+        assert check_properties(spec, 150, 0)["off_radial_concavity"].failed == 150
 
 
 # Derandomized so that the suite's outcome does not depend on the run.
@@ -504,13 +570,6 @@ class TestOneSortOneRecurrence:
         assert np.isnan(values[2])
 
 
-# The 25 speeds of the benchmark's speed suite.
-SUITE_SPEEDS = ([sigma_k_root(k, n) for n in range(3, 7) for k in range(1, n + 1)]
-                + [harmonic_pairs(n) for n in range(3, 7)]
-                + [quotient(2, 1, 3), quotient(3, 1, 4),
-                   product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.5])])
-
-
 def march(spec, lam, d):
     """Doubling march along the paths lam + t d, at t = 0.01 * 2^j while
     t < 1e4: whether each path leaves the cone, and the first march time
@@ -612,6 +671,28 @@ class TestBoundaryPaths:
         exact = speeds._support_exit
         monkeypatch.setattr(speeds, "_support_exit", lambda *a: hint(exact(*a)))
         self.assert_equals_bisection(spec, *suite_paths(spec, 5))
+
+    @pytest.mark.parametrize("spec", SUITE_SPEEDS, ids=lambda s: s.label())
+    def test_a_confirmed_exit_takes_at_most_two_rounds(self, spec, monkeypatch):
+        # the first bracket, 1e-13 relative about the exact exit, spans at most
+        # about 1,800 ulps, and each round of 63 points narrows it 64-fold
+        calls, mask = [], speeds.support_mask
+
+        def counted(spec, rows):
+            calls.append(mask(spec, rows))
+            return calls[-1]
+
+        monkeypatch.setattr(speeds, "support_mask", counted)
+        lam, d = suite_paths(spec, 3)
+        keep = np.flatnonzero(leaves(spec, lam, d))
+        rounds = []
+        for i in keep:                               # one path per call: its own rounds
+            calls.clear()
+            _boundary_paths(spec, lam[i:i + 1], d[i:i + 1])
+            if calls[0].tolist() == [True, False]:   # the mask confirmed the hint
+                rounds.append(len(calls) - 1)
+        assert max(rounds) <= 2
+        assert len(rounds) >= 0.9 * keep.size
 
 
 def round_by_round_boundary(spec, sample_count, seed):
@@ -777,12 +858,18 @@ def oracle_sample_rows(spec, rng, count):
     return np.concatenate(found)
 
 
+EXIT_SPEEDS = [s for n in range(2, 7) for s in (
+    [sigma_k_root(k, n) for k in range(1, n + 1)]
+    + [harmonic_pairs(n), quotient(2, 1, n)] + ([quotient(3, 1, n)] if n >= 3 else [])
+    + [product([sigma_k_root(2, n), harmonic_pairs(n)], [0.5, 0.5]),
+       product([sigma_k_root(2, n), sigma_k_root(1, n)], [0.5, 0.5])])]
 ORTHANT_SPEEDS = [sigma_k_root(6, 6), sigma_k_root(20, 20), quotient(3, 1, 4), quotient(2, 1, 3),
                   product([sigma_k_root(3, 3), sigma_k_root(1, 3)], [0.5, 0.5])]
 
 
 class TestSampleRows:
     @pytest.mark.parametrize("spec", [sigma_k_root(6, 6), sigma_k_root(2, 4), harmonic_pairs(5),
+                                      harmonic_pairs(8), sigma_k_root(3, 4), sigma_k_root(5, 6),
                                       quotient(3, 1, 4),
                                       product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.5]),
                                       product([sigma_k_root(3, 3), sigma_k_root(1, 3)], [0.5, 0.5])],
@@ -790,7 +877,8 @@ class TestSampleRows:
     def test_folded_rows_follow_the_unfolded_distribution(self, spec):
         got = _sample_rows(spec, np.random.default_rng(101), 4000)
         want = oracle_sample_rows(spec, np.random.default_rng(202), 4000)
-        for stat in (lambda L: L.min(axis=1), lambda L: L.max(axis=1), lambda L: L.sum(axis=1)):
+        for stat in (lambda L: L.min(axis=1), lambda L: L.max(axis=1), lambda L: L.sum(axis=1),
+                     lambda L: np.sort(L, axis=1)[:, 1]):
             assert ks_2samp(stat(got), stat(want)).pvalue >= 1e-3
 
     @pytest.mark.parametrize("spec", SUITE_SPEEDS + ORTHANT_SPEEDS, ids=lambda s: s.label())
@@ -800,8 +888,9 @@ class TestSampleRows:
         assert np.allclose(np.linalg.norm(L, axis=1), 1.0, rtol=0.0, atol=1e-12)
         assert np.all(support_mask(spec, L))
 
-    @pytest.mark.parametrize("spec", ORTHANT_SPEEDS, ids=lambda s: s.label())
-    def test_orthant_fold_rejects_no_draw(self, spec, monkeypatch):
+    @staticmethod
+    def assert_rejects_no_draw(spec, monkeypatch):
+        """`_sample_rows` accepts all of its one chunk of draws."""
         seen = []
         mask = speeds.support_mask
 
@@ -814,12 +903,24 @@ class TestSampleRows:
         assert _sample_rows(spec, np.random.default_rng(9), 300).shape == (300, spec.n)
         assert seen == [(300, 300)]
 
+    @pytest.mark.parametrize("spec", ORTHANT_SPEEDS, ids=lambda s: s.label())
+    def test_orthant_fold_rejects_no_draw(self, spec, monkeypatch):
+        self.assert_rejects_no_draw(spec, monkeypatch)
 
-EXIT_SPEEDS = [s for n in range(2, 7) for s in (
-    [sigma_k_root(k, n) for k in range(1, n + 1)]
-    + [harmonic_pairs(n), quotient(2, 1, n)] + ([quotient(3, 1, n)] if n >= 3 else [])
-    + [product([sigma_k_root(2, n), harmonic_pairs(n)], [0.5, 0.5]),
-       product([sigma_k_root(2, n), sigma_k_root(1, n)], [0.5, 0.5])])]
+    @pytest.mark.parametrize("n", [3, 6, 12, 20])
+    def test_pair_fold_rejects_no_draw(self, n, monkeypatch):
+        # the 2-convex cone holds 2^(1-n) of the sphere, all of the pair fold's image
+        self.assert_rejects_no_draw(harmonic_pairs(n), monkeypatch)
+
+    @pytest.mark.parametrize("spec", EXIT_SPEEDS + [sigma_k_root(k, 8) for k in range(1, 9)],
+                             ids=lambda s: s.label())
+    def test_pair_fold_serves_exactly_the_cones_inside_the_pair_cone(self, spec):
+        # Gamma_k lies in the 2-convex cone iff k >= n - 1; below, rows of
+        # Gamma_k with two negative entries show up in the unfolded draws
+        rows = oracle_sample_rows(spec, np.random.default_rng(4), 600)
+        assert np.all(support_mask(harmonic_pairs(spec.n), rows)) == (speeds._in_orthant(spec) or speeds._in_pair_cone(spec))
+
+
 EXIT = settings(max_examples=150, deadline=None, derandomize=True)
 
 
