@@ -93,20 +93,18 @@ def _kmax(spec: SpeedSpec) -> int:
     return max([spec.k if spec.kind == "sigma_k_root" else 0] + [_kmax(f) for f in spec.factors])
 
 
-def _in_orthant(spec: SpeedSpec) -> bool:
-    """The support cone of ``spec`` lies in the positive orthant: Gamma_n, a
-    quotient's positive cone, or a product with such a factor."""
-    return (spec.kind == "quotient" or spec.kind == "sigma_k_root" and spec.k == spec.n
-            or any(_in_orthant(f) for f in spec.factors))
-
-
-def _in_pair_cone(spec: SpeedSpec) -> bool:
-    """The support cone of ``spec`` lies in the 2-convex cone lambda_(1) +
-    lambda_(2) > 0: the harmonic speed's own cone, Gamma_k for k >= n - 1 (any
-    n - k + 1 entries of a row of Gamma_k have a positive sum), or a product
-    with such a factor."""
-    return (spec.kind == "harmonic_pairs" or spec.kind == "sigma_k_root" and spec.k >= spec.n - 1
-            or any(_in_pair_cone(f) for f in spec.factors))
+def _fold_region(spec: SpeedSpec) -> int:
+    """The tightest of three nested regions that holds the support cone of
+    ``spec``: 2, the positive orthant (Gamma_n, a quotient's positive cone);
+    1, the 2-convex cone lambda_(1) + lambda_(2) > 0 (the harmonic speed's own
+    cone, Gamma_k for k >= n - 1, as any n - k + 1 entries of a row of Gamma_k
+    have a positive sum); 0, the half-space sum lambda > 0.  A product's cone
+    is the intersection of its factors'."""
+    if spec.kind == "product":
+        return max(_fold_region(f) for f in spec.factors)
+    if spec.kind == "quotient" or spec.k == spec.n:
+        return 2
+    return int(spec.kind == "harmonic_pairs" or spec.k >= spec.n - 1)
 
 
 # --------------------------------------------------------------------------
@@ -129,7 +127,8 @@ class SpeedSpec:
     weights: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        if not all(isinstance(v, Integral) for v in (self.n, self.k, self.l) if v is not None):
+        if not all(isinstance(v, Integral) and not isinstance(v, bool)
+                   for v in (self.n, self.k, self.l) if v is not None):
             raise ParameterError(f"n, k, l must be integers, got {self.n!r}, {self.k!r}, {self.l!r}")
         if self.n < 1:
             raise ParameterError("n must be >= 1")
@@ -453,16 +452,14 @@ def _pair_fold(X: np.ndarray) -> np.ndarray:
 def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` uniformly random unit vectors in the open support cone, by
     rejection over chunks of at most ``_CHUNK`` draws, each draw first folded
-    into a region that holds the cone: |X| where the cone lies in the positive
-    orthant; else `_pair_fold` where it lies in the 2-convex cone, which a row
-    fills iff at most one entry, the least in absolute value, is negative;
-    else X sign(sum X), since every support cone lies in the half-space
-    sum lambda > 0.  Each folded row has preimages that are sign reflections
-    of one another (2^(n-1) of them under the pair fold), and reflections
-    preserve the uniform measure, so the result is exact.  The pair fold
-    fills the 2-convex cone, so the harmonic speed rejects no draw."""
-    fold = (np.abs if _in_orthant(spec) else _pair_fold if _in_pair_cone(spec)
-            else lambda X: X * np.sign(X.sum(axis=1, keepdims=True)))
+    into the region `_fold_region` names: X sign(sum X) into the half-space,
+    `_pair_fold` into the 2-convex cone, which a row fills iff at most one
+    entry, the least in absolute value, is negative, and |X| into the orthant.
+    Each folded row has preimages that are sign reflections of one another
+    (2^(n-1) of them under the pair fold), and reflections preserve the
+    uniform measure, so the result is exact."""
+    fold = (lambda X: X * np.sign(X.sum(axis=1, keepdims=True)), _pair_fold,
+            np.abs)[_fold_region(spec)]
     found, accepted, draws, misses = [], 0, 0, 0
     while accepted < count:
         need = count - accepted
@@ -479,24 +476,15 @@ def _sample_rows(spec: SpeedSpec, rng: np.random.Generator, count: int) -> np.nd
     return np.concatenate(found)
 
 
-def _hessian_scale(hess: np.ndarray) -> np.ndarray:
-    """max(1, max|D^2f|) per row: the scale of the round-off in D^2f's forms."""
-    return np.maximum(1.0, np.max(np.abs(hess), axis=(1, 2)))
-
-
-def _radial_degeneracy(L: np.ndarray, hess: np.ndarray):
-    """|lam^T D^2f lam| at the unit rows of L, which 1-homogeneity makes
-    vanish, relative to `_hessian_scale`, the scale of its round-off."""
-    radial = np.abs(np.einsum("mi,mij,mj->m", L, hess, L)) / _hessian_scale(hess)
-    return radial <= 1e-10, radial
-
-
 def _pointwise_checks(spec: SpeedSpec, L: np.ndarray, rng: np.random.Generator) -> dict:
     """(passed, measure) arrays of the six pointwise checks at the rows of L.
     The Euler and off-radial bounds grow with the scale of their round-off:
     sum |lam_i d_i f| / |f| for the cancelling sum lam . grad f, and
-    `_hessian_scale` for the eigenvalue; near the cone boundary both grow."""
+    max(1, max|D^2f|) for the eigenvalue; near the cone boundary both grow."""
     g, grad, hess = speed_derivatives(spec, L)
+    # the round-off scale of D^2f's quadratic forms: the eigenvalue's and the radial term's
+    hess_scale = np.maximum(1.0, np.max(np.abs(hess), axis=(1, 2)))
+    radial = np.abs(np.einsum("mi,mij,mj->m", L, hess, L)) / hess_scale
     diff = np.abs(speed_values(spec, rng.permuted(L, axis=1)) - g)
     gmin = np.min(grad, axis=1)
     euler = np.abs(np.einsum("mi,mi->m", L, grad) - g) / np.abs(g)
@@ -510,8 +498,8 @@ def _pointwise_checks(spec: SpeedSpec, L: np.ndarray, rng: np.random.Generator) 
         "positivity": (g > 0.0, -g),
         "gradient_positivity": (gmin > 0.0, -gmin),
         "euler": (euler <= 1e-9 * euler_scale, euler),
-        "off_radial_concavity": (top <= 1e-8 * _hessian_scale(hess), top),
-        "radial_degeneracy": _radial_degeneracy(L, hess),
+        "off_radial_concavity": (top <= 1e-8 * hess_scale, top),
+        "radial_degeneracy": (radial <= 1e-10, radial),   # 1-homogeneity: lam^T D^2f lam = 0
     }
 
 
@@ -603,8 +591,7 @@ def check_properties(spec: SpeedSpec, sample_count: int = 1000,
         size = min(_BOUNDARY_PATHS - done, 20 * _BOUNDARY_PATHS - tries)
         tries += size
         lam = _sample_rows(spec, rng, size)
-        d = rng.standard_normal((size, spec.n))
-        d = d / np.linalg.norm(d, axis=1, keepdims=True)
+        d = next(unit_draws(spec.n, size, rng))       # size <= _BOUNDARY_PATHS: one chunk
         leaves = ~support_mask(spec, lam + _BOUNDARY_FAR * d)
         lams.append(lam[leaves])
         ds.append(d[leaves])

@@ -27,9 +27,9 @@ from curvsol import (
 from curvsol.io import derived_columns, read_profile_csv, write_profile_csv
 from curvsol.profiles import ProfileSolution
 from curvsol import speeds
-from curvsol.speeds import (_BOUNDARY_REL, _boundary_paths, _radial_degeneracy, _sample_rows,
-                            _sigma_all, _sigma_line, _support_exit, speed_derivatives,
-                            speed_values, support_mask)
+from curvsol.speeds import (_BOUNDARY_REL, _boundary_paths, _sample_rows, _sigma_all,
+                            _sigma_line, _support_exit, speed_derivatives, speed_values,
+                            support_mask)
 
 RNG = np.random.default_rng(20240817)
 
@@ -263,11 +263,15 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.6])
 
-    @pytest.mark.parametrize("kind, k, l", [("sigma_k_root", "2", None),
-                                            ("sigma_k_root", 2.5, None), ("quotient", 2, 1.0)])
-    def test_non_integer_k_or_l_rejected(self, kind, k, l):
+    @pytest.mark.parametrize("kind, n, k, l", [("sigma_k_root", 3, "2", None),
+                                               ("sigma_k_root", 3, 2.5, None),
+                                               ("quotient", 3, 2, 1.0),
+                                               ("sigma_k_root", 3, True, None),
+                                               ("sigma_k_root", True, 1, None)])
+    def test_non_integer_k_or_l_rejected(self, kind, n, k, l):
+        # a bool is an Integral, but JSON true for n, k or l is no integer
         with pytest.raises(ParameterError, match="must be integers"):
-            SpeedSpec(kind=kind, n=3, k=k, l=l)
+            SpeedSpec(kind=kind, n=n, k=k, l=l)
 
 
 # The 25 speeds of the benchmark's speed suite.
@@ -313,18 +317,34 @@ class TestRadialDegeneracy:
     WITNESS = np.array([[0.5059866468589925, 0.5320479500657418, -0.43123338973469455,
                          -0.25428697001299155, 0.3417449379402276, 0.3057593659775644]])
 
-    def test_round_off_at_large_hessian_passes(self):
-        _, _, hess = speed_derivatives(sigma_k_root(2, 6), self.WITNESS)
-        ok, _ = _radial_degeneracy(self.WITNESS, hess)
+    def radial_check(self, monkeypatch, bump):
+        """`_pointwise_checks`' radial_degeneracy (passed, measure) at the
+        witness, whose Hessian gains ``bump`` times max|D^2f| lam lam^T, and
+        that Hessian."""
+        derivatives, seen = speeds.speed_derivatives, []
+
+        def bumped(spec, L):
+            v, g, h = derivatives(spec, L)
+            seen.append(h + bump * np.max(np.abs(h)) * np.outer(L[0], L[0]))
+            return v, g, seen[-1]
+
+        monkeypatch.setattr(speeds, "speed_derivatives", bumped)
+        ok, measure = speeds._pointwise_checks(sigma_k_root(2, 6), self.WITNESS,
+                                               np.random.default_rng(0))["radial_degeneracy"]
+        return ok, measure, seen[-1][0]
+
+    def test_round_off_at_large_hessian_passes(self, monkeypatch):
+        ok, _, _ = self.radial_check(monkeypatch, 0.0)
         assert ok[0]
 
-    def test_relative_radial_term_fails(self):
-        _, _, hess = speed_derivatives(sigma_k_root(2, 6), self.WITNESS)
+    def test_relative_radial_term_fails(self, monkeypatch):
+        ok, measure, hess = self.radial_check(monkeypatch, 1e-6)
         lam = self.WITNESS[0]
-        bump = 1e-6 * np.max(np.abs(hess)) * np.outer(lam, lam)
-        ok, measure = _radial_degeneracy(self.WITNESS, hess + bump)
         assert not ok[0]
         assert measure[0] == pytest.approx(1e-6, rel=1e-3)
+        # the scale is that of the bumped Hessian: the bump moves max|D^2f| by 1.9e-7
+        assert measure[0] == pytest.approx(abs(lam @ hess @ lam) / np.max(np.abs(hess)),
+                                           rel=1e-9, abs=0.0)
 
 
 def off_radial_bump(L, hess):
@@ -914,11 +934,14 @@ class TestSampleRows:
 
     @pytest.mark.parametrize("spec", EXIT_SPEEDS + [sigma_k_root(k, 8) for k in range(1, 9)],
                              ids=lambda s: s.label())
-    def test_pair_fold_serves_exactly_the_cones_inside_the_pair_cone(self, spec):
-        # Gamma_k lies in the 2-convex cone iff k >= n - 1; below, rows of
-        # Gamma_k with two negative entries show up in the unfolded draws
+    def test_fold_region_names_the_tightest_region(self, spec):
+        # the unfolded draws of a cone that a region does not hold show rows
+        # outside it: Gamma_k with k < n has rows with a negative entry, and
+        # with k <= n - 2 rows with two
         rows = oracle_sample_rows(spec, np.random.default_rng(4), 600)
-        assert np.all(support_mask(harmonic_pairs(spec.n), rows)) == (speeds._in_orthant(spec) or speeds._in_pair_cone(spec))
+        region = speeds._fold_region(spec)
+        assert np.all(rows > 0.0) == (region == 2)
+        assert np.all(support_mask(harmonic_pairs(spec.n), rows)) == (region >= 1)
 
 
 EXIT = settings(max_examples=150, deadline=None, derandomize=True)
