@@ -10,8 +10,7 @@ from .picard import PicardResult, domain_radius, lipschitz_radius, picard_solve
 from .profiles import (Barrier, ProfileSolution, SlopeEquation, barrier, closed_form_cyl,
                        closed_form_v, cyl_profile, integrate_profile, slope_equation)
 from .rotgeom import cylinder_curvatures, graph_curvatures, profile_geometry, tilt
-from .speeds import (SpeedSpec, check_properties, eval_speed, harmonic_pairs, product, quotient,
-                     sigma_k_root)
+from .speeds import SpeedSpec, check_properties, eval_speed, harmonic_pairs, sigma_k_root
 from .verifier import (CheckEntry, PinchingEstimate, check_barriers, check_convexity_estimate,
                        check_sigma2_cylinder, check_soliton, estimate_pinching_constants,
                        fit_convexity_params)

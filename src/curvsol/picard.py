@@ -109,8 +109,6 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     clamp pins the slope (p = 1), and the r^3 mode's multiplier (1 - K)/3 is
     -0.6, -1.13, -2.33 and -7 for n = 3..6, at every R since r^3 is scale-free.
     """
-    if not 3 <= n <= 6:
-        raise ParameterError("picard_solve requires n in 3..6")
     if m < 64:
         raise ParameterError("picard_solve requires m >= 64")
     if not 0.0 < R <= domain_radius(n):
@@ -167,8 +165,6 @@ def lipschitz_radius(n: int, samples: int = 4000, seed: int = 0) -> tuple[float,
     quadratic contraction budget).  Empirical contraction ratios from
     ``picard_solve`` are the operative check.
     """
-    if not 3 <= n <= 6:
-        raise ParameterError("lipschitz_radius requires n in 3..6")
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     if seed < 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -28,8 +28,6 @@ __all__ = [
     "SpeedSpec",
     "sigma_k_root",
     "harmonic_pairs",
-    "quotient",
-    "product",
     "sigma_partials",
     "eval_speed",
     "speed_values",
@@ -116,7 +114,8 @@ class SpeedSpec:
     """Descriptor of a curvature speed.
 
     kind is one of ``sigma_k_root``, ``harmonic_pairs``, ``quotient``,
-    ``product``; ``n`` is the number of principal curvatures.
+    ``product``; ``n`` is the number of principal curvatures.  A product's
+    weights are stored as floats.
     """
 
     kind: str
@@ -128,7 +127,7 @@ class SpeedSpec:
 
     def __post_init__(self):
         if not all(isinstance(v, Integral) and not isinstance(v, bool)
-                   for v in (self.n, self.k, self.l) if v is not None):
+                   for v in [self.n] + [x for x in (self.k, self.l) if x is not None]):
             raise ParameterError(f"n, k, l must be integers, got {self.n!r}, {self.k!r}, {self.l!r}")
         if self.n < 1:
             raise ParameterError("n must be >= 1")
@@ -146,6 +145,9 @@ class SpeedSpec:
                 raise ParameterError("product requires at least one factor")
             if any(f.n != self.n for f in self.factors):
                 raise ParameterError("product factors must share n")
+            if not all(isinstance(w, Real) and not isinstance(w, bool) for w in self.weights):
+                raise ParameterError(f"product weights must be real numbers, got {self.weights!r}")
+            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
             if len(self.weights) != len(self.factors) or not all(w > 0 for w in self.weights):
                 raise ParameterError("product requires one positive weight per factor")
             if not abs(sum(self.weights) - 1.0) <= 1e-12:
@@ -180,16 +182,6 @@ def sigma_k_root(k: int, n: int) -> SpeedSpec:
 
 def harmonic_pairs(n: int) -> SpeedSpec:
     return SpeedSpec(kind="harmonic_pairs", n=n)
-
-
-def quotient(k: int, l: int, n: int) -> SpeedSpec:
-    return SpeedSpec(kind="quotient", n=n, k=k, l=l)
-
-
-def product(factors, weights) -> SpeedSpec:
-    factors = tuple(factors)
-    return SpeedSpec(kind="product", n=factors[0].n if factors else 0,
-                     factors=factors, weights=tuple(float(w) for w in weights))
 
 
 def _rows(n: int, lam) -> np.ndarray:

@@ -137,13 +137,12 @@ def check_barriers(profile: ProfileSolution) -> list[CheckEntry]:
     ``w5_below_du_near_blowup`` always, since w5 bounds no solution from below."""
     r, du, speed = profile.r, profile.du, profile.speed
     tol = 1e-9                    # on the relative excess
-    family = BARRIER_FAMILIES.get(speed.kind)
-    if family is None:
-        raise ParameterError(f"no barrier family for speed kind {speed.kind!r}")
+    a0 = slope_equation(speed).a0   # a speed without a slope equation has no barriers
+    family = BARRIER_FAMILIES[speed.kind]
     entries = []
     for i, name in enumerate(family[:3]):
         label = f"du_below_{name}" if i else f"{name}_below_du"
-        if name == "v2" and slope_equation(speed).a0 == np.inf:
+        if name == "v2" and a0 == np.inf:
             entries.append(CheckEntry(name=label, status="skipped", tolerance=tol,
                                       detail=f"v2 not applicable for k={speed.k}, n={speed.n}"))
             continue

@@ -253,7 +253,9 @@ def test_criterion_7_speed_property_suite():
     t0 = time.perf_counter()
     clean_specs = ([cs.sigma_k_root(k, n) for n in (2, 3, 4, 5) for k in range(1, n + 1)]
                    + [cs.harmonic_pairs(n) for n in HARMONIC_NS]
-                   + [cs.product([cs.sigma_k_root(2, 3), cs.sigma_k_root(1, 3)], [0.5, 0.5])])
+                   + [cs.SpeedSpec("product", 3,
+                                   factors=(cs.sigma_k_root(2, 3), cs.sigma_k_root(1, 3)),
+                                   weights=(0.5, 0.5))])
     failures = {}
     for spec in clean_specs:
         failing = _failing(cs.check_properties(spec, sample_count=1000, seed=42))
@@ -263,7 +265,7 @@ def test_criterion_7_speed_property_suite():
         if not fd_ok:
             failures.setdefault(spec.label(), []).append(f"gradient_fd at {witness}")
     quotient_ok = True
-    for spec in (cs.quotient(2, 1, 3), cs.quotient(3, 1, 4)):
+    for spec in (cs.SpeedSpec("quotient", 3, 2, 1), cs.SpeedSpec("quotient", 4, 3, 1)):
         failing = _failing(cs.check_properties(spec, sample_count=1000, seed=42))
         if failing != ["boundary_vanishing"]:
             quotient_ok = False

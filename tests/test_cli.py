@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvsol
-from curvsol import barrier, harmonic_pairs, product, quotient, sigma_k_root
+from curvsol import SpeedSpec, barrier, harmonic_pairs, sigma_k_root
 from curvsol import cli, rotgeom, verifier
 from curvsol.cli import _speed_from_flags, main
 
@@ -370,18 +370,21 @@ _SUITE_FLAGS = (
     [(dict(name="sigma-k", n=n, k=k), sigma_k_root(k, n))
      for n in range(3, 7) for k in range(1, n + 1)]
     + [(dict(name="harmonic", n=n), harmonic_pairs(n)) for n in range(3, 7)]
-    + [(dict(name="quotient", n=3, k=2, l=1), quotient(2, 1, 3)),
-       (dict(name="quotient", n=4, k=3, l=1), quotient(3, 1, 4)),
+    + [(dict(name="quotient", n=3, k=2, l=1), SpeedSpec("quotient", 3, 2, 1)),
+       (dict(name="quotient", n=4, k=3, l=1), SpeedSpec("quotient", 4, 3, 1)),
        (dict(name="product", n=3, factors="sigma-k:2,sigma-k:1"),
-        product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.5]))])
+        SpeedSpec("product", 3, factors=(sigma_k_root(2, 3), sigma_k_root(1, 3)),
+                  weights=(0.5, 0.5)))])
 # flags the named kind does not read are ignored
 _STRAY_FLAGS = [
     (dict(name="harmonic", n=4, k=3), harmonic_pairs(4)),
     (dict(name="sigma-k", n=4, k=2, l=1), sigma_k_root(2, 4)),
-    (dict(name="quotient", n=4, k=3, l=1, factors="sigma-k:x", weights="a"), quotient(3, 1, 4)),
+    (dict(name="quotient", n=4, k=3, l=1, factors="sigma-k:x", weights="a"),
+     SpeedSpec("quotient", 4, 3, 1)),
     (dict(name="harmonic", n=3, factors="sigma-k:2", weights="1"), harmonic_pairs(3)),
     (dict(name="product", n=4, k=2, l=1, factors="harmonic:3, sigma-k:2", weights="0.25,0.75"),
-     product([harmonic_pairs(4), sigma_k_root(2, 4)], [0.25, 0.75])),
+     SpeedSpec("product", 4, factors=(harmonic_pairs(4), sigma_k_root(2, 4)),
+               weights=(0.25, 0.75))),
 ]
 
 
@@ -522,6 +525,23 @@ def test_sidecar_value_of_the_wrong_type_is_input_error(key, value, tmp_path, ca
     err = err.splitlines()
     assert out == "" and len(err) == 1
     assert err[0].startswith(f"error: metadata sidecar {side}: ")
+
+
+def test_sidecar_product_weight_that_is_not_a_number_is_input_error(tmp_path, capsys):
+    csv = tmp_path / "s3.csv"
+    assert run(["solve", "--speed", "sigma-k", "--k", 2, "--n", 3, "--rmax", 0.5,
+                "--out", csv]) == 0
+    side = tmp_path / "s3.meta.json"
+    metadata = json.loads(side.read_text())
+    metadata["speed"] = {"kind": "product", "n": 3, "weights": ["1"],
+                         "factors": [{"kind": "sigma_k_root", "n": 3, "k": 1}]}
+    side.write_text(json.dumps(metadata))
+    capsys.readouterr()
+    assert run(["verify", "soliton", "--profile", csv]) == 2
+    out, err = capsys.readouterr()
+    err = err.splitlines()
+    assert out == "" and len(err) == 1
+    assert err[0].startswith(f"error: metadata sidecar {side}: product weights must be real")
 
 
 def test_sidecar_that_is_not_json_is_input_error(tmp_path, capsys):

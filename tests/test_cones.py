@@ -14,6 +14,7 @@ from curvsol import (
     ConeSpec,
     DomainError,
     ParameterError,
+    SpeedSpec,
     cone_mask,
     cone_separation,
     eval_speed,
@@ -21,8 +22,6 @@ from curvsol import (
     harmonic_pairs,
     integrate_profile,
     pinched,
-    product,
-    quotient,
     sigma_k_root,
     uniform_two_convex,
 )
@@ -130,8 +129,9 @@ def _cones(n: int) -> list:
     uniform 2-convexity.  The sigma_1 pinching cone has gamma = H and
     alpha = delta + 1, so every integer row with H > 0 lies on its boundary."""
     speeds = [sigma_k_root(k, n) for k in range(1, n + 1)] + [
-        harmonic_pairs(n), quotient(2, 1, n),
-        product([sigma_k_root(2, n), harmonic_pairs(n)], [0.5, 0.5])]
+        harmonic_pairs(n), SpeedSpec("quotient", n, 2, 1),
+        SpeedSpec("product", n, factors=(sigma_k_root(2, n), harmonic_pairs(n)),
+                  weights=(0.5, 0.5))]
     pinching = [_pinching(harmonic_pairs(n), 0.1), _pinching(sigma_k_root(2, n), 0.2),
                 gamma_alpha_delta(1.5, 0.5, sigma_k_root(1, n))]
     return ([(partial(support_mask, s), s) for s in speeds]
@@ -276,10 +276,14 @@ def cyl_ray_distance(x) -> float:
 
 
 N4_SPEEDS = ([sigma_k_root(k, 4) for k in range(1, 5)]
-             + [harmonic_pairs(4), quotient(2, 1, 4), quotient(3, 1, 4), quotient(4, 2, 4),
-                product([sigma_k_root(2, 4), sigma_k_root(1, 4)], [0.5, 0.5]),
-                product([quotient(3, 2, 4), sigma_k_root(3, 4), harmonic_pairs(4)],
-                        [0.25, 0.25, 0.5])])
+             + [harmonic_pairs(4), SpeedSpec("quotient", 4, 2, 1), SpeedSpec("quotient", 4, 3, 1),
+                SpeedSpec("quotient", 4, 4, 2),
+                SpeedSpec("product", 4, factors=(sigma_k_root(2, 4), sigma_k_root(1, 4)),
+                          weights=(0.5, 0.5)),
+                SpeedSpec("product", 4,
+                          factors=(SpeedSpec("quotient", 4, 3, 2), sigma_k_root(3, 4),
+                                   harmonic_pairs(4)),
+                          weights=(0.25, 0.25, 0.5))])
 
 
 class TestSeparationOracle:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import curvsol.io
-from curvsol import ParameterError, harmonic_pairs, integrate_profile, sigma_k_root
+from curvsol import ParameterError, SpeedSpec, harmonic_pairs, integrate_profile, sigma_k_root
 from curvsol.cli import main
 from curvsol.io import (derived_columns, read_profile_csv, speed_from_dict,
                         speed_to_dict, write_profile_csv, write_table)
@@ -36,8 +36,8 @@ def test_round_trip_lossless(tmp_path, profile):
 
 
 def test_speed_dict_round_trip():
-    from curvsol import product
-    spec = product([sigma_k_root(2, 4), harmonic_pairs(4)], [0.25, 0.75])
+    spec = SpeedSpec("product", 4, factors=(sigma_k_root(2, 4), harmonic_pairs(4)),
+                     weights=(0.25, 0.75))
     assert speed_from_dict(speed_to_dict(spec)) == spec
 
 

@@ -185,6 +185,13 @@ class TestPicardSolve:
             with pytest.raises(ParameterError, match=next(iter(kwargs))):
                 picard_solve(3, 0.3, 256, **kwargs)
 
+    def test_model_range_checked_by_the_slope_equation(self):
+        # the harmonic model's own check rejects an n outside 3..6
+        with pytest.raises(ParameterError, match=r"n in 3\.\.6"):
+            picard_solve(7, 0.1, 64)
+        with pytest.raises(ParameterError, match=r"n in 3\.\.6"):
+            lipschitz_radius(7)
+
     def test_contraction_failure_reported(self, alternating_quadrature):
         # a non-contracting map stops the solve unconverged once sup_change
         # has set no new minimum for 3 iterations above the floor

@@ -540,6 +540,16 @@ class TestIntegrateProfile:
         assert p.du[-1] == pytest.approx(1e6, rel=1e-12)
         assert p.du[-2] < 1e6
 
+    @pytest.mark.parametrize("threshold, status", [(1e104, "blew_up"), (1e300, "step_failure")])
+    def test_step_underflow_ends_by_the_slope_against_the_threshold(self, threshold, status):
+        # near r = 21.8 the right-hand side (w/r)(1 + w^2)psi overflows at
+        # w ~ 1.6e103, so every retried step halves down to underflow; the
+        # profile ends at its last node, blown up iff w >= threshold/100
+        p = integrate_profile(sigma_k_root(2, 2), r_max=30.0, blowup_threshold=threshold)
+        assert p.status == status
+        assert p.r[-1] == pytest.approx(21.8, abs=1e-2)
+        assert p.blowup_radius == (p.r[-1] if status == "blew_up" else None)
+
     def test_a_threshold_below_the_startup_slope_ends_at_the_first_node(self):
         # the slope starts above the threshold, so there is no crossing to find
         p = integrate_profile(harmonic_pairs(3), r_max=3.0, blowup_threshold=1e-9)

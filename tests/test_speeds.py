@@ -20,11 +20,9 @@ from curvsol import (
     check_properties,
     eval_speed,
     harmonic_pairs,
-    product,
-    quotient,
     sigma_k_root,
 )
-from curvsol.io import derived_columns, read_profile_csv, write_profile_csv
+from curvsol.io import derived_columns, read_profile_csv, speed_from_dict, write_profile_csv
 from curvsol.profiles import ProfileSolution
 from curvsol import speeds
 from curvsol.speeds import (_BOUNDARY_REL, _boundary_paths, _sample_rows, _sigma_all,
@@ -94,10 +92,10 @@ ALL_SPEEDS = [
     sigma_k_root(5, 5),
     harmonic_pairs(3),
     harmonic_pairs(6),
-    quotient(2, 1, 3),
-    quotient(3, 1, 4),
-    product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.5]),
-    product([sigma_k_root(2, 4), harmonic_pairs(4)], [0.25, 0.75]),
+    SpeedSpec("quotient", 3, 2, 1),
+    SpeedSpec("quotient", 4, 3, 1),
+    SpeedSpec("product", 3, factors=(sigma_k_root(2, 3), sigma_k_root(1, 3)), weights=(0.5, 0.5)),
+    SpeedSpec("product", 4, factors=(sigma_k_root(2, 4), harmonic_pairs(4)), weights=(0.25, 0.75)),
 ]
 
 
@@ -140,17 +138,18 @@ class TestEvalSpeed:
     def test_quotient_positive_cone_only(self):
         # 2-convex but not positive: rejected for quotients
         with pytest.raises(DomainError, match="positive cone"):
-            eval_speed(quotient(2, 1, 3), [-0.1, 1.0, 1.0])
-        assert eval_speed(quotient(2, 1, 3), [0.1, 1.0, 1.0]) > 0.0
+            eval_speed(SpeedSpec("quotient", 3, 2, 1), [-0.1, 1.0, 1.0])
+        assert eval_speed(SpeedSpec("quotient", 3, 2, 1), [0.1, 1.0, 1.0]) > 0.0
 
     @pytest.mark.parametrize("spec, lam, text", [
         (sigma_k_root(2, 3), [1.0, -1.0, 0.1], "sigma_2^(1/2) at n=3: S_2(lambda) = -1 <= 0"),
         (sigma_k_root(3, 3), [-1.0, 2.0, 2.0], "sigma_3^(1/3) at n=3: S_2(lambda) = 0 <= 0"),
         (harmonic_pairs(3), [1.0, -0.6, 0.5],
          "harmonic_pairs at n=3: min pair sum lambda_i+lambda_j = -0.1 <= 0"),
-        (quotient(2, 1, 3), [-0.1, 1.0, 1.0], "(S_2/S_1)^(1/1) at n=3: "
+        (SpeedSpec("quotient", 3, 2, 1), [-0.1, 1.0, 1.0], "(S_2/S_1)^(1/1) at n=3: "
          "min lambda = -0.1 <= 0 (quotient supported on the positive cone)"),
-        (product([sigma_k_root(2, 3), harmonic_pairs(3)], [0.5, 0.5]), [2.0, 2.0, -1.5],
+        (SpeedSpec("product", 3, factors=(sigma_k_root(2, 3), harmonic_pairs(3)),
+                   weights=(0.5, 0.5)), [2.0, 2.0, -1.5],
          "sigma_2^(1/2)^0.5 * harmonic_pairs^0.5 at n=3: S_2(lambda) = -2 <= 0"),
         (sigma_k_root(2, 3), [np.nan, 1.0, 1.0], "sigma_2^(1/2) at n=3: S_1(lambda) = nan <= 0")],
         ids=["sigma_2", "sigma_3", "harmonic", "quotient", "product", "nan"])
@@ -166,7 +165,7 @@ class TestEvalSpeed:
     def test_a_nan_value_inside_the_cone_is_returned(self):
         # S_2/S_1 = inf/inf on an infinite row of the positive cone, as in speed_values
         with np.errstate(invalid="ignore"):
-            assert np.isnan(eval_speed(quotient(2, 1, 3), [np.inf] * 3))
+            assert np.isnan(eval_speed(SpeedSpec("quotient", 3, 2, 1), [np.inf] * 3))
 
     @pytest.mark.parametrize("lam", [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], 1.0],
                              ids=["short", "long", "2-D", "scalar"])
@@ -257,28 +256,45 @@ class TestSpecValidation:
 
     def test_quotient_order(self):
         with pytest.raises(ParameterError):
-            quotient(2, 2, 3)
+            SpeedSpec("quotient", 3, 2, 2)
 
     def test_product_weights_sum(self):
         with pytest.raises(ParameterError):
-            product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.6])
+            SpeedSpec("product", 3, factors=(sigma_k_root(2, 3), sigma_k_root(1, 3)),
+                      weights=(0.5, 0.6))
 
     @pytest.mark.parametrize("kind, n, k, l", [("sigma_k_root", 3, "2", None),
                                                ("sigma_k_root", 3, 2.5, None),
                                                ("quotient", 3, 2, 1.0),
                                                ("sigma_k_root", 3, True, None),
-                                               ("sigma_k_root", True, 1, None)])
+                                               ("sigma_k_root", True, 1, None),
+                                               ("sigma_k_root", None, 1, None)])
     def test_non_integer_k_or_l_rejected(self, kind, n, k, l):
         # a bool is an Integral, but JSON true for n, k or l is no integer
         with pytest.raises(ParameterError, match="must be integers"):
             SpeedSpec(kind=kind, n=n, k=k, l=l)
 
+    @pytest.mark.parametrize("weight", [True, "1", None])
+    def test_non_real_product_weight_rejected(self, weight):
+        factor = {"kind": "sigma_k_root", "n": 3, "k": 1}
+        with pytest.raises(ParameterError, match="weights"):
+            SpeedSpec("product", 3, factors=(sigma_k_root(1, 3),), weights=(weight,))
+        with pytest.raises(ParameterError, match="weights"):
+            speed_from_dict({"kind": "product", "n": 3, "factors": [factor], "weights": [weight]})
+
+    def test_product_weights_stored_as_floats(self):
+        spec = SpeedSpec("product", 3, factors=(sigma_k_root(2, 3), sigma_k_root(1, 3)),
+                         weights=[np.float32(0.5), 0.5])
+        assert spec.weights == (0.5, 0.5)
+        assert all(type(w) is float for w in spec.weights)
+
 
 # The 25 speeds of the benchmark's speed suite.
 SUITE_SPEEDS = ([sigma_k_root(k, n) for n in range(3, 7) for k in range(1, n + 1)]
                 + [harmonic_pairs(n) for n in range(3, 7)]
-                + [quotient(2, 1, 3), quotient(3, 1, 4),
-                   product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.5])])
+                + [SpeedSpec("quotient", 3, 2, 1), SpeedSpec("quotient", 4, 3, 1),
+                   SpeedSpec("product", 3, factors=(sigma_k_root(2, 3), sigma_k_root(1, 3)),
+                             weights=(0.5, 0.5))])
 
 
 class TestPropertySuite:
@@ -291,8 +307,8 @@ class TestPropertySuite:
         assert sum(c.failed for c in checks.values()) == 0
 
     @pytest.mark.parametrize("seed", [7, 0, 102])
-    @pytest.mark.parametrize("spec", [quotient(2, 1, 3), quotient(3, 1, 4)],
-                             ids=lambda s: s.label())
+    @pytest.mark.parametrize("spec", [SpeedSpec("quotient", 3, 2, 1),
+                                      SpeedSpec("quotient", 4, 3, 1)], ids=lambda s: s.label())
     def test_quotient_fails_only_boundary_vanishing(self, spec, seed):
         checks = check_properties(spec, sample_count=300, seed=seed)
         assert [name for name, c in checks.items() if c.failed > 0] == ["boundary_vanishing"]
@@ -475,9 +491,10 @@ class TestArrayKernel:
 # of two k-th roots, which share one recurrence.
 KIND_SPEEDS = [s for n in range(2, 7) for s in (
     [sigma_k_root(k, n) for k in range(1, n + 1)]
-    + [harmonic_pairs(n)] + [quotient(k, 1, n) for k in (2, 3) if k <= n]
-    + [product([sigma_k_root(2, n), harmonic_pairs(n)], [0.5, 0.5]),
-       product([sigma_k_root(2, n), sigma_k_root(1, n)], [0.5, 0.5])])]
+    + [harmonic_pairs(n)] + [SpeedSpec("quotient", n, k, 1) for k in (2, 3) if k <= n]
+    + [SpeedSpec("product", n, factors=(sigma_k_root(2, n), harmonic_pairs(n)), weights=(0.5, 0.5)),
+       SpeedSpec("product", n, factors=(sigma_k_root(2, n), sigma_k_root(1, n)),
+                 weights=(0.5, 0.5))])]
 SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
 
 
@@ -583,7 +600,9 @@ class TestOneSortOneRecurrence:
         calls = self.count_recurrences(monkeypatch)
         lam = np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [1.0, -1.0, 0.1, 0.2, 0.3],
                         [-9.0, 1.0, 1.0, 1.0, 1.0]])
-        values = speed_values(product([sigma_k_root(2, 5), sigma_k_root(1, 5)], [0.5, 0.5]), lam)
+        spec = SpeedSpec("product", 5, factors=(sigma_k_root(2, 5), sigma_k_root(1, 5)),
+                         weights=(0.5, 0.5))
+        values = speed_values(spec, lam)
         assert calls == [(lam.shape, 2)]
         row = [1.0, 2.0, 3.0, 4.0, 5.0]
         assert values[0] == (sigma(row, 2) ** 0.5) ** 0.5 * sigma(row, 1) ** 0.5
@@ -685,8 +704,8 @@ class TestBoundaryPaths:
                                       lambda t: np.full_like(t, np.inf),
                                       lambda t: np.full_like(t, np.nan)],
                              ids=["exact", "late", "early", "inf", "nan"])
-    @pytest.mark.parametrize("spec", [sigma_k_root(3, 5), harmonic_pairs(4), quotient(2, 1, 3)],
-                             ids=lambda s: s.label())
+    @pytest.mark.parametrize("spec", [sigma_k_root(3, 5), harmonic_pairs(4),
+                                      SpeedSpec("quotient", 3, 2, 1)], ids=lambda s: s.label())
     def test_wrong_exit_hint_changes_nothing(self, spec, hint, monkeypatch):
         exact = speeds._support_exit
         monkeypatch.setattr(speeds, "_support_exit", lambda *a: hint(exact(*a)))
@@ -880,19 +899,27 @@ def oracle_sample_rows(spec, rng, count):
 
 EXIT_SPEEDS = [s for n in range(2, 7) for s in (
     [sigma_k_root(k, n) for k in range(1, n + 1)]
-    + [harmonic_pairs(n), quotient(2, 1, n)] + ([quotient(3, 1, n)] if n >= 3 else [])
-    + [product([sigma_k_root(2, n), harmonic_pairs(n)], [0.5, 0.5]),
-       product([sigma_k_root(2, n), sigma_k_root(1, n)], [0.5, 0.5])])]
-ORTHANT_SPEEDS = [sigma_k_root(6, 6), sigma_k_root(20, 20), quotient(3, 1, 4), quotient(2, 1, 3),
-                  product([sigma_k_root(3, 3), sigma_k_root(1, 3)], [0.5, 0.5])]
+    + [harmonic_pairs(n), SpeedSpec("quotient", n, 2, 1)]
+    + ([SpeedSpec("quotient", n, 3, 1)] if n >= 3 else [])
+    + [SpeedSpec("product", n, factors=(sigma_k_root(2, n), harmonic_pairs(n)), weights=(0.5, 0.5)),
+       SpeedSpec("product", n, factors=(sigma_k_root(2, n), sigma_k_root(1, n)),
+                 weights=(0.5, 0.5))])]
+ORTHANT_SPEEDS = [sigma_k_root(6, 6), sigma_k_root(20, 20), SpeedSpec("quotient", 4, 3, 1),
+                  SpeedSpec("quotient", 3, 2, 1),
+                  SpeedSpec("product", 3, factors=(sigma_k_root(3, 3), sigma_k_root(1, 3)),
+                            weights=(0.5, 0.5))]
 
 
 class TestSampleRows:
     @pytest.mark.parametrize("spec", [sigma_k_root(6, 6), sigma_k_root(2, 4), harmonic_pairs(5),
                                       harmonic_pairs(8), sigma_k_root(3, 4), sigma_k_root(5, 6),
-                                      quotient(3, 1, 4),
-                                      product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.5]),
-                                      product([sigma_k_root(3, 3), sigma_k_root(1, 3)], [0.5, 0.5])],
+                                      SpeedSpec("quotient", 4, 3, 1),
+                                      SpeedSpec("product", 3,
+                                                factors=(sigma_k_root(2, 3), sigma_k_root(1, 3)),
+                                                weights=(0.5, 0.5)),
+                                      SpeedSpec("product", 3,
+                                                factors=(sigma_k_root(3, 3), sigma_k_root(1, 3)),
+                                                weights=(0.5, 0.5))],
                              ids=lambda s: s.label())
     def test_folded_rows_follow_the_unfolded_distribution(self, spec):
         got = _sample_rows(spec, np.random.default_rng(101), 4000)

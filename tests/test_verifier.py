@@ -11,6 +11,7 @@ from curvsol import (
     DomainError,
     ParameterError,
     ProfileSolution,
+    SpeedSpec,
     check_barriers,
     check_convexity_estimate,
     check_sigma2_cylinder,
@@ -21,9 +22,7 @@ from curvsol import (
     gamma_alpha_delta,
     harmonic_pairs,
     integrate_profile,
-    product,
     profile_geometry,
-    quotient,
     sigma_k_root,
 )
 from curvsol import cones, rotgeom, verifier
@@ -204,6 +203,14 @@ class TestBarrierChecks:
         assert entries["w5_below_du_near_blowup"].status == "skipped"
 
 
+    def test_speed_without_a_slope_equation_has_no_barriers(self):
+        samples = np.array([[0.1, 0.0, 0.1, 1.0], [0.2, 0.015, 0.2, 1.0]])
+        profile = ProfileSolution(speed=SpeedSpec("quotient", 3, 2, 1), samples=samples,
+                                  status="completed")
+        with pytest.raises(ParameterError, match="quotient"):
+            check_barriers(profile)
+
+
 class TestSigma2Cylinder:
     def test_sign_conditions_and_identity(self):
         entry = check_sigma2_cylinder(np.linspace(-0.5, 3.0, 100), 1e-9)
@@ -316,8 +323,8 @@ class TestHessianForms:
         hess = speed_derivatives(spec, lam[None])[2][0]
         assert got == pytest.approx(float(diag @ hess @ diag), abs=1e-10)
 
-    @pytest.mark.parametrize("spec", [sigma_k_root(2, 3), harmonic_pairs(3), quotient(2, 1, 3)],
-                             ids=lambda s: s.label())
+    @pytest.mark.parametrize("spec", [sigma_k_root(2, 3), harmonic_pairs(3),
+                                      SpeedSpec("quotient", 3, 2, 1)], ids=lambda s: s.label())
     def test_matches_matrix_finite_differences(self, spec):
         # oracle: second s-derivative of gamma(eigenvalues(diag(lam) + s T))
         lam = np.array([0.6, 1.0, 1.9])
@@ -387,8 +394,9 @@ def reference_pinching(spec, cone, samples, seed):
 
 SUITE_SPEEDS = ([sigma_k_root(k, n) for n in range(3, 7) for k in range(1, n + 1)]
                 + [harmonic_pairs(n) for n in range(3, 7)]
-                + [quotient(2, 1, 3), quotient(3, 1, 4),
-                   product([sigma_k_root(2, 3), sigma_k_root(1, 3)], [0.5, 0.5])])
+                + [SpeedSpec("quotient", 3, 2, 1), SpeedSpec("quotient", 4, 3, 1),
+                   SpeedSpec("product", 3, factors=(sigma_k_root(2, 3), sigma_k_root(1, 3)),
+                             weights=(0.5, 0.5))])
 
 
 class TestOneDrawLoop:
