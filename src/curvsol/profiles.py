@@ -106,13 +106,11 @@ def slope_equation(spec: SpeedSpec) -> SlopeEquation:
 # closed forms
 # --------------------------------------------------------------------------
 
-def closed_form_v(a: float, r: float, sign: int = 1) -> float:
-    """Exact slope +-sqrt(e^{r^2+a} - 1) of the k = n = 2 profile."""
+def closed_form_v(a: float, r: float) -> float:
+    """Exact slope sqrt(e^{r^2+a} - 1) of the k = n = 2 profile."""
     if a < 0.0:
         raise ParameterError(f"a must be >= 0, got {a}")
-    if sign not in (1, -1):
-        raise ParameterError("sign must be +1 or -1")
-    return sign * sqrt(exp(r * r + a) - 1.0)
+    return sqrt(exp(r * r + a) - 1.0)
 
 
 def closed_form_cyl(a: float, r: float) -> float:
@@ -167,13 +165,17 @@ class Barrier:
         rr = np.asarray(r, dtype=float)
         return (rr >= 0.0) & ((rr <= self.r_end) if self.closed_end else (rr < self.r_end))
 
+    @property
+    def interval(self) -> str:
+        return f"[0, {self.r_end:.12g}{']' if self.closed_end else ')'}"
+
     def __call__(self, r):
         rr = np.asarray(r, dtype=float)
         bad = ~self.domain(rr)
         if np.any(bad):
             raise DomainError(
                 f"barrier {self.name} undefined at r={np.atleast_1d(rr)[np.atleast_1d(bad)][0]:.12g} "
-                f"(domain [0, {self.r_end:.12g}{']' if self.closed_end else ')'})")
+                f"(domain {self.interval})")
         out = self._eval(rr)
         return float(out) if np.isscalar(r) or np.ndim(r) == 0 else out
 
@@ -290,10 +292,10 @@ def integrate_profile(spec: SpeedSpec,
     the last row with half that step; each restart counts against
     ``_MAX_STEPS``.  Stops at r_max (status ``completed``), when u' crosses
     ``blowup_threshold`` (``blew_up``, ending at the crossing, which
-    ``brentq`` finds on the last step's dense output) or the step size
-    underflows at a huge slope (``blew_up``, ending at the last node), or at
-    a moderate slope (``step_failure``).  u'' is stored as the right-hand
-    side at each node, exact by the equation.
+    ``brentq`` finds on the last step's dense output), or when LSODA fails,
+    the halved retry step underflows or the step budget runs out
+    (``step_failure``, ending at the last node, whatever its slope).  u'' is
+    stored as the right-hand side at each node, exact by the equation.
     An rtol below 100 machine epsilons is raised to that floor, as scipy
     would raise it with a warning, and ``tolerances`` records it.  The first
     step, startup_radius/8, must be a normal float: LSODA runs erratically
@@ -350,8 +352,6 @@ def integrate_profile(spec: SpeedSpec,
             if solver.status != "failed" and r + h > r:
                 solver = launch(r, [u, w], h)   # drop the non-finite step, retry half of it
                 continue
-            if w >= 1e-2 * blowup_threshold:   # step size underflow
-                status = "blew_up"
             break
         rows.append(row)
         if row[2] > blowup_threshold:   # end at the crossing, on the last step's interpolant

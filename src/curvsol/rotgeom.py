@@ -37,7 +37,8 @@ def graph_curvatures(r, du, ddu, n: int) -> np.ndarray:
         raise ParameterError("graph curvatures require n >= 2")
     w = 1.0 + du ** 2
     lam2 = du / (r * np.sqrt(w))
-    return np.stack((ddu / w ** 1.5,) + (lam2,) * (n - 1), axis=-1)
+    with np.errstate(over="ignore"):   # w^1.5 overflows past u' ~ 5.6e102: lambda_1 reads 0
+        return np.stack((ddu / w ** 1.5,) + (lam2,) * (n - 1), axis=-1)
 
 
 def cylinder_curvatures(r, dr, ddr) -> np.ndarray:

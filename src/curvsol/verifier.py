@@ -133,8 +133,9 @@ def check_barriers(profile: ProfileSolution) -> list[CheckEntry]:
     """Pointwise orderings of the profile's barrier family, each on the
     barrier's domain and reported as its own entry: the sub-solution v1/w1
     below u', then u' below the super-solutions v2, v3 or w2, w3.
-    ``du_below_v2`` is skipped where psi has no positive root (k = n), and
-    ``w5_below_du_near_blowup`` always, since w5 bounds no solution from below."""
+    ``du_below_v2`` is skipped where psi has no positive root (k = n), an
+    ordering with no sample in its barrier's domain with that domain named,
+    and ``w5_below_du_near_blowup`` always, as w5 bounds no solution from below."""
     r, du, speed = profile.r, profile.du, profile.speed
     tol = 1e-9                    # on the relative excess
     a0 = slope_equation(speed).a0   # a speed without a slope equation has no barriers
@@ -143,17 +144,19 @@ def check_barriers(profile: ProfileSolution) -> list[CheckEntry]:
     for i, name in enumerate(family[:3]):
         label = f"du_below_{name}" if i else f"{name}_below_du"
         if name == "v2" and a0 == np.inf:
-            entries.append(CheckEntry(name=label, status="skipped", tolerance=tol,
-                                      detail=f"v2 not applicable for k={speed.k}, n={speed.n}"))
+            skip = f"v2 not applicable for k={speed.k}, n={speed.n}"
+        else:
+            b = barrier(name, speed.n, k=speed.k)
+            mask = b.domain(r)
+            skip = "" if np.any(mask) else f"no sample in {name}'s domain {b.interval}"
+        if skip:
+            entries.append(CheckEntry(name=label, status="skipped", tolerance=tol, detail=skip))
             continue
-        b = barrier(name, speed.n, k=speed.k)
-        mask = b.domain(r)
-        if np.any(mask):
-            pair = (du[mask], b(r[mask])) if i else (b(r[mask]), du[mask])
-            viol, j = _relative_excess(*pair)
-            entries.append(CheckEntry(name=label, status="pass" if viol <= tol else "fail",
-                                      tolerance=tol, worst_violation=viol,
-                                      witness={"r": r[mask][j]}))
+        pair = (du[mask], b(r[mask])) if i else (b(r[mask]), du[mask])
+        viol, j = _relative_excess(*pair)
+        entries.append(CheckEntry(name=label, status="pass" if viol <= tol else "fail",
+                                  tolerance=tol, worst_violation=viol,
+                                  witness={"r": r[mask][j]}))
     if "w5" in family:
         entries.append(CheckEntry(
             name="w5_below_du_near_blowup", status="skipped", tolerance=tol,

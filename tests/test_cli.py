@@ -99,6 +99,21 @@ class TestSolve:
         assert len(err) == 1 and err[0].startswith(f"error: {flag[2:].replace('-', '_')} must")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_slope_ends_in_step_failure_silently(self, tmp_path, capsys):
+        # near r = 21.8 the right-hand side overflows, so the profile ends in
+        # step_failure at its last row; there u'^3 is past the floats, and the
+        # radial curvature of the table reads 0 without a numpy warning
+        out = tmp_path / "o.csv"
+        assert run(["solve", "--speed", "sigma-k", "--k", 2, "--n", 2, "--rmax", 30,
+                    "--blowup-threshold", 1e104, "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "status=step_failure" in captured.out
+        assert json.loads((tmp_path / "o.meta.json").read_text())["blowup_radius"] is None
+        assert run(["verify", "convexity", "--profile", out, "--out", tmp_path / "c.json"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestVerify:
     def test_soliton_pass(self, sigma2_csv, tmp_path):
@@ -256,6 +271,18 @@ class TestVerify:
         code = run(["verify", "barriers", "--profile", sigma2_csv,
                     "--out", tmp_path / "b.json"])
         assert code == 0
+
+    def test_barrier_with_no_sample_in_its_domain_is_reported_skipped(self, tmp_path):
+        # the profile starts at r = 0.7, past the ends of w2's and w3's domains
+        csv, report = tmp_path / "late.csv", tmp_path / "b.json"
+        assert run(["solve", "--speed", "harmonic", "--n", 3, "--eps", 0.7, "--rmax", 1,
+                    "--out", csv]) == 0
+        assert run(["verify", "barriers", "--profile", csv, "--out", report]) == 0
+        entries = {e["name"]: e for e in json.loads(report.read_text())["checks"]}
+        assert list(entries) == ["w1_below_du", "du_below_w2", "du_below_w3",
+                                 "w5_below_du_near_blowup"]
+        assert entries["du_below_w2"]["status"] == "skipped"
+        assert entries["du_below_w2"]["detail"] == "no sample in w2's domain [0, 0.461538461538]"
 
     def test_w5_entry_is_skipped_as_refuted_after_a_blowup_stop(self, tmp_path):
         # a low threshold stops the harmonic profile early with a blow-up radius;

@@ -511,6 +511,16 @@ class TestLipschitzRadius:
             assert 0.0 < c_n < 1e3
             assert 0.0 < r2
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_band_lies_in_the_cone(self, n):
+        # every draw has w >= w4(r) = m4 r, and m4 > q = 1/y_max puts it in the
+        # cone r/w < y_max, where rhs_dw is finite (5.16 against 5 at n = 6)
+        assert barrier("w4", n).slope > 1.0 / slope_equation(harmonic_pairs(n)).y_max
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ParameterError, match="samples must be >= 1"):
+            lipschitz_radius(3, samples=0)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError, match="seed must be >= 0"):
             lipschitz_radius(3, samples=10, seed=-1)

@@ -7,6 +7,7 @@ import pytest
 
 from curvsol import (
     DomainError,
+    ParameterError,
     closed_form_cyl,
     closed_form_v,
     cylinder_curvatures,
@@ -35,6 +36,19 @@ class TestGraphCurvatures:
     def test_axis_rejected(self):
         with pytest.raises(DomainError, match=r"^graph_curvatures requires r > 0, got r=0.0$"):
             graph_curvatures(0.0, 0.0, 0.0, 3)
+
+    def test_n_below_two_rejected(self):
+        with pytest.raises(ParameterError, match="^graph curvatures require n >= 2$"):
+            graph_curvatures(1.0, 1.0, 1.0, 1)
+
+    def test_overflowing_slope_cube_reads_zero_silently(self):
+        # (1 + u'^2)^1.5 overflows for u' = 1e103; the radial curvature is then
+        # 0, the rotational one finite, and a finite row keeps its bits
+        r, du, ddu = np.array([21.8, 1.0]), np.array([1e103, 1.0]), np.array([2e104, 1.0])
+        with np.errstate(all="raise"):
+            lam = graph_curvatures(r, du, ddu, 2)
+        assert lam[0, 0] == 0.0 and np.isfinite(lam[0, 1])
+        np.testing.assert_array_equal(lam[1], graph_curvatures(1.0, 1.0, 1.0, 2))
 
     @pytest.mark.parametrize("r", [1e-2, 1e-3])
     def test_umbilic_limit_near_axis(self, r):

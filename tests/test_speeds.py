@@ -263,6 +263,14 @@ class TestSpecValidation:
             SpeedSpec("product", 3, factors=(sigma_k_root(2, 3), sigma_k_root(1, 3)),
                       weights=(0.5, 0.6))
 
+    def test_product_factor_of_another_n(self):
+        with pytest.raises(ParameterError, match="^product factors must share n$"):
+            SpeedSpec("product", 3, factors=(sigma_k_root(2, 4),), weights=(1.0,))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ParameterError, match="^unknown speed kind 'nosuch'$"):
+            SpeedSpec("nosuch", 3)
+
     @pytest.mark.parametrize("kind, n, k, l", [("sigma_k_root", 3, "2", None),
                                                ("sigma_k_root", 3, 2.5, None),
                                                ("quotient", 3, 2, 1.0),

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from curvsol import cli
+from curvsol import ParameterError, cli
 from curvsol.svgfig import render_chart
 
 
@@ -77,6 +77,13 @@ def test_profile_plots_match_per_point_text(solve, plot, tmp_path, monkeypatch):
     [("a", [0.0, -0.0, -1.0, 2.5], [-0.0, -3.25, 1e-9, -1e-300])],
     [("a", [-0.0, 1.0, 2.0], [1.0, np.nan, -2.0]), ("b", [0.5], [-0.0])],
     [("a", [1.0, 2.0], [-1.0, -1.0]), ("empty", [], [])],
-], ids=["signed-zero-negative", "nan", "flat-and-empty"])
+    [("a", [3.0], [1.0]), ("b", [3.0, 3.0], [2.0, 0.5])],
+], ids=["signed-zero-negative", "nan", "flat-and-empty", "one-x"])
 def test_edge_values_match_per_point_text(series):
     assert_matches_per_point(series)
+
+
+@pytest.mark.parametrize("series", [[], [("empty", [], [])]], ids=["no-series", "no-points"])
+def test_nothing_to_plot_rejected(series):
+    with pytest.raises(ParameterError, match="^nothing to plot$"):
+        render_chart(series, title="t", x_label="x", y_label="y")

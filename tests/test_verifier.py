@@ -165,6 +165,15 @@ class TestConvexityEstimate:
         with pytest.raises(DomainError, match="not uniformly 2-convex"):
             fit_convexity_params(profile, profile_geometry(profile), delta=0.05)
 
+    def test_fit_rejects_a_profile_with_no_sample_in_the_cone(self):
+        # lambda_1 = -10 lambda_2 at every sample: sigma_2 = lambda_2^2 (1 - 20) < 0
+        # at n = 3, so no sample lies in Gamma_2 and there is nothing to fit from
+        r = np.linspace(0.01, 1.0, 40)
+        samples = np.column_stack((r, 0.5 * r * r, r, -10.0 * (1.0 + r * r)))
+        profile = ProfileSolution(speed=sigma_k_root(2, 3), samples=samples, status="completed")
+        with pytest.raises(DomainError, match="^no in-cone samples with positive mean curvature"):
+            fit_convexity_params(profile, profile_geometry(profile), delta=0.05)
+
     @pytest.mark.parametrize("alpha, status", [(6.3, "fail"), (6.8, "pass"), (5.9, "skipped")])
     def test_non_convex_profile_can_fail(self, alpha, status):
         # u' = r and u'' chosen so that lambda_1 = -0.3 lambda_2 at every sample:
@@ -202,6 +211,15 @@ class TestBarrierChecks:
         assert entries["du_below_w3"].status == "pass"
         assert entries["w5_below_du_near_blowup"].status == "skipped"
 
+    def test_barrier_with_no_sample_in_its_domain_is_skipped(self):
+        # the profile starts at r = 0.7, past the ends 6/13 of w2's closed domain
+        # and 4/7 of w3's open one, so both orderings are skipped, domain named
+        p = integrate_profile(harmonic_pairs(3), startup_radius=0.7, r_max=1.0)
+        entries = {e.name: e for e in check_barriers(p)}
+        assert [e.status for e in entries.values()] == ["pass", "skipped", "skipped", "skipped"]
+        assert entries["du_below_w2"].detail == "no sample in w2's domain [0, 0.461538461538]"
+        assert entries["du_below_w3"].detail == "no sample in w3's domain [0, 0.571428571429)"
+
 
     def test_speed_without_a_slope_equation_has_no_barriers(self):
         samples = np.array([[0.1, 0.0, 0.1, 1.0], [0.2, 0.015, 0.2, 1.0]])
@@ -209,6 +227,33 @@ class TestBarrierChecks:
                                   status="completed")
         with pytest.raises(ParameterError, match="quotient"):
             check_barriers(profile)
+
+
+def _bowl_alpha(spec: SpeedSpec, r_max: float) -> float:
+    """The alpha that ``fit_convexity_params`` fits at delta = 0.05 on the
+    bowl of ``spec`` out to ``r_max``."""
+    p = integrate_profile(spec, r_max=r_max, blowup_threshold=1e300)
+    assert p.status == "completed"
+    return fit_convexity_params(p, profile_geometry(p), delta=0.05)[0]
+
+
+class TestFittedAlphaOnTheBowls:
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 7) for k in range(2, n)])
+    def test_k_below_n_tends_to_the_cylinder(self, n, k):
+        # far out the bowl's curvatures tend to the cylinder's (0, 1, ..., 1),
+        # where H/gamma = (n-1)/C(n-1,k)^(1/k), times the fit's 1.05 (1 + delta)
+        spec = sigma_k_root(k, n)
+        gamma = speed_values(spec, np.array([[0.0] + [1.0] * (n - 1)]))[0]   # on the cylinder
+        assert gamma == pytest.approx(math.comb(n - 1, k) ** (1.0 / k), rel=1e-14)
+        assert _bowl_alpha(spec, 48.0) == pytest.approx(1.05 * 1.05 * (n - 1) / gamma, rel=1e-3)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_k_equals_n_grows_like_a_power_of_the_radius(self, n):
+        # H ~ (n-1)/r and gamma = tilt ~ 1/u' with u' ~ r^(n/(n-2)), so
+        # H/gamma ~ r^(2/(n-2)) and no finite alpha holds on the whole bowl
+        spec = sigma_k_root(n, n)
+        growth = math.log2(_bowl_alpha(spec, 48.0) / _bowl_alpha(spec, 24.0))
+        assert growth == pytest.approx(2.0 / (n - 2), abs=1e-3)
 
 
 class TestSigma2Cylinder:
