@@ -334,12 +334,13 @@ def _build_parser(formatter) -> argparse.ArgumentParser:
         subcommands' flag defaults.  Top-level options are parsed before the
         subcommand, so its flags see them.  A number or a string becomes the
         text its flag would carry, and an on/off flag takes a bool; any other
-        value, an unreadable file or a key that names no flag is a ParameterError."""
+        value, an unreadable or undecodable file or a key that names no flag is
+        a ParameterError."""
 
         def __call__(self, parser, namespace, path, option_string):
             try:
-                defaults = json.loads(Path(path).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+                defaults = json.loads(Path(path).read_text(encoding="utf-8"))
+            except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ParameterError(f"cannot read config {path}: {exc}") from None
             if not isinstance(defaults, dict):
                 raise ParameterError(f"config {path}: expected a JSON object")

@@ -47,10 +47,15 @@ def _write(path, data: bytes) -> None:
     if path is None:                       # as text: a swapped-in stdout may lack .buffer
         sys.stdout.write(data.decode())
         return
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
-        if os.path.isfile(fh.fileno()):    # a regular file: not /dev/null, a tty or a FIFO
-            fh.truncate()                  # flushes, then cuts the file at len(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if os.path.isfile(fd):             # a regular file: not /dev/null, a tty or a FIFO
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def write_json(path, payload) -> None:
@@ -225,7 +230,7 @@ def _read_samples(path: Path) -> np.ndarray:
     """The r, u, du, ddu columns of a profile CSV.  ``np.loadtxt`` parses a
     well-formed table; on any fault the line-numbered loop re-reads the file
     to name the first bad line."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         if header is None or tuple(header[:4]) != PROFILE_COLUMNS[:4]:
             raise ParameterError(f"{path}: line 1: expected header starting with r,u,du,ddu")
@@ -239,7 +244,7 @@ def _read_samples(path: Path) -> np.ndarray:
         except (ValueError, UserWarning):
             pass
     rows, linenos = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         for lineno, row in enumerate(reader, start=2):
@@ -264,21 +269,36 @@ def _read_samples(path: Path) -> np.ndarray:
     return samples
 
 
+def _undecodable_line(path: Path) -> str:
+    """``path``'s first line that is not UTF-8, as ``line N: byte 0x.. is not
+    UTF-8``.  A newline byte never lies inside a UTF-8 sequence, so each line
+    decodes on its own as it does within the file."""
+    for lineno, line in enumerate(path.read_bytes().split(b"\n"), start=1):
+        try:
+            line.decode()
+        except UnicodeDecodeError as exc:
+            return f"line {lineno}: byte {line[exc.start]:#04x} is not UTF-8"
+    return "not UTF-8"      # the file changed after the first read
+
+
 def read_profile_csv(path) -> ProfileSolution:
     """Parse a profile CSV and its metadata sidecar, building the profile from
     the sidecar's speed, status and tolerances.  Raises ParameterError naming
-    the line of a malformed or non-finite value or of a radius that does not
-    increase, and naming the sidecar when it is not JSON or lacks or differs in
-    a key of ``profile_metadata``."""
+    the line of a malformed or non-finite value, of a radius that does not
+    increase or of a byte that is not UTF-8, and naming the sidecar when it is
+    not UTF-8 JSON or lacks or differs in a key of ``profile_metadata``."""
     path = Path(path)
-    samples = _read_samples(path)
+    try:
+        samples = _read_samples(path)
+    except UnicodeDecodeError:
+        raise ParameterError(f"{path}: {_undecodable_line(path)}") from None
     side = path.with_suffix(".meta.json")
     if not side.exists():
         raise ParameterError(f"metadata sidecar {side} not found")
-    with open(side) as fh:
+    with open(side, encoding="utf-8") as fh:
         try:
             metadata = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParameterError(f"metadata sidecar {side}: {exc}") from None
     try:
         if not isinstance(metadata, dict):

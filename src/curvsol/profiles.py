@@ -9,7 +9,7 @@ slope w = u', with psi derived from the speed (``slope_equation``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, exp, expm1, inf, isfinite, log, sqrt
+from math import comb, exp, expm1, inf, isfinite, log, nan, sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -323,17 +323,22 @@ def integrate_profile(spec: SpeedSpec,
     if max_step is None:
         max_step = max((r_max - startup_radius) / 50.0, 1e-3)
 
-    def at(g, rr, yy) -> float:
+    def at(g, r: float, w: float) -> float:
         try:   # on floats the domain check makes no numpy call
-            return g(float(rr), float(yy[1]))
+            return g(r, w)
         except (DomainError, OverflowError):
-            return np.nan   # LSODA keeps the step: the loop below retries it
+            return nan   # LSODA keeps the step: the loop below retries it
 
-    def f(rr, yy) -> list:
-        return [float(yy[1]), at(rhs, rr, yy)]
+    dy = np.empty(2)   # scipy copies f's result into LSODA's own array
+
+    def f(rr, yy) -> np.ndarray:
+        w = yy.item(1)
+        dy[0] = w
+        dy[1] = at(rhs, rr, w)
+        return dy
 
     def jac(rr, yy) -> list:
-        return [[0.0, 1.0], [0.0, at(rhs_dw, rr, yy)]]
+        return [[0.0, 1.0], [0.0, at(rhs_dw, rr, yy.item(1))]]
 
     def launch(r0, y0, first_step):
         return LSODA(f, r0, y0, r_max, first_step=first_step, max_step=max_step,
@@ -341,11 +346,12 @@ def integrate_profile(spec: SpeedSpec,
 
     y0 = [0.5 * c * startup_radius ** 2, c * startup_radius]
     solver = launch(startup_radius, y0, min(startup_radius / 8.0, max_step))
-    rows = [(startup_radius, *y0, at(rhs, startup_radius, y0))]
+    rows = [(startup_radius, *y0, at(rhs, float(startup_radius), float(y0[1])))]
     status = "step_failure"
     for _ in range(_MAX_STEPS):
         solver.step()
-        row = (solver.t, *solver.y, at(rhs, solver.t, solver.y))
+        r, (u, w) = solver.t, solver.y.tolist()
+        row = (r, u, w, at(rhs, r, w))
         if solver.status == "failed" or not all(map(isfinite, row)):
             r, u, w, _ = rows[-1]
             h = 0.5 * (solver.t - r)
@@ -354,11 +360,12 @@ def integrate_profile(spec: SpeedSpec,
                 continue
             break
         rows.append(row)
-        if row[2] > blowup_threshold:   # end at the crossing, on the last step's interpolant
+        if w > blowup_threshold:   # end at the crossing, on the last step's interpolant
             sol = solver.dense_output()
             if sol(solver.t_old)[1] < blowup_threshold:    # else it crossed before the start
-                r = brentq(lambda x: sol(x)[1] - blowup_threshold, solver.t_old, solver.t)
-                rows[-1] = (r, *sol(r), at(rhs, r, sol(r)))
+                r = brentq(lambda x: sol(x)[1] - blowup_threshold, solver.t_old, r)
+                u, w = sol(r).tolist()
+                rows[-1] = (r, u, w, at(rhs, r, w))
             status = "blew_up"
             break
         if solver.status == "finished":

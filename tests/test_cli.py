@@ -582,6 +582,34 @@ def test_sidecar_that_is_not_json_is_input_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: metadata sidecar {side}: ")
 
 
+@pytest.mark.parametrize("which, line", [("soliton", 1), ("plot", 5)])
+def test_profile_csv_byte_that_is_not_utf8_is_input_error(which, line, tmp_path, capsys):
+    csv, fig = tmp_path / "s3.csv", tmp_path / "fig.svg"
+    assert run(["solve", "--speed", "sigma-k", "--k", 2, "--n", 3, "--rmax", 0.5,
+                "--out", csv]) == 0
+    lines = csv.read_bytes().split(b"\n")
+    lines[line - 1] += b"\xff"            # the header, or a body row
+    csv.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    argv = (["plot", "--in", csv, "--out", fig] if which == "plot"
+            else ["verify", which, "--profile", csv])
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not fig.exists()
+    assert err == f"error: {csv}: line {line}: byte 0xff is not UTF-8\n"
+
+
+def test_sidecar_byte_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    csv = tmp_path / "hm3.csv"
+    assert run(["solve", "--speed", "harmonic", "--n", 3, "--rmax", 0.45, "--out", csv]) == 0
+    side = tmp_path / "hm3.meta.json"
+    side.write_bytes(side.read_bytes().replace(b'"n"', b'"n\xff"'))
+    capsys.readouterr()
+    assert run(["verify", "soliton", "--profile", csv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: metadata sidecar {side}: ")
+
+
 class TestBarriersCmd:
     def test_table(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -912,6 +940,17 @@ class TestConfig:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert ("expected a JSON object" if content else "cannot read config") in err[0]
+        assert not out.exists()
+
+    def test_config_byte_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "a.csv"
+        cfg.write_bytes(b'{"rmax": 0.4}\xff')
+        assert run(["--config", cfg, "solve", "--speed", "harmonic", "--n", 3,
+                    "--out", out]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1
+        assert err[0].startswith(f"error: cannot read config {cfg}: ")
         assert not out.exists()
 
     def test_key_of_another_command_is_accepted(self, tmp_path):

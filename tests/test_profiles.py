@@ -452,6 +452,23 @@ def test_barrier_rejects_nan(name):
             b(r)
 
 
+def _inject_faults(monkeypatch, name, lo, hi):
+    """Make the first 5 calls of ``SlopeEquation.<name>`` at lo < r < hi
+    raise DomainError.  Returns the list of the radii raised at; clearing it
+    arms the next 5."""
+    original = getattr(profiles.SlopeEquation, name)
+    raised = []
+
+    def flaky(eq, r, v):
+        if lo < r < hi and len(raised) < 5:
+            raised.append(r)
+            raise DomainError("injected")
+        return original(eq, r, v)
+
+    monkeypatch.setattr(profiles.SlopeEquation, name, flaky)
+    return raised
+
+
 class TestIntegrateProfile:
     def test_closed_form_oracle(self):
         p = integrate_profile(sigma_k_root(2, 2), startup_radius=1e-4, r_max=3.0,
@@ -622,16 +639,7 @@ class TestIntegrateProfile:
         """The first 5 calls of ``SlopeEquation.<name>`` at lo < r < hi raise
         DomainError; the solve must still complete, finite, within 1e-10."""
         reference = integrate_profile(spec, r_max=r_max)
-        original = getattr(profiles.SlopeEquation, name)
-        raised = []
-
-        def flaky(eq, r, v):
-            if lo < r < hi and len(raised) < 5:
-                raised.append(r)
-                raise DomainError("injected")
-            return original(eq, r, v)
-
-        monkeypatch.setattr(profiles.SlopeEquation, name, flaky)
+        raised = _inject_faults(monkeypatch, name, lo, hi)
         p = integrate_profile(spec, r_max=r_max)
         assert len(raised) == 5
         assert p.status == "completed" and p.r[-1] == r_max
@@ -662,3 +670,95 @@ class TestIntegrateProfile:
         p = integrate_profile(harmonic_pairs(6), r_max=30.0)
         assert p.status == "completed" and p.r[-1] == 30.0
         assert p.samples.shape[0] < 2000
+
+
+def _plain_lsoda_rows(spec, r_max, rtol=1e-10, atol=1e-13, blowup_threshold=1e8):
+    """``integrate_profile``'s samples, status and restart count as a plain
+    loop computes them: callbacks that return lists and rows of numpy
+    scalars, with the same LSODA calls, restarts and blow-up crossing."""
+    from scipy.integrate import LSODA
+    from scipy.optimize import brentq
+    eq = slope_equation(spec)
+    startup_radius, c = 1e-4, eq.c
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    max_step = max((r_max - startup_radius) / 50.0, 1e-3)
+
+    def at(g, rr, yy):
+        try:
+            return g(float(rr), float(yy[1]))
+        except (DomainError, OverflowError):
+            return np.nan
+
+    def f(rr, yy):
+        return [float(yy[1]), at(eq.rhs, rr, yy)]
+
+    def jac(rr, yy):
+        return [[0.0, 1.0], [0.0, at(eq.rhs_dw, rr, yy)]]
+
+    def launch(r0, y0, first_step):
+        return LSODA(f, r0, y0, r_max, first_step=first_step, max_step=max_step,
+                     rtol=rtol, atol=atol, jac=jac)
+
+    y0 = [0.5 * c * startup_radius ** 2, c * startup_radius]
+    solver = launch(startup_radius, y0, min(startup_radius / 8.0, max_step))
+    rows = [(startup_radius, *y0, at(eq.rhs, startup_radius, y0))]
+    status, restarts = "step_failure", 0
+    for _ in range(profiles._MAX_STEPS):
+        solver.step()
+        row = (solver.t, *solver.y, at(eq.rhs, solver.t, solver.y))
+        if solver.status == "failed" or not all(map(math.isfinite, row)):
+            r, u, w, _ = rows[-1]
+            h = 0.5 * (solver.t - r)
+            if solver.status != "failed" and r + h > r:
+                solver, restarts = launch(r, [u, w], h), restarts + 1
+                continue
+            break
+        rows.append(row)
+        if row[2] > blowup_threshold:
+            sol = solver.dense_output()
+            if sol(solver.t_old)[1] < blowup_threshold:
+                r = brentq(lambda x: sol(x)[1] - blowup_threshold, solver.t_old, solver.t)
+                rows[-1] = (r, *sol(r), at(eq.rhs, r, sol(r)))
+            status = "blew_up"
+            break
+        if solver.status == "finished":
+            status = "completed"
+            break
+    return np.array(rows), status, restarts
+
+
+def _assert_rows_match_plain_loop(p, spec, r_max, **kw):
+    rows, status, restarts = _plain_lsoda_rows(spec, r_max, **kw)
+    assert p.status == status
+    assert p.samples.dtype == rows.dtype and p.samples.shape == rows.shape
+    assert p.samples.tobytes() == rows.tobytes()
+    return restarts
+
+
+class TestRowsMatchAPlainLoop:
+    """``integrate_profile`` stores, bit for bit, the rows a plain LSODA loop
+    stores.  The golden manifest compares bytes only at its pinned numpy and
+    scipy versions, and none of its cases restarts a step."""
+
+    @pytest.mark.parametrize("spec, r_max, kw", [
+        *((sigma_k_root(k, n), 2.0, {}) for n in range(3, 7) for k in range(2, n + 1)),
+        *((harmonic_pairs(n), r_max, {}) for n in range(3, 7) for r_max in (3.0, 0.45)),
+        (sigma_k_root(2, 2), 3.0, {"rtol": 1e-13, "atol": 1e-15})])
+    def test_profile_study_cases(self, spec, r_max, kw):
+        _assert_rows_match_plain_loop(integrate_profile(spec, r_max=r_max, **kw), spec, r_max, **kw)
+
+    def test_blow_up(self):
+        p = integrate_profile(sigma_k_root(2, 2), r_max=8.0, blowup_threshold=1e6)
+        assert p.status == "blew_up"
+        _assert_rows_match_plain_loop(p, sigma_k_root(2, 2), 8.0, blowup_threshold=1e6)
+
+    @pytest.mark.parametrize("name, spec, r_max, lo, hi", [
+        ("rhs", sigma_k_root(2, 3), 1.0, 0.5, 0.53),
+        ("rhs_dw", harmonic_pairs(6), 3.0, 0.5, np.inf)])
+    def test_restart_after_a_domain_error(self, monkeypatch, name, spec, r_max, lo, hi):
+        raised = _inject_faults(monkeypatch, name, lo, hi)
+        p = integrate_profile(spec, r_max=r_max)
+        assert len(raised) == 5
+        raised.clear()      # the plain loop meets the same 5 faults
+        assert _assert_rows_match_plain_loop(p, spec, r_max) > 0
+        assert len(raised) == 5
