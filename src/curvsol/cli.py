@@ -11,8 +11,10 @@ function that adds its flags and its handler.  Top-level options
 command in first place with that command's own parser; anything else (no
 command, a top-level option, an unknown name, or arguments the command's
 parser leaves over) goes to the full parser, which holds every command as a
-subparser and prints the top-level usage.  Both are built per call, with the
-terminal width queried once.
+subparser and prints the top-level usage.  A command's own parser is built
+once per process, on the first call that names it, and reads the terminal
+width only when it prints; the full parser is built per call, with the width
+queried once, because ``--config`` changes its defaults.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import argparse
 import json
 import shutil
 import sys
-from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +118,7 @@ def _cmd_verify(args) -> int:
             entries = [check_convexity_estimate(profile, geo, alpha, args.delta, beta)]
         else:
             entries = check_barriers(profile)
-    pio.write_json(args.out, {"profile": context, "checks": [asdict(e) for e in entries]})
+    pio.write_json(args.out, {"profile": context, "checks": [vars(e) for e in entries]})
     return 1 if any(e.status == "fail" for e in entries) else 0
 
 
@@ -127,7 +128,7 @@ def _cmd_props(args) -> int:
     checks = check_properties(speed, sample_count=args.samples, seed=args.seed)
     pio.write_json(args.out, {"speed": pio.speed_to_dict(speed), "samples": args.samples,
                               "seed": args.seed,
-                              "checks": {name: asdict(c) for name, c in checks.items()}})
+                              "checks": {name: vars(c) for name, c in checks.items()}})
     failing = [name for name, c in checks.items() if c.failed > 0]
     if speed.kind == "quotient" and failing and set(failing) <= {"boundary_vanishing"}:
         print("warning: boundary-vanishing not satisfied (expected for quotient speeds)",
@@ -322,6 +323,13 @@ def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentPars
     return p
 
 
+@cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Command ``name``'s own parser; argparse's default formatter reads the
+    terminal width when the help or a usage error is printed."""
+    return _add_command(argparse.ArgumentParser(prog=f"curvsol {name}"), name)
+
+
 def _build_parser(formatter) -> argparse.ArgumentParser:
     """The full parser: every command in ``_COMMANDS`` as a subparser."""
     parser = argparse.ArgumentParser(
@@ -368,16 +376,15 @@ def _build_parser(formatter) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # argparse's own default width, queried once instead of in every add_argument
-    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
         if command:
-            parser = argparse.ArgumentParser(prog=f"curvsol {command}", formatter_class=formatter)
-            args, rest = _add_command(parser, command).parse_known_args(argv[1:])
+            args, rest = _command_parser(command).parse_known_args(argv[1:])
         # the full parser reports leftover arguments under the top-level usage
         if not command or rest:
-            args = _build_parser(formatter).parse_args(argv)
+            # argparse's own default width, queried once instead of in every add_argument
+            width = shutil.get_terminal_size().columns - 2
+            args = _build_parser(partial(argparse.HelpFormatter, width=width)).parse_args(argv)
         for flag in ("out", "fixed_point_csv"):     # None is stdout; "" names no file
             if getattr(args, flag, None) == "":
                 raise ParameterError(f"--{flag.replace('_', '-')} must not be empty")

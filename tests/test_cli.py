@@ -1020,24 +1020,29 @@ class TestParsers:
         ["picard", "--n", 3, "--R", 0.3, "--grid", 64, "--out", "f.json"],
         ["plot", "--in", "p.csv", "--barriers", "w3", "--out", "p.svg"]],
         ids=lambda argv: argv[0])
-    def test_a_command_builds_one_parser_and_queries_the_terminal_once(self, argv, tmp_path,
-                                                                       monkeypatch):
+    def test_a_command_builds_its_parser_on_its_first_call_only(self, argv, tmp_path,
+                                                                monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(["solve", "--speed", "harmonic", "--n", 3, "--rmax", 0.4,
                     "--out", "p.csv"]) == 0
-        assert _parsers_and_queries(argv) == (0, 1, 1)
+        cli._command_parser.cache_clear()
+        assert _parsers_and_queries(argv)[:2] == (0, 1)
+        # a warm call builds nothing and, printing no help, asks nothing of the terminal
+        assert _parsers_and_queries(argv) == (0, 0, 0)
 
     @pytest.mark.parametrize("argv, code, parsers", [
         ([], 2, 7),
         (["--config", "cfg.json", "solve", "--speed", "harmonic", "--n", 3, "--out", "c.csv"],
          0, 7),
         (["-h"], 0, 7),
-        (["solve", "--speed", "harmonic", "--n", 3, "--out", "x.csv", "--bogus", 1], 2, 8)],
+        (["solve", "--speed", "harmonic", "--n", 3, "--out", "x.csv", "--bogus", 1], 2, 7)],
         ids=["none", "config", "help", "leftover"])
     def test_anything_else_reaches_the_full_parser(self, argv, code, parsers, tmp_path,
                                                    monkeypatch, capsys):
-        # the full parser is the top-level one plus one subparser per command
+        # the full parser is the top-level one plus one subparser per command;
+        # the leftover call's command parser is warm, so only the full one is built
         monkeypatch.chdir(tmp_path)
+        cli._command_parser("solve")
         (tmp_path / "cfg.json").write_text(json.dumps({"rmax": 0.4}))
         assert _parsers_and_queries(argv) == (code, parsers, 1)
         assert not (tmp_path / "x.csv").exists()
@@ -1050,6 +1055,55 @@ class TestParsers:
         assert run(["solve", "--speed", "harmonic", "--n", 3, "--out", b]) == 0
         assert a.read_text().splitlines()[-1].split(",")[0] == "0.40000000000000002"
         assert b.read_text().splitlines()[-1].split(",")[0] == "3"
+
+    def test_a_config_does_not_reach_a_warm_command_parser(self, tmp_path):
+        cfg, a, b, c = (tmp_path / name for name in ("cfg.json", "a.csv", "b.csv", "c.csv"))
+        cfg.write_text(json.dumps({"rmax": 0.4}))
+        assert run(["solve", "--speed", "harmonic", "--n", 3, "--out", a]) == 0
+        assert run(["--config", cfg, "solve", "--speed", "harmonic", "--n", 3,
+                    "--out", b]) == 0
+        assert run(["solve", "--speed", "harmonic", "--n", 3, "--out", c]) == 0
+        assert b.read_text().splitlines()[-1].split(",")[0] == "0.40000000000000002"
+        assert a.read_bytes() == c.read_bytes()
+        assert c.read_text().splitlines()[-1].split(",")[0] == "3"
+
+    def test_a_flag_does_not_outlive_its_call(self, sigma2_csv, tmp_path):
+        out = tmp_path / "v.json"
+        tolerance = []
+        for extra in (["--tol", 1e-3], []):
+            assert run(["verify", "soliton", "--profile", sigma2_csv, "--out", out, *extra]) == 0
+            tolerance.append(json.loads(out.read_text())["checks"][0]["tolerance"])
+        assert tolerance == [1e-3, 1e-8]
+
+    def test_a_usage_error_leaves_the_parser_as_a_cold_call_finds_it(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        argv = ["solve", "--speed", "harmonic", "--n", 3, "--rmax", 0.4, "--out", "s.csv"]
+        written = []
+        for name, warm_up in (("cold", False), ("warm", True)):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            cli._command_parser.cache_clear()
+            if warm_up:
+                assert run(["solve", "--speed", "harmonic", "--n", "x", "--out", "s.csv"]) == 2
+                capsys.readouterr()
+            assert run(argv) == 0
+            written.append((capsys.readouterr(), (tmp_path / name / "s.csv").read_bytes(),
+                            (tmp_path / name / "s.meta.json").read_bytes()))
+        assert written[0] == written[1]
+
+    def test_importing_the_cli_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting_init(self, *args, **kwargs):\n"
+                "    built.append(kwargs.get('prog'))\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counting_init\n"
+                "import curvsol.cli\n"
+                "print(built)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(curvsol.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
     def test_help_wraps_to_the_columns_of_each_call(self, monkeypatch, capsys):
         # a width fixed at import would give both calls the same line count
