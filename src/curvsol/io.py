@@ -6,6 +6,10 @@ significant digits, so files round-trip losslessly and byte-identically.
 whose cut to zero makes ext4, XFS and btrfs flush the file at close, and no
 fsync, so after a power loss a rewritten file may hold old bytes.
 
+``read_profile_csv`` reads a CSV's bytes once per call and parses them with
+``np.loadtxt``; the last table that passed every check is kept, keyed by its
+path and bytes, so reading the same table again only checks its sidecar.
+
 ``write_table`` formats in batches of about 2,048 cells.  ``%.17g`` prints a
 finite cell with ``1e-4 <= |v| < 1e16`` in fixed notation, and ``10**(16 - e)``
 is an exact double, so Dekker's two-product gives ``hi + lo == |v| * 10**(16 -
@@ -16,10 +20,12 @@ Every other cell, one at a decade's edge too, is ``"%.17g" % v`` itself."""
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import sys
 import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -226,37 +232,49 @@ def write_profile_csv(path, profile: ProfileSolution) -> None:
     write_json(Path(path).with_suffix(".meta.json"), profile_metadata(profile))
 
 
-def _read_samples(path: Path) -> np.ndarray:
-    """The r, u, du, ddu columns of a profile CSV.  ``np.loadtxt`` parses a
-    well-formed table; on any fault the line-numbered loop re-reads the file
-    to name the first bad line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or tuple(header[:4]) != PROFILE_COLUMNS[:4]:
-            raise ParameterError(f"{path}: line 1: expected header starting with r,u,du,ddu")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")   # loadtxt warns, not raises, on no rows
-                samples = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2, 3), ndmin=2,
-                                     comments=None)
-            if np.isfinite(samples).all() and np.all(np.diff(samples[:, 0]) > 0.0):
-                return samples
-        except (ValueError, UserWarning):
-            pass
+@functools.lru_cache(maxsize=1)
+def _read_samples(path: Path, data: bytes) -> np.ndarray:
+    """The r, u, du, ddu columns of the profile CSV ``path`` whose bytes are
+    ``data``.  ``np.loadtxt`` parses a well-formed table; on any fault the
+    line-numbered loop parses the same text again to name the first bad line.
+    The last table that passed every check is kept, keyed by its path and
+    bytes; the caller copies what it returns."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        # a newline byte never lies inside a UTF-8 sequence, so this is the line
+        # whose own decoding fails first
+        line, byte = data.count(b"\n", 0, exc.start) + 1, data[exc.start]
+        raise ParameterError(f"{path}: line {line}: byte {byte:#04x} is not UTF-8") from None
+    # the lines open(path, newline="") yields; csv and np.loadtxt read them
+    # alike without their "\n" when no line holds a quote or a "\r"
+    plain = "\r" not in text and '"' not in text
+    lines = iter(text.split("\n") if plain else StringIO(text, newline=""))
+    header = next(csv.reader(lines), None)
+    if header is None or tuple(header[:4]) != PROFILE_COLUMNS[:4]:
+        raise ParameterError(f"{path}: line 1: expected header starting with r,u,du,ddu")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # loadtxt warns, not raises, on no rows
+            samples = np.loadtxt(lines, delimiter=",", usecols=(0, 1, 2, 3), ndmin=2,
+                                 comments=None)
+        if np.isfinite(samples).all() and np.all(np.diff(samples[:, 0]) > 0.0):
+            return samples
+    except (ValueError, UserWarning):
+        pass
     rows, linenos = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 4:
-                raise ParameterError(f"{path}: line {lineno}: {len(row)} fields, expected r,u,du,ddu")
-            try:
-                rows.append([float(x) for x in row[:4]])
-            except ValueError as exc:
-                raise ParameterError(f"{path}: line {lineno}: {exc}") from None
-            linenos.append(lineno)
+    reader = csv.reader(StringIO(text, newline=""))
+    next(reader)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < 4:
+            raise ParameterError(f"{path}: line {lineno}: {len(row)} fields, expected r,u,du,ddu")
+        try:
+            rows.append([float(x) for x in row[:4]])
+        except ValueError as exc:
+            raise ParameterError(f"{path}: line {lineno}: {exc}") from None
+        linenos.append(lineno)
     if not rows:
         raise ParameterError(f"{path}: no samples")
     samples = np.asarray(rows)
@@ -269,29 +287,16 @@ def _read_samples(path: Path) -> np.ndarray:
     return samples
 
 
-def _undecodable_line(path: Path) -> str:
-    """``path``'s first line that is not UTF-8, as ``line N: byte 0x.. is not
-    UTF-8``.  A newline byte never lies inside a UTF-8 sequence, so each line
-    decodes on its own as it does within the file."""
-    for lineno, line in enumerate(path.read_bytes().split(b"\n"), start=1):
-        try:
-            line.decode()
-        except UnicodeDecodeError as exc:
-            return f"line {lineno}: byte {line[exc.start]:#04x} is not UTF-8"
-    return "not UTF-8"      # the file changed after the first read
-
-
 def read_profile_csv(path) -> ProfileSolution:
     """Parse a profile CSV and its metadata sidecar, building the profile from
     the sidecar's speed, status and tolerances.  Raises ParameterError naming
     the line of a malformed or non-finite value, of a radius that does not
     increase or of a byte that is not UTF-8, and naming the sidecar when it is
-    not UTF-8 JSON or lacks or differs in a key of ``profile_metadata``."""
+    not UTF-8 JSON or lacks or differs in a key of ``profile_metadata``.  The
+    CSV is read once per call, and a table whose path and bytes equal the last
+    accepted table's is not parsed again; the sidecar is read on every call."""
     path = Path(path)
-    try:
-        samples = _read_samples(path)
-    except UnicodeDecodeError:
-        raise ParameterError(f"{path}: {_undecodable_line(path)}") from None
+    samples = _read_samples(path, path.read_bytes()).copy()
     side = path.with_suffix(".meta.json")
     if not side.exists():
         raise ParameterError(f"metadata sidecar {side} not found")

@@ -262,6 +262,121 @@ def test_quoted_fields_read_by_the_line_loop(tmp_path, profile):
     assert np.array_equal(read_profile_csv(path).samples, profile.samples)
 
 
+def _crlf(lines):
+    return [line.replace("\n", "\r\n") for line in lines]
+
+
+def _cr(lines):
+    return [line.replace("\n", "\r") for line in lines]
+
+
+def _blank_line(lines):
+    return lines[:4] + ["\n"] + lines[4:]
+
+
+def _ragged(lines):
+    # one row cut to r,u,du,ddu, another with a field more than the header
+    return (lines[:3] + [",".join(lines[3].split(",")[:4]) + "\n"]
+            + [lines[4].replace("\n", ",7\n")] + lines[5:])
+
+
+@pytest.mark.parametrize("edit", [_crlf, _cr, _blank_line, _ragged],
+                         ids=["crlf", "cr", "blank", "ragged"])
+def test_reader_grammar(tmp_path, profile, edit):
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, profile)
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))), newline="")
+    assert np.array_equal(read_profile_csv(path).samples, profile.samples)
+
+
+# -- one read of the file per call, one parse per table -------------------------
+
+_opened = None      # while a list: the path of every file the process opens
+
+
+def _collect_opens(event, args):
+    if event == "open" and _opened is not None:
+        _opened.append(str(args[0]))
+
+
+sys.addaudithook(_collect_opens)    # the open event covers open, io.open, os.open and pathlib
+
+
+@pytest.mark.parametrize("body", [
+    HEADER.encode() + b"0.5,0,0,0\n1.0,0.1\xff,0.2,0.3\n",
+    HEADER.encode() + b"0.5,0,0,0\n1.0,0.1,oops,0.2\n",
+], ids=["not-utf8", "malformed"])
+def test_a_rejected_csv_is_read_once_per_call(tmp_path, monkeypatch, body):
+    path = tmp_path / "t.csv"
+    path.write_bytes(body)
+    monkeypatch.setattr(sys.modules[__name__], "_opened", [])
+    for calls in (1, 2):
+        with pytest.raises(ParameterError, match="line 3"):
+            read_profile_csv(path)
+        assert _opened.count(str(path)) == calls
+
+
+def test_repeated_reads_parse_the_table_once(tmp_path, profile, monkeypatch):
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, profile)
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+    for _ in range(4):
+        assert np.array_equal(read_profile_csv(path).samples, profile.samples)
+    assert len(calls) == 1
+
+
+def test_repeated_reads_return_arrays_of_their_own(tmp_path, profile):
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, profile)
+    first, second = read_profile_csv(path).samples, read_profile_csv(path).samples
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+    first[:] = 0.0
+    assert np.array_equal(read_profile_csv(path).samples, profile.samples)
+
+
+def test_a_table_rewritten_in_place_reads_its_new_bytes(tmp_path, profile):
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, profile)
+    before = read_profile_csv(path).samples
+    data, stat = path.read_bytes(), path.stat()
+    row = data.split(b"\n")[5]
+    start = row.index(b",") + 1                  # u in the table's fifth row
+    digit = start + next(i for i, c in enumerate(row[start:]) if c in b"12345678")
+    edited = row[:digit] + bytes([row[digit] + 1]) + row[digit + 1:]
+    path.write_bytes(data.replace(row, edited))  # same path, same length
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    after = read_profile_csv(path).samples
+    assert after[4, 1] != before[4, 1]
+    assert np.array_equal(np.delete(after, 4, 0), np.delete(before, 4, 0))
+
+
+def test_a_rejected_table_is_rejected_on_every_read(tmp_path, profile):
+    path = tmp_path / "p.csv"
+    write_profile_csv(path, profile)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5], lines[6] = lines[6], lines[5]      # np.loadtxt parses it; the radius check fails
+    path.write_text("".join(lines))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParameterError) as info:
+            read_profile_csv(path)
+        errors.append(str(info.value))
+    assert errors == [f"{path}: line 7: radii must be strictly increasing"] * 2
+
+
+def test_the_sidecar_is_checked_on_every_read(tmp_path, profile):
+    path, side = tmp_path / "p.csv", tmp_path / "p.meta.json"
+    write_profile_csv(path, profile)
+    read_profile_csv(path)
+    status = f'"status": "{profile.status}"'
+    side.write_text(side.read_text().replace(status, '"status": "blew_up"'))
+    with pytest.raises(ParameterError, match="blowup_radius = null differs"):
+        read_profile_csv(path)
+
+
 # -- the in-place writer --------------------------------------------------------
 
 def _artifacts(directory, profile):
