@@ -14,8 +14,11 @@ path and bytes, so reading the same table again only checks its sidecar.
 finite cell with ``1e-4 <= |v| < 1e16`` in fixed notation, and ``10**(16 - e)``
 is an exact double, so Dekker's two-product gives ``hi + lo == |v| * 10**(16 -
 e)``.  Where ``hi`` lies strictly inside ``(1e16, 1e17)``, ``hi + rint(lo)`` is
-the correctly rounded 17-digit significand, whose digits table gathers place.
-Every other cell, one at a decade's edge too, is ``"%.17g" % v`` itself."""
+the correctly rounded 17-digit significand.  Its digits go twice into a
+candidate row, and a row of a bool table, picked by the cell's exponent, sign
+and digit count, marks the bytes ``%.17g`` prints; one boolean compress per
+batch keeps them.  Every other cell, one at a decade's edge too, is ``"%.17g" %
+v`` itself, written into its row with its nonzero bytes as its mask."""
 
 from __future__ import annotations
 
@@ -73,35 +76,50 @@ def write_json(path, payload) -> None:
 # -- the batched %.17g kernel -------------------------------------------------
 
 _CHUNK = 2048   # cells per batch; bounds the kernel's temporaries
-_CELL = 25      # bytes per formatted cell: the longest %.17g string (24) and its separator
+_CELL = 43      # bytes per candidate row: sign, "0.000", 17 digits, "0.", the 17 digits, separator
 _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**0 .. 10**22, all exact doubles
 # _DIGITS4[g]: the four ASCII digits of 0 <= g < 10000, as one uint32
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
                                 indexing="ij"), axis=-1).reshape(-1, 4).view(np.uint32).ravel()
-# the last four bytes of a cell's source row: sign, point, separator, padding
-_TAILS = np.frombuffer(b"-.,\0-.\n\0", np.uint32)
+# the candidate rows of a middle and of a last cell, before the digits go in
+_TEMPLATES = np.frombuffer(b"-0.000" + b"0" * 17 + b"0." + b"0" * 17 + b","
+                           b"-0.000" + b"0" * 17 + b"0." + b"0" * 17 + b"\n",
+                           np.uint8).reshape(2, _CELL)
+# _KEPT[g]: the digits of the four-digit group g up to its last nonzero one; -16 for
+# g = 0, so that a zero group never counts below
+_KEPT = np.full(10000, 4)
+_KEPT[::10] = 3
+_KEPT[::100] = 2
+_KEPT[::1000] = 1
+_KEPT[0] = -16
+_GROUP_START = np.array([[1], [5], [9], [13]])   # the significand's digits before groups 1..4
 
 
-def _layout() -> np.ndarray:
-    """Row ``((e + 4) * 2 + negative) * 17 + kept - 1`` gives, for each of the
-    ``_CELL`` output bytes of a cell with decimal exponent ``-4 <= e <= 15``,
-    its source byte: 0..19 the significand's digits behind three zeros, 20
-    the sign, 21 the point, 22 the separator, 23 padding.  ``kept`` counts the
-    significand's digits up to its last nonzero one."""
+def _masks() -> np.ndarray:
+    """Row ``((e + 4) * 2 + negative) * 17 + kept - 1`` marks the bytes of a
+    candidate row that ``%.17g`` prints for a cell with decimal exponent
+    ``-4 <= e <= 15``: the sign where ``negative``; for ``e >= 0`` the
+    ``e + 1`` whole digits from the first copy of the digits (bytes 6..22),
+    then, where ``kept > e + 1``, the point (24) and the rest from the second
+    copy (25..41); for ``e = -1`` ``"0."`` (23, 24) and ``kept`` digits from
+    the second copy; for ``e < -1`` ``"0."``, ``-e - 1`` zeros and ``kept``
+    digits from the first copy; and the separator.  ``kept`` counts the
+    significand's digits up to its last nonzero one.  A row's bytes are
+    copied in runs, and ``0.1 <= |v| < 1`` takes one run for ``"0."`` and its
+    digits."""
     e = np.arange(-4, 16)[:, None, None, None]
-    negative = np.arange(2)[:, None, None]
+    negative = np.array([False, True])[:, None, None]
     kept = np.arange(1, 18)[:, None]
-    j = np.arange(_CELL) - negative               # position behind the sign
-    whole = np.maximum(e, 0) + 1                  # characters before the point
-    frac = np.maximum(kept - 1 - e, 0)            # characters behind it
-    end = whole + (frac > 0) + frac               # position of the separator
-    source = np.select([j < 0, j < whole, j == end, j > end, j == whole],
-                       [20, np.where(e >= 0, 3 + j, 0), 22, 23, 21],
-                       3 + e + j - whole)           # fraction: leading zeros, then digits
-    return source.reshape(-1, _CELL)
+    j = np.arange(_CELL)
+    whole, small = e >= 0, e < -1
+    first = (whole | small) & (j >= 6) & (j - 6 <= np.where(whole, e, kept - 1))
+    second = ~small & (((j == 23) & (e == -1)) | ((j == 24) & (kept > e + 1))
+                       | ((j - 25 > e) & (j - 25 < kept)))
+    lead = small & (j >= 1) & (j <= 5) & ((j <= 2) | (j >= 7 + e))   # "0." and zeros
+    return ((j == 0) & negative | first | second | lead | (j == _CELL - 1)).reshape(-1, _CELL)
 
 
-_LAYOUT = _layout()
+_MASKS = _masks()
 
 
 def _split(a):
@@ -123,15 +141,15 @@ def _times_pow10(a, k):
 
 
 def _fixed_cells(v, last):
-    """Cells ``v`` as rows of ``_CELL`` bytes (the ``%.17g`` string, its
-    separator, a newline where ``last`` is 1, else a comma, zero padding) and
+    """Cells ``v`` as candidate rows of ``_CELL`` bytes (a newline separator
+    where ``last`` is 1, else a comma), the masks of their ``%.17g`` bytes and
     the mask of the exact rows, those with ``1e-4 <= |v| < 1e16`` and ``hi``
     strictly inside ``(1e16, 1e17)``; the other rows hold junk."""
     a = np.abs(v)
     fixed = (a >= 1e-4) & (a < 1e16)              # False for NaN
     a = np.where(fixed, a, 1.0)                   # a finite log10 for the junk rows
     # log10 may be one off next to a power of ten, and then hi leaves the
-    # decade; e is capped at _LAYOUT's 15, as log10(9999999999999998) is 16
+    # decade; e is capped at _MASKS's 15, as log10(9999999999999998) is 16
     e = np.minimum(np.floor(np.log10(a)).astype(np.intp), 15)
     hi, lo = _times_pow10(a, 16 - e)
     # Strictly inside (1e16, 1e17) hi is an even integer (>= 2**53) and
@@ -144,19 +162,19 @@ def _fixed_cells(v, last):
         groups[k] = d - q * 10000
         d = q
     groups[0] = d
-    source = np.empty((v.size, 6), np.uint32)
-    source[:, :5] = _DIGITS4[groups].T
-    source[:, 5] = _TAILS[last]
-    source = source.view(np.uint8)
-    kept = 17 - np.argmax(source[:, 19:2:-1] != ord("0"), axis=1)
-    index = _LAYOUT[((e + 4) * 2 + (v < 0.0)) * 17 + kept - 1]
-    index += 24 * np.arange(v.size)[:, None]      # where cell i's source row starts
-    return source.ravel()[index], exact
+    digits = np.take(_DIGITS4, groups.T).view(np.uint8)[:, 3:]   # 17 digits a row
+    rows = np.take(_TEMPLATES, last, axis=0)
+    rows[:, 6:23] = digits
+    rows[:, 25:42] = digits
+    # group 0, the first digit, is nonzero in an exact row, so kept is at least 1
+    kept = np.maximum(np.max(np.take(_KEPT, groups[1:]) + _GROUP_START, axis=0), 1)
+    return rows, np.take(_MASKS, ((e + 4) * 2 + (v < 0.0)) * 17 + kept - 1, axis=0), exact
 
 
 def _other_cells(v, last):
-    """Any cells ``v`` as rows of ``_CELL`` bytes like ``_fixed_cells``'s,
-    formatted one by one."""
+    """Any cells ``v`` as rows of ``_CELL`` bytes: the ``"%.17g" % v`` string
+    and its separator (a newline where ``last`` is 1, else a comma),
+    formatted one by one, then zero bytes."""
     return np.frombuffer("".join(
         ("%.17g" % x + ("\n" if end else ",")).ljust(_CELL, "\0")
         for x, end in zip(v.tolist(), last.tolist())).encode(), np.uint8).reshape(-1, _CELL)
@@ -178,11 +196,13 @@ def write_table(path, header, columns) -> None:
     pieces = []
     for start in range(0, cells.size, step):
         v = cells[start:start + step]
-        out, exact = _fixed_cells(v, last[:v.size])
+        rows, mask, exact = _fixed_cells(v, last[:v.size])
         other = np.flatnonzero(~exact)
         if other.size:
-            out[other] = _other_cells(v[other], last[other])
-        pieces.append(out[out != 0].tobytes())
+            formatted = _other_cells(v[other], last[other])
+            rows[other] = formatted
+            mask[other] = formatted != 0
+        pieces.append(rows[mask].tobytes())
     _write(path, b"".join([(",".join(header) + "\n").encode(), *pieces]))
 
 

@@ -34,35 +34,43 @@ def domain_radius(n: int) -> float:
 
 
 def _quadrature(eq: SlopeEquation, r: np.ndarray, w: np.ndarray,
-                slopes: tuple[float, float]) -> np.ndarray:
+                slopes: tuple[float, float]) -> tuple[np.ndarray, tuple]:
     """Unclamped cumulative trapezoidal quadrature of ``eq``'s right-hand
     side along the uniform nodes ``r`` (r[0] = 0), at the slopes ``w``.  The
     axis node uses its finite limit m psi(1/m), with the startup slope
     m = w/r at the first node clamped into ``slopes``, the band's slope
-    range."""
+    range.
+
+    Returns the quadrature and the terms ``(y, psi(y), w*w)`` at the nodes
+    r > 0, y = r/w checked in ``eq``'s cone, which ``_newton_correction``
+    reuses: one cone check and one array evaluation of psi per iterate."""
     h = r[1] - r[0]
     m = min(max(w[1] / r[1], slopes[0]), slopes[1])
+    y = eq._cone_ratio(r[1:], w[1:])
+    p, ww = eq.psi(y), w[1:] * w[1:]
     g = np.empty(w.size)
     g[0] = m * eq.psi(1.0 / m)
-    g[1:] = eq.rhs(r[1:], w[1:])
-    return np.concatenate(([0.0], np.cumsum(0.5 * h * (g[:-1] + g[1:]))))
+    g[1:] = (w[1:] / r[1:]) * (1.0 + ww) * p        # eq.rhs(r[1:], w[1:]), bit for bit
+    return np.concatenate(([0.0], np.cumsum(0.5 * h * (g[:-1] + g[1:])))), (y, p, ww)
 
 
 def _newton_correction(eq: SlopeEquation, r: np.ndarray, w: np.ndarray, q: np.ndarray,
-                       slopes: tuple[float, float]) -> np.ndarray:
+                       terms: tuple, slopes: tuple[float, float]) -> np.ndarray:
     """The Newton correction u, with u = 0 at the axis, that solves
-    (I - J) u = q - w for q = ``_quadrature(eq, r, w, slopes)`` and J its
-    Jacobian in w.
+    (I - J) u = q - w for ``q, terms = _quadrature(eq, r, w, slopes)`` and J
+    the quadrature's Jacobian in w.
 
-    With d_i = rhs_dw(r_i, w_i), node i >= 1 of the trapezoidal sum has
-    dq_i/dw_j = h d_j for j < i and (h/2) d_i for j = i; the axis term
-    g_0 = s psi(1/s), s = w_1/r_1, adds (h/2) a to dq_i/dw_1 with
-    a = (psi(1/s) - psi'(1/s)/s)/r_1, or a = 0 where s is clamped.  The
+    With d_i = rhs_dw(r_i, w_i), built from ``terms``, node i >= 1 of the
+    trapezoidal sum has dq_i/dw_j = h d_j for j < i and (h/2) d_i for j = i;
+    the axis term g_0 = s psi(1/s), s = w_1/r_1, adds (h/2) a to dq_i/dw_1
+    with a = (psi(1/s) - psi'(1/s)/s)/r_1, or a = 0 where s is clamped.  The
     difference of consecutive rows makes I - J lower bidiagonal:
     u_i = alpha_i u_{i-1} + beta_i, solved by one cumulative product and one
     cumulative sum.  d < 0 on the band, so no pivot vanishes."""
     h = r[1] - r[0]
-    d = 0.5 * h * eq.rhs_dw(r[1:], w[1:])
+    y, p, ww = terms
+    # eq.rhs_dw(r[1:], w[1:]), bit for bit
+    d = 0.5 * h * ((1.0 + 3.0 * ww) / r[1:] * p - (1.0 + ww) / w[1:] * eq.dpsi(y))
     s = w[1] / r[1]
     a = 0.0
     if slopes[0] <= s <= slopes[1]:
@@ -88,13 +96,14 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     """Newton on the paper's operator T: its fixed point, from the band
     midpoint, until the sup-norm residual max|T(w) - w| drops below ``tol``.
 
-    Each iteration computes q = ``_quadrature(eq, r, w, slopes)``, logs one
-    entry and, unless it stops, sets w <- clip(w + u) with u from
-    ``_newton_correction``.  The entry holds ``sup_change`` = max|T(w) - w|,
-    T(w) = clip(q) into the band; ``contraction_ratio``, its quotient by the
-    previous entry's sup_change (None on the first entry); and
-    ``clamp_events``, the number of nodes that clip changes in T(w).  The
-    result's ``values`` are the last T(w), on the grid's ``nodes``.
+    Each iteration computes q and the slope terms with ``_quadrature(eq, r,
+    w, slopes)``, logs one entry and, unless it stops, sets w <- clip(w + u)
+    with u from ``_newton_correction``, which reuses those terms.  The entry
+    holds ``sup_change`` = max|T(w) - w|, T(w) = clip(q) into the band;
+    ``contraction_ratio``, its quotient by the previous entry's sup_change
+    (None on the first entry); and ``clamp_events``, the number of nodes that
+    clip changes in T(w).  The result's ``values`` are the last T(w), on the
+    grid's ``nodes``.
 
     Requires n in 3..6, m >= 64, R in the super-solution band's interval with
     a spacing R/(m-1) that does not underflow to 0, max_iter >= 1 and a
@@ -128,7 +137,7 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
     converged = False
     best, stalls = np.inf, 0
     for _ in range(max_iter):
-        q = _quadrature(eq, r, w, slopes)
+        q, terms = _quadrature(eq, r, w, slopes)
         t = np.clip(q, lo, hi)
         change = float(np.max(np.abs(t - w)))
         prev = iterations[-1]["sup_change"] if iterations else 0.0
@@ -147,7 +156,7 @@ def picard_solve(n: int, R: float, m: int, tol: float = 1e-12,
                 break
             if stalls >= 3:
                 break
-        w = np.clip(w + _newton_correction(eq, r, w, q, slopes), lo, hi)
+        w = np.clip(w + _newton_correction(eq, r, w, q, terms, slopes), lo, hi)
     return PicardResult(nodes=r, values=t, iterations=iterations, converged=converged)
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -165,13 +166,9 @@ def test_write_table_cell_text(value, text):
     assert table_text(("x", "y"), (np.array([value]), np.array([1.0]))) == f"x,y\n{text},1\n"
 
 
-def test_decade_edge_cells_take_the_per_cell_path(monkeypatch):
-    # a cell whose significand's high part is 1e16 or 1e17 is not exact in one
-    # pass of the batched kernel, so it must be formatted by %.17g itself
-    edges = [1.0, 10.0, 100.0, 1e-4, 1e-3, 0.1, 1e15]
-    edges += [-x for x in edges]
-    ordinary = np.linspace(0.37, 7.3e3, 26).tolist()
-    table = np.array([x for pair in zip(edges + edges, ordinary) for x in pair]).reshape(-1, 4)
+def record_other_cells(monkeypatch) -> list:
+    """The list of the cells that ``write_table`` formats one by one, filled
+    as it runs."""
     seen = []
     other_cells = curvsol.io._other_cells
 
@@ -180,10 +177,49 @@ def test_decade_edge_cells_take_the_per_cell_path(monkeypatch):
         return other_cells(v, last)
 
     monkeypatch.setattr(curvsol.io, "_other_cells", recording)
+    return seen
+
+
+def test_decade_edge_cells_take_the_per_cell_path(monkeypatch):
+    # a cell whose significand's high part is 1e16 or 1e17 is not exact in one
+    # pass of the batched kernel, so it must be formatted by %.17g itself
+    edges = [1.0, 10.0, 100.0, 1e-4, 1e-3, 0.1, 1e15]
+    edges += [-x for x in edges]
+    ordinary = np.linspace(0.37, 7.3e3, 26).tolist()
+    table = np.array([x for pair in zip(edges + edges, ordinary) for x in pair]).reshape(-1, 4)
+    seen = record_other_cells(monkeypatch)
     header = ("a", "b", "c", "d")
     assert table_text(header, tuple(table.T)) == per_cell_text(header, table)
     assert set(edges) <= set(seen)
     assert not set(ordinary) & set(seen)
+
+
+def _cell_printing(e: int, kept: int):
+    """The double nearest ``D * 10**(e - kept + 1)`` for the least ``D >= 2 *
+    10**(kept - 1)`` of ``kept`` digits, not ending in 0, whose ``%.17g`` is
+    that decimal: a cell of decimal exponent ``e`` whose significand has
+    ``kept`` digits up to its last nonzero one.  None when no such D exists."""
+    for D in range(2 * 10 ** (kept - 1), 10 ** kept):
+        if D % 10:
+            text = format(Decimal(D).scaleb(e - kept + 1), "f")
+            if format(float(text), ".17g") == text:
+                return float(text)
+    return None
+
+
+def test_every_mask_row_prints_its_cells(monkeypatch):
+    # one cell per decimal exponent -4..15, sign and kept digits 1..17, so one
+    # per row of the kernel's mask table, in a middle and in the last column
+    cells = {(e, kept): _cell_printing(e, kept) for e in range(-4, 16) for kept in range(1, 18)}
+    # one digit at exponent -4 prints only for 1e-4, a decade's edge that the
+    # per-cell path takes, so no cell reaches those two rows
+    assert [key for key, v in cells.items() if v is None] == [(-4, 1)]
+    values = np.array([s * v for v in cells.values() if v is not None for s in (1.0, -1.0)])
+    assert values.size == 2 * (20 * 17 - 1)
+    seen = record_other_cells(monkeypatch)
+    table = np.column_stack((values, values[::-1]))
+    assert table_text(("a", "b"), tuple(table.T)) == per_cell_text(("a", "b"), table)
+    assert seen == []
 
 
 def test_write_table_without_rows_is_the_header():

@@ -2,6 +2,7 @@
 convergence, the axis multiplier that makes the plain iteration stall,
 and the slope-sensitivity estimate."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -65,7 +66,7 @@ def operator_T(n: int, R: float, w: np.ndarray) -> tuple[np.ndarray, int]:
     on ``w.size`` uniform nodes on [0, R], clamped nodewise into the band.
     Returns T(w) and the number of clamped nodes."""
     eq, r, lo, hi, slopes = band(n, R, w.size)
-    q = _quadrature(eq, r, w, slopes)
+    q, _terms = _quadrature(eq, r, w, slopes)
     t = np.clip(q, lo, hi)
     return t, int(np.count_nonzero(t != q))
 
@@ -94,7 +95,7 @@ class TestOperatorT:
         n, R, m = 3, 0.3, 513
         w4_grid = barrier_grid("w4", n, R, m)
         eq, r, _lo, _hi, slopes = band(n, R, m)
-        raw = _quadrature(eq, r, w4_grid, slopes)
+        raw, _terms = _quadrature(eq, r, w4_grid, slopes)
         assert np.all(raw[1:] >= w4_grid[1:])
         _out, events = operator_T(n, R, w4_grid)
         assert events > 0
@@ -118,7 +119,7 @@ class TestOperatorT:
 def alternating_quadrature(monkeypatch):
     """A non-contracting map for the solve at n = 3, R = 0.3, m = 64: its
     quadrature alternates between two fixed grids b, a, b, ..., whatever the
-    iterate.  Returns (a, b)."""
+    iterate, beside the iterate's own slope terms.  Returns (a, b)."""
     import curvsol.picard as pic
     a = initial_iterate(3, 0.3, 64)
     b = a + np.concatenate(([0.0], np.full(63, 1e-3)))
@@ -126,7 +127,7 @@ def alternating_quadrature(monkeypatch):
 
     def fake_quadrature(eq, r, w, slopes):
         state["flip"] = not state["flip"]
-        return b if state["flip"] else a
+        return (b if state["flip"] else a), _quadrature(eq, r, w, slopes)[1]
 
     monkeypatch.setattr(pic, "_quadrature", fake_quadrature)
     return a, b
@@ -260,8 +261,8 @@ def _newton_iterates(n: int, R: float, m: int) -> list[np.ndarray]:
     """The initial iterate, the second one and the converged values."""
     eq, r, lo, hi, slopes = band(n, R, m)
     w0 = initial_iterate(n, R, m)
-    q0 = _quadrature(eq, r, w0, slopes)
-    w1 = np.clip(w0 + _newton_correction(eq, r, w0, q0, slopes), lo, hi)
+    q0, terms0 = _quadrature(eq, r, w0, slopes)
+    w1 = np.clip(w0 + _newton_correction(eq, r, w0, q0, terms0, slopes), lo, hi)
     return [w0, w1, picard_solve(n, R, m).values]
 
 
@@ -276,8 +277,8 @@ class TestNewton:
         for m in (64, 2049, 8189):
             eq, r, _lo, _hi, slopes = band(n, R, m)
             for w in _newton_iterates(n, R, m):
-                q = _quadrature(eq, r, w, slopes)
-                u = _newton_correction(eq, r, w, q, slopes)
+                q, terms = _quadrature(eq, r, w, slopes)
+                u = _newton_correction(eq, r, w, q, terms, slopes)
                 ref = _forward_substitution(n, R, w, q)
                 assert u[0] == 0.0
                 # relative to the larger of u and the residual it solves for:
@@ -292,14 +293,14 @@ class TestNewton:
         # unclamped quadrature
         eq, r, _lo, _hi, slopes = band(n, _default_radius(n), 64)
         for w in _newton_iterates(n, _default_radius(n), 64)[::2]:
-            q = _quadrature(eq, r, w, slopes)
-            u = _newton_correction(eq, r, w, q, slopes)
+            q, terms = _quadrature(eq, r, w, slopes)
+            u = _newton_correction(eq, r, w, q, terms, slopes)
             J = np.zeros((w.size, w.size))
             for j in range(1, w.size):
                 e = np.zeros(w.size)
                 e[j] = 1e-6 * w[j]
-                J[:, j] = (_quadrature(eq, r, w + e, slopes)
-                           - _quadrature(eq, r, w - e, slopes)) / (2.0 * e[j])
+                J[:, j] = (_quadrature(eq, r, w + e, slopes)[0]
+                           - _quadrature(eq, r, w - e, slopes)[0]) / (2.0 * e[j])
             F = q - w
             assert np.max(np.abs(u - J @ u - F)) <= 1e-6 * np.max(np.abs(u))
 
@@ -472,6 +473,48 @@ class TestGridConstantsOncePerSolve:
             assert events == ref_events
             np.testing.assert_array_equal(out, ref)
             w = out
+
+
+class TestSlopeTermsOncePerIteration:
+    @staticmethod
+    def _count_array_calls(monkeypatch):
+        """Patch the solve's slope equation to count psi and dpsi calls on
+        arrays; the axis terms call them on floats."""
+        import curvsol.picard as pic
+        calls = {"psi": 0, "dpsi": 0}
+
+        def counting(spec):
+            eq = slope_equation(spec)
+
+            def psi(y):
+                calls["psi"] += isinstance(y, np.ndarray)
+                return eq.psi(y)
+
+            def dpsi(y):
+                calls["dpsi"] += isinstance(y, np.ndarray)
+                return eq.dpsi(y)
+
+            return dataclasses.replace(eq, psi=psi, dpsi=dpsi)
+
+        monkeypatch.setattr(pic, "slope_equation", counting)
+        return calls
+
+    @pytest.mark.parametrize("n, R, m", [(3, 0.3, 256), (4, 0.2, 2049), (6, 0.1, 64)])
+    def test_psi_on_arrays_once_per_iteration(self, monkeypatch, n, R, m):
+        reference = picard_solve(n, R, m)
+        calls = self._count_array_calls(monkeypatch)
+        result = picard_solve(n, R, m)
+        assert result.converged and len(result.iterations) > 2
+        assert calls["psi"] == len(result.iterations)
+        assert calls["dpsi"] == len(result.iterations) - 1     # no step after the last
+        assert result.iterations == reference.iterations
+        np.testing.assert_array_equal(result.values, reference.values)
+
+    def test_a_step_after_every_iteration_that_max_iter_cuts(self, monkeypatch):
+        calls = self._count_array_calls(monkeypatch)
+        result = picard_solve(3, 0.3, 256, max_iter=2)
+        assert not result.converged and len(result.iterations) == 2
+        assert calls == {"psi": 2, "dpsi": 2}
 
 
 def _lipschitz_radius_loop(n: int, samples: int, seed: int) -> tuple[float, float]:
